@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -153,18 +152,6 @@ def _parse_arcs(arc_args) -> list[Arc]:
             raise ConfigError(f"bad arc spec {spec!r}; expected 'a,b'") from None
         arcs.append(Arc.from_endpoints(a, b))
     return arcs
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("THERMO_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError("THERMO_THREADS must be an integer") from None
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +405,6 @@ def make_parser() -> argparse.ArgumentParser:
         description="Transfer-operator spectra, orbit counting and stochastic "
                     "diagnostics for expanding circle maps, symbolic shifts "
                     "and parabolic interval maps.")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (defaults to THERMO_THREADS or machine "
-                        "parallelism); results are identical for any value")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_):
@@ -455,8 +439,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="count events with value <= T instead of < T")
     q.add_argument("--strict", dest="closed", action="store_false")
     q.add_argument("--grid", type=int, default=48)
-    q.add_argument("--cesaro", action="store_true",
-                   help="kept for compatibility; cesaro column is always emitted")
 
     q = add("cesaro", cmd_cesaro, "exponentially weighted Cesaro counting average")
     q.add_argument("--map", required=True)
@@ -535,7 +517,6 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        _threads(args)  # validated; computations are deterministic regardless
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -39,13 +39,12 @@ class CountingLedger:
     locations: np.ndarray | None
     T_max: float
     space: str = "circle"
-    budget_hit: bool = False
     member_mask: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @staticmethod
     def from_events(values, locations=None, weights=None, member_mask=None,
-                    T_max=np.inf, space="circle", budget_hit=False, meta=None):
+                    T_max=np.inf, space="circle", meta=None):
         values = np.asarray(values, dtype=float)
         order = np.argsort(values, kind="stable")
         values = values[order]
@@ -56,8 +55,8 @@ class CountingLedger:
         if member_mask is not None:
             member_mask = np.asarray(member_mask, dtype=bool)[order]
         return CountingLedger(values=values, weights=weights, locations=locations,
-                              T_max=float(T_max), space=space, budget_hit=budget_hit,
-                              member_mask=member_mask, meta=meta or {})
+                              T_max=float(T_max), space=space, member_mask=member_mask,
+                              meta=meta or {})
 
     def _effective_weights(self) -> np.ndarray:
         if self.member_mask is None:
@@ -80,8 +79,7 @@ class CountingLedger:
             return _restrict_aggregated(self, arcs)
         mask = arcs_contain(arcs, self.locations)
         return CountingLedger(values=self.values, weights=self.weights,
-                              locations=self.locations, T_max=self.T_max,
-                              space=self.space, budget_hit=self.budget_hit,
+                              locations=self.locations, T_max=self.T_max, space=self.space,
                               member_mask=mask if self.member_mask is None
                               else (mask & self.member_mask),
                               meta=dict(self.meta))
@@ -139,8 +137,8 @@ def _restrict_aggregated(L: CountingLedger, arcs) -> CountingLedger:
         n = int(round(v / np.log(d))) if v > 0 else 0
         new_w[i] = sum(_monomial_level_count_in_arc(x, d, rot, n, a) for a in arcs)
     return CountingLedger(values=L.values, weights=new_w, locations=None,
-                          T_max=L.T_max, space=L.space, budget_hit=L.budget_hit,
-                          member_mask=None, meta=dict(L.meta))
+                          T_max=L.T_max, space=L.space, member_mask=None,
+                          meta=dict(L.meta))
 
 
 @dataclass

@@ -6,6 +6,11 @@ line. The poles cut the line into branches mapped monotonically onto the
 line; inverse orbits of the extreme poles build the partition whose core
 interval X carries the first return map, an expanding system with countably
 many branches.
+
+Everything here reduces to the monotone equation F(x) = y on one branch, and
+two routines are the only root-finders: `_inverse` solves it on any bracket
+for any array of targets, and `_ladder` solves a whole backward orbit on an
+outer branch (boundary orbits, excursion descents) as one bidiagonal system.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .errors import (BisectionFail, BudgetExceeded, NoReturnWithinCap,
                      NotDoublyParabolic, TailBoundExceeded)
 
 _POLE_TOL = 1e-14
+_ROOT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -85,149 +91,107 @@ def build_parabolic(poles, translation: float = 0.0) -> ParabolicMap:
 
 
 # ---------------------------------------------------------------------------
-# branch inverses and boundary orbits
+# the two root-finders: branch inverse and outer-branch ladder
 # ---------------------------------------------------------------------------
 
-def _f_df(poles, x: float) -> tuple[float, float]:
-    """F(x) and F'(x) as plain floats (hot path for scalar solvers)."""
-    f = x
-    d = 1.0
-    for b, t in poles:
-        diff = x - b
-        f -= t / diff
-        d += t / (diff * diff)
-    return f, d
-
-
-def _branch_inverse_scalar(P: ParabolicMap, lo: float, hi: float, y: float,
-                           tol: float = 1e-14) -> float:
+def _inverse(P: ParabolicMap, lo, hi, y):
     """Solve F(x) = y on the branch (lo, hi) where F increases onto its image.
 
-    Safeguarded Newton in plain float arithmetic with a finite starting
-    bracket obtained by marching toward the unbounded or pole end as needed.
+    Broadcasts over lo, hi and y. Safeguarded Newton: a step that leaves the
+    bracket is replaced by bisection, and the bracket shrinks on the sign of
+    F(x) - y. An infinite end gets a finite one in closed form: outside the
+    poles |F(x) - x| <= a / dist(x, poles), so the root lies above
+    min(y, b_first) - a - 1 and below max(y, b_last) + a + 1. An entry is done
+    once its Newton step is below _ROOT_TOL * max(1, |x|) and below half the
+    way to either bracket end, and it returns that step; BisectionFail is
+    raised if any entry is not done within 200 steps.
     """
-    poles = P.poles
-    span = max(abs(lo) if math.isfinite(lo) else 1.0,
-               abs(hi) if math.isfinite(hi) else 1.0, 1.0)
-    if math.isfinite(lo):
-        step = span * 1e-9
-        xa = lo + step
-        while _f_df(poles, xa)[0] > y:
-            step *= 0.25
-            xa = lo + step
-            if step < 1e-300:
-                raise BisectionFail("cannot approach the lower branch end")
-    else:
-        xa = min(hi, 0.0) - 1.0 if math.isfinite(hi) else -1.0
-        while _f_df(poles, xa)[0] > y:
-            xa = 2 * xa - abs(hi if math.isfinite(hi) else 0.0) - 1.0
-    if math.isfinite(hi):
-        step = span * 1e-9
-        xb = hi - step
-        while _f_df(poles, xb)[0] < y:
-            step *= 0.25
-            xb = hi - step
-            if step < 1e-300:
-                raise BisectionFail("cannot approach the upper branch end")
-    else:
-        xb = max(lo, 0.0) + 1.0 if math.isfinite(lo) else 1.0
-        while _f_df(poles, xb)[0] < y:
-            xb = 2 * xb + abs(lo if math.isfinite(lo) else 0.0) + 1.0
+    lo, hi, y = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, y)))
+    shape = y.shape
+    a = P.mass
+    bs = P.pole_locations
+    xa = np.where(np.isfinite(lo), lo, np.minimum(y, bs[0]) - a - 1.0).ravel()
+    xb = np.where(np.isfinite(hi), hi, np.maximum(y, bs[-1]) + a + 1.0).ravel()
+    y = y.ravel()
     x = 0.5 * (xa + xb)
+    out = np.empty_like(x)
+    todo = np.arange(x.size)
     for _ in range(200):
-        fx, dfx = _f_df(poles, x)
-        if fx > y:
-            xb = x
-        else:
-            xa = x
-        xn = x - (fx - y) / dfx
-        if not xa < xn < xb:
-            xn = 0.5 * (xa + xb)
-        if abs(xn - x) < tol * max(1.0, abs(x)):
-            return xn
-        x = xn
-    return x
+        r = P(x) - y
+        step = r / P.deriv(x)
+        # next to a pole F' is huge and Newton crawls: a step as long as the
+        # way to the bracket end proves nothing
+        done = np.abs(step) < np.minimum(_ROOT_TOL * np.maximum(1.0, np.abs(x)),
+                                         0.5 * np.minimum(x - xa, xb - x))
+        xa = np.where(r < 0, x, xa)
+        xb = np.where(r > 0, x, xb)
+        xn = x - step
+        xn = np.where(done | ((xa < xn) & (xn < xb)), xn, 0.5 * (xa + xb))
+        out[todo[done]] = xn[done]
+        left = ~done
+        todo, x, xa, xb, y = todo[left], xn[left], xa[left], xb[left], y[left]
+        if todo.size == 0:
+            out = out.reshape(shape)
+            return out if out.ndim else float(out)
+    raise BisectionFail(f"branch inverse unconverged at {todo.size} targets")
 
 
-def _branch_inverse_array(P: ParabolicMap, lo, hi, y: np.ndarray,
-                          iters: int = 100) -> np.ndarray:
-    """Solve F(x) = y on a common branch (lo, hi) for an array of targets.
+def _ladder(P: ParabolicMap, side: str, x0, count: int) -> np.ndarray:
+    """x_1 .. x_count with F(x_k) = x_{k-1} on the outer branch of a side.
 
-    Bracketed bisection seeded by the scalar solves of the extreme targets;
-    monotonicity of F on the branch makes the bracket valid for every target.
+    The outer branch lies right of the last pole (side '+') or left of the
+    first (side '-'), and every start point must lie on its closure. Each
+    column of x0 runs at once; the result has shape (count,) + x0.shape.
+    The seed is the parabolic law x_k = b +- sqrt((x0 - b)^2 + 2ak). Newton on
+    the whole bidiagonal system solves d_k = (d_{k-1} - r_k) / F'(x_k) for the
+    residuals r_k = F(x_k) - x_{k-1} as a cumulative sum scaled by prod F',
+    which grows like k^(1/2). Each sweep is a scalar Newton step toward the
+    updated x_{k-1}, which stays outside the pole, and F is concave (convex
+    on side '-') there, so no iterate leaves the branch. Once every residual
+    is below _ROOT_TOL * max(1, |x_k|) one last sweep takes Newton to
+    rounding level; BisectionFail is raised if that does not happen within
+    60 sweeps.
     """
-    y = np.asarray(y, dtype=float)
-    xa = np.full(y.shape, _branch_inverse_scalar(P, lo, hi, float(np.min(y))))
-    xb = np.full(y.shape, _branch_inverse_scalar(P, lo, hi, float(np.max(y))))
-    xa = np.nextafter(xa, -np.inf)
-    xb = np.nextafter(xb, np.inf)
-    for _ in range(iters):
-        xm = 0.5 * (xa + xb)
-        below = P(xm) < y
-        xa = np.where(below, xm, xa)
-        xb = np.where(below, xb, xm)
-        # Newton polish interleaved once the bracket is tight
-    x = 0.5 * (xa + xb)
-    for _ in range(3):
-        x = np.clip(x - (P(x) - y) / P.deriv(x), xa, xb)
-    return x
+    x0 = np.asarray(x0, dtype=float)
+    b = float(P.pole_locations[-1] if side == "+" else P.pole_locations[0])
+    sign = 1.0 if side == "+" else -1.0
+    k = np.arange(1, count + 1, dtype=float).reshape((count,) + (1,) * x0.ndim)
+    x = b + sign * np.sqrt((x0 - b) ** 2 + 2.0 * P.mass * k)
+    for _ in range(60):
+        r = P(x) - np.concatenate([x0[None], x[:-1]])
+        converged = np.all(np.abs(r) <= _ROOT_TOL * np.maximum(1.0, np.abs(x)))
+        g = P.deriv(x)
+        G = np.cumprod(g, axis=0)
+        x = x - np.cumsum(r * (G / g), axis=0) / G
+        if converged:
+            return x
+    raise BisectionFail("outer-branch ladder did not converge")
 
 
-class _OrbitCache:
-    """Inverse orbits p_1, p_2, ... of the extreme poles, grown on demand."""
-
-    def __init__(self):
-        self.store: dict = {}
-
-    def get(self, P: ParabolicMap, side: str, count: int) -> np.ndarray:
-        key = (P.poles, side)
-        arr = self.store.get(key)
-        if arr is None or len(arr) < count:
-            arr = self._extend(P, side, arr, count)
-            self.store[key] = arr
-        return arr[:count]
-
-    @staticmethod
-    def _extend(P, side, arr, count):
-        bs = P.pole_locations
-        if side == "+":
-            start = float(bs[-1])
-            lo, hi = start, np.inf
-        else:
-            start = float(bs[0])
-            lo, hi = -np.inf, start
-        vals = list(arr) if arr is not None else [start]
-        a = P.mass
-        poles = P.poles
-        while len(vals) < count:
-            target = vals[-1]
-            # Newton from the asymptotic step p + a/p, polished to 1e-14
-            x = target + a / max(abs(target), 1.0) if side == "+" else \
-                target - a / max(abs(target), 1.0)
-            ok = False
-            for _ in range(60):
-                fx, dfx = _f_df(poles, x)
-                dx = (fx - target) / dfx
-                x -= dx
-                if (side == "+" and not x > lo) or (side == "-" and not x < hi):
-                    break
-                if abs(dx) < 1e-14 * max(1.0, abs(x)):
-                    ok = True
-                    break
-            if not ok or not (lo < x if side == "+" else x < hi):
-                x = _branch_inverse_scalar(P, lo, hi, target)
-            vals.append(float(x))
-        return np.array(vals)
-
-
-_ORBITS = _OrbitCache()
+_ORBITS: dict = {}
+_ORBIT_BLOCK = 1 << 12
 
 
 def boundary_orbit(P: ParabolicMap, side: str, count: int) -> np.ndarray:
-    """p_1 .. p_count on the given side ('+' grows to +inf, '-' to -inf)."""
+    """p_0 .. p_{count-1} on the given side ('+' grows to +inf, '-' to -inf).
+
+    p_0 is the extreme pole and F(p_n) = p_{n-1}. The cached orbit grows in
+    fixed blocks, one ladder solve from the last point each, so every point
+    is the same whatever sequence of requests built the cache.
+    """
     if count > 2 * 10**6:
         raise BudgetExceeded("boundary orbit request too long")
-    return _ORBITS.get(P, side, count)
+    key = (P.poles, side)
+    orbit = _ORBITS.get(key)
+    if orbit is None:
+        orbit = P.pole_locations[-1:] if side == "+" else P.pole_locations[:1]
+    if len(orbit) < count:
+        blocks = [orbit]
+        for _ in range(-(-(count - len(orbit)) // _ORBIT_BLOCK)):
+            blocks.append(_ladder(P, side, blocks[-1][-1], _ORBIT_BLOCK))
+        orbit = np.concatenate(blocks)
+    _ORBITS[key] = orbit
+    return orbit[:count]
 
 
 @dataclass
@@ -357,105 +321,25 @@ def _full_branches(P: ParabolicMap, part: RealPartition):
     return out
 
 
-def _excursion_chain(P: ParabolicMap, part, side: str, n_fine: int, q: int):
-    """Gauss-point chains for excursions exiting to J_n^(side), N < n <= n_fine.
+def _excursion_chain(P: ParabolicMap, part, side: str, n_fine: int, cap: int, q: int):
+    """Descent chains for excursions exiting to J_n^(side), N < n <= cap.
 
-    Returns (nodes, sums): nodes[n-N-1] holds q points of J_n (pullbacks of
-    Gauss points of J_N under the descent diffeomorphism) and sums[n-N-1]
-    the exact accumulated log F' of the descent from those points into X.
-    """
-    N = part.level
-    p = boundary_orbit(P, side, n_fine + 2)
-    gl_x, _ = _gauss_nodes(q)
-    if side == "-":
-        jlo, jhi = float(p[N]), float(p[N - 1])   # J_N^-
-    else:
-        jlo, jhi = float(p[N - 1]), float(p[N])   # J_N^+
-    pts = 0.5 * (jlo + jhi) + 0.5 * (jhi - jlo) * gl_x
-    nodes = np.empty((n_fine - N, q))
-    sums = np.empty((n_fine - N, q))
-    cur = pts
-    acc = np.zeros(q)
-    prev_lo, prev_hi = jlo, jhi
-    for n in range(N + 1, n_fine + 1):
-        if side == "-":
-            blo, bhi = float(p[n]), float(p[n - 1])
-        else:
-            blo, bhi = float(p[n - 1]), float(p[n])
-        # affine transplant of the previous nodes seeds a short Newton solve
-        guess = blo + (cur - prev_lo) * (bhi - blo) / (prev_hi - prev_lo)
-        c = _newton_on_interval(P, blo, bhi, cur, guess)
-        acc = acc + np.log(P.deriv(c))
-        nodes[n - N - 1] = c
-        sums[n - N - 1] = acc
-        cur = c
-        prev_lo, prev_hi = blo, bhi
-    return nodes, sums
-
-
-def _excursion_scalar_chain(P: ParabolicMap, part, side: str, cap: int) -> np.ndarray:
-    """Accumulated descent log F' at one tracked point per level, N < n <= cap.
-
-    A cheap scalar companion to the Gauss chain: beyond the finely resolved
-    region the excursion weight varies across a stratum by at most
+    Returns (nodes, sums, mid_sums). nodes[n-N-1] holds q points of J_n, the
+    pullbacks of Gauss points of J_N under the descent diffeomorphism, for
+    n <= n_fine, and sums[n-N-1] the exact accumulated log F' of the descent
+    from those points into X. mid_sums[n-N-1] is the same sum along the
+    pullbacks of the midpoint of J_N, for every n <= cap: beyond the finely
+    resolved region the excursion weight varies across a stratum by at most
     sum_m var(log F' | J_m) = O(1/n), so one point per level suffices there.
     """
     N = part.level
-    p = boundary_orbit(P, side, cap + 2)
-    poles = [(float(b), float(t)) for b, t in P.poles]
-    cur = 0.5 * (float(p[N]) + float(p[N - 1]))
-    acc = 0.0
-    out = np.empty(cap - N)
-    for n in range(N + 1, cap + 1):
-        blo, bhi = (float(p[n]), float(p[n - 1])) if side == "-" else \
-            (float(p[n - 1]), float(p[n]))
-        c = 0.5 * (blo + bhi)
-        for _ in range(8):
-            fx = c
-            dv = 1.0
-            for b, t in poles:
-                diff = c - b
-                fx -= t / diff
-                dv += t / (diff * diff)
-            step = (fx - cur) / dv
-            c -= step
-            if c <= blo or c >= bhi:
-                c = 0.5 * (blo + bhi)
-            if abs(step) < 1e-13 * max(1.0, abs(c)):
-                break
-        dv = 1.0
-        for b, t in poles:
-            dv += t / ((c - b) * (c - b))
-        acc += math.log(dv)
-        out[n - N - 1] = acc
-        cur = c
-    return out
-
-
-def _newton_on_interval(P: ParabolicMap, lo: float, hi: float,
-                        targets: np.ndarray, guess: np.ndarray) -> np.ndarray:
-    """Solve F(c) = target on [lo, hi] (F increasing), vectorized Newton."""
-    c = np.clip(guess, lo, hi)
-    tol = 1e-14 * max(1.0, abs(lo), abs(hi))
-    for _ in range(12):
-        step = (P(c) - targets) / P.deriv(c)
-        c = np.clip(c - step, lo, hi)
-        if np.max(np.abs(step)) < tol:
-            return c
-    # fall back to safeguarded bisection for any stragglers
-    resid = np.abs(P(c) - targets)
-    bad = resid > 1e-10 * np.maximum(1.0, np.abs(targets))
-    if np.any(bad):
-        clo = np.full(int(np.sum(bad)), lo)
-        chi = np.full(int(np.sum(bad)), hi)
-        tg = targets[bad] if np.ndim(targets) else np.full(int(np.sum(bad)), targets)
-        for _ in range(90):
-            cm = 0.5 * (clo + chi)
-            below = P(cm) < tg
-            clo = np.where(below, cm, clo)
-            chi = np.where(below, chi, cm)
-        c[bad] = 0.5 * (clo + chi)
-    return c
+    p = part.p_minus if side == "-" else part.p_plus
+    mid, half = 0.5 * (p[N - 1] + p[N]), 0.5 * abs(p[N] - p[N - 1])
+    gl_x, _ = _gauss_nodes(q)
+    nodes = _ladder(P, side, mid + half * gl_x, n_fine - N)
+    sums = np.cumsum(np.log(P.deriv(nodes)), axis=0)
+    mid_sums = np.cumsum(np.log(P.deriv(_ladder(P, side, mid, cap - N))))
+    return nodes, sums, mid_sums
 
 
 def _barycentric_weights(xs: np.ndarray) -> np.ndarray:
@@ -532,8 +416,8 @@ def _kac_lhs(P: ParabolicMap, N: int, q: int, cap: int):
             mass_total += hi - lo
     # time-1 strata of the full branches (image clipped to X on covered sides)
     for blo, bhi, cl, cr in _full_branches(P, part):
-        x_left = _branch_inverse_scalar(P, blo, bhi, core_lo) if cl else blo
-        x_right = _branch_inverse_scalar(P, blo, bhi, core_hi) if cr else bhi
+        x_left = _inverse(P, blo, bhi, core_lo) if cl else blo
+        x_right = _inverse(P, blo, bhi, core_hi) if cr else bhi
         total += gauss_log_deriv(x_left, x_right)
         mass_total += x_right - x_left
 
@@ -541,15 +425,14 @@ def _kac_lhs(P: ParabolicMap, N: int, q: int, cap: int):
     n_fine = min(cap, 1 << 14)
     for side in ("-", "+"):
         p = boundary_orbit(P, side, cap + 2)
-        nodes, sums = _excursion_chain(P, part, side, n_fine, q)
+        nodes, sums, mid_sums = _excursion_chain(P, part, side, n_fine, cap, q)
         bw = _barycentric_weights(nodes)
-        scalar_e = _excursion_scalar_chain(P, part, side, cap) if cap > n_fine else None
         branches = [b for b in _full_branches(P, part)
                     if (b[2] if side == "-" else b[3])]
         for (blo, bhi, _cl, _cr) in branches:
             # stratum boundaries: preimages of p_{N+1}, p_{N+2}, ... cut the
             # branch into the intervals exiting to J_{N+1}, J_{N+2}, ...
-            xb = _branch_inverse_array(P, blo, bhi, p[N: cap + 1])
+            xb = _inverse(P, blo, bhi, p[N: cap + 1])
             lo_arr = np.minimum(xb[1:], xb[:-1])
             hi_arr = np.maximum(xb[1:], xb[:-1])
             lengths = hi_arr - lo_arr
@@ -563,8 +446,7 @@ def _kac_lhs(P: ParabolicMap, N: int, q: int, cap: int):
                                                      P(mids[:nf, j]), bw)
             contrib = base.copy()
             contrib[:nf] += np.sum(gl_w[None, :] * exc_fine, axis=1) * 0.5 * lengths[:nf]
-            if scalar_e is not None:
-                contrib[nf:] += scalar_e[nf:] * lengths[nf:]
+            contrib[nf:] += mid_sums[nf:] * lengths[nf:]
             total += float(np.sum(contrib))
             mass_total += float(np.sum(lengths))
             # tail beyond the cap: exact remaining mass times a fitted weight
@@ -623,77 +505,65 @@ def parabolic_count(P: ParabolicMap, x: float, T: float, B,
     pp, pm = part.p_plus, part.p_minus
     b_lo, b_hi = float(P.pole_locations[0]), float(P.pole_locations[-1])
 
-    poles = P.poles
-
-    def children(y, remaining):
-        out = []
+    def children(y, acc):
+        """Children (z, acc + increment) of the nodes y. Only the excursion
+        ladders are cut at T here; the caller prunes the other children."""
+        # every (node, bracket) pair of a one-step child goes to one solve
+        pairs = []
         # one-step moves down the ladders: z in J_{m+1} needs y in J_m, m < N
-        if N >= 2 and pp[0] <= y < pp[N - 1]:
-            m = int(np.searchsorted(pp, y, side="right"))  # y in J_m^+
-            lo, hi = part.interval_plus(m + 1)
-            z = _branch_inverse_scalar(P, lo, hi, y)
-            out.append((z, math.log(_f_df(poles, z)[1])))
-        if N >= 2 and pm[N - 1] < y <= pm[0]:
-            m = int(np.searchsorted(-pm, -y, side="right"))  # y in J_m^-
-            lo, hi = part.interval_minus(m + 1)
-            z = _branch_inverse_scalar(P, lo, hi, y)
-            out.append((z, math.log(_f_df(poles, z)[1])))
+        if N >= 2:
+            i = np.flatnonzero((pp[0] <= y) & (y < pp[N - 1]))
+            m = np.searchsorted(pp, y[i], side="right")          # y in J_m^+
+            pairs.append((i, pp[m], pp[m + 1]))
+            i = np.flatnonzero((pm[N - 1] < y) & (y <= pm[0]))
+            m = np.searchsorted(-pm, -y[i], side="right")        # y in J_m^-
+            pairs.append((i, pm[m + 1], pm[m]))
         # time-1 strata of the full branches: y must lie in the branch image,
         # which misses the right tail above the top pole for J_1^+ and the
         # left tail below the bottom pole for J_1^-
         for blo, bhi, cl, cr in branches:
-            if (cl or y > b_lo) and (cr or y < b_hi):
-                z = _branch_inverse_scalar(P, blo, bhi, y)
-                out.append((z, math.log(_f_df(poles, z)[1])))
-        # excursion families land exactly in J_N^{+-}
+            i = np.flatnonzero((cl | (y > b_lo)) & (cr | (y < b_hi)))
+            pairs.append((i, np.full(len(i), blo), np.full(len(i), bhi)))
+        i, lo, hi = (np.concatenate(c) for c in zip(*pairs))
+        zs = [_inverse(P, lo, hi, y[i])]
+        vs = [acc[i] + np.log(P.deriv(zs[0]))]
+        # excursion families land exactly in J_N^{+-}; their ladders grow in
+        # chunks, and a column stops at the first level where the increment
+        # of every covering branch exceeds the remaining budget: increments
+        # grow monotonically with the level, so all deeper ones do too
         for side in ("-", "+"):
             jlo, jhi = part.interval_minus(N) if side == "-" else part.interval_plus(N)
-            if not jlo <= y < jhi:
-                continue
+            i = np.flatnonzero((jlo <= y) & (y < jhi))
             fam = [b for b in branches if (b[2] if side == "-" else b[3])]
-            p = boundary_orbit(P, side, N + 16)
-            w = y
-            acc = 0.0
-            n = N
-            while True:
-                n += 1
-                if n + 2 > len(p):
-                    p = boundary_orbit(P, side, 2 * len(p))
-                lo, hi = (float(p[n]), float(p[n - 1])) if side == "-" else \
-                    (float(p[n - 1]), float(p[n]))
-                w = _branch_inverse_scalar(P, lo, hi, w)
-                acc += math.log(_f_df(poles, w)[1])
-                # entry increments grow monotonically with n: once every
-                # covering branch exceeds the remaining budget, all deeper
-                # excursions do too
-                min_inc = math.inf
-                for blo, bhi, _cl, _cr in fam:
-                    z = _branch_inverse_scalar(P, blo, bhi, w)
-                    inc = acc + math.log(_f_df(poles, z)[1])
-                    min_inc = min(min_inc, inc)
-                    if inc <= remaining:
-                        out.append((z, inc))
-                if min_inc > remaining:
-                    break
-        return out
+            w, base, descent = y[i], acc[i], np.zeros(len(i))
+            while len(w):
+                W = _ladder(P, side, w, 16)
+                L = descent + np.cumsum(np.log(P.deriv(W)), axis=0)
+                Z = [_inverse(P, blo, bhi, W) for blo, bhi, _cl, _cr in fam]
+                inc = [L + np.log(P.deriv(z)) for z in Z]
+                over = np.minimum.reduce(inc) > T - base
+                live = np.cumsum(over, axis=0) == 0
+                for z, c in zip(Z, inc):
+                    keep = live & (c <= T - base)
+                    zs.append(z[keep])
+                    vs.append(np.broadcast_to(base, c.shape)[keep] + c[keep])
+                go = ~over.any(axis=0)
+                w, base, descent = W[-1, go], base[go], L[-1, go]
+        return np.concatenate(zs), np.concatenate(vs)
 
-    values = [0.0] if T >= 0 else []
-    locations = [float(x)] if T >= 0 else []
-    stack = list(zip(locations, values))
-    nodes = 0
-    while stack:
-        y, acc = stack.pop()
-        nodes += 1
+    start = np.array([float(x)] if T >= 0 else [])
+    locations, values = [start], [np.zeros(len(start))]
+    nodes = len(start)
+    while len(locations[-1]):
+        z, v = children(locations[-1], values[-1])
+        keep = v <= T
+        locations.append(z[keep])
+        values.append(v[keep])
+        nodes += int(np.sum(keep))
         if nodes > node_budget:
             raise BudgetExceeded("node budget exhausted during enumeration")
-        for z, inc in children(y, T - acc):
-            v = acc + inc
-            if v <= T:
-                values.append(v)
-                locations.append(z)
-                stack.append((z, v))
-    values = np.array(values)
-    locations = np.array(locations)
+    values = np.concatenate(values)
+    locations = np.concatenate(locations)
     member = np.zeros(len(values), dtype=bool)
     for lo, hi in B:
         member |= (locations >= lo) & (locations < hi)
@@ -722,23 +592,17 @@ def induced_cycle_multipliers(P: ParabolicMap, n_values) -> np.ndarray:
         pp = boundary_orbit(P, "+", n + 2)
         pm = boundary_orbit(P, "-", n + 2)
         bs = P.pole_locations
-        # inverse-branch cycle, innermost first: J_1^-, J_1^+, J_2^+, ..., J_n^+
-        chain = [(float(pm[1]), float(bs[0]))]
-        chain.append((float(bs[-1]), float(pp[1])))
-        for m in range(2, n + 1):
-            chain.append((float(pp[m - 1]), float(pp[m])))
+        # inverse-branch cycle, innermost first: J_1^-, J_1^+, then the
+        # outer-branch ladder J_2^+, ..., J_n^+
         z = 0.5 * (pp[n - 1] + pp[n])
         for _ in range(200):
-            w = z
-            for lo, hi in chain:
-                w = _branch_inverse_scalar(P, lo, hi, w)
+            w1 = _inverse(P, pm[1], bs[0], z)
+            w2 = _inverse(P, bs[-1], pp[1], w1)
+            rungs = _ladder(P, "+", w2, n - 1)
+            w = float(rungs[-1])
             if abs(w - z) < 1e-14 * max(1.0, abs(z)):
-                z = w
                 break
             z = w
-        orbit = [z]
-        for _ in range(n):
-            orbit.append(float(P(orbit[-1])))
-        L = float(np.sum(np.log(P.deriv(np.array(orbit)))))
-        out.append(L)
+        orbit = np.concatenate([[w1, w2], rungs])
+        out.append(float(np.sum(np.log(P.deriv(orbit)))))
     return np.array(out)

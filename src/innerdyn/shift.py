@@ -36,7 +36,6 @@ class SymbolicSystem:
             raise ValueError("every letter needs an outgoing edge")
         self.incidence = A
         self.alphabet_size = A.shape[0]
-        self.primitivity_witness = None
         self._word_cache: dict[int, list[Word]] = {}
 
     @staticmethod
@@ -111,9 +110,7 @@ def check_finitely_primitive(S: SymbolicSystem, max_len: int = 8):
                 tau for tau in S.cylinder_words(length)
                 if any(S.word_admissible((a,) + tau + (b,))
                        for a in letters for b in letters)))
-            witness = PrimitivityWitness(length=length, words=words)
-            S.primitivity_witness = witness
-            return witness
+            return PrimitivityWitness(length=length, words=words)
     return PrimitivityFailure(searched_up_to=max_len)
 
 

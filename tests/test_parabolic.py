@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from innerdyn.errors import NotDoublyParabolic, NoReturnWithinCap
-from innerdyn.parabolic import (ParabolicMap, _branch_inverse_scalar,
-                                boundary_orbit, build_parabolic, first_return,
+from innerdyn.parabolic import (ParabolicMap, _inverse, boundary_orbit,
+                                build_parabolic, first_return,
                                 induced_cycle_multipliers, kac_check,
                                 lyapunov_integral, parabolic_count,
                                 real_markov_partition)
@@ -16,6 +16,10 @@ from innerdyn.shift import lattice_verdict
 
 BOOLE = build_parabolic([(0.0, 1.0)])
 TWOPOLE = build_parabolic([(-1.0, 0.5), (1.0, 0.5)])
+# adjacent poles, a tiny and a large mass, and three unequal poles
+EXTRA_MAPS = [build_parabolic(p) for p in (
+    [(-3.0, 1.0), (-2.0, 1.0)], [(0.0, 0.01)], [(0.0, 100.0)],
+    [(-1.0, 2.0), (0.5, 0.1), (4.0, 3.0)])]
 
 
 def test_construction():
@@ -43,6 +47,19 @@ def test_boundary_orbit_boole():
     assert pp[2] == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
     pm = boundary_orbit(BOOLE, "-", 4)
     assert np.max(np.abs(pp + pm)) < 1e-12                   # odd symmetry
+
+
+@pytest.mark.parametrize("P", [BOOLE, TWOPOLE] + EXTRA_MAPS, ids=ParabolicMap.label)
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_boundary_orbit_long_residuals(P, side):
+    # F' > 1 on the outer branch, so the residual bounds each point's error
+    p = boundary_orbit(P, side, 200_000)
+    sign = 1.0 if side == "+" else -1.0
+    assert np.all(sign * np.diff(p) > 0)
+    pole = P.pole_locations[-1] if side == "+" else P.pole_locations[0]
+    assert p[0] == pole and np.all(sign * (p[1:] - pole) > 0)
+    resid = np.abs(P(p[1:]) - p[:-1])
+    assert np.all(resid <= 1e-13 * np.maximum(1.0, np.abs(p[1:])))
 
 
 def test_partition_growth_law():
@@ -100,7 +117,7 @@ def test_kac_mass_decomposition():
 
 def test_lebesgue_invariance_pointwise():
     # sum over branches of 1/F' at the preimages is identically 1
-    for P in (BOOLE, TWOPOLE):
+    for P in [BOOLE, TWOPOLE] + EXTRA_MAPS:
         bs = list(P.pole_locations)
         branches = [(-np.inf, bs[0])] + \
             [(bs[i], bs[i + 1]) for i in range(len(bs) - 1)] + [(bs[-1], np.inf)]
@@ -108,7 +125,7 @@ def test_lebesgue_invariance_pointwise():
         for y in rng.uniform(-5, 5, 25):
             total = 0.0
             for lo, hi in branches:
-                x = _branch_inverse_scalar(P, lo, hi, float(y))
+                x = _inverse(P, lo, hi, float(y))
                 total += 1.0 / P.deriv(x)
             assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -127,7 +144,7 @@ def test_lebesgue_invariance_bump_integral():
     total = 0.0
     bs = list(BOOLE.pole_locations)
     for lo, hi in [(-np.inf, bs[0]), (bs[0], np.inf)]:
-        xs = np.array([_branch_inverse_scalar(BOOLE, lo, hi, float(y)) for y in ys])
+        xs = _inverse(BOOLE, lo, hi, ys)
         total += float(np.sum(gl_w * bump(ys) / BOOLE.deriv(xs)) * 2.0)
     assert total == pytest.approx(direct, abs=1e-6)
 
@@ -135,10 +152,9 @@ def test_lebesgue_invariance_bump_integral():
 def test_induced_summability():
     # stratum sums sum sup (log Fhat')^{1+eps} e^{-log Fhat'} converge:
     # weights ~ n^{-3/2} (log n)^{1+eps} summable; partial sums stabilize
-    from innerdyn.parabolic import _branch_inverse_array
     part = real_markov_partition(BOOLE, 1)
     p = boundary_orbit(BOOLE, "-", 3002)
-    xb = _branch_inverse_array(BOOLE, 0.0, 1.0, p[1:3002])
+    xb = _inverse(BOOLE, 0.0, 1.0, p[1:3002])
     lengths = np.abs(np.diff(xb))
     # log Fhat' on the stratum exiting to J_n is at least log F'(x) with x
     # near the pole; the Kac weight bound uses the interval-size law
@@ -203,7 +219,6 @@ def test_induced_cycle_is_periodic():
     # the n = 4 cycle point really has period 5 under F
     pp = boundary_orbit(BOOLE, "+", 6)
     L = induced_cycle_multipliers(BOOLE, [4])
-    from innerdyn.parabolic import _branch_inverse_scalar as inv
     # reconstruct the fixed point and check F^5 returns to it
     chain = [(float(boundary_orbit(BOOLE, '-', 2)[1]), 0.0), (0.0, float(pp[1])),
              (float(pp[1]), float(pp[2])), (float(pp[2]), float(pp[3])),
@@ -212,7 +227,7 @@ def test_induced_cycle_is_periodic():
     for _ in range(100):
         w = z
         for lo, hi in chain:
-            w = inv(BOOLE, lo, hi, w)
+            w = _inverse(BOOLE, lo, hi, w)
         z = w
     orbit = [z]
     for _ in range(5):
