@@ -3,8 +3,11 @@
 A degree-d map is F(z) = e^{i*rot} * prod_i (z - a_i)/(1 - conj(a_i) z) with
 all |a_i| < 1 and a_0 = 0, so F(0) = 0 and normalized Lebesgue measure on the
 unit circle is F-invariant. On the circle the argument of F lifts to a
-strictly increasing function gaining 2*pi*d per revolution; all preimage
-solving is monotone bisection on that lift.
+strictly increasing function gaining 2*pi*d per revolution, sampled once per
+map on a cached grid. A boundary preimage is the root of g(t) = arg F(e^{it})
+- tau inside one grid cell of that lift; it is found by a vectorised Newton
+iteration (g' = |F'| in closed form) started from linear interpolation of the
+lift, with a bisection step whenever a Newton step leaves the cell's bracket.
 
 The angular derivative |F'| is finite everywhere on the circle for these
 maps (the infinite-derivative convention needed for maps with boundary
@@ -32,6 +35,8 @@ from .errors import (
 
 _BOUNDARY_MARGIN = 1e-12
 _POLE_TOL = 1e-12
+_LIFT_MAX_POINTS = 1 << 22   # argument-lift grid cap (a few hundred MB of temporaries)
+_NEWTON_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -155,9 +160,15 @@ def _lift_grid(F: BlaschkeMap) -> tuple[np.ndarray, np.ndarray]:
     """Sampled continuous lift of theta -> arg F(e^{i*theta}) on [0, 2*pi].
 
     The grid is fine enough that the lift increases by < pi/4 per cell, which
-    makes principal-argument comparisons inside a cell unambiguous.
+    makes principal-argument comparisons inside a cell unambiguous. Zeros
+    very close to the circle would need more than _LIFT_MAX_POINTS cells;
+    such maps are refused before anything is allocated.
     """
     n = 1 << max(12, int(np.ceil(np.log2(16 * F.max_boundary_deriv()))))
+    if n > _LIFT_MAX_POINTS:
+        raise BudgetExceeded(
+            f"argument lift needs {n} grid points (max |F'| = "
+            f"{F.max_boundary_deriv():.3g}); the limit is {_LIFT_MAX_POINTS}")
     t = TWO_PI * np.arange(n + 1) / n
     ph = np.unwrap(np.angle(circle_values(F, t)))
     if np.any(np.diff(ph) < -1e-9):
@@ -170,20 +181,41 @@ def _lift_grid(F: BlaschkeMap) -> tuple[np.ndarray, np.ndarray]:
     return t, ph
 
 
-def _preimage_bisect(F: BlaschkeMap, tau: np.ndarray, tlo: np.ndarray, thi: np.ndarray,
-                     iters: int = 60) -> np.ndarray:
-    """Refine preimage brackets by bisection on the principal argument.
+def _preimage_newton(F: BlaschkeMap, tau: np.ndarray) -> np.ndarray:
+    """The angles t with lift(t) = tau, by safeguarded Newton in lift cells.
 
-    Within each bracket the lift differs from its target by less than pi, so
-    the principal argument of F(e^{i*t}) e^{-i*tau} is signed monotone.
+    Each tau is bracketed by the grid cell of the cached lift that contains
+    it. There the lift differs from tau by less than pi, so
+    g(t) = arg(F(e^{it}) e^{-i*tau}) is the lift minus tau, increasing with
+    g' = |F'(e^{it})|. Newton starts from linear interpolation of the lift in
+    the cell; every sweep moves the bracket end on the side given by the
+    sign of g to the current point, and replaces a step that leaves the
+    bracket by its midpoint. An entry is done once its Newton step is below
+    4e-15 * max(1, |t|); that test comes first, because a root on a cell
+    node collapses the bracket to one point and no step can then land inside.
     """
-    for _ in range(iters):
-        tm = 0.5 * (tlo + thi)
-        val = np.angle(circle_values(F, tm) * np.exp(-1j * tau))
-        below = val < 0
-        tlo = np.where(below, tm, tlo)
-        thi = np.where(below, thi, tm)
-    return 0.5 * (tlo + thi)
+    grid, ph = _lift_grid(F)
+    idx = np.clip(np.searchsorted(ph, tau), 1, len(ph) - 1)
+    tlo, thi = grid[idx - 1], grid[idx]
+    t = tlo + np.clip((tau - ph[idx - 1]) / (ph[idx] - ph[idx - 1]), 0.0, 1.0) * (thi - tlo)
+    root = np.empty_like(t)
+    active = np.arange(len(t))
+    for _ in range(_NEWTON_SWEEPS):
+        g = np.angle(circle_values(F, t) * np.exp(-1j * tau))
+        step = -g / circle_abs_deriv(F, t)
+        nxt = t + step
+        done = np.abs(step) <= 4e-15 * np.maximum(1.0, np.abs(t))
+        root[active[done]] = nxt[done]
+        if done.all():
+            return root
+        keep = ~done
+        active, tau, t, g, nxt = active[keep], tau[keep], t[keep], g[keep], nxt[keep]
+        below = g < 0
+        tlo = np.where(below, t, tlo[keep])
+        thi = np.where(below, thi[keep], t)
+        t = np.where((nxt < tlo) | (nxt > thi), 0.5 * (tlo + thi), nxt)
+    raise NoConvergence(
+        f"{len(active)} boundary preimages unconverged after {_NEWTON_SWEEPS} sweeps")
 
 
 def boundary_preimages_batch(F: BlaschkeMap, targets: np.ndarray) -> np.ndarray:
@@ -192,18 +224,13 @@ def boundary_preimages_batch(F: BlaschkeMap, targets: np.ndarray) -> np.ndarray:
     Returns an array of shape (len(targets), d) with angles in [0, 2*pi),
     sorted ascending along the second axis.
     """
-    t, ph = _lift_grid(F)
+    _, ph = _lift_grid(F)
     d = F.degree
     targets = np.asarray(targets, dtype=float)
     k0 = np.ceil((ph[0] - targets) / TWO_PI - 1e-15)
     # lift representatives tau + 2*pi*(k0 + j), j = 0..d-1
     taus = targets[:, None] + TWO_PI * (k0[:, None] + np.arange(d)[None, :])
-    idx = np.searchsorted(ph, taus.ravel())
-    idx = np.clip(idx, 1, len(ph) - 1)
-    tlo = t[idx - 1]
-    thi = t[idx]
-    roots = _preimage_bisect(F, taus.ravel(), tlo, thi)
-    roots = wrap_angle(roots).reshape(len(targets), d)
+    roots = wrap_angle(_preimage_newton(F, taus.ravel())).reshape(len(targets), d)
     roots.sort(axis=1)
     return roots
 

@@ -73,6 +73,10 @@ class DegenerateVariance(InnerdynError):
     """The supplied asymptotic variance is numerically zero."""
 
 
+class NotPrimitive(InnerdynError):
+    """A subshift's incidence matrix has no strictly positive power."""
+
+
 class NonDecaying(InnerdynError):
     """Correlation terms failed to decay geometrically."""
 

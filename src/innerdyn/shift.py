@@ -9,13 +9,15 @@ alphabets enter by truncation with a declared tail-mass certificate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, DivergentSeries, NoConvergence, SummabilityViolated
+from .errors import (BudgetExceeded, DivergentSeries, NoConvergence, NotPrimitive,
+                     SummabilityViolated)
 from .rng import uniform_stream
 from .spectral import SpectralData, leading_spectral_data
 
@@ -45,6 +47,25 @@ class SymbolicSystem:
     @property
     def is_full(self) -> bool:
         return bool(np.all(self.incidence == 1))
+
+    @functools.cached_property
+    def is_primitive(self) -> bool:
+        """Whether some power of the incidence matrix is strictly positive.
+
+        Squares the 0/1 pattern in floating point, clipping back to 0/1, until
+        the exponent passes Wielandt's bound (n-1)^2 + 1: a primitive matrix
+        is positive at every power from its exponent on, which is at most
+        that bound, and a matrix with a positive power is primitive.
+        """
+        n = self.alphabet_size
+        P = (self.incidence > 0).astype(float)
+        power = 1
+        while not np.all(P > 0):
+            if power >= (n - 1) ** 2 + 1:
+                return False
+            P = np.minimum(P @ P, 1.0)
+            power *= 2
+        return True
 
     def allows(self, a: int, b: int) -> bool:
         return bool(self.incidence[a - 1, b - 1])
@@ -217,12 +238,17 @@ def spectral_data(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
                   tol: float = 1e-14, want_gap: bool = True) -> SpectralData:
     """Leading eigendata of L_{s psi} on the cylinder basis.
 
-    For complex s the returned lam is the dominant eigenvalue found by power
-    iteration; `peripheral` flags a modulus matching the real-parameter
-    eigenvalue at Re(s) within 1e-9, the signature of a lattice potential.
+    The incidence must be primitive (NotPrimitive otherwise), which makes
+    the leading eigenvalue simple and isolated. For complex s the returned
+    lam is the dominant eigenvalue found by power iteration; `peripheral`
+    flags a modulus matching the real-parameter eigenvalue at Re(s) within
+    1e-9, the signature of a lattice potential.
     """
     if complex(s).real < 1.0 - 1e-12:
         raise ValueError("spectral data is defined on the half-plane Re s >= 1")
+    if not S.is_primitive:
+        raise NotPrimitive(f"incidence of {S.label()} has no positive power; "
+                           "the leading eigenvalue is not isolated")
     M = cylinder_operator(S, psi, s, 0.0)
     data = leading_spectral_data(M.matrix, tol=tol, want_gap=want_gap)
     if abs(complex(s).imag) > 0:

@@ -1,10 +1,12 @@
 """Symbolic thermodynamics: primitivity, spectra, pressure, eta, counting."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from innerdyn.errors import NotPrimitive
 from innerdyn.shift import (PotentialSpec, SymbolicSystem, calibrate,
                             check_finitely_primitive, count_words,
                             cylinder_operator, d_genericity,
@@ -73,6 +75,18 @@ def test_isolated_letter_fails():
     iso = SymbolicSystem(np.array([[1, 0], [0, 1]]))
     res = check_finitely_primitive(iso)
     assert not res.found and res.searched_up_to == 8
+
+
+def test_non_primitive_shift_refused_fast():
+    # a period-2 shift has eigenvalues +-1 of equal modulus; power iteration
+    # would stall for its whole budget and report a wrong eigenvalue
+    flip = SymbolicSystem(np.array([[0, 1], [1, 0]]))
+    t0 = time.perf_counter()
+    with pytest.raises(NotPrimitive):
+        spectral_data(flip, PotentialSpec.constant(flip, -LOG2), 1.0)
+    assert time.perf_counter() - t0 < 0.1
+    assert not SymbolicSystem(np.array([[1, 1], [0, 1]])).is_primitive
+    assert golden().is_primitive
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from innerdyn.blaschke import BlaschkeMap, angle_map
 from innerdyn.circle import circle_grid
-from innerdyn.errors import DegenerateVariance
+from innerdyn.errors import DegenerateVariance, NonDecaying
 from innerdyn.observables import COS, Observable, constant
 from innerdyn.rng import splitmix64, uniform_stream
 from innerdyn.stochastic import (BirkhoffSample, birkhoff_samples,
@@ -92,6 +92,21 @@ def test_green_kubo_fh_closed_form():
     want = 0.5 * (-0.5) ** np.arange(13)
     assert c == pytest.approx(want, abs=1e-12)
     assert green_kubo_variance(FH, COS) == pytest.approx(GK_FH_COS, abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.9, 0.97])
+def test_green_kubo_slow_decay_closed_form(a):
+    # c_k = (1/2) (-a)^k decays slowly near the circle, so a truncated
+    # series misses most of the cancellation; sigma^2 = (1-a) / (2(1+a))
+    F = BlaschkeMap((0j, a + 0j))
+    assert green_kubo_variance(F, COS) == pytest.approx((1 - a) / (2 * (1 + a)), abs=1e-12)
+
+
+def test_green_kubo_refuses_identity_map():
+    # every correlation of the identity equals c_0, so the series diverges;
+    # a truncated sum returned a finite number without complaint
+    with pytest.raises(NonDecaying):
+        green_kubo_variance(BlaschkeMap.monomial(1), COS)
 
 
 def test_correlations_match_direct_composition_quadrature():
