@@ -261,9 +261,6 @@ class ClarkMeasure:
         """Integral of e^{i*k*theta} against the measure."""
         return complex(np.sum(self.masses * np.exp(1j * k * self.locations)))
 
-    def atoms(self) -> list[tuple[CirclePoint, float]]:
-        return [(CirclePoint(t), float(m)) for t, m in zip(self.locations, self.masses)]
-
 
 def clark_measure(F: BlaschkeMap, alpha) -> ClarkMeasure:
     """Atoms at the boundary preimages of alpha with masses 1/|F'|."""

@@ -16,7 +16,8 @@ TWO_PI = 2.0 * np.pi
 
 def wrap_angle(theta):
     """Reduce an angle (scalar or array) to [0, 2*pi)."""
-    return np.mod(theta, TWO_PI)
+    out = np.mod(theta, TWO_PI)  # exactly 2*pi for a tiny negative angle
+    return np.where(out == TWO_PI, 0.0, out)[()]
 
 
 def as_angle(x) -> float:
@@ -46,10 +47,6 @@ class CirclePoint:
     @property
     def z(self) -> complex:
         return complex(np.cos(self.angle), np.sin(self.angle))
-
-    @staticmethod
-    def from_complex(z: complex) -> "CirclePoint":
-        return CirclePoint(float(np.angle(z)))
 
     def dist(self, other) -> float:
         return circle_dist(self.angle, as_angle(other))

@@ -18,12 +18,7 @@ import numpy as np
 
 from . import blaschke, coding, counting, observables, parabolic, shift, stochastic, transfer
 from .circle import Arc, arcs_measure
-from .errors import (BudgetExceeded, ConfigError, DivergentSeries, GapLost,
-                     InnerdynError, NoConvergence, NoReturnWithinCap,
-                     TailBoundExceeded)
-
-_BUDGET_ERRORS = (BudgetExceeded, NoConvergence, GapLost, DivergentSeries,
-                  NoReturnWithinCap, TailBoundExceeded)
+from .errors import ConfigError, InnerdynError
 
 
 def fmt(x) -> str:
@@ -524,9 +519,6 @@ def main(argv=None) -> int:
     except (KeyError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except _BUDGET_ERRORS as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 3
     except InnerdynError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (BudgetExceeded, DivergentSeries, NoConvergence, NotPrimitive,
                      SummabilityViolated)
 from .rng import uniform_stream
-from .spectral import SpectralData, leading_spectral_data
+from .spectral import SpectralData, deflated_resolvent, leading_spectral_data
 
 Word = tuple
 
@@ -199,9 +199,6 @@ class CylinderMatrix:
     index: dict
     meta: dict = field(default_factory=dict)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
 
 def _weight(x: float, s: complex, p: float) -> complex:
     if p == 0:
@@ -234,6 +231,12 @@ def cylinder_operator(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
                           index=index, meta={"system": S.label(), "depth": k})
 
 
+def _require_primitive(S: SymbolicSystem) -> None:
+    if not S.is_primitive:
+        raise NotPrimitive(f"incidence of {S.label()} has no positive power; "
+                           "the leading eigenvalue is not isolated")
+
+
 def spectral_data(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
                   tol: float = 1e-14, want_gap: bool = True) -> SpectralData:
     """Leading eigendata of L_{s psi} on the cylinder basis.
@@ -246,9 +249,7 @@ def spectral_data(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
     """
     if complex(s).real < 1.0 - 1e-12:
         raise ValueError("spectral data is defined on the half-plane Re s >= 1")
-    if not S.is_primitive:
-        raise NotPrimitive(f"incidence of {S.label()} has no positive power; "
-                           "the leading eigenvalue is not isolated")
+    _require_primitive(S)
     M = cylinder_operator(S, psi, s, 0.0)
     data = leading_spectral_data(M.matrix, tol=tol, want_gap=want_gap)
     if abs(complex(s).imag) > 0:
@@ -306,24 +307,19 @@ class ShiftPressureReport:
     nodes: dict
 
 
-def _gk_variance_shift(S, psi, lam, rho, weights, k_max: int = 400) -> float:
+def _gk_variance_shift(S, psi, lam, rho, weights) -> float:
+    """<mu, phi^2> + 2 sum_{k>=1} <w, phi (M/lam)^k x_0>, x_0 = rho phi.
+
+    <w, x_0> = 0, so sum_{k>=0} (M/lam)^k x_0 is the deflated resolvent x.
+    """
     basis = S.cylinder_words(psi.depth)
     vals = psi.vector(basis)
     mu = rho * weights
     mu = mu / np.sum(mu)
     phi = vals - float(np.dot(mu, vals))
-    M = cylinder_operator(S, psi, 1.0, 0.0).matrix.real
-    total = float(np.dot(mu, phi * phi))
-    u = rho * phi
-    prev = abs(total)
-    for _ in range(k_max):
-        u = (M @ u) / lam
-        term = float(np.dot(weights, phi * u))
-        total += 2.0 * term
-        if abs(term) < 1e-16 * max(1.0, abs(total)):
-            break
-        prev = max(abs(term), 0.5 * prev)
-    return total
+    M = cylinder_operator(S, psi, 1.0, 0.0).matrix.real / lam
+    x = deflated_resolvent(M, 1.0, rho, weights, rho * phi)
+    return float(np.dot(mu, phi * phi)) + 2.0 * float(np.dot(weights, phi * (M @ x)))
 
 
 def pressure_derivs_shift(S: SymbolicSystem, psi: PotentialSpec,
@@ -398,9 +394,11 @@ def poincare_eta(S: SymbolicSystem, psi: PotentialSpec, offset, s: complex,
     sum_{n < 2K} M^n = (I + M^K) sum_{n < K} M^n, stopping once the last
     doubling changed the seed value by less than tail_tol. The resolvent
     route splits off the rank-one eigenprojection:
-    (1 - lam_s)^{-1} R_s f_s plus the geometric remainder sum. Both values
-    are returned; they must agree for a convergent series.
+    (1 - lam_s)^{-1} R_s f_s plus the deflated resolvent of the remainder.
+    Both values are returned; they must agree for a convergent series. A
+    non-primitive incidence is refused with NotPrimitive before either runs.
     """
+    _require_primitive(S)
     k = psi.depth
     if len(xi) < k:
         raise ValueError(f"seed must supply at least {k} letters")
@@ -439,13 +437,8 @@ def poincare_eta(S: SymbolicSystem, psi: PotentialSpec, offset, s: complex,
         raise DivergentSeries("leading eigenvalue is 1; eta has a pole here")
     rho, w = data.rho, data.weights
     proj = rho * np.dot(w, f)
-    res_total = proj[i_seed] / (1.0 - lam)
-    u = f - proj
-    for _ in range(100_000):
-        res_total += u[i_seed]
-        u = M @ u - lam * rho * np.dot(w, u)
-        if np.max(np.abs(u)) < 1e-15 * max(1.0, abs(res_total)):
-            break
+    rest = deflated_resolvent(M, lam, rho, w, f - proj)
+    res_total = proj[i_seed] / (1.0 - lam) + rest[i_seed]
     return EtaResult(series=complex(total), resolvent=complex(res_total), terms=n)
 
 

@@ -1,9 +1,10 @@
 """Dominant-eigenvalue machinery shared by the circle and shift operators.
 
 Power iteration with Rayleigh quotients for the leading pair, transpose
-iteration for the dual (conformal) weights, and rank-one deflation for the
-subleading modulus. The deflated projection realizes the spectral projection
-of a simple isolated eigenvalue, so no contour integrals are needed.
+iteration for the dual (conformal) weights, rank-one deflation for the
+subleading modulus and for the resolvent, which is one linear solve. The
+deflated projection realizes the spectral projection of a simple isolated
+eigenvalue, so no contour integrals are needed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import NoConvergence, NonDecaying
 from .rng import uniform_stream
 
 _MAX_ITER = 100_000
@@ -49,13 +50,13 @@ def _start_vector(n: int, seed: int = 0) -> np.ndarray:
     return 1.0 + 1e-3 * (uniform_stream(seed, n) - 0.5)
 
 
-def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0,
-                  max_iter: int = _MAX_ITER, res_target: float = 1e-10):
+def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0):
     """Power iteration; returns (lam, vector, residual, iterations).
 
     Runs until both the Rayleigh quotient stabilizes below tol and the
-    eigen-equation residual drops below res_target (the vector converges
-    more slowly than the value for non-normal operators).
+    eigen-equation residual drops below 1e-10 * max(1, |lam|) (the vector
+    converges more slowly than the value for non-normal operators), and
+    raises NoConvergence when that has not happened within 100,000 steps.
     """
     if tol < 1e-16:
         raise ValueError("tol too small")
@@ -63,7 +64,7 @@ def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0,
     v /= np.linalg.norm(v)
     lam_prev = None
     hits = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         w = mat @ v
         nw = np.linalg.norm(w)
         if nw < 1e-300:
@@ -74,18 +75,18 @@ def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0,
             hits += 1
             if hits >= 3:
                 res = float(np.max(np.abs(mat @ v - lam * v)) / max(np.max(np.abs(v)), 1e-300))
-                if res < res_target * max(1.0, abs(lam)) or it > max_iter - 2:
+                if res < 1e-10 * max(1.0, abs(lam)):
                     return lam, v, res, it
                 hits = 0
         else:
             hits = 0
         lam_prev = lam
-    raise NoConvergence(f"power iteration stalled after {max_iter} iterations")
+    raise NoConvergence(f"power iteration stalled after {_MAX_ITER} iterations")
 
 
 def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
                         dual: np.ndarray, tol: float = 1e-10, seed: int = 1,
-                        max_iter: int = _MAX_ITER, mode: str = "accurate") -> float:
+                        mode: str = "accurate") -> float:
     """|lambda_2| by power iteration on M - lam * rho (x) dual.
 
     dual must be scaled so that dual . rho = 1; the rank-one removal then
@@ -105,7 +106,7 @@ def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
     def apply(u):
         return mat @ u - lam * rho * np.dot(dual, u)
 
-    budget = max_iter if mode == "accurate" else 512
+    budget = _MAX_ITER if mode == "accurate" else 512
     collapse = 1e-8 * max(1.0, abs(lam))
     v = _start_vector(mat.shape[0], seed).astype(complex)
     v = apply(v)  # kill the leading component before measuring
@@ -140,17 +141,16 @@ def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
     raise NoConvergence("deflated iteration stalled; spectrum may be gapless")
 
 
-def leading_spectral_data(mat: np.ndarray, tol: float = 1e-13, seed: int = 0,
-                          want_gap: bool = True, gap_tol: float = 1e-8,
-                          gap_mode: str = "estimate") -> SpectralData:
+def leading_spectral_data(mat: np.ndarray, tol: float = 1e-13,
+                          want_gap: bool = True) -> SpectralData:
     """Leading pair, dual weights and subleading ratio for a dense operator.
 
     For a real positive operator the outputs are real with rho > 0 and
     nonnegative weights summing to 1; complex inputs are returned as-is with
     the same normalizations applied.
     """
-    lam, rho, res, _ = power_leading(mat, tol=tol, seed=seed)
-    lam_d, dual, _, _ = power_leading(mat.T, tol=tol, seed=seed + 7)
+    lam, rho, res, _ = power_leading(mat, tol=tol, seed=0)
+    lam_d, dual, _, _ = power_leading(mat.T, tol=tol, seed=7)
     # clean up phase/sign for the real nonnegative case
     for vec in (rho, dual):
         j = int(np.argmax(np.abs(vec)))
@@ -175,7 +175,29 @@ def leading_spectral_data(mat: np.ndarray, tol: float = 1e-13, seed: int = 0,
     rho = rho / pairing
     gap = 0.0
     if want_gap:
-        sub = deflated_subleading(mat, lam, rho, weights, tol=gap_tol,
-                                  seed=seed + 13, mode=gap_mode)
+        sub = deflated_subleading(mat, lam, rho, weights, tol=1e-8,
+                                  seed=13, mode="estimate")
         gap = float(sub / abs(lam)) if abs(lam) > 0 else 0.0
     return SpectralData(lam=lam, rho=rho, weights=weights, gap=gap, residual=res)
+
+
+def deflated_resolvent(mat: np.ndarray, lam: complex, rho: np.ndarray,
+                       weights: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_{n >= 0} (mat - lam * rho (x) weights)^n v by one linear solve.
+
+    With weights . rho = 1 and (lam, rho, weights) the leading eigendata of
+    mat, the rank-one term removes the leading eigenvalue, so the series
+    converges whenever the rest of the spectrum lies inside the unit disk;
+    its sum is the solution x of (I - mat + lam * rho (x) weights) x = v.
+    NonDecaying is raised when LAPACK reports the matrix singular or the
+    solve leaves a residual above 1e-10 * ||v||.
+    """
+    A = np.eye(len(v)) - mat + lam * np.outer(rho, weights)
+    try:
+        x = np.linalg.solve(A, v)
+    except np.linalg.LinAlgError:
+        raise NonDecaying("deflated resolvent of the transfer operator is singular") from None
+    res = float(np.linalg.norm(A @ x - v))
+    if not res <= 1e-10 * np.linalg.norm(v):
+        raise NonDecaying(f"resolvent solve residual {res:.3e} exceeds 1e-10 * ||v||")
+    return x

@@ -105,8 +105,6 @@ def leading_eigen(M: OperatorMatrix, tol: float = 1e-13) -> SpectralData:
     weights, which themselves sum to 1; the gap field holds |lambda_2/lambda|
     from deflated iteration.
     """
-    if tol < 1e-16:
-        raise ValueError("tol too small")
     data = leading_spectral_data(M.matrix, tol=tol)
     data.meta.update(M.meta)
     return data
@@ -115,11 +113,6 @@ def leading_eigen(M: OperatorMatrix, tol: float = 1e-13) -> SpectralData:
 def subleading_modulus(M: OperatorMatrix, S: SpectralData) -> float:
     """|lambda_2| of M given its leading spectral data."""
     return float(deflated_subleading(M.matrix, S.lam, S.rho, S.weights))
-
-
-def integrate(weights: np.ndarray, values: np.ndarray) -> complex:
-    """Integral of grid values against a discrete measure on the grid."""
-    return complex(np.dot(weights, values))
 
 
 @dataclass

@@ -202,3 +202,22 @@ def test_assembly_exact_hit_rows_are_unit_vectors():
         for l in range(2):
             row[np.searchsorted(grid, M.preimages[i, l])] += M.weights[i, l]
         assert np.max(np.abs(M.matrix[i] - row)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# angle reduction
+# ---------------------------------------------------------------------------
+
+def test_wrap_angle_tiny_negative_is_zero():
+    # np.mod(-1e-17, 2*pi) rounds to exactly 2*pi, outside [0, 2*pi)
+    scalar = wrap_angle(-1e-17)
+    assert isinstance(scalar, np.float64) and scalar == 0.0
+    arr = wrap_angle(np.array([-1e-17, 1.0]))
+    assert isinstance(arr, np.ndarray) and arr.tolist() == [0.0, 1.0]
+
+
+def test_preimage_row_of_tiny_negative_target_starts_at_zero():
+    row = boundary_preimages_batch(Z2, np.array([-1e-17]))[0]
+    assert np.all((row >= 0.0) & (row < TWO_PI))
+    assert row[0] == 0.0
+    assert row[1] == pytest.approx(np.pi, abs=1e-15)

@@ -148,6 +148,14 @@ def test_exit_codes(tmp_path):
     # malformed JSON
     assert main(["count", "--map", "{nope", "--T", "4",
                  "--out", str(tmp_path / "x")]) == 2
-    # budget overrun reports 3
-    assert main(["count", "--map", FH, "--T", "25",
-                 "--out", str(tmp_path / "x")]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    # budget overrun (BudgetExceeded)
+    ["count", "--map", FH, "--T", "25"],
+    # the identity map has no spectral gap (NonDecaying from Green-Kubo)
+    ["clt", "--map", '{"kind":"monomial","d":1}', "--n", "8", "--samples", "8",
+     "--seed", "1"],
+], ids=["budget", "non-decaying"])
+def test_library_errors_exit_3(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 3

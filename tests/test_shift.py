@@ -89,6 +89,16 @@ def test_non_primitive_shift_refused_fast():
     assert golden().is_primitive
 
 
+def test_non_primitive_eta_refused_fast():
+    # without the up-front check the series route runs its doublings and
+    # power iteration on the period-2 shift stalls for its whole budget
+    flip = SymbolicSystem(np.array([[0, 1], [1, 0]]))
+    t0 = time.perf_counter()
+    with pytest.raises(NotPrimitive):
+        poincare_eta(flip, PotentialSpec.constant(flip, -0.7), None, 1.5, (1, 2, 1))
+    assert time.perf_counter() - t0 < 0.1
+
+
 # ---------------------------------------------------------------------------
 # summability
 # ---------------------------------------------------------------------------

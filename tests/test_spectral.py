@@ -1,0 +1,87 @@
+"""The deflated resolvent and the leading eigendata it is built from.
+
+The resolvent solve is checked against a dense truncated Neumann sum of the
+deflated operator, and the shift's Green-Kubo variance against the
+term-by-term correlation series it replaced; both references live here.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from innerdyn.errors import NoConvergence, NonDecaying
+from innerdyn.shift import (PotentialSpec, SymbolicSystem, cylinder_operator,
+                            pressure_derivs_shift, spectral_data)
+from innerdyn.spectral import deflated_resolvent, leading_spectral_data, power_leading
+
+
+def _neumann_sum(mat, lam, rho, weights, v, terms):
+    """sum_{n < terms} Delta^n v for Delta = mat - lam * rho (x) weights."""
+    delta = mat - lam * np.outer(rho, weights)
+    total = v.astype(complex)
+    term = total.copy()
+    for _ in range(terms - 1):
+        term = delta @ term
+        total += term
+    return total
+
+
+def _gk_series(S, psi, lam, rho, weights, k_max=400):
+    """<mu, phi^2> + 2 sum_{k>=1} <w, phi (M/lam)^k (rho phi)>, term by term."""
+    basis = S.cylinder_words(psi.depth)
+    vals = psi.vector(basis)
+    mu = rho * weights
+    mu = mu / np.sum(mu)
+    phi = vals - float(np.dot(mu, vals))
+    M = cylinder_operator(S, psi, 1.0, 0.0).matrix.real
+    total = float(np.dot(mu, phi * phi))
+    u = rho * phi
+    for _ in range(k_max):
+        u = (M @ u) / lam
+        term = float(np.dot(weights, phi * u))
+        total += 2.0 * term
+        if abs(term) < 1e-16 * max(1.0, abs(total)):
+            break
+    return total
+
+
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(0.5, 1.0),
+       st.floats(-np.pi, np.pi))
+@settings(max_examples=40, deadline=None)
+def test_deflated_resolvent_matches_neumann_sum(n, seed, scale, phase):
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(0.1, 1.0, (n, n))
+    P *= scale / np.max(np.abs(np.linalg.eigvals(P)))
+    mat = P * np.exp(1j * phase)
+    data = leading_spectral_data(mat)
+    # the Neumann sum converges at the rate |lambda_2| = gap * scale
+    assume(data.gap * scale < 0.8)
+    v = rng.uniform(-1.0, 1.0, n)
+    got = deflated_resolvent(mat, data.lam, data.rho, data.weights, v)
+    want = _neumann_sum(mat, data.lam, data.rho, data.weights, v, 300)
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_deflated_resolvent_refuses_singular_system():
+    # Delta = I - 1 (x) 1/3 keeps the eigenvalue 1, so I - Delta is singular
+    with pytest.raises(NonDecaying):
+        deflated_resolvent(np.eye(3), 1.0, np.ones(3), np.full(3, 1.0 / 3.0),
+                           np.array([1.0, -1.0, 0.0]))
+
+
+def test_power_leading_refuses_equal_modulus_pair():
+    # eigenvalues +-1: the iterates alternate and the residual never drops
+    with pytest.raises(NoConvergence):
+        power_leading(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("S,values", [
+    (SymbolicSystem.full_shift(2),
+     {(1, 1): -0.7, (1, 2): -1.1, (2, 1): -0.9, (2, 2): -1.6}),
+    (SymbolicSystem(np.array([[1, 1], [1, 0]])), {(1,): -0.8, (2,): -1.3}),
+], ids=["depth2", "golden"])
+def test_shift_green_kubo_matches_correlation_series(S, values):
+    psi = PotentialSpec(len(next(iter(values))), values)
+    data = spectral_data(S, psi, 1.0, want_gap=False)
+    want = _gk_series(S, psi, data.lam.real, data.rho.real, data.weights.real)
+    assert pressure_derivs_shift(S, psi).variance_gk == pytest.approx(want, rel=1e-14, abs=0)
