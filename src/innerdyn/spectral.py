@@ -17,6 +17,7 @@ from .errors import NoConvergence, NonDecaying
 from .rng import uniform_stream
 
 _MAX_ITER = 100_000
+_STALL_WINDOW = 1_000
 
 
 @dataclass
@@ -55,8 +56,11 @@ def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0):
 
     Runs until both the Rayleigh quotient stabilizes below tol and the
     eigen-equation residual drops below 1e-10 * max(1, |lam|) (the vector
-    converges more slowly than the value for non-normal operators), and
-    raises NoConvergence when that has not happened within 100,000 steps.
+    converges more slowly than the value for non-normal operators). Raises
+    NoConvergence when that has not happened within 100,000 steps, or as
+    soon as the residual checks have set no new minimum for 1,000 steps: an
+    equal-modulus pair such as [[0, 1], [1, 0]] settles the Rayleigh
+    quotient at once while its residual never drops.
     """
     if tol < 1e-16:
         raise ValueError("tol too small")
@@ -64,6 +68,7 @@ def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0):
     v /= np.linalg.norm(v)
     lam_prev = None
     hits = 0
+    best_res, best_it = np.inf, 0
     for it in range(1, _MAX_ITER + 1):
         w = mat @ v
         nw = np.linalg.norm(w)
@@ -77,6 +82,12 @@ def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0):
                 res = float(np.max(np.abs(mat @ v - lam * v)) / max(np.max(np.abs(v)), 1e-300))
                 if res < 1e-10 * max(1.0, abs(lam)):
                     return lam, v, res, it
+                if res < best_res:
+                    best_res, best_it = res, it
+                elif it - best_it >= _STALL_WINDOW:
+                    raise NoConvergence(
+                        f"power iteration residual stalled at {best_res:.3e}: no "
+                        f"new minimum in the {it - best_it} steps after step {best_it}")
                 hits = 0
         else:
             hits = 0

@@ -11,10 +11,10 @@ floating-point shadowing caveat applies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .blaschke import BlaschkeMap, circle_grid
 from .circle import TWO_PI
@@ -116,13 +116,25 @@ def birkhoff_samples(F: BlaschkeMap, h, n: int, samples: int, seed: int,
                           map_label=F.label(), exact_angles=exact)
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def normal_cdf(x) -> np.ndarray:
+    """Standard normal CDF 0.5 * erfc(-x / sqrt(2)), elementwise.
+
+    erfc keeps full relative accuracy in the lower tail, where 1 + erf
+    would cancel to zero.
+    """
+    return 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0)), dtype=float)
+
+
 def clt_diagnostics(sample: BirkhoffSample, sigma2: float) -> tuple[float, float]:
     """(KS distance to N(0, sigma2), sample variance / sigma2)."""
     if sigma2 < 1e-12:
         raise DegenerateVariance("variance is numerically zero (coboundary case)")
     x = np.sort(sample.values / np.sqrt(sigma2))
     m = len(x)
-    cdf = ndtr(x)
+    cdf = normal_cdf(x)
     i = np.arange(1, m + 1)
     ks = float(max(np.max(i / m - cdf), np.max(cdf - (i - 1) / m)))
     var_ratio = float(np.var(sample.values, ddof=1) / sigma2)

@@ -1,10 +1,15 @@
 """CLI: artifacts, embedded configs, hashes, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import innerdyn
 from innerdyn.cli import main
 
 MONOMIAL = '{"kind":"monomial","d":2}'
@@ -159,3 +164,27 @@ def test_exit_codes(tmp_path):
 ], ids=["budget", "non-decaying"])
 def test_library_errors_exit_3(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 3
+
+
+_COLD_START = """
+import math, sys
+import numpy as np
+import innerdyn.cli
+from innerdyn.parabolic import build_parabolic, lyapunov_integral
+from innerdyn.stochastic import BirkhoffSample, clt_diagnostics
+assert abs(lyapunov_integral(build_parabolic([(0.0, 1.0)])) - 2 * math.pi) < 1e-9
+sample = BirkhoffSample(n=1, values=np.linspace(-2.0, 2.0, 101), seed=0,
+                        observable="h", map_label="none", exact_angles=True)
+clt_diagnostics(sample, 1.0)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cold_start_loads_no_scipy():
+    # a fresh interpreter, so no other test's imports count
+    src = str(Path(innerdyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout[:300]

@@ -3,12 +3,14 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
+from hypothesis import assume, given, strategies as st
 from scipy.integrate import quad
 
-from innerdyn.errors import NotDoublyParabolic, NoReturnWithinCap
-from innerdyn.parabolic import (ParabolicMap, _inverse, boundary_orbit,
-                                build_parabolic, first_return,
+from innerdyn.errors import NoConvergence, NotDoublyParabolic, NoReturnWithinCap
+from innerdyn.parabolic import (ParabolicMap, _derivative_zeros, _inverse,
+                                boundary_orbit, build_parabolic, first_return,
                                 induced_cycle_multipliers, kac_check,
                                 lyapunov_integral, parabolic_count,
                                 real_markov_partition)
@@ -90,6 +92,59 @@ def test_kac_right_hand_side_closed_form():
     val, err = quad(lambda x: math.log1p(1.0 / x**2), 0, np.inf, limit=300)
     assert 2 * val == pytest.approx(2 * math.pi, abs=1e-9)
     assert lyapunov_integral(BOOLE) == pytest.approx(2 * math.pi, abs=1e-6)
+
+
+def _quad_lyapunov(P):
+    """int_R log F' by adaptive quadrature split at the poles."""
+    bs = list(P.pole_locations)
+    ends = [-np.inf] + bs + [np.inf]
+    return sum(quad(lambda x: math.log(P.deriv(x)), lo, hi, epsabs=1e-12, limit=400)[0]
+               for lo, hi in zip(ends[:-1], ends[1:]))
+
+
+@pytest.mark.parametrize("P", [BOOLE, TWOPOLE] + EXTRA_MAPS, ids=ParabolicMap.label)
+def test_lyapunov_integral_matches_quadrature(P):
+    assert abs(lyapunov_integral(P) - _quad_lyapunov(P)) <= 1e-10
+
+
+@pytest.mark.parametrize("t", [1e-8, 1e-2, 1.0, 1e2, 1e6])
+def test_lyapunov_integral_one_pole_exact(t):
+    # F'(z) = 1 + t/z^2 vanishes at i sqrt(t)
+    assert lyapunov_integral(build_parabolic([(0.0, t)])) == \
+        pytest.approx(2 * math.pi * math.sqrt(t), rel=1e-15)
+
+
+def test_lyapunov_integral_counts_a_double_zero_twice():
+    # poles at -1, 1 with mass 4: Q = (z^2 + 3)^2, a double zero at i sqrt(3)
+    P = build_parabolic([(-1.0, 4.0), (1.0, 4.0)])
+    r = _derivative_zeros(P)
+    assert abs(r[0] - r[1]) <= 1e-14
+    assert lyapunov_integral(P) == pytest.approx(4 * math.pi * math.sqrt(3.0), rel=1e-14)
+
+
+def test_derivative_zeros_refuses_collapsed_seeds(monkeypatch):
+    # both seeds on one simple zero: the pair is re-polished on F'', lands
+    # off every zero of F' and must not be summed
+    r = _derivative_zeros(TWOPOLE)[0]
+    monkeypatch.setattr(npp, "polyroots", lambda c: np.array([r, r, r.conjugate(), r.conjugate()]))
+    with pytest.raises(NoConvergence):
+        lyapunov_integral(TWOPOLE)
+
+
+@given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-6.0, 2.0)),
+                min_size=1, max_size=4))
+def test_derivative_zeros_residual_property(poles):
+    bs = sorted(b for b, _ in poles)
+    assume(all(hi - lo > 1e-3 for lo, hi in zip(bs[:-1], bs[1:])))
+    P = build_parabolic([(b, 10.0**e) for b, e in poles])
+    ts = np.array([t for _, t in P.poles])
+    r = _derivative_zeros(P)
+    assert len(r) == len(bs) and np.all(r.imag > 0)
+    d = r[:, None] - P.pole_locations
+    res = np.abs(1.0 + np.sum(ts / d**2, axis=1))
+    assert np.all(res <= 1e-12 * (1.0 + np.sum(ts / np.abs(d) ** 2, axis=1)))
+    val = lyapunov_integral(P)
+    assert math.isfinite(val) and val > 0
 
 
 @pytest.mark.parametrize("N", [2, 5, 10])

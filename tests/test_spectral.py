@@ -5,6 +5,8 @@ deflated operator, and the shift's Green-Kubo variance against the
 term-by-term correlation series it replaced; both references live here.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -73,6 +75,24 @@ def test_power_leading_refuses_equal_modulus_pair():
     # eigenvalues +-1: the iterates alternate and the residual never drops
     with pytest.raises(NoConvergence):
         power_leading(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_power_leading_fails_fast_on_stalled_residual():
+    # the residual of the alternating iterates never sets a new minimum, so
+    # the stall window ends the run long before the 100,000-step budget
+    t0 = time.perf_counter()
+    with pytest.raises(NoConvergence, match="no new minimum"):
+        power_leading(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_power_leading_slow_but_progressing_converges():
+    # |lambda_2 / lambda_1| = 0.998 with a non-normal coupling: thousands of
+    # steps, every residual check a new minimum, so the stall window is idle
+    mat = np.array([[1.0, 0.3], [0.0, 0.998]])
+    lam, v, res, it = power_leading(mat)
+    assert it > 5_000
+    assert abs(lam - 1.0) < 1e-9 and res < 1e-10
 
 
 @pytest.mark.parametrize("S,values", [

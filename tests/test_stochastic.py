@@ -1,7 +1,10 @@
 """Monte-Carlo CLT diagnostics and the Green-Kubo variance."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from innerdyn.blaschke import BlaschkeMap, angle_map
 from innerdyn.circle import circle_grid
@@ -10,7 +13,7 @@ from innerdyn.observables import COS, Observable, constant
 from innerdyn.rng import splitmix64, uniform_stream
 from innerdyn.stochastic import (BirkhoffSample, birkhoff_samples,
                                  clt_diagnostics, correlation_sequence,
-                                 green_kubo_variance)
+                                 green_kubo_variance, normal_cdf)
 
 F2 = BlaschkeMap.monomial(2)
 FH = BlaschkeMap((0j, 0.5 + 0j))
@@ -63,6 +66,24 @@ def test_ks_self_consistency_on_injected_normals():
     ks, ratio = clt_diagnostics(sample, 1.0)
     assert ks < 3.0 / np.sqrt(40000) * 1.63
     assert ratio == pytest.approx(1.0, abs=0.05)
+
+
+def test_normal_cdf_matches_ndtr():
+    h = 1.0 / math.sqrt(2.0)
+    x = np.concatenate([np.linspace(-40.0, 40.0, 160_001),
+                        [0.0, -0.0, h, -h, np.nextafter(h, 0.0), -np.nextafter(h, 0.0),
+                         -38.0, -37.5, -8.3, 8.3, 38.0, 1e-300, -1e-300]])
+    assert np.max(np.abs(normal_cdf(x) - ndtr(x))) <= 4.5e-16
+    assert normal_cdf(0.0) == 0.5 and normal_cdf(-37.5) > 0.0
+
+
+def test_clt_ks_statistic_unmoved_by_normal_cdf():
+    s = birkhoff_samples(F2, COS, 512, 4000, seed=7)
+    ks, _ = clt_diagnostics(s, 0.5)
+    x = np.sort(s.values / np.sqrt(0.5))
+    i = np.arange(1, len(x) + 1)
+    ks_ndtr = max(np.max(i / len(x) - ndtr(x)), np.max(ndtr(x) - (i - 1) / len(x)))
+    assert abs(ks - ks_ndtr) <= 1e-15
 
 
 def test_degenerate_variance_rejected():
