@@ -113,7 +113,10 @@ def build_parabolic_map(cfg: dict) -> parabolic.ParabolicMap:
                                      float(cfg.get("translation", 0.0)))
 
 
-def build_symbolic_system(cfg: dict):
+def load_symbolic_system(path: str):
+    """(config, system, potential) from a system config file."""
+    with open(path) as fh:
+        cfg = json.load(fh)
     _reject_unknown(cfg, {"alphabet", "incidence", "potential"})
     m = int(cfg["alphabet"])
     inc = cfg.get("incidence", "full")
@@ -122,14 +125,12 @@ def build_symbolic_system(cfg: dict):
     else:
         S = shift.SymbolicSystem(np.array(inc, dtype=np.uint8))
     pot = cfg.get("potential")
-    psi = None
-    if pot is not None:
-        _reject_unknown(pot, {"depth", "values", "alpha", "v_alpha"})
-        values = {coding.word_from_str(k): float(v) for k, v in pot["values"].items()}
-        psi = shift.PotentialSpec(int(pot.get("depth", 1)), values,
-                                  alpha=float(pot.get("alpha", 1.0)),
-                                  v_alpha=float(pot.get("v_alpha", 0.0)))
-    return S, psi
+    if pot is None:
+        raise ConfigError("system config needs a potential")
+    _reject_unknown(pot, {"depth", "values", "alpha"})
+    values = {coding.word_from_str(k): float(v) for k, v in pot["values"].items()}
+    return cfg, S, shift.PotentialSpec(int(pot.get("depth", 1)), values,
+                                       alpha=float(pot.get("alpha", 1.0)))
 
 
 def _reject_unknown(cfg: dict, allowed: set):
@@ -288,11 +289,7 @@ def cmd_nevanlinna(args):
 
 
 def cmd_shift_count(args):
-    with open(args.system) as fh:
-        cfg = json.load(fh)
-    S, psi = build_symbolic_system(cfg)
-    if psi is None:
-        raise ConfigError("system config needs a potential for counting")
+    cfg, S, psi = load_symbolic_system(args.system)
     xi = coding.word_from_str(args.xi)
     B = [coding.word_from_str(tok) for tok in (args.cylinder or [])] or None
     led = shift.count_words(S, psi, xi, args.T, B=B)
@@ -305,11 +302,7 @@ def cmd_shift_count(args):
 
 
 def cmd_d_generic(args):
-    with open(args.system) as fh:
-        cfg = json.load(fh)
-    S, psi = build_symbolic_system(cfg)
-    if psi is None:
-        raise ConfigError("system config needs a potential")
+    cfg, S, psi = load_symbolic_system(args.system)
     verdict = shift.d_genericity(S, psi, args.max_period, tol=args.tol)
     config = {"command": "d-generic", "system": cfg,
               "max_period": args.max_period, "tol": args.tol}
@@ -322,11 +315,7 @@ def cmd_d_generic(args):
 
 
 def cmd_eta(args):
-    with open(args.system) as fh:
-        cfg = json.load(fh)
-    S, psi = build_symbolic_system(cfg)
-    if psi is None:
-        raise ConfigError("system config needs a potential")
+    cfg, S, psi = load_symbolic_system(args.system)
     xi = coding.word_from_str(args.xi)
     s = complex(args.s_re, args.s_im)
     res = shift.poincare_eta(S, psi, None, s, xi)
@@ -377,11 +366,7 @@ def cmd_parabolic_count(args):
 
 
 def cmd_holder_mod(args):
-    with open(args.system) as fh:
-        cfg = json.load(fh)
-    S, psi = build_symbolic_system(cfg)
-    if psi is None:
-        raise ConfigError("system config needs a potential")
+    cfg, S, psi = load_symbolic_system(args.system)
     C, eps = shift.holder_modulus_in_s(S, psi, args.q, complex(args.s0),
                                        radius=args.radius, seed=args.seed or 0)
     config = {"command": "holder-mod", "system": cfg, "q": args.q,
@@ -432,7 +417,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="restrict to arc 'a,b' (repeatable)")
     q.add_argument("--closed", action="store_true",
                    help="count events with value <= T instead of < T")
-    q.add_argument("--strict", dest="closed", action="store_false")
     q.add_argument("--grid", type=int, default=48)
 
     q = add("cesaro", cmd_cesaro, "exponentially weighted Cesaro counting average")

@@ -2,9 +2,9 @@
 
 Letters are 1-based integers. Potentials are locally constant at a chosen
 cylinder depth k, which makes every transfer operator an exact finite matrix
-on depth-k cylinder indicators; the Hoelder remainder of a general potential
-is carried as an explicit error bound, never discretized silently. Infinite
-alphabets enter by truncation with a declared tail-mass certificate.
+on depth-k cylinder indicators. A general Hoelder potential is approached by
+raising k, and an infinite alphabet by truncation; neither remainder is
+bounded here.
 """
 
 from __future__ import annotations
@@ -24,6 +24,19 @@ from .spectral import SpectralData, deflated_resolvent, leading_spectral_data
 Word = tuple
 
 
+@dataclass(frozen=True)
+class CylinderTable:
+    """Admissible depth-k words (lexicographic basis, index, (n, k) letters)
+    and predecessor edges basis[cols[e]] = (a,) + basis[rows[e]][:-1],
+    sorted by row, then by a; transfer matrices and word counts read them."""
+
+    basis: list
+    index: dict
+    letters: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
 class SymbolicSystem:
     """Finite-alphabet subshift: alphabet {1..M} and a 0/1 incidence matrix.
 
@@ -38,7 +51,7 @@ class SymbolicSystem:
             raise ValueError("every letter needs an outgoing edge")
         self.incidence = A
         self.alphabet_size = A.shape[0]
-        self._word_cache: dict[int, list[Word]] = {}
+        self._tables: dict[int, CylinderTable] = {}
 
     @staticmethod
     def full_shift(m: int) -> "SymbolicSystem":
@@ -75,16 +88,29 @@ class SymbolicSystem:
 
     def cylinder_words(self, depth: int) -> list[Word]:
         """All admissible words of the given length, lexicographic order."""
+        return self.cylinder_table(depth).basis
+
+    def cylinder_table(self, depth: int) -> CylinderTable:
+        """The depth-k table, built once; predecessors are found by their
+        base-M codes, which the lexicographic basis keeps sorted."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        if depth not in self._word_cache:
-            if self.alphabet_size**depth > 10**6:
+        if depth not in self._tables:
+            m = self.alphabet_size
+            if m**depth > 10**6:
                 raise BudgetExceeded("cylinder basis would exceed 1e6 words")
-            letters = range(1, self.alphabet_size + 1)
-            words = [w for w in itertools.product(letters, repeat=depth)
-                     if self.word_admissible(w)]
-            self._word_cache[depth] = words
-        return self._word_cache[depth]
+            letters = np.arange(1, m + 1)[:, None]
+            for _ in range(depth - 1):
+                # row-major nonzero keeps the extended words lexicographic
+                word, last = np.nonzero(self.incidence[letters[:, -1] - 1])
+                letters = np.column_stack([letters[word], last + 1])
+            codes = (letters - 1) @ m ** np.arange(depth - 1, -1, -1)
+            rows, a = np.nonzero(self.incidence.T[letters[:, 0] - 1])
+            cols = np.searchsorted(codes, a * m ** (depth - 1) + codes[rows] // m)
+            basis = list(map(tuple, letters.tolist()))
+            self._tables[depth] = CylinderTable(
+                basis, {w: i for i, w in enumerate(basis)}, letters, rows, cols)
+        return self._tables[depth]
 
     def label(self) -> str:
         kind = "full" if self.is_full else "sft"
@@ -114,10 +140,10 @@ def check_finitely_primitive(S: SymbolicSystem, max_len: int = 8):
     """Smallest common length of connecting words, by exhaustive search.
 
     For each length l <= max_len, checks whether for every letter pair (a, b)
-    some word tau of length l makes a|tau|b admissible; the number of paths
-    of length l+1 from a to b is (A^(l+1))[a][b], and a witness word is
-    reconstructed per pair when the count is positive. Failure is reported,
-    not asserted as non-primitivity.
+    some word tau of length l makes a|tau|b admissible, i.e. whether
+    A^(l+1) > 0. The witnesses are then all admissible words of length l:
+    each letter has a predecessor (A^(l+1) > 0) and a successor (every row
+    of A is nonzero). Failure is reported, not asserted as non-primitivity.
     """
     if max_len > 8:
         raise ValueError("max_len must be <= 8")
@@ -126,12 +152,7 @@ def check_finitely_primitive(S: SymbolicSystem, max_len: int = 8):
     for length in range(1, max_len + 1):
         power = power @ A  # paths of length `length` + 1
         if np.all(power > 0):
-            letters = range(1, S.alphabet_size + 1)
-            words = tuple(sorted(
-                tau for tau in S.cylinder_words(length)
-                if any(S.word_admissible((a,) + tau + (b,))
-                       for a in letters for b in letters)))
-            return PrimitivityWitness(length=length, words=words)
+            return PrimitivityWitness(length=length, words=tuple(S.cylinder_words(length)))
     return PrimitivityFailure(searched_up_to=max_len)
 
 
@@ -143,16 +164,13 @@ def check_finitely_primitive(S: SymbolicSystem, max_len: int = 8):
 class PotentialSpec:
     """Locally constant potential on depth-k cylinders.
 
-    values maps each admissible depth-k word to a real number. The Hoelder
-    data (exponent alpha, level-1 constant v_alpha) and the truncation
-    tail_mass are carried as certificates for error reporting.
+    values maps each admissible depth-k word to a real number; alpha is the
+    Hoelder exponent of the variation norm in holder_modulus_in_s.
     """
 
     depth: int
     values: dict
     alpha: float = 1.0
-    v_alpha: float = 0.0
-    tail_mass: float = 0.0
 
     def __post_init__(self):
         self.values = {tuple(k): float(v) for k, v in self.values.items()}
@@ -167,7 +185,7 @@ class PotentialSpec:
 
     def shifted(self, c: float) -> "PotentialSpec":
         return PotentialSpec(self.depth, {w: v + c for w, v in self.values.items()},
-                             self.alpha, self.v_alpha, self.tail_mass)
+                             self.alpha)
 
     @staticmethod
     def constant(S: SymbolicSystem, value: float, depth: int = 1) -> "PotentialSpec":
@@ -200,35 +218,26 @@ class CylinderMatrix:
     meta: dict = field(default_factory=dict)
 
 
-def _weight(x: float, s: complex, p: float) -> complex:
-    if p == 0:
-        return np.exp(s * x)
-    return x**p * np.exp(s * x) if p == int(p) else abs(x) ** p * np.exp(s * x)
-
-
 def cylinder_operator(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
                       p: float = 0.0) -> CylinderMatrix:
     """Assemble the transfer matrix on depth-k cylinder indicators.
 
     For a word w, the predecessors are w' = a + w[:k-1]; the entry is the
     weight at w', which is exact because psi is locally constant at depth k.
+    psi^p (|psi|^p for non-integer p) is Python's float power: numpy's power
+    rounds differently in the last place.
     """
     k = psi.depth
-    basis = S.cylinder_words(k)
-    index = {w: i for i, w in enumerate(basis)}
-    n = len(basis)
-    mat = np.zeros((n, n), dtype=complex)
-    for i, w in enumerate(basis):
-        for a in range(1, S.alphabet_size + 1):
-            if not S.allows(a, w[0]):
-                continue
-            wp = (a,) + w[:-1] if k > 1 else (a,)
-            j = index.get(wp)
-            if j is None:
-                continue
-            mat[i, j] += _weight(psi.values[wp], s, p)
-    return CylinderMatrix(s=complex(s), p=float(p), matrix=mat, basis=basis,
-                          index=index, meta={"system": S.label(), "depth": k})
+    tab = S.cylinder_table(k)
+    x = psi.vector(tab.basis)
+    weight = np.exp(s * x)
+    if p != 0:
+        base = x if p == int(p) else np.abs(x)
+        weight = np.array([b**p for b in base.tolist()]) * weight
+    mat = np.zeros((len(tab.basis),) * 2, dtype=complex)
+    mat[tab.rows, tab.cols] += weight[tab.cols]
+    return CylinderMatrix(s=complex(s), p=float(p), matrix=mat, basis=tab.basis,
+                          index=tab.index, meta={"system": S.label(), "depth": k})
 
 
 def _require_primitive(S: SymbolicSystem) -> None:
@@ -268,16 +277,15 @@ def summability_stats(S: SymbolicSystem, psi: PotentialSpec, s: float = 1.0,
     |psi|^p against the conformal measure at parameter s. The three are
     comparable for level-1 Hoelder potentials, which the tests check.
     """
-    basis = S.cylinder_words(psi.depth)
-    vals = psi.vector(basis)
+    tab = S.cylinder_table(psi.depth)
+    vals = psi.vector(tab.basis)
     weights = np.abs(vals) ** p * np.exp(s * vals)
+    # the basis is lexicographic: the words starting with letter a are one run
+    ends = np.searchsorted(tab.letters[:, 0], np.arange(1, S.alphabet_size + 2))
     inf_sum = sup_sum = 0.0
-    for a in range(1, S.alphabet_size + 1):
-        sel = [i for i, w in enumerate(basis) if w[0] == a]
-        if not sel:
-            continue
-        inf_sum += float(np.min(weights[sel]))
-        sup_sum += float(np.max(weights[sel]))
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        inf_sum += float(np.min(weights[lo:hi]))
+        sup_sum += float(np.max(weights[lo:hi]))
     data = spectral_data(S, psi, s, want_gap=False)
     integral = float(np.dot(data.weights, np.abs(vals) ** p))
     if not (np.isfinite(inf_sum) and np.isfinite(sup_sum) and np.isfinite(integral)):
@@ -404,10 +412,9 @@ def poincare_eta(S: SymbolicSystem, psi: PotentialSpec, offset, s: complex,
         raise ValueError(f"seed must supply at least {k} letters")
     if not S.word_admissible(tuple(xi[: k + 1])):
         raise ValueError("seed word is not admissible")
-    basis = S.cylinder_words(k)
-    index = {w: i for i, w in enumerate(basis)}
-    i_seed = index[tuple(xi[:k])]
-    f = np.exp(complex(s) * _offset_vector(S, psi, offset, basis)).astype(complex)
+    tab = S.cylinder_table(k)
+    i_seed = tab.index[tuple(xi[:k])]
+    f = np.exp(complex(s) * _offset_vector(S, psi, offset, tab.basis)).astype(complex)
     M = cylinder_operator(S, psi, s, 0.0).matrix
 
     partial = f.copy()          # sum_{n < K} M^n f with K = 2^j
@@ -428,8 +435,6 @@ def poincare_eta(S: SymbolicSystem, psi: PotentialSpec, offset, s: complex,
             break
     if not converged:
         raise DivergentSeries("operator series failed to settle within budget")
-    total = partial[i_seed]
-    n = terms
 
     data = leading_spectral_data(M, want_gap=False)
     lam = data.lam
@@ -439,7 +444,7 @@ def poincare_eta(S: SymbolicSystem, psi: PotentialSpec, offset, s: complex,
     proj = rho * np.dot(w, f)
     rest = deflated_resolvent(M, lam, rho, w, f - proj)
     res_total = proj[i_seed] / (1.0 - lam) + rest[i_seed]
-    return EtaResult(series=complex(total), resolvent=complex(res_total), terms=n)
+    return EtaResult(complex(partial[i_seed]), complex(res_total), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -448,51 +453,62 @@ def poincare_eta(S: SymbolicSystem, psi: PotentialSpec, offset, s: complex,
 
 def count_words(S: SymbolicSystem, psi: PotentialSpec, xi: Word, T: float,
                 B=None, node_budget: int = 10**7):
-    """Exact DFS count of prefix words with Birkhoff sum of -psi at most T.
+    """Exact count of prefix words with Birkhoff sum of -psi at most T.
 
     Events are pairs (S_{|w|}(-psi)(w xi), w); prepending a letter increases
-    the sum by at least min(-psi) > 0, which prunes the tree. B is a list of
-    cylinder words; membership of w xi in [tau] compares letters of w padded
-    by xi. Returns a counting ledger whose member mask reflects B.
+    the sum by at least min(-psi) > 0, which prunes the tree. Level by
+    level, a node is the depth-k window of w xi, its children follow the
+    window's predecessor edges, and its leading letters (padded by xi, then
+    by 0) decide membership in the cylinders of B. Expanding at most
+    min(node_budget, 2^16) edges at a time, it raises BudgetExceeded on the
+    (node_budget + 1)-th event. An inadmissible seed raises ValueError.
+    Returns a ledger whose member mask reflects B.
     """
     from .counting import CountingLedger
 
     k = psi.depth
+    xi = tuple(xi)
     if len(xi) < max(1, k - 1) + 1:
         raise ValueError("seed too short for the potential depth")
-    xi = tuple(xi)
+    if not S.word_admissible(xi):
+        raise ValueError("seed word is not admissible")
+    tab = S.cylinder_table(k)
+    inc = -psi.vector(tab.basis)                 # entering window j adds inc[j]
+    ptr = np.searchsorted(tab.rows, np.arange(len(tab.basis) + 1))
     cylinders = [tuple(t) for t in B] if B is not None else None
-    max_tau = max((len(t) for t in cylinders), default=0) if cylinders else 0
+    width = max(map(len, cylinders or ()), default=0)
+    chunk = max(1, min(node_budget, 1 << 16))
 
-    def member(word):
-        if cylinders is None:
-            return True
-        stream = word + xi
-        return any(stream[: len(t)] == t for t in cylinders)
-
-    head = xi[: max(1, k - 1)]
-    values = []
-    members = []
-    nodes = 0
-    stack = [((), head, 0.0)] if T >= 0.0 else []
-    while stack:
-        word, state, acc = stack.pop()
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded("word enumeration exceeded the node budget")
-        values.append(acc)
-        members.append(member(word))
-        for a in range(S.alphabet_size, 0, -1):
-            if not S.allows(a, state[0]):
-                continue
-            key = ((a,) + state)[:k] if k > 1 else (a,)
-            inc = -psi.values[key]
-            if acc + inc <= T:
-                new_state = ((a,) + state)[: max(1, k - 1)]
-                stack.append(((a,) + word[: max(max_tau - 1, 0)], new_state, acc + inc))
+    win = np.array([tab.index[xi[:k]]] if T >= 0.0 else [], dtype=np.int64)
+    acc = np.zeros(len(win))
+    head = np.tile(np.array((xi + (0,) * width)[:width], dtype=np.int64), (len(win), 1))
+    levels = [(acc, head)]
+    nodes = len(win)
+    while len(win):
+        deg = ptr[win + 1] - ptr[win]
+        ends = np.cumsum(deg)
+        offset = ptr[win] + deg - ends           # candidate c of node i is edge c + offset[i]
+        level = [(win[:0], acc[:0], head[:0])]
+        for lo in range(0, max(ends[-1], 1), chunk):     # a childless root is still counted
+            cand = np.arange(lo, min(lo + chunk, ends[-1]))
+            owner = np.searchsorted(ends, cand, side="right")
+            child = tab.cols[cand + offset[owner]]
+            val = acc[owner] + inc[child]
+            keep = val <= T
+            nodes += int(np.count_nonzero(keep))
+            if nodes > node_budget:
+                raise BudgetExceeded("word enumeration exceeded the node budget")
+            owner, child = owner[keep], child[keep]
+            level.append((child, val[keep], np.concatenate(
+                [tab.letters[child, :1], head[owner, :-1]], axis=1)[:, :width]))
+        win, acc, head = (np.concatenate(c) for c in zip(*level))
+        levels.append((acc, head))
+    values, heads = (np.concatenate(c) for c in zip(*levels))
+    member = np.full(len(values), cylinders is None)
+    for t in cylinders or ():
+        member |= np.all(heads[:, :len(t)] == np.array(t, dtype=np.int64), axis=1)
     return CountingLedger.from_events(
-        np.array(values), member_mask=np.array(members, dtype=bool),
-        T_max=T, space="shift",
+        values, member_mask=member, T_max=T, space="shift",
         meta={"system": S.label(), "seed": xi[:8], "B": cylinders})
 
 
@@ -577,20 +593,13 @@ def d_genericity(S: SymbolicSystem, psi: PotentialSpec, max_period: int = 8,
 # empirical Hoelder modulus of s -> L_{s,q}
 # ---------------------------------------------------------------------------
 
-def _holder_norm_data(basis, alpha: float):
+def _holder_norm_data(letters: np.ndarray, alpha: float):
     """Pairwise weights 2^(alpha * common_prefix_length) for the variation."""
-    n = len(basis)
-    cp = np.zeros((n, n))
-    for i in range(n):
-        wi = basis[i]
-        for j in range(i + 1, n):
-            wj = basis[j]
-            c = 0
-            for x, y in zip(wi, wj):
-                if x != y:
-                    break
-                c += 1
-            cp[i, j] = cp[j, i] = c
+    same = np.ones((len(letters), len(letters)), dtype=bool)
+    cp = np.zeros(same.shape)
+    for col in letters.T:
+        same &= col[:, None] == col[None, :]
+        cp += same
     return 2.0 ** (alpha * cp)
 
 
@@ -608,9 +617,9 @@ def holder_modulus_in_s(S: SymbolicSystem, psi: PotentialSpec, q: float,
     the Hoelder-norm amplification over cylinder indicators and seeded random
     probe vectors. Returns (C_fit, eps_fit) from the log-log least squares.
     """
-    basis = S.cylinder_words(psi.depth)
-    n = len(basis)
-    wmat = _holder_norm_data(basis, psi.alpha)
+    letters = S.cylinder_table(psi.depth).letters
+    n = len(letters)
+    wmat = _holder_norm_data(letters, psi.alpha)
     probe_set = [np.eye(n)[i] for i in range(min(n, 64))]
     for i in range(probes):
         probe_set.append(uniform_stream(seed, n, offset=i * n) - 0.5)

@@ -18,6 +18,7 @@ from .rng import uniform_stream
 
 _MAX_ITER = 100_000
 _STALL_WINDOW = 1_000
+_WINDOW = 64            # even, so an alternating pair of ratios averages out
 
 
 @dataclass
@@ -104,9 +105,11 @@ def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
     annihilates the leading eigenspace. Returns 0.0 when the deflated
     iterates collapse to numerical zero (nilpotent remainder).
 
-    mode="accurate" raises NoConvergence when the norm ratios never settle;
-    mode="estimate" instead returns a geometric-mean proxy over a trailing
-    window after a fixed budget, which is what gap monitors need when the
+    mode="accurate" returns once five consecutive norm ratios, or the
+    geometric means of the last two 64-step windows (a non-normal pair +-r
+    makes the ratios alternate forever), agree to tol, and raises
+    NoConvergence after 100,000 steps; mode="estimate" returns the last
+    window's mean after 512 steps, which is what gap monitors need when the
     remainder spectrum drives transient oscillations.
     """
     scale = np.dot(dual, rho)
@@ -117,6 +120,9 @@ def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
     def apply(u):
         return mat @ u - lam * rho * np.dot(dual, u)
 
+    def geometric_mean(ratios):
+        return float(np.exp(np.mean(np.log(ratios))))
+
     budget = _MAX_ITER if mode == "accurate" else 512
     collapse = 1e-8 * max(1.0, abs(lam))
     v = _start_vector(mat.shape[0], seed).astype(complex)
@@ -125,9 +131,8 @@ def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
     if nv < collapse:
         return 0.0
     v /= nv
-    prev = None
     hits = 0
-    history = []
+    ratios = []                 # |v| = 1, so |apply(v)| is the norm ratio
     for _ in range(budget):
         w = apply(v)
         nw = np.linalg.norm(w)
@@ -136,19 +141,19 @@ def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
             # contract to rounding noise and then regenerate, so no modulus
             # above noise level exists
             return 0.0
-        cur = nw  # norm ratio; converges even for an equal-modulus pair
-        history.append(cur)
+        ratios.append(nw)
         v = w / nw
-        if prev is not None and abs(cur - prev) < tol * max(1.0, cur):
-            hits += 1
-            if hits >= 5:
-                return float(cur)
-        else:
-            hits = 0
-        prev = cur
+        settled = len(ratios) > 1 and abs(nw - ratios[-2]) < tol * max(1.0, nw)
+        hits = hits + 1 if settled else 0
+        if hits >= 5:
+            return float(nw)
+        if mode == "accurate" and len(ratios) % _WINDOW == 0 and len(ratios) > _WINDOW:
+            last = geometric_mean(ratios[-_WINDOW:])
+            before = geometric_mean(ratios[-2 * _WINDOW:-_WINDOW])
+            if abs(last - before) < tol * max(1.0, last):
+                return last
     if mode == "estimate":
-        window = np.array(history[-64:])
-        return float(np.exp(np.mean(np.log(window))))
+        return geometric_mean(ratios[-_WINDOW:])
     raise NoConvergence("deflated iteration stalled; spectrum may be gapless")
 
 

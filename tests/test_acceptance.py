@@ -231,7 +231,7 @@ def test_criterion_13_modulus_of_continuity():
     S = SymbolicSystem.full_shift(m)
     psi = calibrate(S, PotentialSpec(
         1, {(n,): -2 * math.log(n + 1) for n in range(1, m + 1)},
-        alpha=1.0, v_alpha=0.0, tail_mass=1.0 / (m + 1)))
+        alpha=1.0))
     C0, eps0 = holder_modulus_in_s(S, psi, 0.0)
     C1, eps1 = holder_modulus_in_s(S, psi, 1.0)
     ok = eps0 >= 0.45 and np.isfinite(C1) and C1 > 0

@@ -52,6 +52,22 @@ def test_count_cesaro_column(tmp_path):
     assert cesaro == pytest.approx(1.4117929852662248, rel=1e-9)
 
 
+def test_count_closed_convention(tmp_path):
+    argv = ["count", "--map", MONOMIAL, "--T", "8", "--grid", "16"]
+    rows, configs = [], []
+    for name, extra in (("open.csv", []), ("closed.csv", ["--closed"])):
+        code, payload = run(tmp_path, name, argv + extra)
+        assert code == 0
+        lines = payload.decode().splitlines()
+        configs.append(json.loads(lines[0].removeprefix("# config: ")))
+        rows.append([int(ln.split(",")[1]) for ln in lines[3:]])
+    assert configs[0]["strict"] is True and configs[1]["strict"] is False
+    assert all(c >= o for o, c in zip(*rows)) and len(rows[1]) == 16
+    # the old --strict flag only undid an earlier --closed; it is gone
+    with pytest.raises(SystemExit):
+        main(argv + ["--closed", "--strict", "--out", str(tmp_path / "x")])
+
+
 def test_clt_artifact_small(tmp_path):
     code, payload = run(tmp_path, "clt.json",
                         ["clt", "--map", MONOMIAL, "--obs", "cos",

@@ -32,8 +32,7 @@ def gauss_like(m=200):
     # letter n carries weight 1/(n+1)^2; square-summable with heavy tail
     S = SymbolicSystem.full_shift(m)
     psi = PotentialSpec(1, {(n,): -2 * math.log(n + 1) for n in range(1, m + 1)},
-                        alpha=1.0, v_alpha=0.0,
-                        tail_mass=1.0 / (m + 1))
+                        alpha=1.0)
     return S, psi
 
 
@@ -214,7 +213,7 @@ def test_truncation_stability():
     S2g, p2 = gauss_like(200)
     lam1 = spectral_data(S1, p1, 1.0, want_gap=False).lam.real
     lam2 = spectral_data(S2g, p2, 1.0, want_gap=False).lam.real
-    tail_bound = sum(1.0 / (n + 1) ** 2 for n in range(101, 201)) + p2.tail_mass
+    tail_bound = sum(1.0 / (n + 1) ** 2 for n in range(101, 201)) + 1.0 / (200 + 1)
     assert abs(lam2 - lam1) < tail_bound
 
 

@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 from innerdyn.errors import NoConvergence, NonDecaying
 from innerdyn.shift import (PotentialSpec, SymbolicSystem, cylinder_operator,
                             pressure_derivs_shift, spectral_data)
-from innerdyn.spectral import deflated_resolvent, leading_spectral_data, power_leading
+from innerdyn.spectral import (deflated_resolvent, deflated_subleading,
+                               leading_spectral_data, power_leading)
 
 
 def _neumann_sum(mat, lam, rho, weights, v, terms):
@@ -84,6 +85,19 @@ def test_power_leading_fails_fast_on_stalled_residual():
     with pytest.raises(NoConvergence, match="no new minimum"):
         power_leading(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_deflated_subleading_reads_alternating_ratios():
+    # the block [[0.5, 1], [0, -0.5]] squares to 0.25 I: the norm ratios
+    # alternate forever, but their mean over an even window is |lambda_2|
+    mat = np.zeros((3, 3))
+    mat[0, 0] = 1.0
+    mat[1:, 1:] = [[0.5, 1.0], [0.0, -0.5]]
+    e1 = np.array([1.0, 0.0, 0.0])
+    t0 = time.perf_counter()
+    sub = deflated_subleading(mat, 1.0, e1, e1, mode="accurate")
+    assert time.perf_counter() - t0 < 0.1
+    assert abs(sub - 0.5) < 1e-8
 
 
 def test_power_leading_slow_but_progressing_converges():
