@@ -31,15 +31,16 @@ class Observable:
 
 
 def cos_k(k: int) -> Observable:
+    # for k = 1, z.real gives the bytes of (z**1).real without the power
     return Observable(f"cos{k if k != 1 else ''}",
                       lambda t, _k=k: np.cos(_k * np.asarray(t)),
-                      lambda z, _k=k: (z**_k).real)
+                      (lambda z: z.real) if k == 1 else (lambda z, _k=k: (z**_k).real))
 
 
 def sin_k(k: int) -> Observable:
     return Observable(f"sin{k if k != 1 else ''}",
                       lambda t, _k=k: np.sin(_k * np.asarray(t)),
-                      lambda z, _k=k: (z**_k).imag)
+                      (lambda z: z.imag) if k == 1 else (lambda z, _k=k: (z**_k).imag))
 
 
 def constant(c: float) -> Observable:

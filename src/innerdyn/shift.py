@@ -530,14 +530,16 @@ class LatticeVerdict:
 
 def periodic_birkhoff_values(S: SymbolicSystem, psi: PotentialSpec,
                              max_period: int, node_budget: int = 10**7) -> np.ndarray:
-    """S_n(psi) over all cyclic admissible words of period n <= max_period."""
+    """S_n(psi) over all cyclic admissible words of period n <= max_period.
+
+    The scan visits sum_{n <= max_period} M**n words for M letters; that
+    total is checked against node_budget before any word is visited.
+    """
     k = psi.depth
+    if sum(S.alphabet_size**n for n in range(1, max_period + 1)) > node_budget:
+        raise BudgetExceeded("periodic-word scan exceeds the node budget")
     out = []
-    total = 0
     for n in range(1, max_period + 1):
-        total += S.alphabet_size**n
-        if total > node_budget:
-            raise BudgetExceeded("periodic-word scan exceeds the node budget")
         for w in itertools.product(range(1, S.alphabet_size + 1), repeat=n):
             if not all(S.allows(w[i], w[(i + 1) % n]) for i in range(n)):
                 continue

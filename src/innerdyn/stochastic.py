@@ -4,28 +4,48 @@ Orbit statistics of Birkhoff sums S_n h / sqrt(n) over Lebesgue-random seeds,
 a Kolmogorov-Smirnov comparison with the Gaussian, and the asymptotic
 variance from the resolvent of the transfer operator. The resolvent is one
 linear solve, `spectral.deflated_resolvent`, which the shift's Green-Kubo
-variance and Poincare series share. For monomial maps the angle doubling is
-iterated in 128-bit fixed point, so the sampled orbits are exact and no
-floating-point shadowing caveat applies.
+variance and Poincare series share.
+
+For monomial maps theta -> d*theta the orbit is read from 64-bit windows of
+a random base-d digit string, so the orbit angles are exact. The angle is
+taken from a window only every m = 1 + floor(7 / log2 d) steps (an anchor);
+in between, z <- z**d is taken by multiplication, which leaves an error of
+at most about d**(m-1) * eps <= 128 * eps before the next exact anchor. No
+floating-point shadowing caveat applies. Sample i reads only stream
+position i, so large runs are split over two processes with a result that
+is byte-identical to the serial one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import mmap
+import os
+import signal
+import sys
+import threading
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blaschke import BlaschkeMap, circle_grid
 from .circle import TWO_PI
-from .errors import DegenerateVariance
+from .errors import DegenerateVariance, InnerdynError
 from .rng import splitmix64, uniform_stream
 from .spectral import deflated_resolvent
 
 
 @dataclass
 class BirkhoffSample:
-    """Values of S_n h / sqrt(n) over random seeds, with full provenance."""
+    """Values of S_n h / sqrt(n) over random seeds, with full provenance.
+
+    exact_angles is True for the digit-window iterator (monomial maps
+    without rotation): the orbit angles are exact at every anchor step, and
+    between anchors the orbit point is a power of the last anchor, within
+    about d**(m-1) * eps of the exact one (see `birkhoff_samples`).
+    """
 
     n: int
     values: np.ndarray
@@ -39,44 +59,167 @@ class BirkhoffSample:
         return len(self.values)
 
 
-def _exact_monomial_angles(d: int, n: int, samples: int, seed: int):
-    """Generator of exact orbit angles for theta -> d*theta (mod 2*pi).
+# smaller runs stay in one process: a fork costs milliseconds
+_SPLIT_MIN_STEPS = 10**6
 
-    The orbit of a base-d fraction is the sequence of suffix windows of its
-    digit string, so a pool of n + O(1) random digits per sample IS the exact
-    fixed-point orbit; step k reads the window starting at digit k. For
-    powers of two the windows are extracted directly from packed 64-bit
-    words, otherwise a short Horner sum over base-d digits is used.
+
+def _anchor_spacing(d: int) -> int:
+    """Steps per exact anchor, m = 1 + floor(7 / log2 d), so d**(m-1) <= 128."""
+    m = 1
+    while d > 1 and d**m <= 128:
+        m += 1
+    return m
+
+
+def _orbit_angles(d: int, n: int, seed: int, lo: int, hi: int):
+    """angle(k): exact orbit angles at step k of theta -> d*theta (mod 2*pi).
+
+    For samples lo..hi-1. The orbit of a base-d fraction is the sequence of
+    suffix windows of its digit string, so a pool of n + O(1) random digits
+    per sample IS the exact orbit; step k reads the 64-bit window starting
+    at digit k and rounds it to a double. For powers of two the windows are
+    cut from packed 64-bit words, otherwise a Horner sum over the base-d
+    digits (uint8 for d <= 256) builds them.
     """
+    idx = np.arange(lo, hi, dtype=np.uint64)
     if d & (d - 1) == 0:
-        m = d.bit_length() - 1  # d = 2^m
-        total_bits = n * m + 64
-        nwords = total_bits // 64 + 2
-        idx = np.arange(samples, dtype=np.uint64)
-        pool = np.empty((nwords, samples), dtype=np.uint64)
+        b = d.bit_length() - 1  # d = 2^b
+        nwords = (n * b + 64) // 64 + 2
+        pool = np.empty((nwords, hi - lo), dtype=np.uint64)
         for w in range(nwords):
             pool[w] = splitmix64(seed, idx * np.uint64(nwords) + np.uint64(w))
-        for k in range(n):
-            off = k * m
-            q, r = divmod(off, 64)
+
+        def angle(k):
+            q, r = divmod(k * b, 64)
             if r == 0:
                 win = pool[q]
             else:
                 win = (pool[q] << np.uint64(r)) | (pool[q + 1] >> np.uint64(64 - r))
-            yield TWO_PI * (win >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            return TWO_PI * (win >> np.uint64(11)).astype(np.float64) * 2.0**-53
     else:
         horizon = int(np.ceil(54 / np.log2(d))) + 1
         ndig = n + horizon
-        idx = np.arange(samples, dtype=np.uint64)
-        digits = np.empty((ndig, samples), dtype=np.float64)
+        digits = np.empty((ndig, hi - lo), dtype=np.min_scalar_type(d - 1))
         for j in range(ndig):
             w = splitmix64(seed, idx * np.uint64(ndig) + np.uint64(j))
-            digits[j] = (w % np.uint64(d)).astype(np.float64)
-        for k in range(n):
-            frac = np.zeros(samples)
+            digits[j] = w % np.uint64(d)
+
+        def angle(k):
+            frac = np.zeros(hi - lo)
             for j in range(k + horizon - 1, k - 1, -1):
                 frac = (frac + digits[j]) / d
-            yield TWO_PI * frac
+            return TWO_PI * frac
+    return angle
+
+
+def _power(z: np.ndarray, d: int, base: np.ndarray) -> None:
+    """z <- z**d in place by square-and-multiply; base is scratch space."""
+    bits = bin(d)[3:]
+    if "1" in bits:
+        np.copyto(base, z)
+    for bit in bits:
+        np.multiply(z, z, out=z)
+        if bit == "1":
+            np.multiply(z, base, out=z)
+
+
+def _monomial_block(d: int, h, n: int, seed: int, lo: int, hi: int, acc: np.ndarray) -> None:
+    """acc += S_n h over samples lo..hi-1 of theta -> d*theta, digit-window orbits."""
+    angle = _orbit_angles(d, n, seed, lo, hi)
+    fz = getattr(h, "fn_z", None)
+    if fz is None:
+        for k in range(n):
+            acc += np.asarray(h(angle(k)), dtype=float)
+        return
+    m = _anchor_spacing(d)
+    z = np.empty(hi - lo, dtype=complex)
+    base = np.empty_like(z)
+    for k in range(n):
+        if k % m == 0:
+            theta = angle(k)
+            z.real = np.cos(theta)
+            z.imag = np.sin(theta)
+        else:
+            _power(z, d, base)
+        acc += np.asarray(fz(z), dtype=float)
+
+
+def _float_block(F: BlaschkeMap, h, n: int, seed: int, lo: int, hi: int,
+                 acc: np.ndarray) -> None:
+    """acc += S_n h over samples lo..hi-1, orbits iterated in double precision."""
+    theta0 = TWO_PI * uniform_stream(seed, hi - lo, offset=lo)
+    z = np.exp(1j * theta0)
+    rot = np.exp(1j * F.rotation)
+    hz = getattr(h, "on_circle", None)
+    w = np.empty_like(z)
+    factor = np.empty_like(z)
+    den = np.empty_like(z)
+    modulus = np.empty(hi - lo)
+    for _ in range(n):
+        acc += np.asarray(hz(z) if hz is not None else h(np.angle(z)), dtype=float)
+        w.fill(rot)
+        for a in F.zeros:
+            # w *= (z - a) / (1 - conj(a) z), in this order: the orbit is
+            # chaotic, so any reordering changes the samples. For a = 0 the
+            # factor is z to the last bit, so it is used as it stands.
+            if a == 0:
+                w *= z
+                continue
+            np.subtract(z, a, out=factor)
+            np.multiply(np.conj(a), z, out=den)
+            np.subtract(1.0, den, out=den)
+            np.divide(factor, den, out=factor)
+            w *= factor
+        # the circle is radially repelling, so renormalize every step
+        np.abs(w, out=modulus)
+        np.divide(w, modulus, out=z)
+
+
+def _usable_cpus() -> int:
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity is not None else (os.cpu_count() or 1)
+
+
+def _accumulate(block, n: int, samples: int) -> np.ndarray:
+    """Birkhoff sums of samples 0..samples-1, computed by block(lo, hi, acc).
+
+    Sample i reads only stream position i, so the halves are independent:
+    with fork available, two usable CPUs, n * samples >= 1e6 and no other
+    Python thread alive (a forked child could block on a lock one holds), a
+    child process computes the upper half into shared memory while this
+    process computes the lower half. The result equals the serial one byte
+    for byte.
+    """
+    acc = np.zeros(samples)
+    if not (hasattr(os, "fork") and _usable_cpus() >= 2 and threading.active_count() == 1
+            and n * samples >= _SPLIT_MIN_STEPS):
+        block(0, samples, acc)
+        return acc
+    half = samples // 2
+    with mmap.mmap(-1, (samples - half) * acc.itemsize) as shared:
+        pid = os.fork()
+        if pid == 0:  # the child: never return into the caller's code
+            status = 1
+            try:
+                block(half, samples, np.frombuffer(shared, dtype=np.float64))
+                status = 0
+            except BaseException:
+                traceback.print_exc()
+                sys.stderr.flush()
+            finally:
+                os._exit(status)
+        try:
+            block(0, half, acc[:half])
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        _, status = os.waitpid(pid, 0)
+        if status != 0:
+            raise InnerdynError(f"Birkhoff worker for samples {half}..{samples - 1} "
+                                f"failed (wait status {status})")
+        acc[half:] = np.frombuffer(shared, dtype=np.float64)
+    return acc
 
 
 def birkhoff_samples(F: BlaschkeMap, h, n: int, samples: int, seed: int,
@@ -85,31 +228,29 @@ def birkhoff_samples(F: BlaschkeMap, h, n: int, samples: int, seed: int,
 
     h is mean-adjusted by subtracting its 4096-point quadrature mean. Sample
     i draws its randomness from stream position i, so results do not depend
-    on batching. Monomial maps without rotation run on the exact digit-window
-    iterator; other maps iterate on the circle in double precision, which
-    loses pointwise shadowing but not distributional statistics.
+    on batching, nor on whether the samples are split over two processes.
+
+    Monomial maps without rotation run on the exact digit-window iterator.
+    When h has an evaluator on z (`fn_z`), the angle is taken exactly from
+    the window only at anchor steps k = 0, m, 2m, ... with
+    m = 1 + floor(7 / log2 d) (m = 8 for d = 2, 5 for d = 3, 1 for d = 1),
+    and z <- z**d by multiplication in between; a point m - 1 steps past an
+    anchor carries an error of at most about d**(m-1) * eps <= 128 * eps.
+    Other observables are evaluated on the exact angle at every step. Other
+    maps iterate on the circle in double precision, which loses pointwise
+    shadowing but not distributional statistics.
     """
+    if n < 1 or samples < 2:
+        raise ValueError("need n >= 1 and samples >= 2")
     if n * samples > 10**9:
         raise ValueError("n * samples exceeds the 1e9 step budget")
     mean = float(np.mean(np.asarray(h(circle_grid(4096)), dtype=float))) if center else 0.0
-    acc = np.zeros(samples)
-    if F.is_monomial and F.rotation == 0.0:
-        for theta in _exact_monomial_angles(F.degree, n, samples, seed):
-            acc += np.asarray(h(theta), dtype=float)
-        exact = True
+    exact = F.is_monomial and F.rotation == 0.0
+    if exact:
+        block = functools.partial(_monomial_block, F.degree, h, n, seed)
     else:
-        theta0 = TWO_PI * uniform_stream(seed, samples)
-        z = np.exp(1j * theta0)
-        rot = np.exp(1j * F.rotation)
-        hz = getattr(h, "on_circle", None)
-        for _ in range(n):
-            acc += np.asarray(hz(z) if hz is not None else h(np.angle(z)), dtype=float)
-            w = np.full(samples, rot, dtype=complex)
-            for a in F.zeros:
-                w *= (z - a) / (1.0 - np.conj(a) * z)
-            # the circle is radially repelling, so renormalize every step
-            z = w / np.abs(w)
-        exact = False
+        block = functools.partial(_float_block, F, h, n, seed)
+    acc = _accumulate(block, n, samples)
     values = (acc - n * mean) / np.sqrt(n)
     return BirkhoffSample(n=n, values=values, seed=seed,
                           observable=getattr(h, "name", "h"),

@@ -1,0 +1,158 @@
+"""The Birkhoff sampler against the per-step reference loops.
+
+Monomial maps: anchored powers stay within 64 * d**(m-1) * eps * sqrt(n) of
+the exact-angle loop. Other maps: the in-place float loop is byte-identical
+to the allocate-per-step loop. Splitting the samples over two processes
+changes no byte, and a failed worker raises instead of returning zeros.
+"""
+
+import math
+import os
+import signal
+import threading
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from innerdyn import stochastic
+from innerdyn.blaschke import BlaschkeMap
+from innerdyn.errors import InnerdynError
+from innerdyn.observables import COS, SIN, cos_k, get_observable, sin_k
+from innerdyn.stochastic import birkhoff_samples
+from sampler_oracle import oracle_birkhoff_values
+
+EPS = np.finfo(float).eps
+# m = 1 + floor(7 / log2 d): the steps per exact anchor
+ANCHOR_SPACING = {1: 1, 2: 8, 3: 5, 4: 4, 5: 4, 8: 3}
+
+Z2 = BlaschkeMap.monomial(2)
+Z3 = BlaschkeMap.monomial(3)
+FH = BlaschkeMap((0j, 0.5 + 0j))
+DEG3 = BlaschkeMap((0j, 0.4 + 0.3j, -0.3 - 0.5j), rotation=0.7)
+A09 = BlaschkeMap((0j, 0.9 + 0j))
+
+
+def test_anchor_spacing_rule():
+    for d, m in ANCHOR_SPACING.items():
+        assert stochastic._anchor_spacing(d) == m
+    for d in range(2, 300):
+        m = stochastic._anchor_spacing(d)
+        assert d ** (m - 1) <= 128 < d**m
+        assert m == 1 + math.floor(7 / math.log2(d))
+
+
+@given(d=st.sampled_from([2, 3, 4, 5, 8]),
+       obs=st.sampled_from(["cos", "sin", "cos2", "const:1"]),
+       seed=st.integers(0, 2**31 - 1),
+       n=st.integers(1, 64),
+       samples=st.integers(2, 64))
+def test_anchored_powers_match_exact_angles(d, obs, seed, n, samples):
+    F = BlaschkeMap.monomial(d)
+    h = get_observable(obs)
+    got = birkhoff_samples(F, h, n, samples, seed)
+    want = oracle_birkhoff_values(F, h, n, samples, seed)
+    assert got.exact_angles
+    bound = 64 * d ** (ANCHOR_SPACING[d] - 1) * EPS * math.sqrt(n)
+    assert np.max(np.abs(got.values - want)) <= bound
+
+
+@pytest.mark.parametrize("h", [COS, SIN], ids=["cos", "sin"])
+def test_identity_map_anchors_every_step(h):
+    F = BlaschkeMap.monomial(1)
+    got = birkhoff_samples(F, h, 40, 300, seed=4)
+    assert np.array_equal(got.values, oracle_birkhoff_values(F, h, 40, 300, 4))
+
+
+def _cos3(theta):
+    return np.cos(3 * np.asarray(theta))
+
+
+@pytest.mark.parametrize("F", [FH, DEG3, A09], ids=["FH", "deg3-rot0.7", "a0.9"])
+@pytest.mark.parametrize("h", [COS, sin_k(2), _cos3], ids=["cos", "sin2", "bare-cos3"])
+def test_float_path_bytes_match_reference_loop(F, h):
+    got = birkhoff_samples(F, h, 60, 500, seed=9)
+    assert not got.exact_angles
+    assert np.array_equal(got.values, oracle_birkhoff_values(F, h, 60, 500, 9))
+
+
+def test_first_harmonic_on_circle_is_a_view_of_z():
+    z = np.exp(1j * np.linspace(-7.0, 7.0, 1001)) * (1 + 1e-13)
+    assert np.array_equal(COS.on_circle(z), (z**1).real)
+    assert np.array_equal(SIN.on_circle(z), (z**1).imag)
+    assert np.array_equal(cos_k(1).on_circle(z), z.real)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("F", [Z2, Z3, FH], ids=["z2", "z3", "FH"])
+def test_split_equals_serial(F, monkeypatch):
+    n, samples = 250, 4001  # n * samples above the split threshold, odd halves
+    assert n * samples >= stochastic._SPLIT_MIN_STEPS
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    split = birkhoff_samples(F, COS, n, samples, seed=21)
+    assert forks == [1]
+    monkeypatch.delattr(os, "fork")
+    serial = birkhoff_samples(F, COS, n, samples, seed=21)
+    assert split.values.tobytes() == serial.values.tobytes()
+    assert split.exact_angles == serial.exact_angles == F.is_monomial
+
+
+def test_no_split_while_another_thread_runs(monkeypatch):
+    # a forked child could block on a lock the other thread holds
+    forks = []
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1), raising=False)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        got = birkhoff_samples(Z2, COS, 250, 4000, seed=3)
+    finally:
+        release.set()
+        other.join()
+    assert forks == []
+    monkeypatch.delattr(os, "fork")
+    assert np.array_equal(got.values, birkhoff_samples(Z2, COS, 250, 4000, seed=3).values)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("how", ["raises", "killed"])
+def test_failed_worker_raises(how, monkeypatch):
+    parent = os.getpid()
+    real_block = stochastic._monomial_block
+
+    def failing_in_child(*args):
+        if os.getpid() != parent:
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("worker failure")
+        real_block(*args)
+
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(stochastic, "_monomial_block", failing_in_child)
+    t0 = time.perf_counter()
+    with pytest.raises(InnerdynError, match="worker"):
+        birkhoff_samples(Z2, COS, 250, 4000, seed=1)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_monomials_report_exact_angles():
+    for d in (1, 2, 3, 4):
+        assert birkhoff_samples(BlaschkeMap.monomial(d), COS, 8, 4, seed=0).exact_angles
+    assert not birkhoff_samples(BlaschkeMap.monomial(2, rotation=0.3), COS, 8, 4,
+                                seed=0).exact_angles
+
+
+@pytest.mark.parametrize("n, samples", [(0, 100), (-3, 100), (10, 1), (10, 0)])
+def test_degenerate_sizes_refused(n, samples):
+    with pytest.raises(ValueError):
+        birkhoff_samples(Z2, COS, n, samples, seed=1)

@@ -171,6 +171,16 @@ def test_exit_codes(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("n, samples", [("0", "100"), ("64", "1")])
+def test_clt_degenerate_sizes_exit_2(tmp_path, n, samples):
+    # a zero-length orbit or a single sample has no variance, and the NaN
+    # it would write is not JSON
+    out = tmp_path / "clt.json"
+    assert main(["clt", "--map", MONOMIAL, "--n", n, "--samples", samples,
+                 "--seed", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     # budget overrun (BudgetExceeded)
     ["count", "--map", FH, "--T", "25"],

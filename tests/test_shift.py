@@ -1,12 +1,13 @@
 """Symbolic thermodynamics: primitivity, spectra, pressure, eta, counting."""
 
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 
-from innerdyn.errors import NotPrimitive
+from innerdyn.errors import BudgetExceeded, NotPrimitive
 from innerdyn.shift import (PotentialSpec, SymbolicSystem, calibrate,
                             check_finitely_primitive, count_words,
                             cylinder_operator, d_genericity,
@@ -343,6 +344,36 @@ def test_periodic_values_oracle():
     vals = periodic_birkhoff_values(S2, PSI2, 3)
     # periods 1, 2, 3 on the full 2-shift: 2 + 4 + 8 words, all values n*log2
     assert sorted(set(np.round(-vals / LOG2).astype(int))) == [1, 2, 3]
+
+
+def test_periodic_scan_budget_checked_before_scanning():
+    # 120 letters, periods <= 8: about 4.3e16 words against a 1e7 budget
+    S = SymbolicSystem.full_shift(120)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        d_genericity(S, PotentialSpec.constant(S, -1.0), 8)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def _periodic_values_scan(S, psi, max_period):
+    """Every cyclic admissible word of period <= max_period, in scan order."""
+    out = []
+    for n in range(1, max_period + 1):
+        for w in itertools.product(range(1, S.alphabet_size + 1), repeat=n):
+            if all(S.allows(w[i], w[(i + 1) % n]) for i in range(n)):
+                ext = tuple(w[i % n] for i in range(n + psi.depth))
+                out.append(sum(psi.values[ext[j: j + psi.depth]] for j in range(n)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("system", ["golden", "bernoulli3"])
+def test_periodic_values_in_budget_unchanged(system):
+    if system == "golden":
+        S, psi = golden(), PotentialSpec.constant(golden(), -LOG2)
+    else:
+        S, psi = S3, PSI3
+    vals = periodic_birkhoff_values(S, psi, 6)
+    assert np.array_equal(vals, _periodic_values_scan(S, psi, 6))
 
 
 def test_lattice_verdict_direct():

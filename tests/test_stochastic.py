@@ -14,6 +14,7 @@ from innerdyn.rng import splitmix64, uniform_stream
 from innerdyn.stochastic import (BirkhoffSample, birkhoff_samples,
                                  clt_diagnostics, correlation_sequence,
                                  green_kubo_variance, normal_cdf)
+from sampler_oracle import exact_monomial_angles
 
 F2 = BlaschkeMap.monomial(2)
 FH = BlaschkeMap((0j, 0.5 + 0j))
@@ -46,8 +47,7 @@ def test_constant_observable_centered_to_zero():
 def test_exact_iterator_matches_float_doubling_start():
     # the digit-window orbit is the doubling orbit of its own seed angle
     s = birkhoff_samples(F2, COS, 20, 50, seed=11)
-    from innerdyn.stochastic import _exact_monomial_angles
-    gen = _exact_monomial_angles(2, 20, 50, 11)
+    gen = exact_monomial_angles(2, 20, 50, 11)
     theta0 = next(iter(gen))
     acc = np.cos(theta0)
     th = theta0.copy()
