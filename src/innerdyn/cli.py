@@ -227,6 +227,7 @@ def cmd_cesaro(args):
 def cmd_clt(args):
     if args.seed is None:
         raise ConfigError("--seed is mandatory for stochastic commands")
+    stochastic.check_sample_size(args.n, args.samples)
     cfg = load_map_config(args.map)
     F = build_circle_map(cfg)
     h = observables.get_observable(args.obs)

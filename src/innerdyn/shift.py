@@ -252,7 +252,7 @@ def spectral_data(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
 
     The incidence must be primitive (NotPrimitive otherwise), which makes
     the leading eigenvalue simple and isolated. For complex s the returned
-    lam is the dominant eigenvalue found by power iteration; `peripheral`
+    lam is the dominant eigenvalue found by restarted Arnoldi; `peripheral`
     flags a modulus matching the real-parameter eigenvalue at Re(s) within
     1e-9, the signature of a lattice potential.
     """

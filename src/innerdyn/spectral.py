@@ -1,10 +1,14 @@
 """Dominant-eigenvalue machinery shared by the circle and shift operators.
 
-Power iteration with Rayleigh quotients for the leading pair, transpose
-iteration for the dual (conformal) weights, rank-one deflation for the
-subleading modulus and for the resolvent, which is one linear solve. The
-deflated projection realizes the spectral projection of a simple isolated
-eigenvalue, so no contour integrals are needed.
+One explicitly restarted Arnoldi iteration finds the leading pair, the dual
+(conformal) weights as the leading pair of the transpose, and the subleading
+modulus as the leading modulus of the rank-one deflation M - lam rho (x) w.
+A Krylov space converges at a rate set by the whole spectrum, not by
+|lambda_2 / lambda_1| alone (Saad, Numerical Methods for Large Eigenvalue
+Problems, 2011), which matters for the slowly mixing maps where that ratio
+is near 1. The resolvent is one linear solve. The deflated projection
+realizes the spectral projection of a simple isolated eigenvalue, so no
+contour integrals are needed.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ import numpy as np
 from .errors import NoConvergence, NonDecaying
 from .rng import uniform_stream
 
-_MAX_ITER = 100_000
-_STALL_WINDOW = 1_000
-_WINDOW = 64            # even, so an alternating pair of ratios averages out
+_KRYLOV_DIM = 128       # basis vectors per Arnoldi cycle: 4 MB at N = 2048
+_RITZ_EVERY = 8         # an eig every step would cost more than the matvecs at N = 512
+_MATVEC_BUDGET = 16 * _KRYLOV_DIM
+_EQUAL_MODULUS = 1e-8   # relative distance below which two Ritz moduli are one
 
 
 @dataclass
@@ -38,10 +43,6 @@ class SpectralData:
     peripheral: bool = False
     meta: dict = field(default_factory=dict)
 
-    @property
-    def subleading(self) -> float:
-        return self.gap * abs(self.lam)
-
 
 def _start_vector(n: int, seed: int = 0) -> np.ndarray:
     """Constant vector plus a small seeded perturbation.
@@ -52,65 +53,110 @@ def _start_vector(n: int, seed: int = 0) -> np.ndarray:
     return 1.0 + 1e-3 * (uniform_stream(seed, n) - 0.5)
 
 
-def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0):
-    """Power iteration; returns (lam, vector, residual, iterations).
+def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0):
+    """Ritz pair of largest modulus of the linear map `apply`.
 
-    Runs until both the Rayleigh quotient stabilizes below tol and the
-    eigen-equation residual drops below 1e-10 * max(1, |lam|) (the vector
-    converges more slowly than the value for non-normal operators). Raises
-    NoConvergence when that has not happened within 100,000 steps, or as
-    soon as the residual checks have set no new minimum for 1,000 steps: an
-    equal-modulus pair such as [[0, 1], [1, 0]] settles the Rayleigh
-    quotient at once while its residual never drops.
+    Returns (theta, x, res, matvecs, runner_up). A cycle builds an
+    orthonormal Krylov basis from v, stored as rows, by two-pass classical
+    Gram-Schmidt. Every _RITZ_EVERY steps, at _KRYLOV_DIM rows and at
+    breakdown (always by step len(v)), the eigenvalues of the Hessenberg
+    matrix H are the Ritz values. The one of largest modulus, theta, with
+    unit eigenvector y of H, has the residual estimate beta |y_k|. Once that
+    is at most tol * max(1, |theta|), or at breakdown, where it is exact, the
+    Ritz vector x costs one true matvec: theta becomes the Rayleigh quotient
+    and the pair is returned if the sup-norm residual |Ax - theta x| / |x|
+    is at most max(tol, 1e-10) * max(1, |theta|). Otherwise, and at a full
+    basis, the next cycle starts from x. runner_up is the modulus of the
+    second Ritz value of the accepting space, 0.0 when it is one-dimensional.
+
+    With collapse > 0, the step ratio ||A^j v|| / ||A^{j-1} v||, read from
+    the product of the Hessenberg columns, is checked every step, and
+    (0, v, 0.0, matvecs, 0.0) returns as soon as it falls below collapse.
+    NoConvergence is raised after _MATVEC_BUDGET matvecs.
+    """
+    n = len(v)
+    m = min(_KRYLOV_DIM, n)
+    V = np.empty((m + 1, n), dtype=complex)
+    H = np.zeros((m + 1, m), dtype=complex)
+    matvecs = 0
+    v = v / np.linalg.norm(v)
+    while matvecs < _MATVEC_BUDGET:
+        V[0] = v
+        power = np.ones(1, dtype=complex)   # A^j v in the basis, unit norm
+        for j in range(m):
+            w = apply(V[j])
+            matvecs += 1
+            h = (V[:j + 1] @ w.conj()).conj()
+            w -= h @ V[:j + 1]
+            h2 = (V[:j + 1] @ w.conj()).conj()
+            w -= h2 @ V[:j + 1]
+            H[:j + 1, j] = h + h2
+            beta = float(np.linalg.norm(w))
+            H[j + 1, j] = beta
+            k = j + 1
+            if collapse:
+                power = H[:k + 1, :k] @ power
+                ratio = float(np.linalg.norm(power))
+                if ratio < collapse:
+                    # the remainder acts nilpotently at this resolution: its
+                    # Ritz values would be rounding noise of size eps^(1/k)
+                    return 0j, v, 0.0, matvecs, 0.0
+                power /= ratio
+            breakdown = k == n or beta <= 1e-12 * float(np.linalg.norm(H[:k + 1, j]))
+            if breakdown or k == m or k % _RITZ_EVERY == 0:
+                theta, Y = np.linalg.eig(H[:k, :k])
+                order = np.argsort(-np.abs(theta), kind="stable")
+                i = order[0]
+                converged = breakdown or beta * abs(Y[k - 1, i]) <= tol * max(1.0, abs(theta[i]))
+                if converged or k == m:
+                    x = Y[:, i] @ V[:k]
+                    x /= np.linalg.norm(x)
+                    if converged:
+                        ax = apply(x)
+                        matvecs += 1
+                        lam = complex(np.vdot(x, ax))
+                        res = float(np.max(np.abs(ax - lam * x)) / np.max(np.abs(x)))
+                        if res <= max(tol, 1e-10) * max(1.0, abs(lam)):
+                            runner_up = float(abs(theta[order[1]])) if k > 1 else 0.0
+                            return lam, x, res, matvecs, runner_up
+                    break
+            V[k] = w / beta
+        v = x
+    raise NoConvergence(f"Arnoldi iteration not converged within {_MATVEC_BUDGET} matvecs")
+
+
+def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0):
+    """Leading eigenpair by restarted Arnoldi; returns (lam, vector, residual, matvecs).
+
+    The Ritz residual estimate must drop below tol * max(1, |lam|) and the
+    sup-norm eigen-equation residual of the returned unit vector below
+    max(tol, 1e-10) * max(1, |lam|). Raises NoConvergence at once when the
+    two largest Ritz values of the converged space have equal modulus, as
+    for [[0, 1], [1, 0]], where no eigenvalue dominates, and when the matvec
+    budget runs out.
     """
     if tol < 1e-16:
         raise ValueError("tol too small")
     v = _start_vector(mat.shape[0], seed).astype(complex)
-    v /= np.linalg.norm(v)
-    lam_prev = None
-    hits = 0
-    best_res, best_it = np.inf, 0
-    for it in range(1, _MAX_ITER + 1):
-        w = mat @ v
-        nw = np.linalg.norm(w)
-        if nw < 1e-300:
-            return 0.0 + 0j, v, 0.0, it
-        lam = complex(np.vdot(v, w))  # Rayleigh quotient, ||v|| = 1
-        v = w / nw
-        if lam_prev is not None and abs(lam - lam_prev) < tol * max(1.0, abs(lam)):
-            hits += 1
-            if hits >= 3:
-                res = float(np.max(np.abs(mat @ v - lam * v)) / max(np.max(np.abs(v)), 1e-300))
-                if res < 1e-10 * max(1.0, abs(lam)):
-                    return lam, v, res, it
-                if res < best_res:
-                    best_res, best_it = res, it
-                elif it - best_it >= _STALL_WINDOW:
-                    raise NoConvergence(
-                        f"power iteration residual stalled at {best_res:.3e}: no "
-                        f"new minimum in the {it - best_it} steps after step {best_it}")
-                hits = 0
-        else:
-            hits = 0
-        lam_prev = lam
-    raise NoConvergence(f"power iteration stalled after {_MAX_ITER} iterations")
+    lam, v, res, matvecs, runner_up = _arnoldi(lambda u: mat @ u, v, tol)
+    if lam != 0 and runner_up >= (1.0 - _EQUAL_MODULUS) * abs(lam):
+        raise NoConvergence(f"no dominant eigenvalue: two Ritz values of equal modulus "
+                            f"{abs(lam):.6g} and {runner_up:.6g}")
+    return lam, v, res, matvecs
 
 
 def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
-                        dual: np.ndarray, tol: float = 1e-10, seed: int = 1,
-                        mode: str = "accurate") -> float:
-    """|lambda_2| by power iteration on M - lam * rho (x) dual.
+                        dual: np.ndarray, tol: float = 1e-10, seed: int = 1) -> float:
+    """|lambda_2| as the leading modulus of M - lam * rho (x) dual.
 
     dual must be scaled so that dual . rho = 1; the rank-one removal then
-    annihilates the leading eigenspace. Returns 0.0 when the deflated
-    iterates collapse to numerical zero (nilpotent remainder).
-
-    mode="accurate" returns once five consecutive norm ratios, or the
-    geometric means of the last two 64-step windows (a non-normal pair +-r
-    makes the ratios alternate forever), agree to tol, and raises
-    NoConvergence after 100,000 steps; mode="estimate" returns the last
-    window's mean after 512 steps, which is what gap monitors need when the
-    remainder spectrum drives transient oscillations.
+    annihilates the leading eigenspace. Equal-modulus pairs, such as a
+    complex-conjugate pair or a non-normal block with eigenvalues +-r, are
+    read like any other. Returns 0.0 when the deflated iterates collapse
+    below 1e-8 * max(1, |lam|) (nilpotent remainder); the Ritz residual
+    estimate must drop below tol and the sup-norm residual below
+    max(tol, 1e-10), both relative to max(1, |lambda_2|), or NoConvergence
+    is raised.
     """
     scale = np.dot(dual, rho)
     if abs(scale) < 1e-300:
@@ -120,41 +166,12 @@ def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
     def apply(u):
         return mat @ u - lam * rho * np.dot(dual, u)
 
-    def geometric_mean(ratios):
-        return float(np.exp(np.mean(np.log(ratios))))
-
-    budget = _MAX_ITER if mode == "accurate" else 512
     collapse = 1e-8 * max(1.0, abs(lam))
-    v = _start_vector(mat.shape[0], seed).astype(complex)
-    v = apply(v)  # kill the leading component before measuring
-    nv = np.linalg.norm(v)
-    if nv < collapse:
+    v = apply(_start_vector(mat.shape[0], seed).astype(complex))  # kill the leading component
+    if np.linalg.norm(v) < collapse:
         return 0.0
-    v /= nv
-    hits = 0
-    ratios = []                 # |v| = 1, so |apply(v)| is the norm ratio
-    for _ in range(budget):
-        w = apply(v)
-        nw = np.linalg.norm(w)
-        if nw < collapse:
-            # the remainder acts nilpotently at this resolution: iterates
-            # contract to rounding noise and then regenerate, so no modulus
-            # above noise level exists
-            return 0.0
-        ratios.append(nw)
-        v = w / nw
-        settled = len(ratios) > 1 and abs(nw - ratios[-2]) < tol * max(1.0, nw)
-        hits = hits + 1 if settled else 0
-        if hits >= 5:
-            return float(nw)
-        if mode == "accurate" and len(ratios) % _WINDOW == 0 and len(ratios) > _WINDOW:
-            last = geometric_mean(ratios[-_WINDOW:])
-            before = geometric_mean(ratios[-2 * _WINDOW:-_WINDOW])
-            if abs(last - before) < tol * max(1.0, last):
-                return last
-    if mode == "estimate":
-        return geometric_mean(ratios[-_WINDOW:])
-    raise NoConvergence("deflated iteration stalled; spectrum may be gapless")
+    sub = _arnoldi(apply, v, tol, collapse)[0]
+    return float(abs(sub))
 
 
 def leading_spectral_data(mat: np.ndarray, tol: float = 1e-13,
@@ -191,8 +208,7 @@ def leading_spectral_data(mat: np.ndarray, tol: float = 1e-13,
     rho = rho / pairing
     gap = 0.0
     if want_gap:
-        sub = deflated_subleading(mat, lam, rho, weights, tol=1e-8,
-                                  seed=13, mode="estimate")
+        sub = deflated_subleading(mat, lam, rho, weights, tol=1e-8, seed=13)
         gap = float(sub / abs(lam)) if abs(lam) > 0 else 0.0
     return SpectralData(lam=lam, rho=rho, weights=weights, gap=gap, residual=res)
 

@@ -222,6 +222,18 @@ def _accumulate(block, n: int, samples: int) -> np.ndarray:
     return acc
 
 
+def check_sample_size(n: int, samples: int) -> None:
+    """ValueError unless n >= 1, samples >= 2 and n * samples <= 1e9.
+
+    A zero-length orbit or a single sample has no variance; the step budget
+    bounds the run time.
+    """
+    if n < 1 or samples < 2:
+        raise ValueError("need n >= 1 and samples >= 2")
+    if n * samples > 10**9:
+        raise ValueError("n * samples exceeds the 1e9 step budget")
+
+
 def birkhoff_samples(F: BlaschkeMap, h, n: int, samples: int, seed: int,
                      center: bool = True) -> BirkhoffSample:
     """S_n h / sqrt(n) over `samples` Lebesgue-random starting angles.
@@ -240,10 +252,7 @@ def birkhoff_samples(F: BlaschkeMap, h, n: int, samples: int, seed: int,
     maps iterate on the circle in double precision, which loses pointwise
     shadowing but not distributional statistics.
     """
-    if n < 1 or samples < 2:
-        raise ValueError("need n >= 1 and samples >= 2")
-    if n * samples > 10**9:
-        raise ValueError("n * samples exceeds the 1e9 step budget")
+    check_sample_size(n, samples)
     mean = float(np.mean(np.asarray(h(circle_grid(4096)), dtype=float))) if center else 0.0
     exact = F.is_monomial and F.rotation == 0.0
     if exact:

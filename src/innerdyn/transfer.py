@@ -103,7 +103,7 @@ def leading_eigen(M: OperatorMatrix, tol: float = 1e-13) -> SpectralData:
 
     The eigenfunction is normalized to integral 1 against the conformal
     weights, which themselves sum to 1; the gap field holds |lambda_2/lambda|
-    from deflated iteration.
+    from the Arnoldi solve on the deflated operator.
     """
     data = leading_spectral_data(M.matrix, tol=tol)
     data.meta.update(M.meta)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import innerdyn
+from innerdyn import stochastic
 from innerdyn.cli import main
 
 MONOMIAL = '{"kind":"monomial","d":2}'
@@ -179,6 +180,20 @@ def test_clt_degenerate_sizes_exit_2(tmp_path, n, samples):
     assert main(["clt", "--map", MONOMIAL, "--n", n, "--samples", samples,
                  "--seed", "1", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("map_cfg", [MONOMIAL, '{"kind":"monomial","d":1}'],
+                         ids=["z2", "identity"])
+@pytest.mark.parametrize("n, samples", [("0", "100"), ("64", "1")])
+def test_clt_checks_sizes_before_green_kubo(tmp_path, monkeypatch, map_cfg, n, samples):
+    # a refused size exits 2 without paying for the Green-Kubo assembly; on
+    # the identity map that solve would raise NonDecaying (exit 3) first
+    calls = []
+    monkeypatch.setattr(stochastic, "green_kubo_variance",
+                        lambda *a, **k: calls.append(a) or 1.0)
+    assert main(["clt", "--map", map_cfg, "--n", n, "--samples", samples,
+                 "--seed", "1", "--out", str(tmp_path / "clt.json")]) == 2
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [

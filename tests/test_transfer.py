@@ -97,6 +97,13 @@ def test_subleading_collapses_for_monomial():
     assert subleading_modulus(M, S) < 1e-6
 
 
+def test_gap_field_collapses_for_monomial():
+    # the gap monitor reads the same nilpotent remainder as the accurate
+    # path: without the collapse rule its Ritz values are noise of size
+    # eps^(1/k), not 0
+    assert leading_eigen(assemble_operator(F2, 1.0, None, 256)).gap < 1e-6
+
+
 def test_gap_field_for_fh():
     S = leading_eigen(assemble_operator(FH, 1.0, None, 256))
     assert S.gap == pytest.approx(0.5, abs=1e-3)
