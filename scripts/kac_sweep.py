@@ -20,12 +20,12 @@ def main():
 
     P = build_parabolic_map(load_map_config(args.map))
     print(f"# map {P.label()}  rhs {fmt(lyapunov_integral(P))}")
-    print("N,lhs,rhs,ratio,cap,tail_fraction")
+    print("N,lhs,rhs,ratio,cap,caps,tail_fraction")
     for N in args.levels:
         rep = kac_check(P, N, tail_frac=args.tail_frac)
-        print(",".join(fmt(v) for v in
-                       (N, rep.lhs, rep.rhs, rep.ratio, rep.cap,
-                        rep.tail_fraction)))
+        caps = ";".join(map(str, rep.caps))    # one column: the cap trajectory
+        print(",".join([fmt(N), fmt(rep.lhs), fmt(rep.rhs), fmt(rep.ratio),
+                        fmt(rep.cap), caps, fmt(rep.tail_fraction)]))
 
 
 if __name__ == "__main__":

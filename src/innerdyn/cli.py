@@ -338,7 +338,7 @@ def cmd_kac(args):
               "quad_points": args.quad_points}
     write_json(args.out, config, {
         "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio,
-        "cap": rep.cap, "tail_estimate": rep.tail_estimate,
+        "cap": rep.cap, "caps": rep.caps, "tail_estimate": rep.tail_estimate,
         "tail_fraction": rep.tail_fraction})
     return 0
 

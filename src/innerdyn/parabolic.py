@@ -11,6 +11,14 @@ Everything here reduces to the monotone equation F(x) = y on one branch, and
 two routines are the only root-finders: `_inverse` solves it on any bracket
 for any array of targets, and `_ladder` solves a whole backward orbit on an
 outer branch (boundary orbits, excursion descents) as one bidiagonal system.
+`_inverse` is a safeguarded Newton iteration. Where a bracket ends at a pole
+b of mass t it starts from the pole expansion x0 = b - t / (y - R_b), with R_b
+the regular part of F at b, so the preimages of points far out in a tail,
+such as the Kac stratum boundaries, take about three evaluations each;
+elsewhere it starts from the bracket midpoint.
+
+The Kac check builds its table of return-time strata once (`_KacStrata`) and
+grows it in place as the cap grows: a larger cap costs only its new levels.
 """
 
 from __future__ import annotations
@@ -102,19 +110,34 @@ def _inverse(P: ParabolicMap, lo, hi, y):
     bracket is replaced by bisection, and the bracket shrinks on the sign of
     F(x) - y. An infinite end gets a finite one in closed form: outside the
     poles |F(x) - x| <= a / dist(x, poles), so the root lies above
-    min(y, b_first) - a - 1 and below max(y, b_last) + a + 1. An entry is done
-    once its Newton step is below _ROOT_TOL * max(1, |x|) and below half the
-    way to either bracket end, and it returns that step; BisectionFail is
-    raised if any entry is not done within 200 steps.
+    min(y, b_first) - a - 1 and below max(y, b_last) + a + 1. Next to a pole
+    b of mass t, F(x) = R_b - t / (x - b) + O(x - b) with
+    R_b = b - sum_{i != b} t_i / (b - b_i), so Newton starts from
+    x0 = b - t / (y - R_b) when an end of the bracket is a pole and x0 lies
+    inside the bracket, and from the bracket midpoint otherwise; a target far
+    out in a tail then takes about three evaluations instead of a bisection
+    down to the pole. An entry is done once its Newton step is below
+    _ROOT_TOL * max(1, |x|) and below half the way to either bracket end, and
+    it returns that step; BisectionFail is raised if any entry is not done
+    within 200 steps.
     """
     lo, hi, y = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, y)))
     shape = y.shape
     a = P.mass
     bs = P.pole_locations
+    ts = np.array([t for _, t in P.poles])
     xa = np.where(np.isfinite(lo), lo, np.minimum(y, bs[0]) - a - 1.0).ravel()
     xb = np.where(np.isfinite(hi), hi, np.maximum(y, bs[-1]) + a + 1.0).ravel()
     y = y.ravel()
     x = 0.5 * (xa + xb)
+    gaps = bs[:, None] - bs[None, :]
+    np.fill_diagonal(gaps, np.inf)
+    R = bs - np.sum(ts / gaps, axis=1)
+    with np.errstate(divide="ignore"):
+        for end in (lo.ravel(), hi.ravel()):
+            i = np.minimum(np.searchsorted(bs, end), len(bs) - 1)
+            x0 = bs[i] - ts[i] / (y - R[i])
+            x = np.where((bs[i] == end) & (xa < x0) & (x0 < xb), x0, x)
     out = np.empty_like(x)
     todo = np.arange(x.size)
     for _ in range(200):
@@ -344,6 +367,9 @@ def _gauss_nodes(q: int):
     return x, w
 
 
+_N_FINE = 1 << 14   # strata of deeper levels get the two-point rule
+
+
 @dataclass
 class KacReport:
     lhs: float
@@ -352,6 +378,7 @@ class KacReport:
     computed_mass: float       # total stratum length integrated directly
     tail_estimate: float       # extrapolated contribution beyond the cap
     tail_fraction: float       # tail_estimate / rhs
+    caps: list                 # every cap tried, ending with cap
 
     @property
     def ratio(self) -> float:
@@ -373,53 +400,164 @@ def _full_branches(P: ParabolicMap, part: RealPartition):
     return out
 
 
-def _excursion_chain(P: ParabolicMap, part, side: str, n_fine: int, cap: int, q: int):
-    """Descent chains for excursions exiting to J_n^(side), N < n <= cap.
+def _excursion_chain(P: ParabolicMap, side: str, chain: list, count: int):
+    """The next `count` levels of a descent chain, grown in place.
 
-    Returns (nodes, sums, mid_sums). nodes[n-N-1] holds q points of J_n, the
-    pullbacks of Gauss points of J_N under the descent diffeomorphism, for
-    n <= n_fine, and sums[n-N-1] the exact accumulated log F' of the descent
-    from those points into X. mid_sums[n-N-1] is the same sum along the
-    pullbacks of the midpoint of J_N, for every n <= cap: beyond the finely
-    resolved region the excursion weight varies across a stratum by at most
-    sum_m var(log F' | J_m) = O(1/n), so one point per level suffices there.
+    chain is [x, s, used]: x holds the last `_ladder` block of the chain,
+    c points on each of its levels, pullbacks of fixed points of J_N under
+    the descent diffeomorphism J_n -> J_N, s the accumulated log F' of the
+    descent from them into X, and the first `used` levels of the block have
+    been returned. The chain starts as one level, J_N itself, with s = 0.
+    Returns (nodes, sums), each (c, count): the next levels, reading the
+    rest of the block first and then solving whole blocks of _ORBIT_BLOCK
+    levels, each from the last level of the one before. Blocks so end at
+    fixed levels N + k _ORBIT_BLOCK, as in `boundary_orbit`, and every node
+    and sum is the same whatever sequence of counts grew the chain. The
+    excursion weight S varies across J_n by sum_m var(log F' | J_m) = O(1/n),
+    so it is interpolated on each level from these few nodes.
     """
-    N = part.level
-    p = part.p_minus if side == "-" else part.p_plus
-    mid, half = 0.5 * (p[N - 1] + p[N]), 0.5 * abs(p[N] - p[N - 1])
-    gl_x, _ = _gauss_nodes(q)
-    nodes = _ladder(P, side, mid + half * gl_x, n_fine - N)
-    sums = np.cumsum(np.log(P.deriv(nodes)), axis=0)
-    mid_sums = np.cumsum(np.log(P.deriv(_ladder(P, side, mid, cap - N))))
-    return nodes, sums, mid_sums
+    x, s, used = chain
+    take = min(count, len(x) - used)
+    nodes, sums = [x[used: used + take]], [s[used: used + take]]
+    used += take
+    got = take
+    while got < count:
+        x = _ladder(P, side, x[-1], _ORBIT_BLOCK)
+        s = np.cumsum(np.vstack([s[-1:], np.log(P.deriv(x))]), axis=0)[1:]
+        used = min(_ORBIT_BLOCK, count - got)
+        nodes.append(x[:used])
+        sums.append(s[:used])
+        got += used
+    chain[:] = x, s, used
+    return np.concatenate(nodes).T.copy(), np.concatenate(sums).T.copy()
 
 
-def _barycentric_weights(xs: np.ndarray) -> np.ndarray:
-    """Barycentric weights per row of node matrix xs (m, q)."""
-    w = np.ones_like(xs)
-    for j in range(xs.shape[1]):
-        diff = xs - xs[:, j][:, None]
-        diff[:, j] = 1.0
-        w[:, j] = 1.0 / np.prod(diff, axis=1)
-    return w
+def _interp_barycentric(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Polynomial interpolation per column: nodes xs, values ys (c, m); x (g, m) -> (g, m).
 
-
-def _interp_barycentric(xs: np.ndarray, ys: np.ndarray, x: np.ndarray,
-                        w: np.ndarray | None = None) -> np.ndarray:
-    """Barycentric interpolation row-wise: xs, ys (m, q); x (m,) -> (m,)."""
-    if w is None:
-        w = _barycentric_weights(xs)
-    d = x[:, None] - xs
-    exact = np.abs(d) < 1e-300
-    d = np.where(exact, 1.0, d)
-    num = np.sum(w / d * ys, axis=1)
-    den = np.sum(w / d, axis=1)
-    out = num / den
-    hit = np.any(exact, axis=1)
-    if np.any(hit):
-        idx = np.argmax(exact[hit], axis=1)
-        out[hit] = ys[hit, idx]
+    Barycentric form, laid out so that every sum runs over whole rows; a
+    target on a node, where the form overflows, takes that node's value.
+    """
+    w = np.empty_like(xs)
+    for j in range(len(xs)):
+        w[j] = 1.0 / np.prod(xs[j] - np.delete(xs, j, axis=0), axis=0)
+    out = np.empty_like(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(len(x)):
+            wd = w / (x[i] - xs)
+            out[i] = np.sum(wd * ys, axis=0) / np.sum(wd, axis=0)
+    i, k = np.nonzero(~np.isfinite(out))
+    out[i, k] = ys[np.argmin(np.abs(x[i, k] - xs[:, k]), axis=0), k]
     return out
+
+
+def _stratum_integrals(P: ParabolicMap, lo, hi, nodes, sums, rule) -> np.ndarray:
+    """Gauss rule per stratum [lo_k, hi_k] for int log F' + S o F.
+
+    F maps stratum k onto the level of column k of nodes, and S there is
+    interpolated from nodes[:, k] and sums[:, k].
+    """
+    gl_x, gl_w = rule
+    half = 0.5 * (hi - lo)
+    pts = 0.5 * (lo + hi) + half * gl_x[:, None]
+    f = np.log(P.deriv(pts)) + _interp_barycentric(nodes, sums, P(pts))
+    return np.sum(gl_w[:, None] * f, axis=0) * half
+
+
+@dataclass
+class _BranchStrata:
+    """Strata of one full branch exiting through one tail, levels N+1 .. cap.
+
+    xb holds the preimages of p_N .. p_cap on the branch, so stratum k lies
+    between xb[k] and xb[k+1], and F maps it onto J_{N+k+1}; contrib[k] is
+    the integral of log Fhat' over it and lengths[k] its length.
+    """
+
+    lo: float
+    hi: float
+    pole_end: float
+    xb: np.ndarray
+    contrib: np.ndarray
+    lengths: np.ndarray
+
+
+class _KacStrata:
+    """The return-time strata of X, built once and grown in place by cap.
+
+    The strata that return after at most N steps are integrated at
+    construction. Those exiting through a tail form one `_BranchStrata` per
+    covering branch and side; `grow` adds only the levels in (old cap, new
+    cap], continuing the descent chains from their last level. Levels up to
+    _N_FINE get the q-point Gauss rule and a q-column chain; deeper levels,
+    where a stratum's weight varies by O(1/n), get the two-point rule and a
+    two-column chain.
+    """
+
+    def __init__(self, P: ParabolicMap, N: int, q: int):
+        part = real_markov_partition(P, N)
+        self.P, self.N, self.cap = P, N, N
+        self.fine_rule, self.tail_rule = _gauss_nodes(q), _gauss_nodes(2)
+        gl_x, gl_w = self.fine_rule
+        core_lo, core_hi = part.core
+
+        def gauss_log_deriv(lo, hi):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            pts = mid + half * gl_x
+            return float(np.sum(gl_w * np.log(P.deriv(pts))) * half)
+
+        self.fixed = 0.0
+        self.fixed_mass = 0.0
+        # single-stratum intervals J_m^{+-}, 2 <= m <= N (one F-step back into X)
+        for m in range(2, N + 1):
+            for lo, hi in (part.interval_plus(m), part.interval_minus(m)):
+                self.fixed += gauss_log_deriv(lo, hi)
+                self.fixed_mass += hi - lo
+        # time-1 strata of the full branches (image clipped to X on covered sides)
+        for blo, bhi, cl, cr in _full_branches(P, part):
+            x_left = _inverse(P, blo, bhi, core_lo) if cl else blo
+            x_right = _inverse(P, blo, bhi, core_hi) if cr else bhi
+            self.fixed += gauss_log_deriv(x_left, x_right)
+            self.fixed_mass += x_right - x_left
+
+        self.sides = []
+        for side in ("-", "+"):
+            p = part.p_minus if side == "-" else part.p_plus
+            mid, half = 0.5 * (p[N - 1] + p[N]), 0.5 * abs(p[N] - p[N - 1])
+            chains = [[(mid + half * x)[None, :], np.zeros((1, len(x))), 1]
+                      for x, _w in (self.fine_rule, self.tail_rule)]
+            branches = [_BranchStrata(blo, bhi, blo if side == "-" else bhi,
+                                      np.array([_inverse(P, blo, bhi, p[N])]),
+                                      np.empty(0), np.empty(0))
+                        for blo, bhi, cl, cr in _full_branches(P, part)
+                        if (cl if side == "-" else cr)]
+            self.sides.append((side, chains, branches))
+
+    def grow(self, cap: int) -> None:
+        """Extend every branch's strata to the levels N+1 .. cap."""
+        P, old = self.P, self.cap
+        if cap <= old:
+            return
+        nf = max(0, min(cap, _N_FINE) - old)     # new levels under the q-point rule
+        for side, (fine, tail), branches in self.sides:
+            p = boundary_orbit(P, side, cap + 1)
+            nodes, sums = _excursion_chain(P, side, fine, nf)
+            # the two-column chain keeps pace with the cap; only its levels
+            # above _N_FINE are read
+            t_nodes, t_sums = _excursion_chain(P, side, tail, cap - old)
+            for br in branches:
+                # preimages of p_{old+1} .. p_cap cut the new strata
+                xb = _inverse(P, br.lo, br.hi, p[old + 1: cap + 1])
+                ends = np.concatenate([br.xb[-1:], xb])
+                lo = np.minimum(ends[1:], ends[:-1])
+                hi = np.maximum(ends[1:], ends[:-1])
+                contrib = np.concatenate([
+                    _stratum_integrals(P, lo[:nf], hi[:nf], nodes, sums, self.fine_rule),
+                    _stratum_integrals(P, lo[nf:], hi[nf:], t_nodes[:, nf:], t_sums[:, nf:],
+                                       self.tail_rule)])
+                br.xb = np.concatenate([br.xb, xb])
+                br.contrib = np.concatenate([br.contrib, contrib])
+                br.lengths = np.concatenate([br.lengths, hi - lo])
+        self.cap = cap
 
 
 def kac_check(P: ParabolicMap, N: int, quad_points: int = 12,
@@ -427,19 +565,26 @@ def kac_check(P: ParabolicMap, N: int, quad_points: int = 12,
               cap_max: int = 2**20) -> KacReport:
     """Compare int_X log|Fhat'| dl against int_R log|F'| dl.
 
-    The return-time strata of X are integrated by Gauss quadrature; the
-    infinite families exiting through the tails are truncated at an adaptive
-    cap, grown until the extrapolated tail contribution drops below
+    The return-time strata of X are integrated by Gauss quadrature: q =
+    quad_points points per stratum up to level 2^14 and two beyond, where
+    the excursion weight is read from a two-column descent chain. The
+    infinite families exiting through the tails are truncated at an
+    adaptive cap, grown until the extrapolated tail contribution drops below
     tail_frac of the right-hand side, and the estimate is then added to the
-    left-hand side. TailBoundExceeded is raised if no admissible cap exists.
+    left-hand side. One `_KacStrata` table serves every cap: a larger cap
+    computes only the levels beyond the last one. TailBoundExceeded is
+    raised if no admissible cap exists.
     """
     rhs = lyapunov_integral(P)
+    strata = _KacStrata(P, N, quad_points)
     cap = cap0
+    caps = []
     while True:
-        lhs, tail, mass = _kac_lhs(P, N, quad_points, cap)
+        caps.append(cap)
+        lhs, tail, mass = _kac_lhs(strata, cap)
         if tail <= tail_frac * rhs:
             return KacReport(lhs=lhs, rhs=rhs, cap=cap, computed_mass=mass,
-                             tail_estimate=tail, tail_fraction=tail / rhs)
+                             tail_estimate=tail, tail_fraction=tail / rhs, caps=caps)
         if cap >= cap_max:
             raise TailBoundExceeded(
                 f"estimated stratum tail {tail:.3e} above {tail_frac:.0%} of "
@@ -449,68 +594,26 @@ def kac_check(P: ParabolicMap, N: int, quad_points: int = 12,
         cap = min(cap_max, int(cap * min(max(2.0, 1.5 * factor), 64.0)))
 
 
-def _kac_lhs(P: ParabolicMap, N: int, q: int, cap: int):
-    part = real_markov_partition(P, N)
-    gl_x, gl_w = _gauss_nodes(q)
-    core_lo, core_hi = part.core
+def _kac_lhs(strata: _KacStrata, cap: int):
+    """(lhs, tail estimate, integrated mass) with the strata grown to cap.
 
-    def gauss_log_deriv(lo, hi):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        pts = mid + half * gl_x
-        return float(np.sum(gl_w * np.log(P.deriv(pts))) * half)
-
-    total = 0.0
-    mass_total = 0.0
-    # single-stratum intervals J_m^{+-}, 2 <= m <= N (one F-step back into X)
-    for m in range(2, N + 1):
-        for lo, hi in (part.interval_plus(m), part.interval_minus(m)):
-            total += gauss_log_deriv(lo, hi)
-            mass_total += hi - lo
-    # time-1 strata of the full branches (image clipped to X on covered sides)
-    for blo, bhi, cl, cr in _full_branches(P, part):
-        x_left = _inverse(P, blo, bhi, core_lo) if cl else blo
-        x_right = _inverse(P, blo, bhi, core_hi) if cr else bhi
-        total += gauss_log_deriv(x_left, x_right)
-        mass_total += x_right - x_left
-
-    tail_total = 0.0
-    n_fine = min(cap, 1 << 14)
-    for side in ("-", "+"):
-        p = boundary_orbit(P, side, cap + 2)
-        nodes, sums, mid_sums = _excursion_chain(P, part, side, n_fine, cap, q)
-        bw = _barycentric_weights(nodes)
-        branches = [b for b in _full_branches(P, part)
-                    if (b[2] if side == "-" else b[3])]
-        for (blo, bhi, _cl, _cr) in branches:
-            # stratum boundaries: preimages of p_{N+1}, p_{N+2}, ... cut the
-            # branch into the intervals exiting to J_{N+1}, J_{N+2}, ...
-            xb = _inverse(P, blo, bhi, p[N: cap + 1])
-            lo_arr = np.minimum(xb[1:], xb[:-1])
-            hi_arr = np.maximum(xb[1:], xb[:-1])
-            lengths = hi_arr - lo_arr
-            mids = 0.5 * (lo_arr + hi_arr)[:, None] + \
-                0.5 * lengths[:, None] * gl_x[None, :]
-            base = np.sum(gl_w[None, :] * np.log(P.deriv(mids)), axis=1) * 0.5 * lengths
-            nf = n_fine - N
-            exc_fine = np.empty((nf, q))
-            for j in range(q):
-                exc_fine[:, j] = _interp_barycentric(nodes, sums,
-                                                     P(mids[:nf, j]), bw)
-            contrib = base.copy()
-            contrib[:nf] += np.sum(gl_w[None, :] * exc_fine, axis=1) * 0.5 * lengths[:nf]
-            contrib[nf:] += mid_sums[nf:] * lengths[nf:]
-            total += float(np.sum(contrib))
-            mass_total += float(np.sum(lengths))
-            # tail beyond the cap: exact remaining mass times a fitted weight
-            pole_end = blo if side == "-" else bhi
-            rem = abs(xb[-1] - pole_end)
+    Beyond the cap each branch keeps the exact remaining mass, between its
+    last stratum boundary and the pole, times a weight fitted as
+    c0 + c1 log n to the strata of levels above cap / 8.
+    """
+    strata.grow(cap)
+    total, mass_total, tail_total = strata.fixed, strata.fixed_mass, 0.0
+    ns = np.arange(strata.N + 1, cap + 1, dtype=float)
+    sel = ns > cap / 8
+    A = np.vstack([np.ones(int(np.sum(sel))), np.log(ns[sel])]).T
+    mean_ln = math.log(cap) + 2.0   # mean of ln n under the n^{-3/2} tail law
+    for _side, _chains, branches in strata.sides:
+        for br in branches:
+            total += float(np.sum(br.contrib))
+            mass_total += float(np.sum(br.lengths))
+            rem = abs(br.xb[-1] - br.pole_end)
             mass_total += rem
-            w_n = contrib / lengths
-            ns = np.arange(N + 1, cap + 1, dtype=float)
-            sel = ns > cap / 8
-            A = np.vstack([np.ones(int(np.sum(sel))), np.log(ns[sel])]).T
-            coef, *_ = np.linalg.lstsq(A, w_n[sel], rcond=None)
-            mean_ln = math.log(cap) + 2.0   # mean of ln n under the n^{-3/2} tail law
+            coef, *_ = np.linalg.lstsq(A, (br.contrib / br.lengths)[sel], rcond=None)
             tail_total += rem * float(coef[0] + coef[1] * mean_ln)
     return total + tail_total, tail_total, mass_total
 

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import innerdyn
-from innerdyn import stochastic
+from innerdyn import parabolic, stochastic
 from innerdyn.cli import main
+from innerdyn.parabolic import kac_check
 
 MONOMIAL = '{"kind":"monomial","d":2}'
 FH = '{"kind":"blaschke","zeros":[[0,0],[0.5,0]],"rotation":0}'
@@ -123,7 +124,7 @@ def test_spectrum_pressure_eta_kac(tmp_path):
     assert json.loads(payload)["data"]["eps_fit"] > 0.9
 
 
-def test_kac_and_parabolic_count(tmp_path):
+def test_kac_and_parabolic_count(tmp_path, monkeypatch):
     code, payload = run(tmp_path, "pc.csv",
                         ["parabolic-count", "--map", BOOLE, "--T", "8",
                          "--x", "0.5", "--interval=-1,1", "--level", "1",
@@ -131,6 +132,20 @@ def test_kac_and_parabolic_count(tmp_path):
     assert code == 0
     last = payload.decode().strip().splitlines()[-1].split(",")
     assert 0.5 < float(last[2]) < 2.0
+
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(kac_check(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(parabolic, "kac_check", recorded)
+    code, payload = run(tmp_path, "kac.json",
+                        ["kac", "--map", '{"kind":"parabolic","poles":[[-1,0.5],[1,0.5]]}',
+                         "--level", "3"])
+    assert code == 0
+    # the cap trajectory is part of the payload
+    assert json.loads(payload)["data"]["caps"] == reports[0].caps
 
 
 def test_nevanlinna_cli(tmp_path):

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from scipy.integrate import quad
 
+from innerdyn import parabolic
 from innerdyn.errors import NoConvergence, NotDoublyParabolic, NoReturnWithinCap
 from innerdyn.parabolic import (ParabolicMap, _derivative_zeros, _inverse,
-                                boundary_orbit, build_parabolic, first_return,
+                                _KacStrata, _kac_lhs, boundary_orbit,
+                                build_parabolic, first_return,
                                 induced_cycle_multipliers, kac_check,
                                 lyapunov_integral, parabolic_count,
                                 real_markov_partition)
 from innerdyn.shift import lattice_verdict
+from inverse_oracle import ROOT_TOL, midpoint_inverse
 
 BOOLE = build_parabolic([(0.0, 1.0)])
 TWOPOLE = build_parabolic([(-1.0, 0.5), (1.0, 0.5)])
@@ -161,6 +164,31 @@ def test_kac_identity_two_pole():
     assert 0.99 <= rep.ratio <= 1.01
 
 
+@pytest.mark.parametrize("P,N,caps", [(BOOLE, 2, [10**4, 229_342, 458_684]),
+                                      (BOOLE, 5, [10**4, 214_759, 429_518]),
+                                      (TWOPOLE, 3, [10**4, 129_831])],
+                         ids=["boole-2", "boole-5", "twopole-3"])
+def test_kac_identity_resolved(P, N, caps):
+    # default one-percent tail budget: the strata beyond level 2^14 are
+    # resolved, so what is left is the tail fit
+    rep = kac_check(P, N)
+    assert abs(rep.ratio - 1.0) <= 1e-7
+    assert rep.caps == caps and rep.cap == caps[-1]
+    # the table grown through every cap equals one built at the last cap
+    direct = kac_check(P, N, cap0=rep.cap)
+    assert direct.caps == [rep.cap]
+    assert (direct.lhs, direct.computed_mass) == (rep.lhs, rep.computed_mass)
+
+
+def test_kac_two_point_tail_matches_full_rule(monkeypatch):
+    # reference: every stratum up to the cap under the q-point rule
+    cap, rhs = 65_536, lyapunov_integral(BOOLE)
+    lhs, _tail, _mass = _kac_lhs(_KacStrata(BOOLE, 2, 12), cap)
+    monkeypatch.setattr(parabolic, "_N_FINE", cap)
+    ref, _tail, _mass = _kac_lhs(_KacStrata(BOOLE, 2, 12), cap)
+    assert abs(lhs - ref) / rhs <= 1e-8
+
+
 def test_kac_mass_decomposition():
     # the strata tile X: directly integrated mass plus the exact remainder
     # equals the length of the core interval
@@ -168,6 +196,38 @@ def test_kac_mass_decomposition():
     part = real_markov_partition(BOOLE, 5)
     lo, hi = part.core
     assert rep.computed_mass == pytest.approx(hi - lo, abs=1e-9)
+
+
+@given(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-2.0, 2.0)),
+                min_size=1, max_size=3),
+       st.integers(0, 3),
+       st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 6.0)),
+                min_size=1, max_size=8))
+def test_inverse_pole_seed_matches_midpoint_start(poles, branch, targets):
+    bs = sorted(b for b, _ in poles)
+    assume(all(hi - lo > 1e-2 for lo, hi in zip(bs[:-1], bs[1:])))
+    P = build_parabolic([(b, 10.0**e) for b, e in poles])
+    ends = [-np.inf] + list(P.pole_locations) + [np.inf]
+    i = branch % (len(ends) - 1)
+    lo, hi = ends[i], ends[i + 1]
+    y = np.array([s * 10.0**e for s, e in targets])
+    x = _inverse(P, lo, hi, y)
+    ref = midpoint_inverse(P, lo, hi, y)
+    assert np.all((lo < x) & (x < hi))
+    assert np.all(np.abs(x - ref) <= 1e-14 * np.maximum(1.0, np.abs(x)))
+    # the stopping rule: one more Newton step would move x by less than
+    # ROOT_TOL * max(1, |x|)
+    assert np.all(np.abs(P(x) - y) / P.deriv(x) <= ROOT_TOL * np.maximum(1.0, np.abs(x)))
+
+
+def test_inverse_pole_seed_far_tail():
+    # Kac stratum boundaries: preimages of p_n up to n = 2^17 on J_1^+
+    P = TWOPOLE
+    p = boundary_orbit(P, "-", 1 << 17)
+    b, q = float(P.pole_locations[-1]), float(boundary_orbit(P, "+", 2)[1])
+    x = _inverse(P, b, q, p[3:])
+    ref = midpoint_inverse(P, b, q, p[3:])
+    assert np.all(np.abs(x - ref) <= 1e-14 * np.maximum(1.0, np.abs(x)))
 
 
 def test_lebesgue_invariance_pointwise():

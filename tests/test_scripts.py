@@ -28,7 +28,7 @@ RUNS = {
     "kac_sweep.py": (
         ["--map", '{"kind":"parabolic","poles":[[0,1]]}', "--levels", "2",
          "--tail-frac", "0.5"],
-        "N,lhs,rhs,ratio,cap,tail_fraction", 1),
+        "N,lhs,rhs,ratio,cap,caps,tail_fraction", 1),
 }
 
 

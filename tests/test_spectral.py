@@ -73,14 +73,18 @@ def test_power_leading_restarts_from_the_ritz_vector():
     # r C + (1 - r) J / n for the cyclic shift C: lambda = 1 with the
     # constant eigenvector on both sides, and the other n - 1 eigenvalues on
     # the circle |z| = r, where no polynomial filter beats r^k; the start
-    # vector's 1e-3 error needs about 200 steps, more than one basis holds
-    n, r = 200, 0.9
-    mat = r * np.roll(np.eye(n), 1, axis=1) + (1.0 - r) / n
-    for m in (mat, mat.T):
-        lam, v, res, it = power_leading(m)
-        assert it > _KRYLOV_DIM
-        assert abs(lam - 1.0) < 1e-12 and res < 1e-10
-        assert np.max(np.abs(v / v[0] - 1.0)) < 1e-10
+    # vector's 1e-3 error needs about 200 steps at r = 0.9, more than one
+    # basis holds. At r = 0.95 and 0.99 the Ritz residual estimate falls
+    # about 700x and 9x per restart, slowly but fast enough for the budget,
+    # so the projected-budget exit must not fire
+    n = 200
+    for r, restarts in ((0.9, 1), (0.95, 2), (0.99, 8)):
+        mat = r * np.roll(np.eye(n), 1, axis=1) + (1.0 - r) / n
+        for m in (mat, mat.T):
+            lam, v, res, it = power_leading(m)
+            assert it > restarts * _KRYLOV_DIM
+            assert abs(lam - 1.0) < 1e-12 and res < 1e-10
+            assert np.max(np.abs(v / v[0] - 1.0)) < 1e-10
 
 
 def test_krylov_matvecs_on_slow_mixing_operator():
@@ -145,6 +149,20 @@ def test_deflated_subleading_reads_alternating_ratios():
     sub = deflated_subleading(mat, 1.0, e1, e1)
     assert time.perf_counter() - t0 < 0.1
     assert abs(sub - 0.5) < 1e-8
+
+
+def test_deflated_subleading_fails_fast_on_equal_modulus_ring():
+    # r C + (1 - r) J / n deflates to r C restricted to the mean-zero
+    # vectors: 199 eigenvalues on the circle |z| = 0.9, where the Ritz
+    # residual estimate falls about 3.5x per restart, too slowly for the
+    # budget; the projection ends the run and names the top modulus
+    n, r = 200, 0.9
+    mat = r * np.roll(np.eye(n), 1, axis=1) + (1 - r) / n
+    np.linalg.eigvals(mat[:8, :8])      # load LAPACK outside the timed call
+    t0 = time.perf_counter()
+    with pytest.raises(NoConvergence, match=r"top Ritz modulus 0\.89.*too slowly"):
+        deflated_subleading(mat, 1.0, np.ones(n), np.ones(n) / n)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_power_leading_slow_but_progressing_converges():
