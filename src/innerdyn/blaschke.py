@@ -3,11 +3,16 @@
 A degree-d map is F(z) = e^{i*rot} * prod_i (z - a_i)/(1 - conj(a_i) z) with
 all |a_i| < 1 and a_0 = 0, so F(0) = 0 and normalized Lebesgue measure on the
 unit circle is F-invariant. On the circle the argument of F lifts to a
-strictly increasing function gaining 2*pi*d per revolution, sampled once per
-map on a cached grid. A boundary preimage is the root of g(t) = arg F(e^{it})
-- tau inside one grid cell of that lift; it is found by a vectorised Newton
-iteration (g' = |F'| in closed form) started from linear interpolation of the
-lift, with a bisection step whenever a Newton step leaves the cell's bracket.
+strictly increasing function L gaining 2*pi*d per revolution, sampled once
+per map on a cached grid. A boundary preimage is the root of g(t) = arg
+F(e^{it}) - tau inside one grid cell of that lift; it is found by a
+vectorised Newton iteration (g' = |F'| in closed form) started from linear
+interpolation of the lift, with a bisection step whenever a Newton step
+leaves the cell's bracket. `lift_inverse` extends this inverse to every
+real tau by whole turns, and every other circle equation goes through it:
+the periodic points of F^n are the fixed points of n-fold compositions of
+inverse branches, found by a safeguarded Newton iteration on those
+compositions, and the coding layer pulls cylinders back with it.
 
 The angular derivative |F'| is finite everywhere on the circle for these
 maps (the infinite-derivative convention needed for maps with boundary
@@ -21,6 +26,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 
 from .circle import TWO_PI, CirclePoint, as_angle, circle_grid, wrap_angle
 from .errors import (
@@ -218,6 +224,22 @@ def _preimage_newton(F: BlaschkeMap, tau: np.ndarray) -> np.ndarray:
         f"{len(active)} boundary preimages unconverged after {_NEWTON_SWEEPS} sweeps")
 
 
+def lift_inverse(F: BlaschkeMap, tau) -> np.ndarray:
+    """The angles t with L(t) = tau, for any real tau.
+
+    L is the continuous lift of arg F(e^{it}) fixed by the cached grid,
+    L(0) = arg F(1) in (-pi, pi]. Since L(t + 2*pi) = L(t) + 2*pi*d, tau is
+    reduced by whole turns into the grid's range [L(0), L(0) + 2*pi*d),
+    solved by _preimage_newton, and the turns are added back to the root.
+    The inverse is increasing with slope 1/|F'| at the root.
+    """
+    _, ph = _lift_grid(F)
+    tau = np.asarray(tau, dtype=float)
+    turns = np.floor((tau - ph[0]) / (TWO_PI * F.degree))
+    base = _preimage_newton(F, np.ravel(tau - TWO_PI * F.degree * turns))
+    return base.reshape(tau.shape) + TWO_PI * turns
+
+
 def boundary_preimages_batch(F: BlaschkeMap, targets: np.ndarray) -> np.ndarray:
     """All d boundary preimage angles for each target angle.
 
@@ -283,84 +305,32 @@ def lyapunov_exponent(F: BlaschkeMap, quad_points: int = 4096) -> float:
 
 
 # ---------------------------------------------------------------------------
-# disk preimages via simultaneous (Aberth) root iteration
+# disk preimages
 # ---------------------------------------------------------------------------
-
-def _poly_from_roots(roots) -> np.ndarray:
-    """Monic polynomial coefficients, ascending order."""
-    c = np.array([1.0 + 0j])
-    for r in roots:
-        c = np.convolve(c, np.array([-r, 1.0 + 0j]))
-    return c
-
-
-def _polyval_and_deriv(coeffs: np.ndarray, z: np.ndarray):
-    p = np.zeros(z.shape, dtype=complex)
-    dp = np.zeros(z.shape, dtype=complex)
-    for c in coeffs[::-1]:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
-def aberth_roots(coeffs: np.ndarray, tol: float = 1e-13, max_iter: int = 400) -> np.ndarray:
-    """All roots of a polynomial by the Aberth-Ehrlich simultaneous iteration.
-
-    coeffs are ascending; the leading coefficient must be nonzero. Initial
-    guesses sit on a circle of the Cauchy root bound with incommensurate
-    angular offsets to break symmetry.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    n = len(coeffs) - 1
-    if n < 1:
-        return np.array([], dtype=complex)
-    lead = coeffs[-1]
-    if abs(lead) == 0:
-        raise ValueError("leading coefficient vanishes")
-    monic = coeffs / lead
-    radius = 1.0 + np.max(np.abs(monic[:-1]))
-    ang = TWO_PI * (np.arange(n) + 0.3573) / n + 0.4
-    z = 0.5 * radius * np.exp(1j * ang)
-    scale = np.max(np.abs(monic))
-    for _ in range(max_iter):
-        p, dp = _polyval_and_deriv(monic, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = p / dp
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
-            corr = w / (1.0 - w * s)
-        bad = ~np.isfinite(corr)
-        if np.any(bad):
-            corr = np.where(bad, w, corr)
-        z = z - corr
-        if np.max(np.abs(corr)) < tol:
-            break
-    else:
-        raise NoConvergence("Aberth iteration did not converge")
-    p, _ = _polyval_and_deriv(monic, z)
-    if np.max(np.abs(p)) > 1e-9 * max(1.0, scale):
-        raise NoConvergence("Aberth residual too large")
-    return z
-
 
 def disk_preimages(F: BlaschkeMap, w: complex) -> np.ndarray:
     """The d solutions of F(z) = w inside the unit disk.
 
     Solves P(z) - w*Q(z) = 0 where P/Q is the rational form of F; the
-    numerator has exact degree d because Q has degree < d (a_0 = 0).
+    numerator has exact degree d because Q has degree < d (a_0 = 0). Its
+    roots must leave a residual below 1e-9 relative to the largest
+    coefficient; one Newton step on F(z) = w in product form then removes
+    the error of the polynomial form (up to 1e-7 for clustered zeros).
     """
     w = complex(w)
     if not 0.0 < abs(w) < 1.0:
         raise ValueError("w must satisfy 0 < |w| < 1")
-    P = _poly_from_roots(F.zeros) * np.exp(1j * F.rotation)
-    Q = _poly_from_roots([1.0 / np.conj(a) for a in F.zeros if a != 0])
-    Q = Q * np.prod([-np.conj(a) for a in F.zeros if a != 0])
+    P = npp.polyfromroots(F.zeros) * np.exp(1j * F.rotation)
+    Q = functools.reduce(npp.polymul, ([1.0, -np.conj(a)] for a in F.zeros[1:]), np.ones(1))
     num = P.copy()
     num[: len(Q)] -= w * Q
-    roots = aberth_roots(num)
+    roots = npp.polyroots(num)
+    if np.max(np.abs(npp.polyval(roots, num))) > 1e-9 * np.max(np.abs(num)):
+        raise NoConvergence(f"preimage roots of w = {w} leave a residual above 1e-9")
     if np.any(np.abs(roots) >= 1.0 + 1e-9):
         raise RootEscape(f"preimage root escaped the disk for w = {w}")
+    vals = [eval_and_deriv(F, z) for z in roots]
+    roots = roots - np.array([(v - w) / dv for v, dv in vals])
     return roots[np.argsort(roots.real + 1e-9 * roots.imag)]
 
 
@@ -408,28 +378,21 @@ def multiplier_at_zero(F: BlaschkeMap) -> complex:
 # periodic points on the circle
 # ---------------------------------------------------------------------------
 
-def _lift_eval(F: BlaschkeMap, theta: np.ndarray) -> np.ndarray:
-    """Pointwise continuous lift via the cached grid.
-
-    Inside a grid cell the lift moves by < pi/4, so aligning the principal
-    argument with the stored cell value recovers the correct branch.
-    """
-    t, ph = _lift_grid(F)
-    theta = np.asarray(theta, dtype=float)
-    base = wrap_angle(theta)
-    idx = np.clip(np.searchsorted(t, base) - 1, 0, len(t) - 2)
-    raw = np.angle(circle_values(F, base))
-    lifted = ph[idx] + np.angle(np.exp(1j * (raw - ph[idx])))
-    # restore the winding of the input angle itself
-    return lifted + F.degree * (theta - base)
-
-
 def periodic_points(F: BlaschkeMap, n: int) -> list[tuple[CirclePoint, float]]:
     """All fixed points of F^n on the circle with their multipliers |(F^n)'|.
 
-    Found as the zeros of u(theta) = lift_n(theta) - theta, which increases by
-    2*pi*(d^n - 1) per revolution; intervals are subdivided until each
-    contains at most one zero, then bisected.
+    lift_n(t) - t gains 2*pi*(d^n - 1) per revolution, so the fixed points
+    are the roots t_k of t = G_k(t) = L^{-n}(t + 2*pi*k), k = 0 .. d^n - 2,
+    one point each. As L^{-1}(tau + 2*pi*d*q) = L^{-1}(tau) + 2*pi*q, the
+    turns of k enter one base-d digit per inverse step, which keeps every
+    link of the chain within a few turns and so at full precision. The
+    chain gives the slope G_k' = 1/|(F^n)'(G_k(t))|, which is also the
+    multiplier. All equations run as one vectorised Newton iteration on
+    h = G_k(t) - t. G_k is a contraction with constant
+    rho = (sum (1-|a|)/(1+|a|))^{-n}, so the root lies between G_k(t) and
+    t + h/(1 - rho); these brackets are intersected over the sweeps, and a
+    Newton step that leaves the bracket is replaced by its midpoint. Points
+    come sorted by angle.
     """
     if not 1 <= n <= 12:
         raise ValueError("period must satisfy 1 <= n <= 12")
@@ -437,59 +400,29 @@ def periodic_points(F: BlaschkeMap, n: int) -> list[tuple[CirclePoint, float]]:
     count = d**n - 1
     if count > 10**7:
         raise BudgetExceeded(f"d^n - 1 = {count} exceeds the 1e7 budget")
-    if count == 0:
-        return []
-
-    def lift_n(theta):
-        cur = np.asarray(theta, dtype=float)
-        for _ in range(n):
-            cur = _lift_eval(F, cur)
-        return cur
-
-    # adaptive refinement: split cells until u varies by < pi/2 on each
-    grid = np.linspace(0.0, TWO_PI, max(1024, 8 * count) + 1)
-    u = lift_n(grid) - grid
-    while True:
-        du = np.diff(u)
-        bad = np.nonzero(du > 0.5 * np.pi)[0]
-        if len(bad) == 0:
-            break
-        mids = 0.5 * (grid[bad] + grid[bad + 1])
-        grid = np.sort(np.concatenate([grid, mids]))
-        u = lift_n(grid) - grid
-
-    # zeros of u - 2*pi*k in each cell
-    lo_k = np.ceil(u[:-1] / TWO_PI - 1e-12)
-    hi_k = np.floor(u[1:] / TWO_PI + 1e-12)
-    points = []
-    for i in np.nonzero(hi_k >= lo_k)[0]:
-        for k in range(int(lo_k[i]), int(hi_k[i]) + 1):
-            tlo, thi = grid[i], grid[i + 1]
-            target = TWO_PI * k
-            for _ in range(70):
-                tm = 0.5 * (tlo + thi)
-                if lift_n(np.array([tm]))[0] - tm < target:
-                    tlo = tm
-                else:
-                    thi = tm
-            points.append(0.5 * (tlo + thi))
-    points = np.array(sorted(wrap_angle(p) for p in points))
-    # dedupe the wrap-around duplicate at 0 / 2*pi
-    if len(points) > count:
-        keep = np.ones(len(points), dtype=bool)
-        for i in range(1, len(points)):
-            if points[i] - points[i - 1] < 1e-10:
-                keep[i] = False
-        if points[-1] > TWO_PI - 1e-10 and points[0] < 1e-10:
-            keep[-1] = False
-        points = points[keep]
-    result = []
-    for p in points:
-        orbit = np.empty(n)
-        cur = p
+    rho = sum((1 - abs(a)) / (1 + abs(a)) for a in F.zeros) ** (-n)
+    k = np.arange(count)
+    t = TWO_PI * k / count
+    lo, hi = np.full(count, -np.inf), np.full(count, np.inf)
+    points, mults = np.empty(count), np.empty(count)
+    active = np.arange(count)
+    for _ in range(_NEWTON_SWEEPS):
+        y, mult = t, np.ones_like(t)
         for j in range(n):
-            orbit[j] = cur
-            cur = float(angle_map(F, cur))
-        mult = float(np.prod(circle_abs_deriv(F, orbit)))
-        result.append((CirclePoint(float(p)), mult))
-    return result
+            y = lift_inverse(F, y + TWO_PI * (k // d**j % d))
+            mult *= circle_abs_deriv(F, y)
+        h = y - t
+        nxt = t + h / (1.0 - 1.0 / mult)
+        done = np.abs(h) <= 4e-15 * np.maximum(1.0, np.abs(t))
+        points[active[done]], mults[active[done]] = nxt[done], mult[done]
+        if done.all():
+            order = np.argsort(wrap_angle(points))
+            return [(CirclePoint(p), float(m)) for p, m in zip(points[order], mults[order])]
+        keep = ~done
+        active, k, t, h, y, nxt = active[keep], k[keep], t[keep], h[keep], y[keep], nxt[keep]
+        far = t + h / (1.0 - rho)
+        lo = np.maximum(lo[keep], np.minimum(y, far))
+        hi = np.minimum(hi[keep], np.maximum(y, far))
+        t = np.where((nxt < lo) | (nxt > hi), 0.5 * (lo + hi), nxt)
+    raise NoConvergence(
+        f"{len(active)} period-{n} points unconverged after {_NEWTON_SWEEPS} sweeps")

@@ -29,12 +29,6 @@ def as_angle(x) -> float:
     return float(wrap_angle(float(x)))
 
 
-def circle_dist(a: float, b: float) -> float:
-    """Shortest angular distance between two circle points."""
-    d = abs(wrap_angle(a) - wrap_angle(b))
-    return min(d, TWO_PI - d)
-
-
 @dataclass(frozen=True)
 class CirclePoint:
     """Canonical representative of e^{i*theta}."""
@@ -43,13 +37,6 @@ class CirclePoint:
 
     def __post_init__(self):
         object.__setattr__(self, "angle", float(wrap_angle(self.angle)))
-
-    @property
-    def z(self) -> complex:
-        return complex(np.cos(self.angle), np.sin(self.angle))
-
-    def dist(self, other) -> float:
-        return circle_dist(self.angle, as_angle(other))
 
 
 @dataclass(frozen=True)

@@ -74,10 +74,17 @@ def _write(path, text: str):
 # configuration parsing
 # ---------------------------------------------------------------------------
 
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path!r}: {e.strerror}") from None
+
+
 def load_map_config(spec: str) -> dict:
     if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            cfg = json.load(fh)
+        cfg = _read_json(spec[1:])
     else:
         try:
             cfg = json.loads(spec)
@@ -99,8 +106,8 @@ def build_circle_map(cfg: dict) -> blaschke.BlaschkeMap:
         allowed = {"kind", "zeros", "rotation"}
         _reject_unknown(cfg, allowed)
         zeros = [complex(re, im) for re, im in cfg["zeros"]]
-        if zeros[0] != 0:
-            raise ConfigError("zeros[0] must be [0,0]")
+        if not zeros or zeros[0] != 0:
+            raise ConfigError("zeros must be a nonempty list with zeros[0] = [0,0]")
         return blaschke.BlaschkeMap(tuple(zeros), float(cfg.get("rotation", 0.0)))
     raise ConfigError(f"not a circle map kind: {kind!r}")
 
@@ -115,8 +122,7 @@ def build_parabolic_map(cfg: dict) -> parabolic.ParabolicMap:
 
 def load_symbolic_system(path: str):
     """(config, system, potential) from a system config file."""
-    with open(path) as fh:
-        cfg = json.load(fh)
+    cfg = _read_json(path)
     _reject_unknown(cfg, {"alphabet", "incidence", "potential"})
     m = int(cfg["alphabet"])
     inc = cfg.get("incidence", "full")

@@ -4,6 +4,12 @@ The preimages of a boundary fixed point p cut the circle into d half-open
 arcs, each mapped bijectively onto the circle minus p. Itineraries over the
 arc labels 1..d code circle points; half-open membership gives every point
 off a finite exceptional set exactly one code.
+
+Everything backward goes through `blaschke.lift_inverse`. With L the
+continuous lift of the map and L(p) = p + 2*pi*m, the cuts are
+L^{-1}(p + 2*pi*(m + j)), j = 0..d, and the inverse branch into arc j + 1 is
+tau -> L^{-1}(tau + 2*pi*(m + j)) on the lifted circle [p, p + 2*pi].
+Cylinder points and weights read one backward chain of these branches.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeMap, angle_map, boundary_preimages, circle_abs_deriv
+from .blaschke import BlaschkeMap, angle_map, circle_abs_deriv, lift_inverse
 from .circle import TWO_PI, Arc, as_angle, wrap_angle
 from .errors import ExceptionalPoint, NotFixed
 
@@ -34,12 +40,14 @@ class MarkovPartition:
 
     cuts holds the lifted endpoints: cuts[0] = p <= cuts[1] < ... and
     cuts[d] = p + 2*pi, so arc i (1-based) is [cuts[i-1], cuts[i]) in the
-    lifted coordinate.
+    lifted coordinate. turns is the integer m with L(p) = p + 2*pi*m for the
+    lift L of `blaschke.lift_inverse`.
     """
 
     map: BlaschkeMap
     base_point: float
     cuts: np.ndarray
+    turns: int
 
     @property
     def degree(self) -> int:
@@ -62,9 +70,7 @@ class MarkovPartition:
             int(min(max(idx, 1), self.degree))
 
     def endpoint_distance(self, theta) -> float:
-        lifted = float(self.lift(theta))
-        d = np.min(np.abs(self.cuts - lifted))
-        return float(min(d, TWO_PI - abs(lifted - self.base_point)))
+        return float(np.min(np.abs(self.cuts - self.lift(theta))))
 
 
 def build_partition(F: BlaschkeMap, p) -> MarkovPartition:
@@ -76,14 +82,13 @@ def build_partition(F: BlaschkeMap, p) -> MarkovPartition:
     gap = abs(np.exp(1j * image) - np.exp(1j * p))
     if gap > 1e-10:
         raise NotFixed(f"|F(p) - p| = {gap:.2e} exceeds 1e-10")
-    pre = boundary_preimages(F, p)
-    lifted = np.sort(p + wrap_angle(pre - p))
-    # p itself is a preimage; snap the numerically smallest cut onto p exactly
-    if abs(lifted[0] - p) > 1e-9 and abs(lifted[-1] - (p + TWO_PI)) < 1e-9:
-        lifted = np.concatenate([[p], lifted[:-1]])
-    lifted[0] = p
-    cuts = np.concatenate([lifted, [p + TWO_PI]])
-    return MarkovPartition(map=F, base_point=float(p), cuts=cuts)
+    # L^{-1}(p + 2*pi*j) = p + 2*pi*q for one j in 0..d-1; then m = j - d*q
+    rel = lift_inverse(F, p + TWO_PI * np.arange(F.degree)) - p
+    j = int(np.argmin(np.abs(np.angle(np.exp(1j * rel)))))
+    m = j - F.degree * round(rel[j] / TWO_PI)
+    inner = lift_inverse(F, p + TWO_PI * (m + np.arange(1, F.degree)))
+    cuts = np.concatenate([[p], inner, [p + TWO_PI]])
+    return MarkovPartition(map=F, base_point=float(p), cuts=cuts, turns=m)
 
 
 def encode(P: MarkovPartition, x, depth: int) -> Word:
@@ -107,21 +112,11 @@ def encode(P: MarkovPartition, x, depth: int) -> Word:
 def _branch_pull(P: MarkovPartition, letter: int, tau: float) -> float:
     """Inverse branch into arc `letter`, in the lifted coordinate [p, p+2pi].
 
-    The branch maps the lifted circle [p, p+2pi] increasingly onto
-    [cuts[letter-1], cuts[letter]]; endpoints go to endpoints.
+    The lift inverse shifted by turns + letter - 1 whole turns maps the
+    lifted circle [p, p+2pi] increasingly onto [cuts[letter-1], cuts[letter]];
+    endpoints go to endpoints.
     """
-    p = P.base_point
-    if tau <= p + 1e-14:
-        return float(P.cuts[letter - 1])
-    if tau >= p + TWO_PI - 1e-14:
-        return float(P.cuts[letter])
-    pre = boundary_preimages(P.map, wrap_angle(tau))
-    lifted = p + wrap_angle(pre - p)
-    lo, hi = P.cuts[letter - 1], P.cuts[letter]
-    inside = lifted[(lifted > lo - 1e-13) & (lifted < hi + 1e-13)]
-    if len(inside) == 0:
-        raise ExceptionalPoint(f"no preimage of {tau} inside arc {letter}")
-    return float(np.clip(inside[0], lo, hi))
+    return float(lift_inverse(P.map, tau + TWO_PI * (P.turns + letter - 1)))
 
 
 def cylinder_arc(P: MarkovPartition, w: Word) -> Arc:
@@ -136,32 +131,30 @@ def cylinder_arc(P: MarkovPartition, w: Word) -> Arc:
     for a in w:
         if not 1 <= a <= P.degree:
             raise ValueError(f"letter {a} outside 1..{P.degree}")
-    lo = float(P.cuts[w[-1] - 1])
-    hi = float(P.cuts[w[-1]])
+    lo, hi = float(P.cuts[w[-1] - 1]), float(P.cuts[w[-1]])
     for letter in reversed(w[:-1]):
-        lo = _branch_pull(P, letter, lo)
-        hi = _branch_pull(P, letter, hi)
+        lo, hi = _branch_pull(P, letter, lo), _branch_pull(P, letter, hi)
     return Arc(wrap_angle(lo), hi - lo)
+
+
+def _backward_chain(P: MarkovPartition, w: Word, target) -> tuple[float, float]:
+    """The lifted y in [w] with F^{|w|}(y) = target, and |(F^{|w|})'(y)|.
+
+    The derivative is the product of |F'| over the points of the chain.
+    """
+    cur = float(P.lift(as_angle(target)))
+    deriv = 1.0
+    for letter in reversed(w):
+        cur = _branch_pull(P, letter, cur)
+        deriv *= float(circle_abs_deriv(P.map, cur))
+    return cur, deriv
 
 
 def cylinder_point(P: MarkovPartition, w: Word, target) -> float:
     """The unique y in the cylinder [w] with F^{|w|}(y) = target (angle)."""
-    tau = float(P.lift(as_angle(target)))
-    if tau <= P.base_point + 1e-14:
-        tau += TWO_PI * 0.0  # left endpoint is a valid lifted coordinate
-    cur = tau
-    for letter in reversed(w):
-        cur = _branch_pull(P, letter, cur)
-    return float(wrap_angle(cur))
+    return float(wrap_angle(_backward_chain(P, w, target)[0]))
 
 
 def cylinder_weight(P: MarkovPartition, w: Word, target) -> float:
     """1 / |(F^{|w|})'(y)| at the cylinder's preimage y of the target angle."""
-    y = cylinder_point(P, w, target)
-    F = P.map
-    total = 1.0
-    cur = y
-    for _ in range(len(w)):
-        total *= float(circle_abs_deriv(F, cur))
-        cur = float(angle_map(F, cur))
-    return 1.0 / total
+    return 1.0 / _backward_chain(P, w, target)[1]

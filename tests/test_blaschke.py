@@ -1,17 +1,19 @@
 """Core Blaschke-product primitives against independent oracles."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from innerdyn.blaschke import (BlaschkeMap, aberth_roots, angle_map,
+from innerdyn.blaschke import (BlaschkeMap, angle_map,
                                boundary_preimages, circle_abs_deriv,
                                circle_values, clark_measure, disk_preimages,
                                eval_and_deriv, koenigs, lyapunov_exponent,
                                multiplier_at_zero, nevanlinna,
                                periodic_points)
-from innerdyn.circle import circle_grid
+from innerdyn.circle import TWO_PI, circle_grid
 from innerdyn.errors import LogSingularity
 
 F2 = BlaschkeMap.monomial(2)
@@ -21,6 +23,7 @@ LYAP_FH = np.log((2 + np.sqrt(3)) / 2)                # Jensen formula oracle
 
 small_zero = st.complex_numbers(max_magnitude=0.6, allow_nan=False,
                                 allow_infinity=False)
+angle = st.floats(0.0, TWO_PI, exclude_max=True)
 
 
 def random_map(zs, rot=0.0):
@@ -191,14 +194,19 @@ def test_nevanlinna_origin_singularity():
         nevanlinna(FH, 1e-20)
 
 
-def test_aberth_wilkinson_style():
-    # roots 1..6 scaled into the disk
-    roots = np.array([0.1 * k for k in range(1, 7)])
-    coeffs = np.array([1.0 + 0j])
-    for r in roots:
-        coeffs = np.convolve(coeffs, [-r, 1.0])
-    found = np.sort(aberth_roots(coeffs).real)
-    assert found == pytest.approx(roots, abs=1e-9)
+@given(st.lists(st.complex_numbers(max_magnitude=0.97, allow_nan=False,
+                                   allow_infinity=False), min_size=1, max_size=6),
+       angle, st.floats(0.01, 0.99), angle)
+@settings(max_examples=150)
+def test_disk_preimages_property(zs, rot, r, phi):
+    # d roots inside the disk, each solving F(z) = w; clustered zeros near
+    # the circle are where the polynomial form alone loses accuracy
+    F = random_map(zs, rot)
+    w = r * np.exp(1j * phi)
+    roots = disk_preimages(F, w)
+    assert len(roots) == F.degree
+    assert np.all(np.abs(roots) < 1.0)
+    assert max(abs(eval_and_deriv(F, z)[0] - w) for z in roots) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +249,50 @@ def test_periodic_points_fh():
     assert len(pts) == 1
     assert pts[0][0].angle == pytest.approx(0.0, abs=1e-10)
     assert pts[0][1] == pytest.approx(4.0, abs=1e-8)
+
+
+def _check_periodic_points(F, n):
+    # lift_n(t) - t gains 2*pi*(d^n - 1) per turn, so d^n - 1 distinct
+    # fixed points of F^n are all of them
+    pts = periodic_points(F, n)
+    ang = np.array([p.angle for p, _ in pts])
+    mult = np.array([m for _, m in pts])
+    assert len(pts) == F.degree**n - 1
+    assert np.all(np.diff(np.append(ang, ang[0] + TWO_PI)) > 1e-12)
+    cur, fwd = ang.copy(), np.ones_like(ang)
+    for _ in range(n):
+        fwd *= circle_abs_deriv(F, cur)
+        cur = angle_map(F, cur)
+    # forward rounding grows with the multiplier, so the residual scales with it
+    assert np.all(np.abs(np.exp(1j * cur) - np.exp(1j * ang)) <= 1e-13 * mult)
+    assert np.allclose(mult, fwd, rtol=1e-7, atol=0.0)
+
+
+@given(st.lists(st.complex_numbers(max_magnitude=0.9, allow_nan=False,
+                                   allow_infinity=False), min_size=1, max_size=2),
+       angle, st.integers(1, 6))
+@settings(max_examples=100)
+def test_periodic_points_complete(zs, rot, n):
+    _check_periodic_points(random_map(zs, rot), n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_periodic_points_nearly_neutral(n):
+    # min |F'| ~ 1.026: plain Newton on t = G_k(t) diverges at period 1
+    _check_periodic_points(random_map([-0.95j], 2.0), n)
+
+
+def test_periodic_points_fh_period_12():
+    # the turns of k enter one base-d digit per inverse step; adding all of
+    # 2*pi*k ~ 2.6e4 up front loses the last digits of some points
+    _check_periodic_points(FH, 12)
+
+
+def test_periodic_points_fh_fast():
+    start = time.perf_counter()
+    counts = [len(periodic_points(FH, n)) for n in range(1, 11)]
+    assert time.perf_counter() - start < 2.0
+    assert counts == [2**n - 1 for n in range(1, 11)]
 
 
 # ---------------------------------------------------------------------------

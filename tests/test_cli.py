@@ -187,6 +187,18 @@ def test_exit_codes(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--map", "@{missing}", "--T", "4"],
+    ["d-generic", "--system", "{missing}"],
+    ["count", "--map", '{{"kind":"blaschke","zeros":[]}}', "--T", "4"],
+], ids=["map-file", "system-file", "empty-zeros"])
+def test_unreadable_or_empty_config_exits_2(tmp_path, argv, capsys):
+    missing = tmp_path / "missing.json"
+    argv = [a.format(missing=missing) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 @pytest.mark.parametrize("n, samples", [("0", "100"), ("64", "1")])
 def test_clt_degenerate_sizes_exit_2(tmp_path, n, samples):
     # a zero-length orbit or a single sample has no variance, and the NaN
