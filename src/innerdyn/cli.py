@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -499,10 +500,20 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_request(args):
+    """Refuse a --grid below 1 and an unwritable --out before any work."""
+    if getattr(args, "grid", 1) < 1:
+        raise ConfigError(f"--grid must be at least 1, got {args.grid}")
+    folder = os.path.dirname(os.path.abspath(args.out))
+    if args.out != "-" and (os.path.isdir(args.out) or not os.access(folder, os.W_OK)):
+        raise ConfigError(f"cannot write --out {args.out!r}")
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        _check_request(args)
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

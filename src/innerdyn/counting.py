@@ -2,14 +2,21 @@
 
 The counting function N(T) = #{(n, y): F^n(y) = x, log|(F^n)'(y)| <= T} is
 computed by exact breadth-first enumeration of the preimage tree; pruning at
-T is valid because every edge adds at least log(min |F'|) > 0. Monomial maps
-z -> e^{i rot} z^d have all level-n events at the single value n log d, so
-for large T their ledgers hold aggregated (value, multiplicity) levels and
-arc restriction uses the exact equispacing count.
+T is valid because every edge adds at least log(min |F'|) > 0. One walker,
+`_walk`, enumerates this tree, the word tree of `shift.count_words` and the
+first-return tree of `parabolic.parabolic_count`; it raises BudgetExceeded
+exactly when there are more events than the node budget, checked after
+every expanded chunk, so a refused walk holds memory of the order of the
+budget. Monomial maps z -> e^{i rot} z^d have all level-n events at n log d,
+so for large T their ledgers hold aggregated (value, multiplicity) levels
+and arc restriction uses the exact equispacing count. Ledgers answer count
+and Cesaro queries by binary search in prefix sums of their member weights.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +28,7 @@ from .errors import BudgetExceeded
 
 _NODE_BUDGET = 10**7
 _SAFETY = 4.0
+_CHUNK = 1 << 16
 
 
 @dataclass
@@ -58,20 +66,22 @@ class CountingLedger:
                               T_max=float(T_max), space=space, member_mask=member_mask,
                               meta=meta or {})
 
-    def _effective_weights(self) -> np.ndarray:
-        if self.member_mask is None:
-            return self.weights
-        return np.where(self.member_mask, self.weights, 0)
+    @functools.cached_property
+    def _sums(self):
+        """Member weights w and their prefix sums W_i = sum_{j<i} w_j and
+        S_i = sum_{j<i} w_j e^{-v_j}, built on the first query."""
+        w = (self.weights if self.member_mask is None
+             else np.where(self.member_mask, self.weights, 0))
+        return w, _prefix_sums(w), _prefix_sums(w * np.exp(-self.values))
 
     def count(self, T: float, strict: bool = True) -> int:
         """N(T) with the strict '<' convention by default; closed uses '<='."""
-        side = "left" if strict else "right"
-        idx = np.searchsorted(self.values, T, side=side)
-        return int(np.sum(self._effective_weights()[:idx]))
+        idx = np.searchsorted(self.values, T, side="left" if strict else "right")
+        return int(self._sums[1][idx])
 
     @property
     def total(self) -> int:
-        return int(np.sum(self._effective_weights()))
+        return int(self._sums[1][-1])
 
     def restricted(self, arcs) -> "CountingLedger":
         """Ledger filtered to events whose location lies in the arc union."""
@@ -85,23 +95,29 @@ class CountingLedger:
                               meta=dict(self.meta))
 
     def cesaro_average(self, T: float) -> float:
-        """(1/T) int_0^T N(t) e^{-t} dt, exactly (N is a step function)."""
+        """(1/T) int_0^T N(t) e^{-t} dt = (S - W e^{-T}) / T over events v <= T."""
         if T <= 0:
             raise ValueError("T must be positive")
-        w = self._effective_weights()
-        sel = self.values <= T
-        v = self.values[sel]
-        cum = np.cumsum(w[sel])
-        if len(v) == 0:
-            return 0.0
-        edges = np.concatenate([v, [T]])
-        integral = float(np.sum(cum * (np.exp(-edges[:-1]) - np.exp(-edges[1:]))))
-        return integral / T
+        _, W, S = self._sums
+        idx = np.searchsorted(self.values, T, side="right")
+        return float(S[idx] - W[idx] * np.exp(-T)) / T if idx else 0.0
 
     def stieltjes(self, s: complex) -> complex:
         """sum over events of e^{-s * value}, the Laplace transform of dN."""
-        w = self._effective_weights()
-        return complex(np.sum(w * np.exp(-complex(s) * self.values)))
+        return complex(np.sum(self._sums[0] * np.exp(-complex(s) * self.values)))
+
+
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """[0, x_0, x_0 + x_1, ...]; a float sum adds back each step's rounding
+    error, recovered exactly by TwoSum, so it stays within a few ulps."""
+    out = np.zeros(len(x) + 1, dtype=x.dtype)
+    s = np.cumsum(x, out=out[1:])
+    if s.dtype.kind == "f":
+        step = s - out[:-1]
+        err = out[:-1] - (s - step)
+        err += x - step
+        s += np.cumsum(err, out=err)
+    return out
 
 
 def _monomial_level_count_in_arc(x: float, d: int, rotation: float, n: int,
@@ -114,81 +130,114 @@ def _monomial_level_count_in_arc(x: float, d: int, rotation: float, n: int,
     if n == 0:
         return int(arc.contains(x))
     K = d**n
-    # F^n(z) = e^{i rot_n} z^{d^n} with rot_n = rot * (d^n - 1)/(d - 1)
-    rot_n = rotation * (d**n - 1) / (d - 1) if d > 1 else rotation * n
+    # F^n(z) = e^{i rot_n} z^{d^n} with rot_n = rot * (d^n - 1)/(d - 1), d >= 2
+    rot_n = rotation * (d**n - 1) / (d - 1)
     delta = TWO_PI / K
     phi = float(np.mod((x - rot_n) / K, delta))
+    # the points phi + j*delta, j in [0, K), shifted to start at 0
     lo = float(np.mod(arc.start - phi, TWO_PI))
-    hi = lo + arc.length
-
-    def count_below(t):
-        return int(np.ceil((t - 0.0) / delta - 1e-15))
-
-    # points at phi + j*delta for j in [0, K); shift so the progression starts at 0
-    return count_below(hi) - count_below(lo)
+    return (int(np.ceil((lo + arc.length) / delta - 1e-15))
+            - int(np.ceil(lo / delta - 1e-15)))
 
 
 def _restrict_aggregated(L: CountingLedger, arcs) -> CountingLedger:
     x = L.meta["seed_angle"]
     d = L.meta["degree"]
     rot = L.meta["rotation"]
-    new_w = np.zeros_like(L.weights)
-    for i, v in enumerate(L.values):
-        n = int(round(v / np.log(d))) if v > 0 else 0
-        new_w[i] = sum(_monomial_level_count_in_arc(x, d, rot, n, a) for a in arcs)
+    # entry n of an aggregated ledger is level n
+    new_w = np.array([sum(_monomial_level_count_in_arc(x, d, rot, n, a) for a in arcs)
+                      for n in range(len(L.values))], dtype=float)
     return CountingLedger(values=L.values, weights=new_w, locations=None,
                           T_max=L.T_max, space=L.space, member_mask=None,
                           meta=dict(L.meta))
 
 
 @dataclass
-class BackwardOrbit:
-    """Level-synchronous backward orbit of x: angles, values, parent links."""
+class LevelTree:
+    """Per level n: the nodes, their accumulated values and the parent links
+    (indices into level n - 1, -1 at the roots)."""
 
-    angles: list          # level n -> ndarray of preimage angles
-    values: list          # level n -> ndarray of accumulated log-derivatives
-    parents: list         # level n -> ndarray of indices into level n-1
+    nodes: list
+    values: list
+    parents: list
 
-    @property
-    def depth(self) -> int:
-        return len(self.angles) - 1
+    def events(self) -> tuple[np.ndarray, np.ndarray]:
+        """All nodes and their values, level after level."""
+        return np.concatenate(self.nodes), np.concatenate(self.values)
+
+
+def _walk(root, children, T: float, node_budget: int, fanout: int) -> LevelTree:
+    """Every node with value <= T of a tree whose values grow along its edges.
+
+    The root has value 0. children(nodes, acc) returns (owner, child_nodes,
+    child_values) for a chunk of one level, owner indexing the chunk. A
+    chunk holds min(node_budget, 2^16) // fanout nodes, fanout being the
+    usual number of children, and BudgetExceeded is raised after the chunk
+    that takes the total past node_budget; the last level is empty.
+    """
+    total = int(T >= 0.0)
+    tree = LevelTree([np.full(total, root)], [np.zeros(total)],
+                     [np.full(total, -1, dtype=np.int64)])
+    chunk = max(1, min(node_budget, _CHUNK) // fanout)
+    while len(tree.nodes[-1]) and total <= node_budget:
+        nodes, acc = tree.nodes[-1], tree.values[-1]
+        level = []
+        for lo in range(0, len(nodes), chunk):
+            if total > node_budget:
+                break
+            owner, kid, val = children(nodes[lo:lo + chunk], acc[lo:lo + chunk])
+            keep = val <= T
+            total += int(np.count_nonzero(keep))
+            level.append((kid[keep], val[keep], owner[keep] + lo))
+        kids, vals, parents = (np.concatenate(c) for c in zip(*level))
+        tree.nodes.append(kids)
+        tree.values.append(vals)
+        tree.parents.append(parents)
+    if total > node_budget:
+        raise BudgetExceeded(f"enumeration exceeded the node budget of {node_budget} events")
+    return tree
+
+
+def _prefix_member(tree: LevelTree, letter, pad, cylinders) -> np.ndarray:
+    """Whether each event's word starts with one of the cylinders.
+
+    The word of a level-n event is the letters of its n nodes up the parent
+    links, itself first, then the pad word, then zeros; letter(nodes) gives
+    one letter per node. cylinders None admits every event.
+    """
+    if cylinders is None:
+        return np.ones(sum(map(len, tree.nodes)), dtype=bool)
+    width = max(map(len, cylinders), default=0)
+    pad = np.array((tuple(pad) + (0,) * width)[:width], dtype=np.int64)
+    heads = [np.tile(pad, (len(tree.nodes[0]), 1))]
+    for nodes, parents in zip(tree.nodes[1:], tree.parents[1:]):
+        heads.append(np.column_stack([letter(nodes), heads[-1][parents, :-1]])[:, :width])
+    head = np.concatenate(heads)
+    member = np.zeros(len(head), dtype=bool)
+    for t in cylinders:
+        member |= np.all(head[:, :len(t)] == np.array(t, dtype=np.int64), axis=1)
+    return member
 
 
 def backward_orbit(F: BlaschkeMap, x, T: float,
-                   node_budget: int = _NODE_BUDGET) -> BackwardOrbit:
-    """All preimage-tree nodes with accumulated log-derivative <= T."""
-    x = as_angle(x)
-    angles = [np.array([x])]
-    values = [np.array([0.0])]
-    parents = [np.array([-1], dtype=np.int64)]
-    nodes = 1
+                   node_budget: int = _NODE_BUDGET) -> LevelTree:
+    """All preimage-tree nodes (angles) with accumulated log-derivative <= T."""
     d = F.degree
-    while len(angles[-1]) > 0:
-        cur_a = angles[-1]
-        cur_v = values[-1]
-        Y = boundary_preimages_batch(F, cur_a)            # (m, d)
-        inc = np.log(circle_abs_deriv(F, Y))
-        child_v = cur_v[:, None] + inc
-        keep = child_v <= T
-        if not np.any(keep):
-            angles.append(np.array([]))
-            values.append(np.array([]))
-            parents.append(np.array([], dtype=np.int64))
-            break
-        par = np.broadcast_to(np.arange(len(cur_a))[:, None], (len(cur_a), d))
-        angles.append(Y[keep])
-        values.append(child_v[keep])
-        parents.append(par[keep])
-        nodes += int(np.sum(keep))
-        if nodes > node_budget:
-            raise BudgetExceeded(f"backward orbit exceeded {node_budget} nodes")
-    return BackwardOrbit(angles=angles, values=values, parents=parents)
+
+    def children(angles, acc):
+        Y = boundary_preimages_batch(F, angles)            # (m, d)
+        owner = np.repeat(np.arange(len(angles)), d)
+        return owner, Y.ravel(), (acc[:, None] + np.log(circle_abs_deriv(F, Y))).ravel()
+
+    return _walk(as_angle(x), children, T, node_budget, d)
 
 
-def estimate_nodes(F: BlaschkeMap, T: float) -> float:
-    """Predicted event count e^T / Lyapunov with a safety margin."""
-    lam = lyapunov_exponent(F)
-    return _SAFETY * np.exp(T) / lam
+def refuse_oversize(T: float, measure: float, lyapunov: float, node_budget: int) -> None:
+    """Refuse a walk whose predicted size 4 * measure * e^T / lyapunov
+    exceeds the node budget, before it starts."""
+    if T > math.log(node_budget * lyapunov / (_SAFETY * measure)):
+        raise BudgetExceeded("predicted event count exceeds the node budget; "
+                             "a truncated count would bias the limit, so refuse")
 
 
 def enumerate_orbit(F: BlaschkeMap, x, T: float,
@@ -203,9 +252,6 @@ def enumerate_orbit(F: BlaschkeMap, x, T: float,
     if F.is_rotation:
         raise ValueError("rotations have no expanding counting theory")
     x = as_angle(x)
-    if T < 0:
-        return CountingLedger.from_events(np.array([]), locations=np.array([]),
-                                          T_max=T, meta={"map": F.label()})
     if F.is_monomial:
         d = F.degree
         n_max = int(np.floor(T / np.log(d) + 1e-12))
@@ -220,12 +266,9 @@ def enumerate_orbit(F: BlaschkeMap, x, T: float,
                                   meta={"map": F.label(), "seed_angle": x,
                                         "degree": d, "rotation": F.rotation,
                                         "aggregated": True})
-    elif estimate_nodes(F, T) > node_budget:
-        raise BudgetExceeded("predicted event count exceeds the node budget; "
-                             "a truncated count would bias the limit, so refuse")
-    orbit = backward_orbit(F, x, T, node_budget)
-    vals = np.concatenate(orbit.values)
-    locs = np.concatenate(orbit.angles)
+    else:
+        refuse_oversize(T, 1.0, lyapunov_exponent(F), node_budget)
+    locs, vals = backward_orbit(F, x, T, node_budget).events()
     return CountingLedger.from_events(vals, locations=locs, T_max=float(T),
                                       meta={"map": F.label(), "seed_angle": x})
 
@@ -234,57 +277,24 @@ def coded_count(partition, x, T: float, cylinders,
                 node_budget: int = _NODE_BUDGET) -> CountingLedger:
     """Counting on the coded system: events filtered by itinerary prefix.
 
-    Runs the same backward-orbit engine and assigns each event its leading
-    letters by walking the parent links; an event's infinite word starts
-    with tau exactly when its first |tau| letters match, which reproduces
-    the symbolic count of the pulled-back potential bit for bit.
+    Runs the same backward-orbit engine and reads each event's leading
+    letters up the parent links, padded by the seed's own itinerary; an
+    event's infinite word starts with tau exactly when its first |tau|
+    letters match, which reproduces the symbolic count of the pulled-back
+    potential bit for bit. An empty list of cylinders admits every event.
     """
-    F = partition.map
-    orbit = backward_orbit(F, x, T, node_budget)
-    cylinders = [tuple(t) for t in cylinders]
-    max_tau = max(len(t) for t in cylinders) if cylinders else 0
-    all_vals = []
-    all_mask = []
-    all_locs = []
-    for n in range(len(orbit.angles)):
-        ang = orbit.angles[n]
-        if len(ang) == 0:
-            continue
-        letters = np.empty((len(ang), 0), dtype=np.int64)
-        if max_tau > 0:
-            cols = []
-            level = n
-            cur_idx = np.arange(len(ang))
-            for _ in range(min(max_tau, n)):
-                cols.append(partition.letter(orbit.angles[level][cur_idx]))
-                cur_idx = orbit.parents[level][cur_idx]
-                level -= 1
-            # pad with the seed's own itinerary when the word is shorter than tau
-            if n < max_tau:
-                pad = _seed_letters(partition, x, max_tau - n)
-                for p in pad:
-                    cols.append(np.full(len(ang), p, dtype=np.int64))
-            letters = np.stack(cols, axis=1) if cols else letters
-        mask = np.zeros(len(ang), dtype=bool)
-        if cylinders:
-            for tau in cylinders:
-                t = np.array(tau, dtype=np.int64)
-                mask |= np.all(letters[:, : len(t)] == t[None, :], axis=1)
-        else:
-            mask[:] = True
-        all_vals.append(orbit.values[n])
-        all_mask.append(mask)
-        all_locs.append(ang)
-    vals = np.concatenate(all_vals)
-    return CountingLedger.from_events(
-        vals, locations=np.concatenate(all_locs),
-        member_mask=np.concatenate(all_mask), T_max=float(T), space="circle",
-        meta={"map": F.label(), "seed_angle": as_angle(x), "coded": True})
-
-
-def _seed_letters(partition, x, count: int) -> list[int]:
     from .coding import encode
-    return list(encode(partition, x, count))
+
+    F = partition.map
+    tree = backward_orbit(F, x, T, node_budget)
+    cylinders = [tuple(t) for t in cylinders]
+    width = max(map(len, cylinders), default=0)
+    pad = encode(partition, x, width) if width else ()
+    member = _prefix_member(tree, partition.letter, pad, cylinders or None)
+    locs, vals = tree.events()
+    return CountingLedger.from_events(
+        vals, locations=locs, member_mask=member, T_max=float(T), space="circle",
+        meta={"map": F.label(), "seed_angle": as_angle(x), "coded": True})
 
 
 @dataclass

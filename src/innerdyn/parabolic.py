@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .counting import CountingLedger
+from .counting import CountingLedger, _walk, refuse_oversize
 from .errors import (BisectionFail, BudgetExceeded, NoConvergence,
                      NoReturnWithinCap, NotDoublyParabolic,
                      TailBoundExceeded)
@@ -545,18 +545,23 @@ class _KacStrata:
             # above _N_FINE are read
             t_nodes, t_sums = _excursion_chain(P, side, tail, cap - old)
             for br in branches:
-                # preimages of p_{old+1} .. p_cap cut the new strata
-                xb = _inverse(P, br.lo, br.hi, p[old + 1: cap + 1])
-                ends = np.concatenate([br.xb[-1:], xb])
-                lo = np.minimum(ends[1:], ends[:-1])
-                hi = np.maximum(ends[1:], ends[:-1])
-                contrib = np.concatenate([
-                    _stratum_integrals(P, lo[:nf], hi[:nf], nodes, sums, self.fine_rule),
-                    _stratum_integrals(P, lo[nf:], hi[nf:], t_nodes[:, nf:], t_sums[:, nf:],
-                                       self.tail_rule)])
-                br.xb = np.concatenate([br.xb, xb])
-                br.contrib = np.concatenate([br.contrib, contrib])
-                br.lengths = np.concatenate([br.lengths, hi - lo])
+                # preimages of p_{old+1} .. p_cap cut the new strata, solved a
+                # block of levels at a time to keep the temporaries small
+                for a in range(0, cap - old, _N_FINE):
+                    b = min(cap - old, a + _N_FINE)
+                    xb = _inverse(P, br.lo, br.hi, p[old + 1 + a: old + 1 + b])
+                    ends = np.concatenate([br.xb[-1:], xb])
+                    lo = np.minimum(ends[1:], ends[:-1])
+                    hi = np.maximum(ends[1:], ends[:-1])
+                    f = max(0, min(nf, b) - a)          # levels under the q-point rule
+                    contrib = np.concatenate([
+                        _stratum_integrals(P, lo[:f], hi[:f], nodes[:, a:a + f],
+                                           sums[:, a:a + f], self.fine_rule),
+                        _stratum_integrals(P, lo[f:], hi[f:], t_nodes[:, a + f:b],
+                                           t_sums[:, a + f:b], self.tail_rule)])
+                    br.xb = np.concatenate([br.xb, xb])
+                    br.contrib = np.concatenate([br.contrib, contrib])
+                    br.lengths = np.concatenate([br.lengths, hi - lo])
         self.cap = cap
 
 
@@ -622,16 +627,13 @@ def _kac_lhs(strata: _KacStrata, cap: int):
 # orbit counting for the induced system
 # ---------------------------------------------------------------------------
 
-def _auto_level(P: ParabolicMap, points, N_min: int = 1, N_max: int = 64) -> int:
-    """Smallest level N with X_N containing all the given points."""
-    lo = min(points)
-    hi = max(points)
-    for N in range(N_min, N_max + 1):
-        pp = boundary_orbit(P, "+", N + 1)
-        pm = boundary_orbit(P, "-", N + 1)
-        if pm[-1] <= lo and hi <= pp[-1]:
-            return N
-    raise ValueError("points do not fit any core interval up to N_max")
+def _auto_level(P: ParabolicMap, points, N_max: int = 64) -> int:
+    """Smallest level N with X_N = [p_N^-, p_N^+] containing all the given points."""
+    pp, pm = boundary_orbit(P, "+", N_max + 1), boundary_orbit(P, "-", N_max + 1)
+    fits = np.flatnonzero((pm[1:] <= min(points)) & (max(points) <= pp[1:]))
+    if not len(fits):
+        raise ValueError("points do not fit any core interval up to N_max")
+    return int(fits[0]) + 1
 
 
 def parabolic_count(P: ParabolicMap, x: float, T: float, B,
@@ -640,10 +642,14 @@ def parabolic_count(P: ParabolicMap, x: float, T: float, B,
     """Ledger of backward orbits of the first-return map with Birkhoff sums <= T.
 
     Events are pairs (S_k log|Fhat'|(z), z) over k-step Fhat-preimages z of
-    x; B is a union of half-open intervals [lo, hi) inside the core X. The
-    tree is pruned at T, which is valid because every return adds at least
+    x; B is a union of half-open intervals [lo, hi) inside the core X of
+    level N (by default the first level whose core holds x and B), and an
+    empty interval or one outside X raises ValueError. `counting._walk`
+    prunes the tree at T, valid because every return adds at least
     log(inf_X F') > 0; excursion branches are pruned once their minimal
-    increment exceeds the remaining budget.
+    increment exceeds the remaining budget. BudgetExceeded is raised before
+    the walk if its predicted size exceeds node_budget, and during it
+    exactly when there are more than node_budget events.
     """
     B = [(float(lo), float(hi)) for lo, hi in B]
     pts = [x] + [e for ab in B for e in ab]
@@ -653,16 +659,19 @@ def parabolic_count(P: ParabolicMap, x: float, T: float, B,
     core_lo, core_hi = part.core
     if not core_lo <= x <= core_hi:
         raise ValueError("seed must lie in the core interval")
-    est = 4.0 * math.exp(T) * (core_hi - core_lo) / lyapunov_integral(P)
-    if est > node_budget:
-        raise BudgetExceeded("predicted event count exceeds the node budget")
+    for lo, hi in B:
+        if not core_lo <= lo < hi <= core_hi:
+            raise ValueError(f"interval [{lo}, {hi}) is empty or not inside the core "
+                             f"X = [{core_lo}, {core_hi}] of level {N}")
+    refuse_oversize(T, core_hi - core_lo, lyapunov_integral(P), node_budget)
     branches = _full_branches(P, part)
     pp, pm = part.p_plus, part.p_minus
     b_lo, b_hi = float(P.pole_locations[0]), float(P.pole_locations[-1])
 
     def children(y, acc):
-        """Children (z, acc + increment) of the nodes y. Only the excursion
-        ladders are cut at T here; the caller prunes the other children."""
+        """(owner, z, acc + increment) for the children z of the nodes y.
+        Only the excursion ladders are cut at T here; the walker prunes the
+        other children."""
         # every (node, bracket) pair of a one-step child goes to one solve
         pairs = []
         # one-step moves down the ladders: z in J_{m+1} needs y in J_m, m < N
@@ -680,7 +689,7 @@ def parabolic_count(P: ParabolicMap, x: float, T: float, B,
             i = np.flatnonzero((cl | (y > b_lo)) & (cr | (y < b_hi)))
             pairs.append((i, np.full(len(i), blo), np.full(len(i), bhi)))
         i, lo, hi = (np.concatenate(c) for c in zip(*pairs))
-        zs = [_inverse(P, lo, hi, y[i])]
+        owners, zs = [i], [_inverse(P, lo, hi, y[i])]
         vs = [acc[i] + np.log(P.deriv(zs[0]))]
         # excursion families land exactly in J_N^{+-}; their ladders grow in
         # chunks, and a column stops at the first level where the increment
@@ -700,30 +709,18 @@ def parabolic_count(P: ParabolicMap, x: float, T: float, B,
                 live = np.cumsum(over, axis=0) == 0
                 for z, c in zip(Z, inc):
                     keep = live & (c <= T - base)
+                    owners.append(np.broadcast_to(i, c.shape)[keep])
                     zs.append(z[keep])
                     vs.append(np.broadcast_to(base, c.shape)[keep] + c[keep])
                 go = ~over.any(axis=0)
-                w, base, descent = W[-1, go], base[go], L[-1, go]
-        return np.concatenate(zs), np.concatenate(vs)
+                i, w, base, descent = i[go], W[-1, go], base[go], L[-1, go]
+        return np.concatenate(owners), np.concatenate(zs), np.concatenate(vs)
 
-    start = np.array([float(x)] if T >= 0 else [])
-    locations, values = [start], [np.zeros(len(start))]
-    nodes = len(start)
-    while len(locations[-1]):
-        z, v = children(locations[-1], values[-1])
-        keep = v <= T
-        locations.append(z[keep])
-        values.append(v[keep])
-        nodes += int(np.sum(keep))
-        if nodes > node_budget:
-            raise BudgetExceeded("node budget exhausted during enumeration")
-    values = np.concatenate(values)
-    locations = np.concatenate(locations)
-    member = np.zeros(len(values), dtype=bool)
+    locations, values = _walk(float(x), children, T, node_budget,
+                              len(branches) + 2).events()
+    member = np.full(len(values), not B)
     for lo, hi in B:
         member |= (locations >= lo) & (locations < hi)
-    if not B:
-        member[:] = True
     return CountingLedger.from_events(values, locations=locations,
                                       member_mask=member, T_max=float(T),
                                       space="line",

@@ -456,15 +456,16 @@ def count_words(S: SymbolicSystem, psi: PotentialSpec, xi: Word, T: float,
     """Exact count of prefix words with Birkhoff sum of -psi at most T.
 
     Events are pairs (S_{|w|}(-psi)(w xi), w); prepending a letter increases
-    the sum by at least min(-psi) > 0, which prunes the tree. Level by
-    level, a node is the depth-k window of w xi, its children follow the
-    window's predecessor edges, and its leading letters (padded by xi, then
-    by 0) decide membership in the cylinders of B. Expanding at most
-    min(node_budget, 2^16) edges at a time, it raises BudgetExceeded on the
-    (node_budget + 1)-th event. An inadmissible seed raises ValueError.
-    Returns a ledger whose member mask reflects B.
+    the sum by at least min(-psi) > 0, which prunes the tree. `counting._walk`
+    walks it level by level: a node is the depth-k window of w xi, its
+    children follow the window's predecessor edges, and its leading letters
+    (padded by xi, then by 0) decide membership in the cylinders of B.
+    BudgetExceeded is raised exactly when there are more than node_budget
+    events, checked per expanded chunk, so a refused walk holds memory of
+    the order of the budget. An inadmissible seed raises ValueError. Returns
+    a ledger whose member mask reflects B.
     """
-    from .counting import CountingLedger
+    from .counting import CountingLedger, _prefix_member, _walk
 
     k = psi.depth
     xi = tuple(xi)
@@ -475,40 +476,20 @@ def count_words(S: SymbolicSystem, psi: PotentialSpec, xi: Word, T: float,
     tab = S.cylinder_table(k)
     inc = -psi.vector(tab.basis)                 # entering window j adds inc[j]
     ptr = np.searchsorted(tab.rows, np.arange(len(tab.basis) + 1))
-    cylinders = [tuple(t) for t in B] if B is not None else None
-    width = max(map(len, cylinders or ()), default=0)
-    chunk = max(1, min(node_budget, 1 << 16))
+    deg = np.diff(ptr)
 
-    win = np.array([tab.index[xi[:k]]] if T >= 0.0 else [], dtype=np.int64)
-    acc = np.zeros(len(win))
-    head = np.tile(np.array((xi + (0,) * width)[:width], dtype=np.int64), (len(win), 1))
-    levels = [(acc, head)]
-    nodes = len(win)
-    while len(win):
-        deg = ptr[win + 1] - ptr[win]
-        ends = np.cumsum(deg)
-        offset = ptr[win] + deg - ends           # candidate c of node i is edge c + offset[i]
-        level = [(win[:0], acc[:0], head[:0])]
-        for lo in range(0, max(ends[-1], 1), chunk):     # a childless root is still counted
-            cand = np.arange(lo, min(lo + chunk, ends[-1]))
-            owner = np.searchsorted(ends, cand, side="right")
-            child = tab.cols[cand + offset[owner]]
-            val = acc[owner] + inc[child]
-            keep = val <= T
-            nodes += int(np.count_nonzero(keep))
-            if nodes > node_budget:
-                raise BudgetExceeded("word enumeration exceeded the node budget")
-            owner, child = owner[keep], child[keep]
-            level.append((child, val[keep], np.concatenate(
-                [tab.letters[child, :1], head[owner, :-1]], axis=1)[:, :width]))
-        win, acc, head = (np.concatenate(c) for c in zip(*level))
-        levels.append((acc, head))
-    values, heads = (np.concatenate(c) for c in zip(*levels))
-    member = np.full(len(values), cylinders is None)
-    for t in cylinders or ():
-        member |= np.all(heads[:, :len(t)] == np.array(t, dtype=np.int64), axis=1)
+    def children(win, acc):
+        n = deg[win]
+        owner = np.repeat(np.arange(len(win)), n)
+        edge = np.arange(len(owner)) + np.repeat(ptr[win] - (np.cumsum(n) - n), n)
+        child = tab.cols[edge]
+        return owner, child, acc[owner] + inc[child]
+
+    tree = _walk(tab.index[xi[:k]], children, T, node_budget, int(deg.max()))
+    cylinders = [tuple(t) for t in B] if B is not None else None
+    member = _prefix_member(tree, lambda win: tab.letters[win, 0], xi, cylinders)
     return CountingLedger.from_events(
-        values, member_mask=member, T_max=T, space="shift",
+        np.concatenate(tree.values), member_mask=member, T_max=T, space="shift",
         meta={"system": S.label(), "seed": xi[:8], "B": cylinders})
 
 

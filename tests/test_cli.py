@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import innerdyn
-from innerdyn import parabolic, stochastic
+from innerdyn import counting, parabolic, shift, stochastic
 from innerdyn.cli import main
 from innerdyn.parabolic import kac_check
 
@@ -256,3 +256,40 @@ def test_cold_start_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]", out.stdout[:300]
+
+
+def test_unwritable_out_exits_2_before_the_work(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(counting, "enumerate_orbit", lambda *a, **k: calls.append(a))
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(["count", "--map", MONOMIAL, "--T", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+    assert calls == []
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+@pytest.mark.parametrize("argv, work", [
+    (["count", "--map", MONOMIAL, "--T", "4"], (counting, "enumerate_orbit")),
+    (["shift-count", "--system", "{system}", "--T", "4"], (shift, "count_words")),
+    (["parabolic-count", "--map", BOOLE, "--T", "4", "--x", "0.5",
+      "--interval=-1,1", "--level", "1"], (parabolic, "parabolic_count")),
+], ids=["count", "shift-count", "parabolic-count"])
+def test_grid_below_one_exits_2_before_the_work(tmp_path, monkeypatch, capsys,
+                                                grid, argv, work):
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({
+        "alphabet": 2, "potential": {"values": {"1": -0.7, "2": -0.7}}}))
+    calls = []
+    monkeypatch.setattr(*work, lambda *a, **k: calls.append(a))
+    argv = [str(system) if a == "{system}" else a for a in argv]
+    assert main(argv + ["--grid", grid, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert calls == []
+
+
+@pytest.mark.parametrize("interval", ["-5,5", "1,-1", "0.5,0.5"])
+def test_parabolic_interval_outside_core_exits_2(tmp_path, interval):
+    # at level 1 the Boole core is X = [-1, 1]
+    assert main(["parabolic-count", "--map", BOOLE, "--T", "6", "--x", "0.5",
+                 f"--interval={interval}", "--level", "1",
+                 "--out", str(tmp_path / "x.csv")]) == 2

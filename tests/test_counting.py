@@ -1,13 +1,16 @@
 """Backward-orbit counting: exactness, lattice ledgers, coded equivalence."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from innerdyn.blaschke import BlaschkeMap, lyapunov_exponent
 from innerdyn.circle import Arc, FULL_CIRCLE
 from innerdyn.coding import build_partition, cylinder_arc
-from innerdyn.counting import (asymptotic_report, coded_count,
-                               enumerate_orbit, ratio_amplitude)
+from innerdyn.counting import (CountingLedger, asymptotic_report, backward_orbit,
+                               coded_count, enumerate_orbit, ratio_amplitude)
 from innerdyn.errors import BudgetExceeded
 from innerdyn.shift import PotentialSpec, SymbolicSystem, count_words
 
@@ -193,3 +196,48 @@ def test_table_shift_count_matches_circle_for_binary():
     lz = enumerate_orbit(F2, 0.3, 9.0)
     for t in np.linspace(0.5, 9.0, 17):
         assert lw.count(t, strict=False) == lz.count(t, strict=False)
+
+
+# ---------------------------------------------------------------------------
+# the budget rule and the prefix-sum queries
+# ---------------------------------------------------------------------------
+
+@given(st.lists(st.builds(complex, st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
+                min_size=1, max_size=2),
+       st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi), st.floats(-0.5, 5.0))
+@settings(max_examples=40, deadline=None)
+def test_backward_orbit_budget_is_the_event_count(zeros, rotation, x, T):
+    # the walk refuses exactly when there are more events than it allows
+    F = BlaschkeMap((0j,) + tuple(zeros), rotation)
+    n = sum(map(len, backward_orbit(F, x, T).values))
+    assert sum(map(len, backward_orbit(F, x, T, node_budget=n).values)) == n
+    if n:
+        with pytest.raises(BudgetExceeded):
+            backward_orbit(F, x, T, node_budget=n - 1)
+
+
+def _step_integral(values, weights, T):
+    """int_0^T N(t) e^{-t} dt, one exact term w (e^{-v} - e^{-T}) per event."""
+    return math.fsum(float(w) * math.exp(-v) * -math.expm1(v - T)
+                     for v, w in zip(values, weights) if v <= T)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 200), st.booleans(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_prefix_queries_match_direct_sums(seed, n, float_weights, masked):
+    rng = np.random.default_rng(seed)
+    values = np.sort(rng.integers(0, 48, n) / 8.0)         # ties on a 1/8 grid
+    weights = rng.integers(1, 2**40, n)
+    weights = weights.astype(np.float64) if float_weights else weights
+    mask = rng.random(n) < 0.6 if masked else None
+    led = CountingLedger(values=values, weights=weights, locations=None,
+                         T_max=6.0, member_mask=mask)
+    w = weights if mask is None else np.where(mask, weights, 0)
+    assert led.total == int(np.sum(w))
+    for t in np.concatenate([values, np.arange(-1, 50) / 8.0 + 1 / 16]):
+        assert led.count(t, strict=True) == int(np.sum(w[values < t]))
+        assert led.count(t, strict=False) == int(np.sum(w[values <= t]))
+    # off the grid, so that every term keeps at least e^{-T}(e^{1/16} - 1)
+    for t in np.arange(0, 50) / 8.0 + 1 / 16:
+        want = _step_integral(values, w, t) / t
+        assert led.cesaro_average(t) == pytest.approx(want, rel=1e-13, abs=0.0)

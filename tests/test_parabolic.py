@@ -1,6 +1,7 @@
 """Doubly-parabolic maps: partition, first return, Kac identity, counting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -189,6 +190,21 @@ def test_kac_two_point_tail_matches_full_rule(monkeypatch):
     assert abs(lhs - ref) / rhs <= 1e-8
 
 
+def test_kac_strata_grow_in_bounded_blocks():
+    # one jump of the two-pole table from cap 10^4 to 129,831, as kac_check
+    # makes at level 3, held about 40 MB of solver temporaries when all new
+    # levels were solved at once; blocks of 2^14 levels keep it near 25 MB
+    strata = _KacStrata(TWOPOLE, 3, 12)
+    strata.grow(10**4)
+    tracemalloc.start()
+    try:
+        strata.grow(129_831)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+
+
 def test_kac_mass_decomposition():
     # the strata tile X: directly integrated mass plus the exact remainder
     # equals the length of the core interval
@@ -320,6 +336,15 @@ def test_parabolic_count_trivial_cases():
     assert parabolic_count(BOOLE, 0.5, 0.5, [(-1.0, 1.0)], N=1).total == 1
     assert parabolic_count(BOOLE, 0.5, 0.5, [(0.6, 1.0)], N=1).total == 0
     assert parabolic_count(BOOLE, 0.5, -1.0, [(-1.0, 1.0)], N=1).total == 0
+
+
+@pytest.mark.parametrize("B", [[(-5.0, 5.0)], [(1.0, -1.0)], [(0.5, 0.5)],
+                               [(-1.0, 1.0), (0.9, 1.1)]])
+def test_parabolic_count_refuses_intervals_outside_the_core(B):
+    # at level 1 the Boole core is X = [-1, 1]: (-5, 5) would be compared
+    # with m(B) = 10, and (1, -1) would count nothing against a negative m(B)
+    with pytest.raises(ValueError, match="core"):
+        parabolic_count(BOOLE, 0.5, 6.0, B, N=1)
 
 
 def test_induced_multipliers_generic():
