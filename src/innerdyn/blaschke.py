@@ -244,15 +244,11 @@ def boundary_preimages_batch(F: BlaschkeMap, targets: np.ndarray) -> np.ndarray:
     """All d boundary preimage angles for each target angle.
 
     Returns an array of shape (len(targets), d) with angles in [0, 2*pi),
-    sorted ascending along the second axis.
+    sorted ascending along the second axis. The d lift representatives
+    tau + 2*pi*j, j = 0..d-1, are solved by `lift_inverse`.
     """
-    _, ph = _lift_grid(F)
-    d = F.degree
     targets = np.asarray(targets, dtype=float)
-    k0 = np.ceil((ph[0] - targets) / TWO_PI - 1e-15)
-    # lift representatives tau + 2*pi*(k0 + j), j = 0..d-1
-    taus = targets[:, None] + TWO_PI * (k0[:, None] + np.arange(d)[None, :])
-    roots = wrap_angle(_preimage_newton(F, taus.ravel())).reshape(len(targets), d)
+    roots = wrap_angle(lift_inverse(F, targets[:, None] + TWO_PI * np.arange(F.degree)))
     roots.sort(axis=1)
     return roots
 

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import (BudgetExceeded, DivergentSeries, NoConvergence, NotPrimitive,
                      SummabilityViolated)
 from .rng import uniform_stream
-from .spectral import SpectralData, deflated_resolvent, leading_spectral_data
+from .spectral import (SpectralData, deflated_resolvent, leading_spectral_data,
+                       operator_parameter)
 
 Word = tuple
 
@@ -225,16 +226,17 @@ def cylinder_operator(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
     For a word w, the predecessors are w' = a + w[:k-1]; the entry is the
     weight at w', which is exact because psi is locally constant at depth k.
     psi^p (|psi|^p for non-integer p) is Python's float power: numpy's power
-    rounds differently in the last place.
+    rounds differently in the last place. The matrix is float64 when s has
+    zero imaginary part, complex otherwise.
     """
     k = psi.depth
     tab = S.cylinder_table(k)
     x = psi.vector(tab.basis)
-    weight = np.exp(s * x)
+    weight = np.exp(operator_parameter(s) * x)
     if p != 0:
         base = x if p == int(p) else np.abs(x)
         weight = np.array([b**p for b in base.tolist()]) * weight
-    mat = np.zeros((len(tab.basis),) * 2, dtype=complex)
+    mat = np.zeros((len(tab.basis),) * 2, dtype=weight.dtype)
     mat[tab.rows, tab.cols] += weight[tab.cols]
     return CylinderMatrix(s=complex(s), p=float(p), matrix=mat, basis=tab.basis,
                           index=tab.index, meta={"system": S.label(), "depth": k})
@@ -325,7 +327,7 @@ def _gk_variance_shift(S, psi, lam, rho, weights) -> float:
     mu = rho * weights
     mu = mu / np.sum(mu)
     phi = vals - float(np.dot(mu, vals))
-    M = cylinder_operator(S, psi, 1.0, 0.0).matrix.real / lam
+    M = cylinder_operator(S, psi, 1.0, 0.0).matrix / lam
     x = deflated_resolvent(M, 1.0, rho, weights, rho * phi)
     return float(np.dot(mu, phi * phi)) + 2.0 * float(np.dot(weights, phi * (M @ x)))
 
@@ -358,8 +360,7 @@ def pressure_derivs_shift(S: SymbolicSystem, psi: PotentialSpec,
     basis, mu, data = equilibrium_cylinder_masses(S, psi, 1.0)
     vals = psi.vector(basis)
     mean_integral = float(np.dot(mu, vals))
-    var_gk = _gk_variance_shift(S, psi, data.lam.real, data.rho.real,
-                                data.weights.real)
+    var_gk = _gk_variance_shift(S, psi, data.lam, data.rho, data.weights)
     return ShiftPressureReport(dp=dp, ddp=ddp, mean_integral=mean_integral,
                                variance_gk=var_gk, nodes=P)
 
@@ -414,8 +415,8 @@ def poincare_eta(S: SymbolicSystem, psi: PotentialSpec, offset, s: complex,
         raise ValueError("seed word is not admissible")
     tab = S.cylinder_table(k)
     i_seed = tab.index[tuple(xi[:k])]
-    f = np.exp(complex(s) * _offset_vector(S, psi, offset, tab.basis)).astype(complex)
     M = cylinder_operator(S, psi, s, 0.0).matrix
+    f = np.exp(operator_parameter(s) * _offset_vector(S, psi, offset, tab.basis))
 
     partial = f.copy()          # sum_{n < K} M^n f with K = 2^j
     power = M.copy()            # M^K

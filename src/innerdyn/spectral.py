@@ -9,6 +9,13 @@ Problems, 2011), which matters for the slowly mixing maps where that ratio
 is near 1. The resolvent is one linear solve. The deflated projection
 realizes the spectral projection of a simple isolated eigenvalue, so no
 contour integrals are needed.
+
+Arithmetic follows the dtype of the operator: a float64 matrix (real s, see
+`operator_parameter`) gets a real Krylov basis, real eigendata and a real
+resolvent solve, at half the memory and about half the time per matvec of
+complex ones. A real matrix is never multiplied by a complex vector, which
+numpy does by copying the matrix on every call; a complex-conjugate Ritz
+pair is handled by applying the operator to the real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -45,6 +52,17 @@ class SpectralData:
     meta: dict = field(default_factory=dict)
 
 
+def operator_parameter(s: complex) -> float | complex:
+    """s as a float when its imaginary part is zero, else as a complex.
+
+    The weights of an operator are computed with this value, so a real s
+    gives a float64 matrix and real arithmetic everywhere downstream,
+    whether it arrives as 1.5 or as complex(1.5).
+    """
+    s = complex(s)
+    return s.real if s.imag == 0 else s
+
+
 def _start_vector(n: int, seed: int = 0) -> np.ndarray:
     """Constant vector plus a small seeded perturbation.
 
@@ -54,20 +72,25 @@ def _start_vector(n: int, seed: int = 0) -> np.ndarray:
     return 1.0 + 1e-3 * (uniform_stream(seed, n) - 0.5)
 
 
-def _eigenvector(h: np.ndarray, theta: complex) -> np.ndarray:
+def _eigenvector(h: np.ndarray, theta) -> np.ndarray:
     """Unit eigenvector of the small matrix h for its eigenvalue theta.
 
     Two steps of inverse iteration with the shift moved off theta by a few
-    ulps, so that no pivot is exactly zero; cheaper than the eigenvectors of
-    a full eig, of which only this one is read.
+    ulps; cheaper than the eigenvectors of a full eig, of which only this
+    one is read. Real for real h and theta. A pivot that still comes out
+    exactly zero moves the shift 16x further off.
     """
-    shift = theta + 4 * np.finfo(float).eps * max(1.0, abs(theta))
-    a = h - shift * np.eye(len(h))
-    y = np.ones(len(h), dtype=complex)
-    for _ in range(2):
-        y = np.linalg.solve(a, y)
-        y /= np.linalg.norm(y)
-    return y
+    offset = 4 * np.finfo(float).eps * max(1.0, abs(theta))
+    while True:
+        a = h - (theta + offset) * np.eye(len(h))
+        y = np.ones(len(h), dtype=a.dtype)
+        try:
+            for _ in range(2):
+                y = np.linalg.solve(a, y)
+                y /= np.linalg.norm(y)
+            return y
+        except np.linalg.LinAlgError:
+            offset *= 16
 
 
 def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0):
@@ -87,6 +110,13 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0):
     runner_up is the modulus of the second Ritz value of the accepting
     space, 0.0 when it is one-dimensional.
 
+    V and H take the dtype of v. A real v means a real map, which is only
+    ever applied to real vectors, since numpy copies a real matrix to
+    multiply it by a complex vector. Its top Ritz value may still be one of
+    a complex-conjugate pair; then x is complex, applied as
+    apply(x.real) + 1j * apply(x.imag) (two matvecs), and a restart starts
+    from the real part of x, its phase fixed at its largest entry.
+
     After a restarted cycle that follows one ended at a full basis, the
     cycles still needed are projected from the drop of the Ritz residual
     estimate over the last cycle; when they exceed what is left of the
@@ -102,14 +132,22 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0):
     """
     n = len(v)
     m = min(_KRYLOV_DIM, n)
-    V = np.empty((m + 1, n), dtype=complex)
-    H = np.zeros((m + 1, m), dtype=complex)
+    real = not np.iscomplexobj(v)
+    V = np.empty((m + 1, n), dtype=v.dtype)
+    H = np.zeros((m + 1, m), dtype=v.dtype)
+
+    def product(f, x):
+        """f(x) for a map linear over the reals, keeping real operands real."""
+        if real and np.iscomplexobj(x):
+            return f(x.real) + 1j * f(x.imag)
+        return f(x)
+
     matvecs = 0
     last_est = None
-    v = v / np.linalg.norm(v)
     while matvecs < _MATVEC_BUDGET:
+        v = v / np.linalg.norm(v)
         V[0] = v
-        power = np.ones(1, dtype=complex)   # A^j v in the basis, unit norm
+        power = np.ones(1, dtype=v.dtype)   # A^j v in the basis, unit norm
         for j in range(m):
             w = apply(V[j])
             matvecs += 1
@@ -127,23 +165,25 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0):
                 if ratio < collapse:
                     # the remainder acts nilpotently at this resolution: its
                     # Ritz values would be rounding noise of size eps^(1/k)
-                    return 0j, v, 0.0, matvecs, 0.0
+                    return 0.0, v, 0.0, matvecs, 0.0
                 power /= ratio
             breakdown = k == n or beta <= 1e-12 * float(np.linalg.norm(H[:k + 1, j]))
             if breakdown or k == m or k % _RITZ_EVERY == 0:
                 theta = np.linalg.eigvals(H[:k, :k])
                 order = np.argsort(-np.abs(theta), kind="stable")
                 top = theta[order[0]]
+                if real and top.imag == 0:
+                    top = top.real
                 y = _eigenvector(H[:k, :k], top)
                 est = beta * abs(y[-1]) / max(1.0, abs(top))
                 converged = breakdown or est <= tol
                 if converged or k == m:
-                    x = y @ V[:k]
+                    x = product(lambda c: c @ V[:k], y)
                     x /= np.linalg.norm(x)
                     if converged:
-                        ax = apply(x)
-                        matvecs += 1
-                        lam = complex(np.vdot(x, ax))
+                        ax = product(apply, x)
+                        matvecs += 1 + (real and np.iscomplexobj(x))
+                        lam = np.vdot(x, ax).item()
                         res = float(np.max(np.abs(ax - lam * x)) / np.max(np.abs(x)))
                         if res <= max(tol, 1e-10) * max(1.0, abs(lam)):
                             runner_up = float(abs(theta[order[1]])) if k > 1 else 0.0
@@ -159,6 +199,9 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0):
                     f"{est:.2e} falls {drop:.3g}x per restart, too slowly to reach "
                     f"{tol:.0e} within {_MATVEC_BUDGET} matvecs ({matvecs} spent)")
         last_est = est if est > tol else None    # else the true residual failed
+        if real and np.iscomplexobj(x):
+            big = x[np.argmax(np.abs(x))]
+            x = (x * (abs(big) / big)).real
         v = x
     raise NoConvergence(f"Arnoldi iteration not converged within {_MATVEC_BUDGET} matvecs")
 
@@ -166,16 +209,17 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0):
 def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0):
     """Leading eigenpair by restarted Arnoldi; returns (lam, vector, residual, matvecs).
 
-    The Ritz residual estimate must drop below tol * max(1, |lam|) and the
+    The pair is real (lam a float) when mat is real, complex otherwise. The
+    Ritz residual estimate must drop below tol * max(1, |lam|) and the
     sup-norm eigen-equation residual of the returned unit vector below
     max(tol, 1e-10) * max(1, |lam|). Raises NoConvergence at once when the
     two largest Ritz values of the converged space have equal modulus, as
-    for [[0, 1], [1, 0]], where no eigenvalue dominates, and when the matvec
-    budget runs out.
+    for [[0, 1], [1, 0]] or a complex-conjugate top pair of a real matrix,
+    where no eigenvalue dominates, and when the matvec budget runs out.
     """
     if tol < 1e-16:
         raise ValueError("tol too small")
-    v = _start_vector(mat.shape[0], seed).astype(complex)
+    v = _start_vector(mat.shape[0], seed).astype(np.result_type(mat.dtype, np.float64))
     lam, v, res, matvecs, runner_up = _arnoldi(lambda u: mat @ u, v, tol)
     if lam != 0 and runner_up >= (1.0 - _EQUAL_MODULUS) * abs(lam):
         raise NoConvergence(f"no dominant eigenvalue: two Ritz values of equal modulus "
@@ -190,11 +234,11 @@ def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
     dual must be scaled so that dual . rho = 1; the rank-one removal then
     annihilates the leading eigenspace. Equal-modulus pairs, such as a
     complex-conjugate pair or a non-normal block with eigenvalues +-r, are
-    read like any other. Returns 0.0 when the deflated iterates collapse
-    below 1e-8 * max(1, |lam|) (nilpotent remainder); the Ritz residual
-    estimate must drop below tol and the sup-norm residual below
-    max(tol, 1e-10), both relative to max(1, |lambda_2|), or NoConvergence
-    is raised.
+    read like any other; with real inputs the solve stays real. Returns 0.0
+    when the deflated iterates collapse below 1e-8 * max(1, |lam|)
+    (nilpotent remainder); the Ritz residual estimate must drop below tol
+    and the sup-norm residual below max(tol, 1e-10), both relative to
+    max(1, |lambda_2|), or NoConvergence is raised.
     """
     scale = np.dot(dual, rho)
     if abs(scale) < 1e-300:
@@ -205,7 +249,7 @@ def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
         return mat @ u - lam * rho * np.dot(dual, u)
 
     collapse = 1e-8 * max(1.0, abs(lam))
-    v = apply(_start_vector(mat.shape[0], seed).astype(complex))  # kill the leading component
+    v = apply(_start_vector(mat.shape[0], seed))  # kill the leading component
     if np.linalg.norm(v) < collapse:
         return 0.0
     sub = _arnoldi(apply, v, tol, collapse)[0]
@@ -216,26 +260,13 @@ def leading_spectral_data(mat: np.ndarray, tol: float = 1e-13,
                           want_gap: bool = True) -> SpectralData:
     """Leading pair, dual weights and subleading ratio for a dense operator.
 
-    For a real positive operator the outputs are real with rho > 0 and
-    nonnegative weights summing to 1; complex inputs are returned as-is with
-    the same normalizations applied.
+    The outputs follow the dtype of mat: a real operator gives a float lam
+    and real vectors, with rho > 0 and nonnegative weights when it is
+    positive; a complex one gives complex outputs. Either way the weights sum
+    to 1 and pair with rho to 1, which fixes the free scale of both vectors.
     """
     lam, rho, res, _ = power_leading(mat, tol=tol, seed=0)
-    lam_d, dual, _, _ = power_leading(mat.T, tol=tol, seed=7)
-    # clean up phase/sign for the real nonnegative case
-    for vec in (rho, dual):
-        j = int(np.argmax(np.abs(vec)))
-        vec *= np.exp(-1j * np.angle(vec[j]))
-    real_case = abs(lam.imag) < 1e-9 * max(1.0, abs(lam)) and \
-        np.max(np.abs(rho.imag)) < 1e-6 * np.max(np.abs(rho.real)) and \
-        np.max(np.abs(dual.imag)) < 1e-6 * np.max(np.abs(dual.real))
-    if real_case:
-        rho = rho.real.astype(float)
-        dual = dual.real.astype(float)
-        if np.sum(rho) < 0:
-            rho = -rho
-        if np.sum(dual) < 0:
-            dual = -dual
+    dual = power_leading(mat.T, tol=tol, seed=7)[1]
     mass = np.sum(dual)
     if abs(mass) < 1e-300:
         raise NoConvergence("dual weights have zero total mass")

@@ -304,11 +304,11 @@ def correlation_sequence(F: BlaschkeMap, h, k_last: int, N: int = 512) -> np.nda
     hv = hv - np.mean(hv)
     M = assemble_operator(F, 1.0, None, N)
     out = np.empty(k_last + 1)
-    u = hv.astype(complex)
+    u = hv
     out[0] = float(np.mean(hv * hv))
     for k in range(1, k_last + 1):
         u = M.apply(u)
-        out[k] = float(np.mean((u * hv).real))
+        out[k] = float(np.mean(u * hv))
     return out
 
 
@@ -328,4 +328,4 @@ def green_kubo_variance(F: BlaschkeMap, h, N: int = 512) -> float:
     hv = hv - np.mean(hv)
     L = assemble_operator(F, 1.0, None, N).matrix
     u = deflated_resolvent(L, 1, np.ones(N), np.full(N, 1.0 / N), hv)
-    return float(np.mean(hv * hv) + 2.0 * np.mean(hv * (L @ u)).real)
+    return float(np.mean(hv * hv) + 2.0 * np.mean(hv * (L @ u)))

@@ -6,13 +6,19 @@ by their values at N equispaced collocation angles; u is evaluated at the
 preimages through its trigonometric interpolant, which is spectrally accurate
 because everything in sight is analytic for finite Blaschke products.
 
-The interpolant on the nodes x_j = 2*pi*j/N with the fftfreq frequencies
--N/2..N/2-1 has the closed form (Henrici 1979, Berrut 1984)
-K_j(y) = sin(N t/2) e^{-i t/2} / (N sin(t/2)), t = y - x_j, so each matrix row
-costs O(N) instead of a dense DFT. The numerator is evaluated as
+The interpolant on the nodes x_j = 2*pi*j/N is the symmetric one: the
+frequencies |k| < N/2 plus the Nyquist mode split as cos(N x/2). Its
+cardinal function is real (Henrici 1979; Trefethen, Spectral Methods in
+MATLAB, 2000, ch. 3), K_j(y) = sin(N t/2) cot(t/2) / N with t = y - x_j, so
+each matrix row costs O(N) instead of a dense DFT and the matrix is the
+weights times a real kernel. The numerator is evaluated as
 (-1)^(j0+j) sin(N delta/2) with delta = y - x_j0 the offset from the nearest
 node, which stays accurate at large N*y and at near-hits; a row whose
 preimage is exactly a node is that node's unit vector.
+
+The matrix is float64 exactly when s has zero imaginary part and g is real;
+then every solve in `spectral` runs in real arithmetic. Complex s keeps
+complex weights on the same kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import numpy as np
 from .blaschke import BlaschkeMap, boundary_preimages_batch, circle_abs_deriv, circle_grid
 from .circle import TWO_PI
 from .errors import GapLost
-from .spectral import SpectralData, deflated_subleading, leading_spectral_data
+from .spectral import (SpectralData, deflated_subleading, leading_spectral_data,
+                       operator_parameter)
 
 _GAP_CEILING = 0.95
 
@@ -53,12 +60,11 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.matrix @ one - 1.0)))
 
 
-def _interpolation_rows(y: np.ndarray, w: np.ndarray, grid: np.ndarray,
-                        col: np.ndarray) -> np.ndarray:
-    """w_i K_j(y_i) / col_j for the interpolant on grid, col_j = (-1)^j e^{i x_j/2}.
+def _interpolation_rows(y: np.ndarray, w: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """w_i K_j(y_i) (-1)^j for the interpolant on grid.
 
-    This is the real matrix 1/sin((y_i - x_j)/2) scaled by the row factor
-    w (-1)^j0 sin(N delta/2) e^{-i y/2} / N. y is first moved into
+    This is the real matrix cot((y_i - x_j)/2) scaled by the row factor
+    w (-1)^j0 sin(N delta/2) / N, in w's dtype. y is first moved into
     [-pi/N, 2*pi - pi/N), so that the one small denominator of a row is at
     its nearest node j0, where numerator and denominator share delta.
     """
@@ -67,35 +73,42 @@ def _interpolation_rows(y: np.ndarray, w: np.ndarray, grid: np.ndarray,
     j0 = np.clip(np.rint(y * (N / TWO_PI)).astype(np.int64), 0, N - 1)
     delta = y - grid[j0]
     sign = np.where(j0 % 2 == 0, 1.0, -1.0)
-    rows = w * sign * np.sin(0.5 * N * delta) * np.exp(-0.5j * y) / N
+    rows = w * sign * np.sin(0.5 * N * delta) / N
     R = y[:, None] - grid[None, :]
     R *= 0.5
-    np.sin(R, out=R)
+    np.tan(R, out=R)
     hit = np.nonzero(delta == 0.0)[0]
     R[hit] = 1.0  # exact hits: the row is a unit vector, set below
     np.divide(1.0, R, out=R)
-    out = R * rows[:, None]
-    out[hit, j0[hit]] = w[hit] / col[j0[hit]]
-    return out
+    if np.iscomplexobj(rows):
+        R = R * rows[:, None]
+    else:
+        R *= rows[:, None]
+    R[hit, j0[hit]] = w[hit] * sign[hit]
+    return R
 
 
 def assemble_operator(F: BlaschkeMap, s: complex = 1.0, g=None, N: int = 256) -> OperatorMatrix:
-    """Collocation matrix for the weight |F'|^{-s} e^{s g} on N grid values."""
+    """Collocation matrix for the weight |F'|^{-s} e^{s g} on N grid values.
+
+    float64 when s has zero imaginary part and g is real, else complex.
+    """
     if N < 32 or N > 4096 or N & (N - 1):
         raise ValueError("N must be a power of two in [32, 4096]")
+    s = complex(s)
+    p = operator_parameter(s)
     grid = circle_grid(N)
     Y = boundary_preimages_batch(F, grid)
-    W = circle_abs_deriv(F, Y) ** (-s)
+    W = circle_abs_deriv(F, Y) ** (-p)
     if g is not None:
-        W = W * np.exp(s * np.asarray(g(Y), dtype=complex))
-    col = np.where(np.arange(N) % 2 == 0, 1.0, -1.0) * np.exp(0.5j * grid)
-    mat = _interpolation_rows(Y[:, 0], W[:, 0], grid, col)
+        W = W * np.exp(p * np.asarray(g(Y)))
+    mat = _interpolation_rows(Y[:, 0], W[:, 0], grid)
     for l in range(1, F.degree):
-        mat += _interpolation_rows(Y[:, l], W[:, l], grid, col)
-    mat *= col
-    meta = {"map": F.label(), "s": complex(s),
+        mat += _interpolation_rows(Y[:, l], W[:, l], grid)
+    mat[:, 1::2] *= -1.0
+    meta = {"map": F.label(), "s": s,
             "observable": getattr(g, "name", None) if g is not None else None}
-    return OperatorMatrix(matrix=mat, grid=grid, preimages=Y, weights=W, s=complex(s), meta=meta)
+    return OperatorMatrix(matrix=mat, grid=grid, preimages=Y, weights=W, s=s, meta=meta)
 
 
 def leading_eigen(M: OperatorMatrix, tol: float = 1e-13) -> SpectralData:

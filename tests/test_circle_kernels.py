@@ -2,7 +2,8 @@
 
 The Newton preimage solve is checked against 60-step monotone bisection in
 the same lift cells, and the closed-form collocation rows against the dense
-DFT assembly E @ dft. Both references are kept here, outside the package.
+DFT assembly E @ dft of the symmetric interpolant. Both references are kept
+here, outside the package.
 """
 
 import time
@@ -57,7 +58,11 @@ def bisection_preimages_batch(F, targets):
 
 
 def dense_dft_matrix(F, s, N):
-    """Collocation matrix by evaluating every Fourier mode at the preimages."""
+    """Collocation matrix by evaluating every Fourier mode at the preimages.
+
+    The interpolant is the symmetric one: the frequencies |k| < N/2 and the
+    Nyquist coefficient (fftfreq's -N/2 slot) on cos(N y/2).
+    """
     grid = circle_grid(N)
     Y = bisection_preimages_batch(F, grid)
     W = circle_abs_deriv(F, Y) ** (-s)
@@ -66,6 +71,7 @@ def dense_dft_matrix(F, s, N):
     mat = np.zeros((N, N), dtype=complex)
     for l in range(F.degree):
         E = np.exp(1j * np.outer(Y[:, l], freqs))
+        E[:, N // 2] = np.cos(0.5 * N * Y[:, l])
         mat += W[:, l][:, None] * (E @ dft)
     return mat
 

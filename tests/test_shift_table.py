@@ -29,12 +29,16 @@ def _weight(x, s, p):
 
 
 def loop_cylinder_operator(S, psi, s=1.0, p=0.0):
-    """The transfer matrix by a double loop over words and letters."""
+    """The transfer matrix by a double loop over words and letters.
+
+    A real s, also as complex(s), gives a float64 matrix of real weights.
+    """
     k = psi.depth
     basis = S.cylinder_words(k)
     index = {w: i for i, w in enumerate(basis)}
     n = len(basis)
-    mat = np.zeros((n, n), dtype=complex)
+    real = complex(s).imag == 0
+    mat = np.zeros((n, n), dtype=float if real else complex)
     for i, w in enumerate(basis):
         for a in range(1, S.alphabet_size + 1):
             if not S.allows(a, w[0]):
@@ -43,7 +47,7 @@ def loop_cylinder_operator(S, psi, s=1.0, p=0.0):
             j = index.get(wp)
             if j is None:
                 continue
-            mat[i, j] += _weight(psi.values[wp], s, p)
+            mat[i, j] += _weight(psi.values[wp], complex(s).real if real else s, p)
     return CylinderMatrix(s=complex(s), p=float(p), matrix=mat, basis=basis,
                           index=index, meta={"system": S.label(), "depth": k})
 
@@ -123,7 +127,7 @@ def test_operator_weights_match_per_word_power():
     for s in (1.0, 1.0 + 0.5j):
         for p in (0.5, 1.5, 2.0, 3.0):
             M = cylinder_operator(S, psi, s, p).matrix
-            row = np.zeros(1000, dtype=complex)
+            row = np.zeros(1000, dtype=complex if complex(s).imag else float)
             row += np.array([_weight(v, s, p) for v in x])
             assert M[0].tobytes() == row.tobytes()
             assert np.array_equal(M, np.broadcast_to(M[0], M.shape))

@@ -16,9 +16,30 @@ from innerdyn.blaschke import BlaschkeMap
 from innerdyn.errors import NoConvergence, NonDecaying
 from innerdyn.shift import (PotentialSpec, SymbolicSystem, cylinder_operator,
                             pressure_derivs_shift, spectral_data)
+from innerdyn import spectral
 from innerdyn.spectral import (_KRYLOV_DIM, deflated_resolvent, deflated_subleading,
                                leading_spectral_data, power_leading)
-from innerdyn.transfer import assemble_operator
+from innerdyn.stochastic import correlation_sequence
+from innerdyn.transfer import OperatorMatrix, assemble_operator
+
+DEG3 = BlaschkeMap((0j, 0.4 + 0.3j, -0.3 - 0.5j), 0.7)
+
+
+class RealOperandsOnly:
+    """A float64 matrix that refuses to be applied to anything but float64."""
+
+    def __init__(self, a):
+        self.a = a
+        self.dtype = a.dtype
+        self.shape = a.shape
+
+    @property
+    def T(self):
+        return RealOperandsOnly(self.a.T)
+
+    def __matmul__(self, u):
+        assert u.dtype == np.float64, f"operand of dtype {u.dtype}"
+        return self.a @ u
 
 
 def _neumann_sum(mat, lam, rho, weights, v, terms):
@@ -67,6 +88,82 @@ def test_leading_spectral_data_matches_lapack(n, seed, phase):
     assert data.residual <= 1e-10
     assert np.max(np.abs(data.weights - left / np.sum(left))) <= 1e-9
     assert abs(data.gap - abs(ev[1]) / abs(ev[0])) <= 1e-8
+
+
+@given(st.integers(3, _KRYLOV_DIM + 32), st.integers(0, 2**32 - 1),
+       st.floats(0.2, 0.9), st.floats(0.1, np.pi - 0.1), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_real_leading_spectral_data_matches_lapack(n, seed, r, phi, pair):
+    # Q B Q^-1 with B = diag(1, block, C): the block is r times a rotation
+    # by phi (subleading pair r e^{+-i phi}) or diag(r, -r/2), and C has
+    # spectral radius r/2; Q is orthogonal with mildly scaled columns
+    rng = np.random.default_rng(seed)
+    B = np.zeros((n, n))
+    B[0, 0] = 1.0
+    c, s_ = np.cos(phi), np.sin(phi)
+    B[1:3, 1:3] = r * np.array([[c, -s_], [s_, c]]) if pair else np.diag([r, -r / 2])
+    C = rng.uniform(-1.0, 1.0, (n - 3, n - 3))
+    if n > 3:
+        B[3:, 3:] = 0.5 * r * C / np.max(np.abs(np.linalg.eigvals(C)))
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0] * rng.uniform(1.0, 1.5, n)
+    mat = Q @ B @ np.linalg.inv(Q)
+    data = leading_spectral_data(mat)
+    assert isinstance(data.lam, float)
+    assert data.rho.dtype == data.weights.dtype == np.float64
+    ev, vecs_left = np.linalg.eig(mat.T)
+    order = np.argsort(-np.abs(ev))
+    ev, left = ev[order], vecs_left[:, order[0]].real
+    assert abs(ev[1].imag) > 0 if pair else ev[1].imag == 0
+    assert abs(data.lam - ev[0]) <= 1e-12
+    assert data.residual <= 1e-10
+    # the left eigenvector has entries of both signs and may sum to nearly
+    # zero, which scales the normalized weights up: compare relative to them
+    want = left / np.sum(left)
+    assert np.max(np.abs(data.weights - want)) <= 1e-9 * np.max(np.abs(want))
+    assert abs(data.gap - abs(ev[1]) / abs(ev[0])) <= 1e-8
+
+
+def test_real_s_gives_a_real_matrix_and_a_real_krylov_basis(monkeypatch):
+    starts = []
+    arnoldi = spectral._arnoldi
+
+    def recording(apply, v, *args):
+        starts.append(v.dtype)
+        return arnoldi(apply, v, *args)
+
+    monkeypatch.setattr(spectral, "_arnoldi", recording)
+    M = assemble_operator(BlaschkeMap((0j, 0.9 + 0j)), complex(1.5), None, 64)
+    assert M.matrix.dtype == np.float64 and M.s == complex(1.5)
+    leading_spectral_data(M.matrix)
+    assert starts == [np.float64] * 3
+    starts.clear()
+    M = assemble_operator(BlaschkeMap((0j, 0.9 + 0j)), 1.5 + 0.5j, None, 64)
+    assert M.matrix.dtype == np.complex128
+    leading_spectral_data(M.matrix)
+    assert starts == [np.complex128] * 3
+    S = SymbolicSystem.full_shift(3)
+    psi = PotentialSpec.constant(S, -1.0)
+    assert cylinder_operator(S, psi, complex(1.5)).matrix.dtype == np.float64
+    assert cylinder_operator(S, psi, 1.5 + 0.5j).matrix.dtype == np.complex128
+
+
+def test_real_operator_sees_only_real_operands(monkeypatch):
+    # deg3 at s = 1: the subleading eigenvalues are a complex-conjugate
+    # pair, so the gap solve certifies a complex Ritz vector, applied to its
+    # real and imaginary parts separately
+    mat = assemble_operator(DEG3, 1.0, None, 128).matrix
+    data = leading_spectral_data(RealOperandsOnly(mat))
+    ev = np.linalg.eigvals(mat)
+    ev = ev[np.argsort(-np.abs(ev))]
+    assert abs(ev[1].imag) > 0.1
+    assert abs(data.lam - 1.0) <= 1e-12
+    assert abs(data.gap - abs(ev[1]) / abs(ev[0])) <= 1e-8
+    apply = OperatorMatrix.apply
+    monkeypatch.setattr(OperatorMatrix, "apply",
+                        lambda M, u: apply(M, u) if u.dtype == np.float64 else pytest.fail(
+                            f"OperatorMatrix.apply on dtype {u.dtype}"))
+    c = correlation_sequence(BlaschkeMap((0j, 0.5 + 0j)), np.cos, 4, 64)
+    assert c.dtype == np.float64
 
 
 def test_power_leading_restarts_from_the_ritz_vector():
