@@ -171,6 +171,7 @@ def cmd_spectrum(args):
         data = transfer.leading_eigen(M)
         rows.append((s.real, s.imag, data.lam.real, data.lam.imag,
                      data.gap, data.residual))
+        del M, data  # free this operator before the next one is assembled
     config = {"command": "spectrum", "map": cfg, "modes": args.modes,
               "s": [[s.real, s.imag] for s in svals]}
     write_csv(args.out, config,
@@ -299,7 +300,7 @@ def cmd_nevanlinna(args):
 def cmd_shift_count(args):
     cfg, S, psi = load_symbolic_system(args.system)
     xi = coding.word_from_str(args.xi)
-    B = [coding.word_from_str(tok) for tok in (args.cylinder or [])] or None
+    B = [coding.word_from_str(tok) for tok in (args.cylinder or [])]
     led = shift.count_words(S, psi, xi, args.T, B=B)
     grid = np.linspace(max(args.T / args.grid, 1e-6), args.T, args.grid)
     rows = [(t, led.count(t, strict=False)) for t in grid]

@@ -45,14 +45,11 @@ class CountingLedger:
     values: np.ndarray
     weights: np.ndarray
     locations: np.ndarray | None
-    T_max: float
-    space: str = "circle"
     member_mask: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @staticmethod
-    def from_events(values, locations=None, weights=None, member_mask=None,
-                    T_max=np.inf, space="circle", meta=None):
+    def from_events(values, locations=None, weights=None, member_mask=None, meta=None):
         values = np.asarray(values, dtype=float)
         order = np.argsort(values, kind="stable")
         values = values[order]
@@ -63,8 +60,7 @@ class CountingLedger:
         if member_mask is not None:
             member_mask = np.asarray(member_mask, dtype=bool)[order]
         return CountingLedger(values=values, weights=weights, locations=locations,
-                              T_max=float(T_max), space=space, member_mask=member_mask,
-                              meta=meta or {})
+                              member_mask=member_mask, meta=meta or {})
 
     @functools.cached_property
     def _sums(self):
@@ -88,8 +84,7 @@ class CountingLedger:
         if self.locations is None:
             return _restrict_aggregated(self, arcs)
         mask = arcs_contain(arcs, self.locations)
-        return CountingLedger(values=self.values, weights=self.weights,
-                              locations=self.locations, T_max=self.T_max, space=self.space,
+        return CountingLedger(values=self.values, weights=self.weights, locations=self.locations,
                               member_mask=mask if self.member_mask is None
                               else (mask & self.member_mask),
                               meta=dict(self.meta))
@@ -148,8 +143,7 @@ def _restrict_aggregated(L: CountingLedger, arcs) -> CountingLedger:
     new_w = np.array([sum(_monomial_level_count_in_arc(x, d, rot, n, a) for a in arcs)
                       for n in range(len(L.values))], dtype=float)
     return CountingLedger(values=L.values, weights=new_w, locations=None,
-                          T_max=L.T_max, space=L.space, member_mask=None,
-                          meta=dict(L.meta))
+                          member_mask=None, meta=dict(L.meta))
 
 
 @dataclass
@@ -261,15 +255,14 @@ def enumerate_orbit(F: BlaschkeMap, x, T: float,
             # large T; counts beyond 2^53 are then correctly rounded, which
             # is harmless for the ratio and Cesaro functionals
             weights = np.power(float(d), np.arange(n_max + 1, dtype=np.float64))
-            return CountingLedger(values=vals, weights=weights,
-                                  locations=None, T_max=float(T), space="circle",
+            return CountingLedger(values=vals, weights=weights, locations=None,
                                   meta={"map": F.label(), "seed_angle": x,
                                         "degree": d, "rotation": F.rotation,
                                         "aggregated": True})
     else:
         refuse_oversize(T, 1.0, lyapunov_exponent(F), node_budget)
     locs, vals = backward_orbit(F, x, T, node_budget).events()
-    return CountingLedger.from_events(vals, locations=locs, T_max=float(T),
+    return CountingLedger.from_events(vals, locations=locs,
                                       meta={"map": F.label(), "seed_angle": x})
 
 
@@ -293,7 +286,7 @@ def coded_count(partition, x, T: float, cylinders,
     member = _prefix_member(tree, partition.letter, pad, cylinders or None)
     locs, vals = tree.events()
     return CountingLedger.from_events(
-        vals, locations=locs, member_mask=member, T_max=float(T), space="circle",
+        vals, locations=locs, member_mask=member,
         meta={"map": F.label(), "seed_angle": as_angle(x), "coded": True})
 
 

@@ -722,8 +722,7 @@ def parabolic_count(P: ParabolicMap, x: float, T: float, B,
     for lo, hi in B:
         member |= (locations >= lo) & (locations < hi)
     return CountingLedger.from_events(values, locations=locations,
-                                      member_mask=member, T_max=float(T),
-                                      space="line",
+                                      member_mask=member,
                                       meta={"map": P.label(), "seed": float(x),
                                             "level": N, "B": B})
 

@@ -464,7 +464,8 @@ def count_words(S: SymbolicSystem, psi: PotentialSpec, xi: Word, T: float,
     BudgetExceeded is raised exactly when there are more than node_budget
     events, checked per expanded chunk, so a refused walk holds memory of
     the order of the budget. An inadmissible seed raises ValueError. Returns
-    a ledger whose member mask reflects B.
+    a ledger whose member mask reflects B; B None or empty admits every
+    event, as in `counting.coded_count` and `parabolic.parabolic_count`.
     """
     from .counting import CountingLedger, _prefix_member, _walk
 
@@ -487,10 +488,10 @@ def count_words(S: SymbolicSystem, psi: PotentialSpec, xi: Word, T: float,
         return owner, child, acc[owner] + inc[child]
 
     tree = _walk(tab.index[xi[:k]], children, T, node_budget, int(deg.max()))
-    cylinders = [tuple(t) for t in B] if B is not None else None
+    cylinders = [tuple(t) for t in B] if B else None
     member = _prefix_member(tree, lambda win: tab.letters[win, 0], xi, cylinders)
     return CountingLedger.from_events(
-        np.concatenate(tree.values), member_mask=member, T_max=T, space="shift",
+        np.concatenate(tree.values), member_mask=member,
         meta={"system": S.label(), "seed": xi[:8], "B": cylinders})
 
 
@@ -607,6 +608,7 @@ def holder_modulus_in_s(S: SymbolicSystem, psi: PotentialSpec, q: float,
     probe_set = [np.eye(n)[i] for i in range(min(n, 64))]
     for i in range(probes):
         probe_set.append(uniform_stream(seed, n, offset=i * n) - 0.5)
+    probe_set = [(g, ng) for g in probe_set if (ng := _holder_norm(g, wmat)) >= 1e-300]
     base = cylinder_operator(S, psi, s0, q).matrix
     gaps = []
     deltas = []
@@ -615,10 +617,7 @@ def holder_modulus_in_s(S: SymbolicSystem, psi: PotentialSpec, q: float,
         other = cylinder_operator(S, psi, t, q).matrix
         D = other - base
         best = 0.0
-        for g in probe_set:
-            ng = _holder_norm(g, wmat)
-            if ng < 1e-300:
-                continue
+        for g, ng in probe_set:
             best = max(best, _holder_norm(D @ g, wmat) / ng)
         gaps.append(radius * 2.0 ** (-j))
         deltas.append(max(best, 1e-300))

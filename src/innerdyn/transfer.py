@@ -16,6 +16,14 @@ weights times a real kernel. The numerator is evaluated as
 node, which stays accurate at large N*y and at near-hits; a row whose
 preimage is exactly a node is that node's unit vector.
 
+The matrix is assembled in row blocks of about 2 MB straight into one
+preallocated array: the per-row data of each branch is computed once, then
+each block's kernel is filled in a scratch block, scaled, and written (first
+branch) or added (later branches) in branch order. Every entry takes the
+same float operations whatever the block size, so the matrix does not depend
+on it, and the assembly peak is the matrix plus one block. A float64 matrix
+with N <= 512 is one block.
+
 The matrix is float64 exactly when s has zero imaginary part and g is real;
 then every solve in `spectral` runs in real arithmetic. Complex s keeps
 complex weights on the same kernel.
@@ -34,6 +42,7 @@ from .spectral import (SpectralData, deflated_subleading, leading_spectral_data,
                        operator_parameter)
 
 _GAP_CEILING = 0.95
+_BLOCK_BYTES = 1 << 21  # bytes of one row block of the matrix during assembly
 
 
 @dataclass
@@ -60,32 +69,48 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.matrix @ one - 1.0)))
 
 
-def _interpolation_rows(y: np.ndarray, w: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """w_i K_j(y_i) (-1)^j for the interpolant on grid.
+def _row_data(y: np.ndarray, w: np.ndarray, grid: np.ndarray):
+    """Per-row data of one branch: the preimages moved into range, the
+    nearest node j0, the row factor w (-1)^j0 sin(N delta/2) / N, the hit
+    mask and the hit value w (-1)^j0.
 
-    This is the real matrix cot((y_i - x_j)/2) scaled by the row factor
-    w (-1)^j0 sin(N delta/2) / N, in w's dtype. y is first moved into
-    [-pi/N, 2*pi - pi/N), so that the one small denominator of a row is at
-    its nearest node j0, where numerator and denominator share delta.
+    y is moved into [-pi/N, 2*pi - pi/N), so that the one small denominator
+    of a row is at its nearest node j0, where numerator and denominator
+    share delta = y - x_j0; a row with delta == 0 is an exact hit.
     """
     N = len(grid)
     y = np.where(y >= TWO_PI - np.pi / N, y - TWO_PI, y)
     j0 = np.clip(np.rint(y * (N / TWO_PI)).astype(np.int64), 0, N - 1)
     delta = y - grid[j0]
     sign = np.where(j0 % 2 == 0, 1.0, -1.0)
-    rows = w * sign * np.sin(0.5 * N * delta) / N
-    R = y[:, None] - grid[None, :]
+    return y, j0, w * sign * np.sin(0.5 * N * delta) / N, delta == 0.0, w * sign
+
+
+def _interpolation_rows(out: np.ndarray, lo: int, data, grid: np.ndarray,
+                        buf: np.ndarray, first: bool) -> None:
+    """Write (first branch) or add w_i K_j(y_i) (-1)^j for the row block
+    out = rows lo, lo + 1, ... of the matrix, before the column sign (-1)^j.
+
+    The kernel cot((y_i - x_j)/2) is filled in buf, or in out itself for a
+    real first branch, and scaled by the row factor from `_row_data`; an
+    exact-hit row is the unit vector w (-1)^j0 e_j0.
+    """
+    y, j0, rows, hits, corner = (a[lo:lo + len(out)] for a in data)
+    real = not np.iscomplexobj(rows)
+    R = out if first and real else buf[:len(out)]
+    np.subtract.outer(y, grid, out=R)
     R *= 0.5
     np.tan(R, out=R)
-    hit = np.nonzero(delta == 0.0)[0]
+    hit = np.nonzero(hits)[0]
     R[hit] = 1.0  # exact hits: the row is a unit vector, set below
     np.divide(1.0, R, out=R)
-    if np.iscomplexobj(rows):
-        R = R * rows[:, None]
-    else:
+    if real:
         R *= rows[:, None]
-    R[hit, j0[hit]] = w[hit] * sign[hit]
-    return R
+    else:
+        R = np.multiply(R, rows[:, None], out=out if first else None)
+    R[hit, j0[hit]] = corner[hit]
+    if not first:
+        out += R
 
 
 def assemble_operator(F: BlaschkeMap, s: complex = 1.0, g=None, N: int = 256) -> OperatorMatrix:
@@ -102,10 +127,15 @@ def assemble_operator(F: BlaschkeMap, s: complex = 1.0, g=None, N: int = 256) ->
     W = circle_abs_deriv(F, Y) ** (-p)
     if g is not None:
         W = W * np.exp(p * np.asarray(g(Y)))
-    mat = _interpolation_rows(Y[:, 0], W[:, 0], grid)
-    for l in range(1, F.degree):
-        mat += _interpolation_rows(Y[:, l], W[:, l], grid)
-    mat[:, 1::2] *= -1.0
+    branches = [_row_data(Y[:, l], W[:, l], grid) for l in range(F.degree)]
+    mat = np.empty((N, N), dtype=W.dtype)
+    step = max(1, _BLOCK_BYTES // (N * mat.itemsize))
+    buf = np.empty((min(step, N), N))
+    for lo in range(0, N, step):
+        block = mat[lo:lo + step]
+        for l, data in enumerate(branches):
+            _interpolation_rows(block, lo, data, grid, buf, first=(l == 0))
+        block[:, 1::2] *= -1.0
     meta = {"map": F.label(), "s": s,
             "observable": getattr(g, "name", None) if g is not None else None}
     return OperatorMatrix(matrix=mat, grid=grid, preimages=Y, weights=W, s=s, meta=meta)

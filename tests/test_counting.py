@@ -230,8 +230,7 @@ def test_prefix_queries_match_direct_sums(seed, n, float_weights, masked):
     weights = rng.integers(1, 2**40, n)
     weights = weights.astype(np.float64) if float_weights else weights
     mask = rng.random(n) < 0.6 if masked else None
-    led = CountingLedger(values=values, weights=weights, locations=None,
-                         T_max=6.0, member_mask=mask)
+    led = CountingLedger(values=values, weights=weights, locations=None, member_mask=mask)
     w = weights if mask is None else np.where(mask, weights, 0)
     assert led.total == int(np.sum(w))
     for t in np.concatenate([values, np.arange(-1, 50) / 8.0 + 1 / 16]):

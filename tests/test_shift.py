@@ -300,6 +300,12 @@ def test_count_words_cylinder():
     assert led.count(5.0, strict=False) == 128     # the empty word now counts
 
 
+def test_count_words_empty_target_admits_every_event():
+    # as in counting.coded_count and parabolic.parabolic_count
+    led = count_words(S2, PSI2, (2, 2, 2, 2), 5.0, B=[])
+    assert led.total == count_words(S2, PSI2, (2, 2, 2, 2), 5.0, B=None).total == 255
+
+
 def test_count_words_golden_mean():
     g = golden()
     psi = PotentialSpec.constant(g, -LOG2)

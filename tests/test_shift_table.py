@@ -86,8 +86,7 @@ def dfs_count_words(S, psi, xi, T, B=None, node_budget=10**7):
                 new_state = ((a,) + state)[: max(1, k - 1)]
                 stack.append(((a,) + word[: max(max_tau - 1, 0)], new_state, acc + inc))
     return CountingLedger.from_events(
-        np.array(values), member_mask=np.array(members, dtype=bool),
-        T_max=T, space="shift")
+        np.array(values), member_mask=np.array(members, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
