@@ -20,6 +20,7 @@ import numpy as np
 from . import blaschke, coding, counting, observables, parabolic, shift, stochastic, transfer
 from .circle import Arc, arcs_measure
 from .errors import ConfigError, InnerdynError
+from .rng import uniform_stream
 
 
 def fmt(x) -> str:
@@ -146,15 +147,20 @@ def _reject_unknown(cfg: dict, allowed: set):
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
 
 
-def _parse_arcs(arc_args) -> list[Arc]:
-    arcs = []
-    for spec in arc_args or []:
+def _parse_pairs(flag: str, specs) -> list[tuple[float, float]]:
+    """The 'a,b' values of a repeatable flag as float pairs."""
+    pairs = []
+    for spec in specs or []:
         try:
             a, b = (float(tok) for tok in spec.split(","))
         except ValueError:
-            raise ConfigError(f"bad arc spec {spec!r}; expected 'a,b'") from None
-        arcs.append(Arc.from_endpoints(a, b))
-    return arcs
+            raise ConfigError(f"bad {flag} {spec!r}; expected 'a,b'") from None
+        pairs.append((a, b))
+    return pairs
+
+
+def _parse_arcs(arc_args) -> list[Arc]:
+    return [Arc.from_endpoints(a, b) for a, b in _parse_pairs("--arc", arc_args)]
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +273,10 @@ def cmd_clark(args):
 def cmd_nevanlinna(args):
     cfg = load_map_config(args.map)
     F = build_circle_map(cfg)
-    ws = []
-    for spec in args.w or []:
-        re_, im_ = (float(t) for t in spec.split(","))
-        ws.append(complex(re_, im_))
+    ws = [complex(re_, im_) for re_, im_ in _parse_pairs("--w", args.w)]
     if args.random_w:
         if args.seed is None:
             raise ConfigError("--seed required with --random-w")
-        from .rng import uniform_stream
         u = uniform_stream(args.seed, 2 * args.random_w)
         radii = 0.05 + 0.9 * u[::2]
         angles = 2 * np.pi * u[1::2]
@@ -354,10 +356,7 @@ def cmd_kac(args):
 def cmd_parabolic_count(args):
     cfg = load_map_config(args.map)
     P = build_parabolic_map(cfg)
-    B = []
-    for spec in args.interval or []:
-        lo, hi = (float(t) for t in spec.split(","))
-        B.append((lo, hi))
+    B = _parse_pairs("--interval", args.interval)
     if not B:
         raise ConfigError("give at least one --interval lo,hi")
     led = parabolic.parabolic_count(P, args.x, args.T, B, N=args.level)
@@ -377,9 +376,9 @@ def cmd_parabolic_count(args):
 def cmd_holder_mod(args):
     cfg, S, psi = load_symbolic_system(args.system)
     C, eps = shift.holder_modulus_in_s(S, psi, args.q, complex(args.s0),
-                                       radius=args.radius, seed=args.seed or 0)
+                                       radius=args.radius, seed=args.seed)
     config = {"command": "holder-mod", "system": cfg, "q": args.q,
-              "s0": args.s0, "radius": args.radius, "seed": args.seed or 0}
+              "s0": args.s0, "radius": args.radius, "seed": args.seed}
     write_json(args.out, config, {"C_fit": C, "eps_fit": eps})
     return 0
 
@@ -516,10 +515,7 @@ def main(argv=None) -> int:
     try:
         _check_request(args)
         return args.fn(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as e:
+    except (ConfigError, KeyError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except InnerdynError as e:

@@ -24,10 +24,12 @@ import numpy as np
 from .blaschke import (BlaschkeMap, boundary_preimages_batch, circle_abs_deriv,
                        lyapunov_exponent)
 from .circle import TWO_PI, Arc, arcs_contain, as_angle
+from .coding import encode
 from .errors import BudgetExceeded
 
-_NODE_BUDGET = 10**7
+_NODE_BUDGET = 10**7       # events of one walk, also the parabolic and shift budgets
 _SAFETY = 4.0
+_RATIO_SAMPLES = 512
 _CHUNK = 1 << 16
 
 
@@ -234,8 +236,7 @@ def refuse_oversize(T: float, measure: float, lyapunov: float, node_budget: int)
                              "a truncated count would bias the limit, so refuse")
 
 
-def enumerate_orbit(F: BlaschkeMap, x, T: float,
-                    node_budget: int = _NODE_BUDGET) -> CountingLedger:
+def enumerate_orbit(F: BlaschkeMap, x, T: float) -> CountingLedger:
     """Exact ledger of all backward-orbit events up to log-derivative T.
 
     Monomial maps whose predicted event count exceeds the budget switch to
@@ -249,7 +250,7 @@ def enumerate_orbit(F: BlaschkeMap, x, T: float,
     if F.is_monomial:
         d = F.degree
         n_max = int(np.floor(T / np.log(d) + 1e-12))
-        if sum(d**n for n in range(n_max + 1)) > node_budget:
+        if sum(d**n for n in range(n_max + 1)) > _NODE_BUDGET:
             vals = np.arange(n_max + 1) * np.log(d)
             # float64 weights: level sizes d^n exceed any integer dtype for
             # large T; counts beyond 2^53 are then correctly rounded, which
@@ -260,14 +261,13 @@ def enumerate_orbit(F: BlaschkeMap, x, T: float,
                                         "degree": d, "rotation": F.rotation,
                                         "aggregated": True})
     else:
-        refuse_oversize(T, 1.0, lyapunov_exponent(F), node_budget)
-    locs, vals = backward_orbit(F, x, T, node_budget).events()
+        refuse_oversize(T, 1.0, lyapunov_exponent(F), _NODE_BUDGET)
+    locs, vals = backward_orbit(F, x, T).events()
     return CountingLedger.from_events(vals, locations=locs,
                                       meta={"map": F.label(), "seed_angle": x})
 
 
-def coded_count(partition, x, T: float, cylinders,
-                node_budget: int = _NODE_BUDGET) -> CountingLedger:
+def coded_count(partition, x, T: float, cylinders) -> CountingLedger:
     """Counting on the coded system: events filtered by itinerary prefix.
 
     Runs the same backward-orbit engine and reads each event's leading
@@ -276,10 +276,8 @@ def coded_count(partition, x, T: float, cylinders,
     letters match, which reproduces the symbolic count of the pulled-back
     potential bit for bit. An empty list of cylinders admits every event.
     """
-    from .coding import encode
-
     F = partition.map
-    tree = backward_orbit(F, x, T, node_budget)
+    tree = backward_orbit(F, x, T)
     cylinders = [tuple(t) for t in cylinders]
     width = max(map(len, cylinders), default=0)
     pad = encode(partition, x, width) if width else ()
@@ -318,9 +316,9 @@ def cesaro_average(L: CountingLedger, T: float) -> float:
 
 
 def ratio_amplitude(L: CountingLedger, lyapunov: float, mB: float,
-                    T_lo: float, T_hi: float, samples: int = 512) -> float:
-    """Oscillation (max - min) of the normalized ratio over a T window."""
-    grid = np.linspace(T_lo, T_hi, samples)
+                    T_lo: float, T_hi: float) -> float:
+    """Oscillation (max - min) of the normalized ratio at 512 points of a T window."""
+    grid = np.linspace(T_lo, T_hi, _RATIO_SAMPLES)
     rows = asymptotic_report(L, lyapunov, mB, grid)
     ratios = np.array([r.ratio for r in rows])
     return float(np.max(ratios) - np.min(ratios))

@@ -29,12 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .counting import CountingLedger, _walk, refuse_oversize
+from .counting import _NODE_BUDGET, CountingLedger, _walk, refuse_oversize
 from .errors import (BisectionFail, BudgetExceeded, NoConvergence,
                      NoReturnWithinCap, NotDoublyParabolic,
                      TailBoundExceeded)
 
 _POLE_TOL = 1e-14
+_RETURN_CAP = 10**6     # iterations first_return waits for a return
+_MAX_AUTO_LEVEL = 64    # deepest core level _auto_level tries
 _ROOT_TOL = 1e-14
 
 
@@ -271,16 +273,15 @@ class ReturnEvent:
     log_deriv: float
 
 
-def first_return(P: ParabolicMap, X: tuple[float, float], x: float,
-                 cap: int = 10**6) -> ReturnEvent:
-    """Iterate F until the orbit re-enters X, accumulating log|F'|."""
+def first_return(P: ParabolicMap, X: tuple[float, float], x: float) -> ReturnEvent:
+    """Iterate F, at most 1e6 times, until the orbit re-enters X, accumulating log|F'|."""
     lo, hi = X
     if not lo <= x <= hi:
         raise ValueError("start point must lie in the core interval")
     bs = P.pole_locations
     acc = 0.0
     y = float(x)
-    for n in range(1, cap + 1):
+    for n in range(1, _RETURN_CAP + 1):
         if np.min(np.abs(y - bs)) < _POLE_TOL * max(1.0, abs(y)):
             raise NoReturnWithinCap("orbit hit a pole preimage")
         acc += float(P.log_deriv(y))
@@ -288,7 +289,7 @@ def first_return(P: ParabolicMap, X: tuple[float, float], x: float,
         if lo <= y <= hi:
             return ReturnEvent(start=float(x), return_point=y, return_time=n,
                                log_deriv=acc)
-    raise NoReturnWithinCap(f"no return within {cap} iterations")
+    raise NoReturnWithinCap(f"no return within {_RETURN_CAP} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -627,18 +628,17 @@ def _kac_lhs(strata: _KacStrata, cap: int):
 # orbit counting for the induced system
 # ---------------------------------------------------------------------------
 
-def _auto_level(P: ParabolicMap, points, N_max: int = 64) -> int:
-    """Smallest level N with X_N = [p_N^-, p_N^+] containing all the given points."""
-    pp, pm = boundary_orbit(P, "+", N_max + 1), boundary_orbit(P, "-", N_max + 1)
+def _auto_level(P: ParabolicMap, points) -> int:
+    """Smallest level N <= 64 with X_N = [p_N^-, p_N^+] containing all the given points."""
+    pp, pm = (boundary_orbit(P, side, _MAX_AUTO_LEVEL + 1) for side in "+-")
     fits = np.flatnonzero((pm[1:] <= min(points)) & (max(points) <= pp[1:]))
     if not len(fits):
-        raise ValueError("points do not fit any core interval up to N_max")
+        raise ValueError(f"points do not fit any core interval up to level {_MAX_AUTO_LEVEL}")
     return int(fits[0]) + 1
 
 
 def parabolic_count(P: ParabolicMap, x: float, T: float, B,
-                    N: int | None = None,
-                    node_budget: int = 10**7) -> CountingLedger:
+                    N: int | None = None) -> CountingLedger:
     """Ledger of backward orbits of the first-return map with Birkhoff sums <= T.
 
     Events are pairs (S_k log|Fhat'|(z), z) over k-step Fhat-preimages z of
@@ -648,8 +648,8 @@ def parabolic_count(P: ParabolicMap, x: float, T: float, B,
     prunes the tree at T, valid because every return adds at least
     log(inf_X F') > 0; excursion branches are pruned once their minimal
     increment exceeds the remaining budget. BudgetExceeded is raised before
-    the walk if its predicted size exceeds node_budget, and during it
-    exactly when there are more than node_budget events.
+    the walk if its predicted size exceeds the node budget of 1e7 events,
+    and during it exactly when there are more events than that.
     """
     B = [(float(lo), float(hi)) for lo, hi in B]
     pts = [x] + [e for ab in B for e in ab]
@@ -663,7 +663,7 @@ def parabolic_count(P: ParabolicMap, x: float, T: float, B,
         if not core_lo <= lo < hi <= core_hi:
             raise ValueError(f"interval [{lo}, {hi}) is empty or not inside the core "
                              f"X = [{core_lo}, {core_hi}] of level {N}")
-    refuse_oversize(T, core_hi - core_lo, lyapunov_integral(P), node_budget)
+    refuse_oversize(T, core_hi - core_lo, lyapunov_integral(P), _NODE_BUDGET)
     branches = _full_branches(P, part)
     pp, pm = part.p_plus, part.p_minus
     b_lo, b_hi = float(P.pole_locations[0]), float(P.pole_locations[-1])
@@ -716,7 +716,7 @@ def parabolic_count(P: ParabolicMap, x: float, T: float, B,
                 i, w, base, descent = i[go], W[-1, go], base[go], L[-1, go]
         return np.concatenate(owners), np.concatenate(zs), np.concatenate(vs)
 
-    locations, values = _walk(float(x), children, T, node_budget,
+    locations, values = _walk(float(x), children, T, _NODE_BUDGET,
                               len(branches) + 2).events()
     member = np.full(len(values), not B)
     for lo, hi in B:

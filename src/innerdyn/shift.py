@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .counting import _NODE_BUDGET, CountingLedger, _prefix_member, _walk
 from .errors import (BudgetExceeded, DivergentSeries, NoConvergence, NotPrimitive,
                      SummabilityViolated)
 from .rng import uniform_stream
@@ -23,6 +24,14 @@ from .spectral import (SpectralData, deflated_resolvent, leading_spectral_data,
                        operator_parameter)
 
 Word = tuple
+
+_PRIMITIVITY_MAX_LEN = 8   # longest connecting word searched for
+_SPECTRAL_TOL = 1e-14      # Arnoldi residual tolerance of spectral_data
+_PRESSURE_STEP = 1e-3      # step h of the one-sided pressure stencils
+_ETA_TAIL_TOL = 1e-12      # relative change that ends the doubling series
+_ETA_MAX_DOUBLINGS = 60
+_HOLDER_LEVELS = 8         # pairs t = s0 + i radius 2^-j, j = 1 .. levels
+_HOLDER_PROBES = 32        # seeded random probe vectors
 
 
 @dataclass(frozen=True)
@@ -137,24 +146,22 @@ class PrimitivityFailure:
         return False
 
 
-def check_finitely_primitive(S: SymbolicSystem, max_len: int = 8):
+def check_finitely_primitive(S: SymbolicSystem):
     """Smallest common length of connecting words, by exhaustive search.
 
-    For each length l <= max_len, checks whether for every letter pair (a, b)
+    For each length l <= 8, checks whether for every letter pair (a, b)
     some word tau of length l makes a|tau|b admissible, i.e. whether
     A^(l+1) > 0. The witnesses are then all admissible words of length l:
     each letter has a predecessor (A^(l+1) > 0) and a successor (every row
     of A is nonzero). Failure is reported, not asserted as non-primitivity.
     """
-    if max_len > 8:
-        raise ValueError("max_len must be <= 8")
     A = S.incidence.astype(np.int64)
     power = A.copy()
-    for length in range(1, max_len + 1):
+    for length in range(1, _PRIMITIVITY_MAX_LEN + 1):
         power = power @ A  # paths of length `length` + 1
         if np.all(power > 0):
             return PrimitivityWitness(length=length, words=tuple(S.cylinder_words(length)))
-    return PrimitivityFailure(searched_up_to=max_len)
+    return PrimitivityFailure(searched_up_to=_PRIMITIVITY_MAX_LEN)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +196,8 @@ class PotentialSpec:
                              self.alpha)
 
     @staticmethod
-    def constant(S: SymbolicSystem, value: float, depth: int = 1) -> "PotentialSpec":
-        return PotentialSpec(depth, {w: value for w in S.cylinder_words(depth)})
+    def constant(S: SymbolicSystem, value: float) -> "PotentialSpec":
+        return PotentialSpec(1, {w: value for w in S.cylinder_words(1)})
 
     @staticmethod
     def from_letter_values(S: SymbolicSystem, per_letter: dict) -> "PotentialSpec":
@@ -249,7 +256,7 @@ def _require_primitive(S: SymbolicSystem) -> None:
 
 
 def spectral_data(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
-                  tol: float = 1e-14, want_gap: bool = True) -> SpectralData:
+                  want_gap: bool = True) -> SpectralData:
     """Leading eigendata of L_{s psi} on the cylinder basis.
 
     The incidence must be primitive (NotPrimitive otherwise), which makes
@@ -262,10 +269,10 @@ def spectral_data(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
         raise ValueError("spectral data is defined on the half-plane Re s >= 1")
     _require_primitive(S)
     M = cylinder_operator(S, psi, s, 0.0)
-    data = leading_spectral_data(M.matrix, tol=tol, want_gap=want_gap)
+    data = leading_spectral_data(M.matrix, tol=_SPECTRAL_TOL, want_gap=want_gap)
     if abs(complex(s).imag) > 0:
         ref = cylinder_operator(S, psi, complex(s).real, 0.0)
-        lam_ref = leading_spectral_data(ref.matrix, tol=tol, want_gap=False).lam.real
+        lam_ref = leading_spectral_data(ref.matrix, tol=_SPECTRAL_TOL, want_gap=False).lam.real
         data.peripheral = abs(abs(data.lam) - lam_ref) < 1e-9 * max(1.0, lam_ref)
     data.meta.update(M.meta)
     return data
@@ -332,14 +339,14 @@ def _gk_variance_shift(S, psi, lam, rho, weights) -> float:
     return float(np.dot(mu, phi * phi)) + 2.0 * float(np.dot(weights, phi * (M @ x)))
 
 
-def pressure_derivs_shift(S: SymbolicSystem, psi: PotentialSpec,
-                          h: float = 1e-3) -> ShiftPressureReport:
+def pressure_derivs_shift(S: SymbolicSystem, psi: PotentialSpec) -> ShiftPressureReport:
     """One-sided derivatives of P(s) = log lambda_s at s = 1, with Richardson.
 
-    Second-order one-sided stencils at steps h and h/2 are combined to third
-    order. The independent predictions (integral of psi and the Green-Kubo
+    Second-order one-sided stencils at steps h = 1e-3 and h/2 are combined to
+    third order. The independent predictions (integral of psi and the Green-Kubo
     variance of its centered part) ride along for cross-checking.
     """
+    h = _PRESSURE_STEP
     svals = sorted({1.0, 1.0 + h / 2, 1.0 + h, 1.0 + 3 * h / 2, 1.0 + 2 * h, 1.0 + 3 * h})
     P = {}
     for sv in svals:
@@ -380,29 +387,24 @@ class EtaResult:
         return abs(self.series - self.resolvent)
 
 
-def _offset_vector(S, psi, offset, basis) -> np.ndarray:
+def _offset_vector(offset, basis) -> np.ndarray:
     if offset is None:
         return np.zeros(len(basis))
-    if isinstance(offset, PotentialSpec):
-        return offset.vector(basis)
     if isinstance(offset, dict):
         return np.array([offset.get(w, 0.0) for w in basis])
-    arr = np.asarray(offset, dtype=float)
-    if arr.shape != (len(basis),):
-        raise ValueError("offset vector does not match the cylinder basis")
-    return arr
+    raise ValueError("offset must be None or a dict from words to values")
 
 
 def poincare_eta(S: SymbolicSystem, psi: PotentialSpec, offset, s: complex,
-                 xi: Word, tail_tol: float = 1e-12,
-                 max_doublings: int = 60) -> EtaResult:
+                 xi: Word) -> EtaResult:
     """eta(s) at the seed xi, by operator partial sums and by the resolvent.
 
-    The series route accumulates partial sums of L_s^n f_s at dyadic
-    truncation lengths via the doubling identity
-    sum_{n < 2K} M^n = (I + M^K) sum_{n < K} M^n, stopping once the last
-    doubling changed the seed value by less than tail_tol. The resolvent
-    route splits off the rank-one eigenprojection:
+    offset phi, None (zero) or a dict from depth-k words to values (0 where
+    a word is missing), gives f_s = e^{s phi}. The series route accumulates
+    partial sums of L_s^n f_s at dyadic truncation lengths via the doubling
+    identity sum_{n < 2K} M^n = (I + M^K) sum_{n < K} M^n, stopping once the
+    last of at most 60 doublings changed the seed value by less than 1e-12
+    relative. The resolvent route splits off the rank-one eigenprojection:
     (1 - lam_s)^{-1} R_s f_s plus the deflated resolvent of the remainder.
     Both values are returned; they must agree for a convergent series. A
     non-primitive incidence is refused with NotPrimitive before either runs.
@@ -416,13 +418,13 @@ def poincare_eta(S: SymbolicSystem, psi: PotentialSpec, offset, s: complex,
     tab = S.cylinder_table(k)
     i_seed = tab.index[tuple(xi[:k])]
     M = cylinder_operator(S, psi, s, 0.0).matrix
-    f = np.exp(operator_parameter(s) * _offset_vector(S, psi, offset, tab.basis))
+    f = np.exp(operator_parameter(s) * _offset_vector(offset, tab.basis))
 
     partial = f.copy()          # sum_{n < K} M^n f with K = 2^j
     power = M.copy()            # M^K
     terms = 1
     converged = False
-    for _ in range(max_doublings):
+    for _ in range(_ETA_MAX_DOUBLINGS):
         nxt = partial + power @ partial
         delta = abs(nxt[i_seed] - partial[i_seed])
         grew = np.max(np.abs(nxt)) > 1e6 * max(1.0, np.max(np.abs(f)))
@@ -431,7 +433,7 @@ def poincare_eta(S: SymbolicSystem, psi: PotentialSpec, offset, s: complex,
         terms *= 2
         if grew:
             raise DivergentSeries("operator series grows; no spectral gap here")
-        if delta < tail_tol * max(1.0, abs(partial[i_seed])):
+        if delta < _ETA_TAIL_TOL * max(1.0, abs(partial[i_seed])):
             converged = True
             break
     if not converged:
@@ -453,7 +455,7 @@ def poincare_eta(S: SymbolicSystem, psi: PotentialSpec, offset, s: complex,
 # ---------------------------------------------------------------------------
 
 def count_words(S: SymbolicSystem, psi: PotentialSpec, xi: Word, T: float,
-                B=None, node_budget: int = 10**7):
+                B=None, node_budget: int = _NODE_BUDGET):
     """Exact count of prefix words with Birkhoff sum of -psi at most T.
 
     Events are pairs (S_{|w|}(-psi)(w xi), w); prepending a letter increases
@@ -467,8 +469,6 @@ def count_words(S: SymbolicSystem, psi: PotentialSpec, xi: Word, T: float,
     a ledger whose member mask reflects B; B None or empty admits every
     event, as in `counting.coded_count` and `parabolic.parabolic_count`.
     """
-    from .counting import CountingLedger, _prefix_member, _walk
-
     k = psi.depth
     xi = tuple(xi)
     if len(xi) < max(1, k - 1) + 1:
@@ -512,14 +512,15 @@ class LatticeVerdict:
 
 
 def periodic_birkhoff_values(S: SymbolicSystem, psi: PotentialSpec,
-                             max_period: int, node_budget: int = 10**7) -> np.ndarray:
+                             max_period: int) -> np.ndarray:
     """S_n(psi) over all cyclic admissible words of period n <= max_period.
 
     The scan visits sum_{n <= max_period} M**n words for M letters; that
-    total is checked against node_budget before any word is visited.
+    total is checked against the node budget of 1e7 before any word is
+    visited.
     """
     k = psi.depth
-    if sum(S.alphabet_size**n for n in range(1, max_period + 1)) > node_budget:
+    if sum(S.alphabet_size**n for n in range(1, max_period + 1)) > _NODE_BUDGET:
         raise BudgetExceeded("periodic-word scan exceeds the node budget")
     out = []
     for n in range(1, max_period + 1):
@@ -594,25 +595,25 @@ def _holder_norm(vec, weight_mat) -> float:
 
 
 def holder_modulus_in_s(S: SymbolicSystem, psi: PotentialSpec, q: float,
-                        s0: complex = 1.0, radius: float = 0.5,
-                        levels: int = 8, probes: int = 32, seed: int = 0):
+                        s0: complex = 1.0, radius: float = 0.5, seed: int = 0):
     """Fit ||L_{s,q} - L_{t,q}|| ~ C |s - t|^eps along the critical line.
 
-    Pairs t = s0 + i * radius * 2^{-j}; the operator-norm estimate maximizes
-    the Hoelder-norm amplification over cylinder indicators and seeded random
-    probe vectors. Returns (C_fit, eps_fit) from the log-log least squares.
+    Pairs t = s0 + i * radius * 2^{-j}, j = 1 .. 8; the operator-norm
+    estimate maximizes the Hoelder-norm amplification over cylinder
+    indicators and 32 seeded random probe vectors. Returns (C_fit, eps_fit)
+    from the log-log least squares.
     """
     letters = S.cylinder_table(psi.depth).letters
     n = len(letters)
     wmat = _holder_norm_data(letters, psi.alpha)
     probe_set = [np.eye(n)[i] for i in range(min(n, 64))]
-    for i in range(probes):
+    for i in range(_HOLDER_PROBES):
         probe_set.append(uniform_stream(seed, n, offset=i * n) - 0.5)
     probe_set = [(g, ng) for g in probe_set if (ng := _holder_norm(g, wmat)) >= 1e-300]
     base = cylinder_operator(S, psi, s0, q).matrix
     gaps = []
     deltas = []
-    for j in range(1, levels + 1):
+    for j in range(1, _HOLDER_LEVELS + 1):
         t = complex(s0) + 1j * radius * 2.0 ** (-j)
         other = cylinder_operator(S, psi, t, q).matrix
         D = other - base

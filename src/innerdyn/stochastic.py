@@ -61,6 +61,7 @@ class BirkhoffSample:
 
 # smaller runs stay in one process: a fork costs milliseconds
 _SPLIT_MIN_STEPS = 10**6
+_GREEN_KUBO_NODES = 512
 
 
 def _anchor_spacing(d: int) -> int:
@@ -234,8 +235,7 @@ def check_sample_size(n: int, samples: int) -> None:
         raise ValueError("n * samples exceeds the 1e9 step budget")
 
 
-def birkhoff_samples(F: BlaschkeMap, h, n: int, samples: int, seed: int,
-                     center: bool = True) -> BirkhoffSample:
+def birkhoff_samples(F: BlaschkeMap, h, n: int, samples: int, seed: int) -> BirkhoffSample:
     """S_n h / sqrt(n) over `samples` Lebesgue-random starting angles.
 
     h is mean-adjusted by subtracting its 4096-point quadrature mean. Sample
@@ -253,7 +253,7 @@ def birkhoff_samples(F: BlaschkeMap, h, n: int, samples: int, seed: int,
     shadowing but not distributional statistics.
     """
     check_sample_size(n, samples)
-    mean = float(np.mean(np.asarray(h(circle_grid(4096)), dtype=float))) if center else 0.0
+    mean = float(np.mean(np.asarray(h(circle_grid(4096)), dtype=float)))
     exact = F.is_monomial and F.rotation == 0.0
     if exact:
         block = functools.partial(_monomial_block, F.degree, h, n, seed)
@@ -312,17 +312,19 @@ def correlation_sequence(F: BlaschkeMap, h, k_last: int, N: int = 512) -> np.nda
     return out
 
 
-def green_kubo_variance(F: BlaschkeMap, h, N: int = 512) -> float:
+def green_kubo_variance(F: BlaschkeMap, h) -> float:
     """Asymptotic variance c_0 + 2 sum_{k>=1} c_k by one resolvent solve.
 
-    With L the weightless collocation operator and h mean-adjusted, the
-    series sum_{k>=0} L^k h is the solution u of (I - L + 1 (x) m) u = h,
-    where m is the Lebesgue mean; the rank-one term removes the eigenvalue 1
-    of the constants, so the system is regular whenever L has a spectral
-    gap. Then sigma^2 = <h, h> + 2 <h, L u>. NonDecaying is raised when the
-    solve leaves a residual above 1e-10 * ||h||.
+    With L the weightless collocation operator on N = 512 nodes and h
+    mean-adjusted, the series sum_{k>=0} L^k h is the solution u of
+    (I - L + 1 (x) m) u = h, where m is the Lebesgue mean; the rank-one term
+    removes the eigenvalue 1 of the constants, so the system is regular
+    whenever L has a spectral gap. Then sigma^2 = <h, h> + 2 <h, L u>.
+    NonDecaying is raised when the solve leaves a residual above
+    1e-10 * ||h||.
     """
     from .transfer import assemble_operator  # local import, avoids a cycle
+    N = _GREEN_KUBO_NODES
     grid = circle_grid(N)
     hv = np.asarray(h(grid), dtype=float)
     hv = hv - np.mean(hv)

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blaschke import BlaschkeMap, boundary_preimages_batch, circle_abs_deriv, circle_grid
+from .blaschke import (BlaschkeMap, angle_map, boundary_preimages_batch, circle_abs_deriv,
+                       circle_grid)
 from .circle import TWO_PI
 from .errors import GapLost
 from .spectral import (SpectralData, deflated_subleading, leading_spectral_data,
@@ -43,6 +44,8 @@ from .spectral import (SpectralData, deflated_subleading, leading_spectral_data,
 
 _GAP_CEILING = 0.95
 _BLOCK_BYTES = 1 << 21  # bytes of one row block of the matrix during assembly
+_PRESSURE_TOL = 1e-14   # Arnoldi tolerance at the pressure stencil nodes
+_INVARIANCE_MODES = 8   # trigonometric moments |n| <= 8 of the invariance defect
 
 
 @dataclass
@@ -175,8 +178,7 @@ class PressureReport:
     nodes: dict
 
 
-def pressure_and_derivs(F: BlaschkeMap, g, h: float = 1e-2, N: int = 256,
-                        tol: float = 1e-14) -> PressureReport:
+def pressure_and_derivs(F: BlaschkeMap, g, h: float = 1e-2, N: int = 256) -> PressureReport:
     """log lambda of the perturbed operator and central-difference derivatives.
 
     P(t) = log lambda(|F'|^{-1} e^{t g}) is evaluated on the five-point
@@ -192,7 +194,7 @@ def pressure_and_derivs(F: BlaschkeMap, g, h: float = 1e-2, N: int = 256,
         def gt(theta, _t=t):
             return _t * np.asarray(g(theta), dtype=float)
         M = assemble_operator(F, 1.0, gt if t != 0.0 else None, N)
-        data = leading_eigen(M, tol=tol)
+        data = leading_eigen(M, tol=_PRESSURE_TOL)
         if data.gap > _GAP_CEILING:
             raise GapLost(f"subleading ratio {data.gap:.3f} at node t = {t}")
         min_gap = min(min_gap, 1.0 - data.gap)
@@ -208,7 +210,7 @@ def pressure_and_derivs(F: BlaschkeMap, g, h: float = 1e-2, N: int = 256,
                           variance_prediction=var_pred, min_gap=min_gap, nodes=pvals)
 
 
-def conformal_equilibrium(F: BlaschkeMap, g, N: int = 256, tol: float = 1e-13) -> SpectralData:
+def conformal_equilibrium(F: BlaschkeMap, g, N: int = 256) -> SpectralData:
     """Spectral data for the weight e^{g} |F'|^{-1}.
 
     The returned weights are the conformal measure on the grid; the product
@@ -216,23 +218,15 @@ def conformal_equilibrium(F: BlaschkeMap, g, N: int = 256, tol: float = 1e-13) -
     via the invariance of trigonometric moments.
     """
     M = assemble_operator(F, 1.0, g, N)
-    data = leading_eigen(M, tol=tol)
+    data = leading_eigen(M)
     if data.gap > _GAP_CEILING:
         raise GapLost(f"subleading ratio {data.gap:.3f} for the weighted operator")
     return data
 
 
-def equilibrium_invariance_defect(F: BlaschkeMap, data: SpectralData,
-                                  grid: np.ndarray, n_max: int = 8) -> float:
-    """max over |n| <= n_max of |int e_n o F dmu - int e_n dmu| for mu = rho m."""
-    from .blaschke import angle_map
+def equilibrium_invariance_defect(F: BlaschkeMap, data: SpectralData, grid: np.ndarray) -> float:
+    """max over 0 < |n| <= 8 of |int e_n o F dmu - int e_n dmu| for mu = rho m."""
     mu = data.weights * data.rho
-    fg = angle_map(F, grid)
-    worst = 0.0
-    for n in range(-n_max, n_max + 1):
-        if n == 0:
-            continue
-        lhs = np.sum(mu * np.exp(1j * n * fg))
-        rhs = np.sum(mu * np.exp(1j * n * grid))
-        worst = max(worst, abs(lhs - rhs))
-    return float(worst)
+    n = np.r_[-_INVARIANCE_MODES:0, 1:_INVARIANCE_MODES + 1][:, None]
+    moments = np.exp(1j * n * angle_map(F, grid)) - np.exp(1j * n * grid)
+    return float(np.max(np.abs(moments @ mu)))

@@ -14,7 +14,7 @@ from innerdyn.blaschke import (BlaschkeMap, angle_map,
                                multiplier_at_zero, nevanlinna,
                                periodic_points)
 from innerdyn.circle import TWO_PI, circle_grid
-from innerdyn.errors import LogSingularity
+from innerdyn.errors import BudgetExceeded, LogSingularity
 
 F2 = BlaschkeMap.monomial(2)
 F3 = BlaschkeMap.monomial(3)
@@ -152,6 +152,22 @@ def test_lyapunov_fh_adaptive_quadrature_oracle():
     assert lyapunov_exponent(FH) == pytest.approx(val, abs=1e-10)
     assert lyapunov_exponent(FH) == pytest.approx(LYAP_FH, abs=1e-12)
     assert 0.0 < lyapunov_exponent(FH) < np.log(2)   # strict Jensen inequality
+
+
+@pytest.mark.parametrize("a", [0.999, 0.9999, 0.99999])
+def test_lyapunov_sizes_its_rule_for_zeros_near_the_circle(a):
+    # Jensen's formula for z(z-a)/(1-az), as LYAP_FH at a = 1/2; a fixed
+    # 4096-point rule misses it by 8.2e-6, 5.3e-4 and 1.6e-3 here
+    F = BlaschkeMap((0j, complex(a)))
+    assert lyapunov_exponent(F) == pytest.approx(np.log1p(np.sqrt(1 - a * a)), abs=1e-13)
+
+
+def test_lyapunov_refuses_a_rule_over_budget_at_once():
+    F = BlaschkeMap((0j, complex(1 - 1e-7)))
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="circle nodes"):
+        lyapunov_exponent(F)
+    assert time.perf_counter() - t0 < 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -67,13 +67,13 @@ def dense_dft_matrix(F, s, N, rows=slice(None)):
     grid = circle_grid(N)
     Y = bisection_preimages_batch(F, grid[rows])
     W = circle_abs_deriv(F, Y) ** (-s)
-    dft = np.fft.fft(np.eye(N), axis=0) / N
     freqs = np.fft.fftfreq(N, d=1.0 / N)
     mat = np.zeros((len(Y), N), dtype=complex)
     for l in range(F.degree):
         E = np.exp(1j * np.outer(Y[:, l], freqs))
         E[:, N // 2] = np.cos(0.5 * N * Y[:, l])
-        mat += W[:, l][:, None] * (E @ dft)
+        # row r of E times the DFT matrix exp(-2 pi i k j / N) / N
+        mat += W[:, l][:, None] * (np.fft.fft(E, axis=1) / N)
     return mat
 
 

@@ -293,3 +293,17 @@ def test_parabolic_interval_outside_core_exits_2(tmp_path, interval):
     assert main(["parabolic-count", "--map", BOOLE, "--T", "6", "--x", "0.5",
                  f"--interval={interval}", "--level", "1",
                  "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["count", "--map", MONOMIAL, "--T", "4", "--arc", "1"], "--arc"),
+    (["nevanlinna", "--map", FH, "--w", "1"], "--w"),
+    (["nevanlinna", "--map", FH, "--w", "0.1,0.2,0.3"], "--w"),
+    (["parabolic-count", "--map", BOOLE, "--T", "6", "--x", "0.5",
+      "--interval", "1"], "--interval"),
+    (["parabolic-count", "--map", BOOLE, "--T", "6", "--x", "0.5",
+      "--interval", "a,1"], "--interval"),
+])
+def test_bad_pair_names_its_flag(tmp_path, capsys, argv, flag):
+    assert main(argv + ["--out", str(tmp_path / "x.out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: bad {flag} ")

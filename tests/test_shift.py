@@ -283,6 +283,12 @@ def test_eta_offset_weighting():
     assert r.series == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("offset", [[-LOG2, -LOG2], np.array([-LOG2, -LOG2])])
+def test_eta_offset_must_be_none_or_a_dict(offset):
+    with pytest.raises(ValueError, match="offset must be None or a dict"):
+        poincare_eta(S2, PSI2, offset, 2.0, (1, 1))
+
+
 # ---------------------------------------------------------------------------
 # counting
 # ---------------------------------------------------------------------------

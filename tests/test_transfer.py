@@ -144,7 +144,7 @@ def test_equilibrium_measure_invariance():
     grid = circle_grid(256)
     for F in (F2, FH):
         data = conformal_equilibrium(F, g, 256)
-        assert equilibrium_invariance_defect(F, data, grid, 8) < 1e-7
+        assert equilibrium_invariance_defect(F, data, grid) < 1e-7
         assert np.all(data.rho.real > 0)
 
 
