@@ -273,7 +273,6 @@ def boundary_preimages(F: BlaschkeMap, target) -> np.ndarray:
 class ClarkMeasure:
     """Atomic measure on the fiber F^{-1}(alpha), masses 1/|F'| at each atom."""
 
-    alpha: float
     locations: np.ndarray
     masses: np.ndarray
 
@@ -288,20 +287,20 @@ class ClarkMeasure:
 
 def clark_measure(F: BlaschkeMap, alpha) -> ClarkMeasure:
     """Atoms at the boundary preimages of alpha with masses 1/|F'|."""
-    a = as_angle(alpha)
-    locs = boundary_preimages(F, a)
-    masses = 1.0 / circle_abs_deriv(F, locs)
-    return ClarkMeasure(a, locs, masses)
+    locs = boundary_preimages(F, alpha)
+    return ClarkMeasure(locs, 1.0 / circle_abs_deriv(F, locs))
 
 
 # ---------------------------------------------------------------------------
 # Lyapunov exponent
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def lyapunov_exponent(F: BlaschkeMap) -> float:
     """Trapezoid rule for the entropy integral of log|F'| on the `_grid_size`
     nodes: log|F'| is analytic in a strip that narrows as zeros approach the
-    circle, and the rule refines with it (4096 nodes while max|F'| <= 256)."""
+    circle, and the rule refines with it (4096 nodes while max|F'| <= 256).
+    Cached per map, like the lift grid: the CLI and `counting` both ask."""
     theta = circle_grid(_grid_size(F))
     return float(np.mean(np.log(circle_abs_deriv(F, theta))))
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from . import blaschke, coding, counting, observables, parabolic, shift, stochastic, transfer
+from . import (blaschke, coding, counting, observables, parabolic, shift, spectral, stochastic,
+               transfer)
 from .circle import Arc, arcs_measure
 from .errors import ConfigError, InnerdynError
 from .rng import uniform_stream
@@ -173,8 +175,8 @@ def cmd_spectrum(args):
     svals = [complex(s) for s in (args.s or ["1.0"])]
     rows = []
     for s in svals:
-        M = transfer.assemble_operator(F, s, None, args.modes)
-        data = transfer.leading_eigen(M)
+        M = transfer.assemble_operator(F, s, None, args.modes).matrix
+        data = spectral.leading_spectral_data(M)
         rows.append((s.real, s.imag, data.lam.real, data.lam.imag,
                      data.gap, data.residual))
         del M, data  # free this operator before the next one is assembled
@@ -501,7 +503,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _check_request(args):
-    """Refuse a --grid below 1 and an unwritable --out before any work."""
+    """Refuse a non-finite float flag, a --grid below 1 and an unwritable
+    --out before any work."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if getattr(args, "grid", 1) < 1:
         raise ConfigError(f"--grid must be at least 1, got {args.grid}")
     folder = os.path.dirname(os.path.abspath(args.out))

@@ -41,7 +41,9 @@ class CountingLedger:
     multiplicities (1 for enumerated events, level sizes for aggregated
     monomial ledgers). locations are circle angles or real positions, or
     None for aggregated ledgers. member_mask marks events inside the target
-    set when the ledger was built against one.
+    set when the ledger was built against one. meta holds, for an aggregated
+    ledger only, the seed angle, degree and rotation that arc restriction
+    needs.
     """
 
     values: np.ndarray
@@ -51,7 +53,7 @@ class CountingLedger:
     meta: dict = field(default_factory=dict)
 
     @staticmethod
-    def from_events(values, locations=None, weights=None, member_mask=None, meta=None):
+    def from_events(values, locations=None, weights=None, member_mask=None):
         values = np.asarray(values, dtype=float)
         order = np.argsort(values, kind="stable")
         values = values[order]
@@ -62,7 +64,7 @@ class CountingLedger:
         if member_mask is not None:
             member_mask = np.asarray(member_mask, dtype=bool)[order]
         return CountingLedger(values=values, weights=weights, locations=locations,
-                              member_mask=member_mask, meta=meta or {})
+                              member_mask=member_mask)
 
     @functools.cached_property
     def _sums(self):
@@ -88,8 +90,7 @@ class CountingLedger:
         mask = arcs_contain(arcs, self.locations)
         return CountingLedger(values=self.values, weights=self.weights, locations=self.locations,
                               member_mask=mask if self.member_mask is None
-                              else (mask & self.member_mask),
-                              meta=dict(self.meta))
+                              else (mask & self.member_mask))
 
     def cesaro_average(self, T: float) -> float:
         """(1/T) int_0^T N(t) e^{-t} dt = (S - W e^{-T}) / T over events v <= T."""
@@ -169,8 +170,11 @@ def _walk(root, children, T: float, node_budget: int, fanout: int) -> LevelTree:
     child_values) for a chunk of one level, owner indexing the chunk. A
     chunk holds min(node_budget, 2^16) // fanout nodes, fanout being the
     usual number of children, and BudgetExceeded is raised after the chunk
-    that takes the total past node_budget; the last level is empty.
+    that takes the total past node_budget; the last level is empty. A NaN
+    T, which no value is at most, is refused with ValueError.
     """
+    if math.isnan(T):
+        raise ValueError("T is NaN")
     total = int(T >= 0.0)
     tree = LevelTree([np.full(total, root)], [np.zeros(total)],
                      [np.full(total, -1, dtype=np.int64)])
@@ -257,14 +261,12 @@ def enumerate_orbit(F: BlaschkeMap, x, T: float) -> CountingLedger:
             # is harmless for the ratio and Cesaro functionals
             weights = np.power(float(d), np.arange(n_max + 1, dtype=np.float64))
             return CountingLedger(values=vals, weights=weights, locations=None,
-                                  meta={"map": F.label(), "seed_angle": x,
-                                        "degree": d, "rotation": F.rotation,
-                                        "aggregated": True})
+                                  meta={"seed_angle": x, "degree": d,
+                                        "rotation": F.rotation})
     else:
         refuse_oversize(T, 1.0, lyapunov_exponent(F), _NODE_BUDGET)
     locs, vals = backward_orbit(F, x, T).events()
-    return CountingLedger.from_events(vals, locations=locs,
-                                      meta={"map": F.label(), "seed_angle": x})
+    return CountingLedger.from_events(vals, locations=locs)
 
 
 def coded_count(partition, x, T: float, cylinders) -> CountingLedger:
@@ -283,9 +285,7 @@ def coded_count(partition, x, T: float, cylinders) -> CountingLedger:
     pad = encode(partition, x, width) if width else ()
     member = _prefix_member(tree, partition.letter, pad, cylinders or None)
     locs, vals = tree.events()
-    return CountingLedger.from_events(
-        vals, locations=locs, member_mask=member,
-        meta={"map": F.label(), "seed_angle": as_angle(x), "coded": True})
+    return CountingLedger.from_events(vals, locations=locs, member_mask=member)
 
 
 @dataclass

@@ -267,7 +267,6 @@ def real_markov_partition(P: ParabolicMap, N: int) -> RealPartition:
 
 @dataclass(frozen=True)
 class ReturnEvent:
-    start: float
     return_point: float
     return_time: int
     log_deriv: float
@@ -287,8 +286,7 @@ def first_return(P: ParabolicMap, X: tuple[float, float], x: float) -> ReturnEve
         acc += float(P.log_deriv(y))
         y = float(P(y))
         if lo <= y <= hi:
-            return ReturnEvent(start=float(x), return_point=y, return_time=n,
-                               log_deriv=acc)
+            return ReturnEvent(return_point=y, return_time=n, log_deriv=acc)
     raise NoReturnWithinCap(f"no return within {_RETURN_CAP} iterations")
 
 
@@ -721,10 +719,7 @@ def parabolic_count(P: ParabolicMap, x: float, T: float, B,
     member = np.full(len(values), not B)
     for lo, hi in B:
         member |= (locations >= lo) & (locations < hi)
-    return CountingLedger.from_events(values, locations=locations,
-                                      member_mask=member,
-                                      meta={"map": P.label(), "seed": float(x),
-                                            "level": N, "B": B})
+    return CountingLedger.from_events(values, locations=locations, member_mask=member)
 
 
 def induced_cycle_multipliers(P: ParabolicMap, n_values) -> np.ndarray:

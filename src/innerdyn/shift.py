@@ -4,7 +4,9 @@ Letters are 1-based integers. Potentials are locally constant at a chosen
 cylinder depth k, which makes every transfer operator an exact finite matrix
 on depth-k cylinder indicators. A general Hoelder potential is approached by
 raising k, and an infinite alphabet by truncation; neither remainder is
-bounded here.
+bounded here. A transfer operator is a plain matrix on the basis of
+`SymbolicSystem.cylinder_table`; `spectral` owns everything read off it:
+the leading data, the gap and the Green-Kubo variance.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .counting import _NODE_BUDGET, CountingLedger, _prefix_member, _walk
 from .errors import (BudgetExceeded, DivergentSeries, NoConvergence, NotPrimitive,
                      SummabilityViolated)
 from .rng import uniform_stream
-from .spectral import (SpectralData, deflated_resolvent, leading_spectral_data,
+from .spectral import (SpectralData, deflated_resolvent, green_kubo, leading_spectral_data,
                        operator_parameter)
 
 Word = tuple
@@ -214,21 +216,10 @@ def calibrate(S: SymbolicSystem, psi: PotentialSpec) -> PotentialSpec:
 # transfer matrices on the cylinder basis
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CylinderMatrix:
-    """Exact matrix of g -> sum_a psi^p e^{s psi}(a omega) g(a omega)."""
-
-    s: complex
-    p: float
-    matrix: np.ndarray
-    basis: list
-    index: dict
-    meta: dict = field(default_factory=dict)
-
-
 def cylinder_operator(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
-                      p: float = 0.0) -> CylinderMatrix:
-    """Assemble the transfer matrix on depth-k cylinder indicators.
+                      p: float = 0.0) -> np.ndarray:
+    """Matrix of g -> sum_a psi^p e^{s psi}(a omega) g(a omega) on the depth-k
+    cylinder indicators, in the order of `S.cylinder_table(k).basis`.
 
     For a word w, the predecessors are w' = a + w[:k-1]; the entry is the
     weight at w', which is exact because psi is locally constant at depth k.
@@ -245,8 +236,7 @@ def cylinder_operator(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
         weight = np.array([b**p for b in base.tolist()]) * weight
     mat = np.zeros((len(tab.basis),) * 2, dtype=weight.dtype)
     mat[tab.rows, tab.cols] += weight[tab.cols]
-    return CylinderMatrix(s=complex(s), p=float(p), matrix=mat, basis=tab.basis,
-                          index=tab.index, meta={"system": S.label(), "depth": k})
+    return mat
 
 
 def _require_primitive(S: SymbolicSystem) -> None:
@@ -269,12 +259,11 @@ def spectral_data(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
         raise ValueError("spectral data is defined on the half-plane Re s >= 1")
     _require_primitive(S)
     M = cylinder_operator(S, psi, s, 0.0)
-    data = leading_spectral_data(M.matrix, tol=_SPECTRAL_TOL, want_gap=want_gap)
+    data = leading_spectral_data(M, tol=_SPECTRAL_TOL, want_gap=want_gap)
     if abs(complex(s).imag) > 0:
         ref = cylinder_operator(S, psi, complex(s).real, 0.0)
-        lam_ref = leading_spectral_data(ref.matrix, tol=_SPECTRAL_TOL, want_gap=False).lam.real
+        lam_ref = leading_spectral_data(ref, tol=_SPECTRAL_TOL, want_gap=False).lam.real
         data.peripheral = abs(abs(data.lam) - lam_ref) < 1e-9 * max(1.0, lam_ref)
-    data.meta.update(M.meta)
     return data
 
 
@@ -321,22 +310,6 @@ class ShiftPressureReport:
     ddp: float
     mean_integral: float        # int psi d(mu_1), the first-derivative prediction
     variance_gk: float          # Green-Kubo variance of psi - mean, second-derivative prediction
-    nodes: dict
-
-
-def _gk_variance_shift(S, psi, lam, rho, weights) -> float:
-    """<mu, phi^2> + 2 sum_{k>=1} <w, phi (M/lam)^k x_0>, x_0 = rho phi.
-
-    <w, x_0> = 0, so sum_{k>=0} (M/lam)^k x_0 is the deflated resolvent x.
-    """
-    basis = S.cylinder_words(psi.depth)
-    vals = psi.vector(basis)
-    mu = rho * weights
-    mu = mu / np.sum(mu)
-    phi = vals - float(np.dot(mu, vals))
-    M = cylinder_operator(S, psi, 1.0, 0.0).matrix / lam
-    x = deflated_resolvent(M, 1.0, rho, weights, rho * phi)
-    return float(np.dot(mu, phi * phi)) + 2.0 * float(np.dot(weights, phi * (M @ x)))
 
 
 def pressure_derivs_shift(S: SymbolicSystem, psi: PotentialSpec) -> ShiftPressureReport:
@@ -344,7 +317,8 @@ def pressure_derivs_shift(S: SymbolicSystem, psi: PotentialSpec) -> ShiftPressur
 
     Second-order one-sided stencils at steps h = 1e-3 and h/2 are combined to
     third order. The independent predictions (integral of psi and the Green-Kubo
-    variance of its centered part) ride along for cross-checking.
+    variance of its centered part, `spectral.green_kubo` on M_1 / lambda_1)
+    ride along for cross-checking.
     """
     h = _PRESSURE_STEP
     svals = sorted({1.0, 1.0 + h / 2, 1.0 + h, 1.0 + 3 * h / 2, 1.0 + 2 * h, 1.0 + 3 * h})
@@ -367,9 +341,10 @@ def pressure_derivs_shift(S: SymbolicSystem, psi: PotentialSpec) -> ShiftPressur
     basis, mu, data = equilibrium_cylinder_masses(S, psi, 1.0)
     vals = psi.vector(basis)
     mean_integral = float(np.dot(mu, vals))
-    var_gk = _gk_variance_shift(S, psi, data.lam, data.rho, data.weights)
+    M = cylinder_operator(S, psi, 1.0, 0.0) / data.lam
+    var_gk = green_kubo(M, data.rho, data.weights, vals)
     return ShiftPressureReport(dp=dp, ddp=ddp, mean_integral=mean_integral,
-                               variance_gk=var_gk, nodes=P)
+                               variance_gk=var_gk)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +392,7 @@ def poincare_eta(S: SymbolicSystem, psi: PotentialSpec, offset, s: complex,
         raise ValueError("seed word is not admissible")
     tab = S.cylinder_table(k)
     i_seed = tab.index[tuple(xi[:k])]
-    M = cylinder_operator(S, psi, s, 0.0).matrix
+    M = cylinder_operator(S, psi, s, 0.0)
     f = np.exp(operator_parameter(s) * _offset_vector(offset, tab.basis))
 
     partial = f.copy()          # sum_{n < K} M^n f with K = 2^j
@@ -490,9 +465,7 @@ def count_words(S: SymbolicSystem, psi: PotentialSpec, xi: Word, T: float,
     tree = _walk(tab.index[xi[:k]], children, T, node_budget, int(deg.max()))
     cylinders = [tuple(t) for t in B] if B else None
     member = _prefix_member(tree, lambda win: tab.letters[win, 0], xi, cylinders)
-    return CountingLedger.from_events(
-        np.concatenate(tree.values), member_mask=member,
-        meta={"system": S.label(), "seed": xi[:8], "B": cylinders})
+    return CountingLedger.from_events(np.concatenate(tree.values), member_mask=member)
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +583,12 @@ def holder_modulus_in_s(S: SymbolicSystem, psi: PotentialSpec, q: float,
     for i in range(_HOLDER_PROBES):
         probe_set.append(uniform_stream(seed, n, offset=i * n) - 0.5)
     probe_set = [(g, ng) for g in probe_set if (ng := _holder_norm(g, wmat)) >= 1e-300]
-    base = cylinder_operator(S, psi, s0, q).matrix
+    base = cylinder_operator(S, psi, s0, q)
     gaps = []
     deltas = []
     for j in range(1, _HOLDER_LEVELS + 1):
         t = complex(s0) + 1j * radius * 2.0 ** (-j)
-        other = cylinder_operator(S, psi, t, q).matrix
+        other = cylinder_operator(S, psi, t, q)
         D = other - base
         best = 0.0
         for g, ng in probe_set:

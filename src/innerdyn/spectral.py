@@ -8,7 +8,9 @@ A Krylov space converges at a rate set by the whole spectrum, not by
 Problems, 2011), which matters for the slowly mixing maps where that ratio
 is near 1. The resolvent is one linear solve. The deflated projection
 realizes the spectral projection of a simple isolated eigenvalue, so no
-contour integrals are needed.
+contour integrals are needed. The Green-Kubo variance of an observable is
+read off the same resolvent (`green_kubo`), for the circle and the shift
+alike.
 
 Arithmetic follows the dtype of the operator: a float64 matrix (real s, see
 `operator_parameter`) gets a real Krylov basis, real eigendata and a real
@@ -21,7 +23,7 @@ pair is handled by applying the operator to the real and imaginary parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +51,6 @@ class SpectralData:
     gap: float
     residual: float
     peripheral: bool = False
-    meta: dict = field(default_factory=dict)
 
 
 def operator_parameter(s: complex) -> float | complex:
@@ -302,3 +303,21 @@ def deflated_resolvent(mat: np.ndarray, lam: complex, rho: np.ndarray,
     if not res <= 1e-10 * np.linalg.norm(v):
         raise NonDecaying(f"resolvent solve residual {res:.3e} exceeds 1e-10 * ||v||")
     return x
+
+
+def green_kubo(mat: np.ndarray, rho: np.ndarray, weights: np.ndarray, g: np.ndarray) -> float:
+    """Asymptotic variance <mu, phi^2> + 2 sum_{k>=1} <weights, phi mat^k (rho phi)>.
+
+    mat has leading eigenvalue 1 with eigenfunction rho and dual weights,
+    weights . rho = 1, and mu = rho * weights is the invariant measure;
+    phi = g - <mu, g> is centered. Since <weights, rho phi> = 0, the sum
+    over k >= 0 of mat^k (rho phi) is the deflated resolvent x, so the
+    variance is <mu, phi^2> + 2 <weights, phi * mat x>. The pairings are
+    pairwise sums, so with uniform weights 1/N they are numpy means to the
+    bit. NonDecaying comes from `deflated_resolvent`.
+    """
+    mu = rho * weights
+    mu = mu / np.sum(mu)
+    phi = g - float(np.sum(mu * g))
+    x = deflated_resolvent(mat, 1, rho, weights, rho * phi)
+    return float(np.sum(mu * (phi * phi))) + 2.0 * float(np.sum(weights * (phi * (mat @ x))))

@@ -2,9 +2,10 @@
 
 Orbit statistics of Birkhoff sums S_n h / sqrt(n) over Lebesgue-random seeds,
 a Kolmogorov-Smirnov comparison with the Gaussian, and the asymptotic
-variance from the resolvent of the transfer operator. The resolvent is one
-linear solve, `spectral.deflated_resolvent`, which the shift's Green-Kubo
-variance and Poincare series share.
+variance from the resolvent of the transfer operator. `spectral` owns the
+Green-Kubo formula (`spectral.green_kubo`, one linear solve), which the
+circle pressure and the shift's variance share; here it is applied to the
+weightless collocation operator, which fixes Lebesgue measure.
 
 For monomial maps theta -> d*theta the orbit is read from 64-bit windows of
 a random base-d digit string, so the orbit angles are exact. The angle is
@@ -34,7 +35,8 @@ from .blaschke import BlaschkeMap, circle_grid
 from .circle import TWO_PI
 from .errors import DegenerateVariance, InnerdynError
 from .rng import splitmix64, uniform_stream
-from .spectral import deflated_resolvent
+from .spectral import green_kubo
+from .transfer import assemble_operator
 
 
 @dataclass
@@ -49,9 +51,6 @@ class BirkhoffSample:
 
     n: int
     values: np.ndarray
-    seed: int
-    observable: str
-    map_label: str
     exact_angles: bool
 
     @property
@@ -261,9 +260,7 @@ def birkhoff_samples(F: BlaschkeMap, h, n: int, samples: int, seed: int) -> Birk
         block = functools.partial(_float_block, F, h, n, seed)
     acc = _accumulate(block, n, samples)
     values = (acc - n * mean) / np.sqrt(n)
-    return BirkhoffSample(n=n, values=values, seed=seed,
-                          observable=getattr(h, "name", "h"),
-                          map_label=F.label(), exact_angles=exact)
+    return BirkhoffSample(n=n, values=values, exact_angles=exact)
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -298,16 +295,15 @@ def correlation_sequence(F: BlaschkeMap, h, k_last: int, N: int = 512) -> np.nda
     weightless collocation operator; L smooths, so no frequency blow-up
     occurs. The duality tests validate the identity independently.
     """
-    from .transfer import assemble_operator  # local import, avoids a cycle
     grid = circle_grid(N)
     hv = np.asarray(h(grid), dtype=float)
     hv = hv - np.mean(hv)
-    M = assemble_operator(F, 1.0, None, N)
+    M = assemble_operator(F, 1.0, None, N).matrix
     out = np.empty(k_last + 1)
     u = hv
     out[0] = float(np.mean(hv * hv))
     for k in range(1, k_last + 1):
-        u = M.apply(u)
+        u = M @ u
         out[k] = float(np.mean(u * hv))
     return out
 
@@ -315,19 +311,14 @@ def correlation_sequence(F: BlaschkeMap, h, k_last: int, N: int = 512) -> np.nda
 def green_kubo_variance(F: BlaschkeMap, h) -> float:
     """Asymptotic variance c_0 + 2 sum_{k>=1} c_k by one resolvent solve.
 
-    With L the weightless collocation operator on N = 512 nodes and h
-    mean-adjusted, the series sum_{k>=0} L^k h is the solution u of
-    (I - L + 1 (x) m) u = h, where m is the Lebesgue mean; the rank-one term
-    removes the eigenvalue 1 of the constants, so the system is regular
-    whenever L has a spectral gap. Then sigma^2 = <h, h> + 2 <h, L u>.
-    NonDecaying is raised when the solve leaves a residual above
-    1e-10 * ||h||.
+    `spectral.green_kubo` on the weightless collocation operator L on
+    N = 512 nodes, whose leading data are known exactly: rho = 1 and the
+    Lebesgue weights 1/N. The rank-one deflation removes the eigenvalue 1
+    of the constants, so the solve is regular whenever L has a spectral
+    gap; NonDecaying is raised when it leaves a residual above
+    1e-10 * ||h - mean||.
     """
-    from .transfer import assemble_operator  # local import, avoids a cycle
     N = _GREEN_KUBO_NODES
-    grid = circle_grid(N)
-    hv = np.asarray(h(grid), dtype=float)
-    hv = hv - np.mean(hv)
+    hv = np.asarray(h(circle_grid(N)), dtype=float)
     L = assemble_operator(F, 1.0, None, N).matrix
-    u = deflated_resolvent(L, 1, np.ones(N), np.full(N, 1.0 / N), hv)
-    return float(np.mean(hv * hv) + 2.0 * np.mean(hv * (L @ u)))
+    return green_kubo(L, np.ones(N), np.full(N, 1.0 / N), hv)

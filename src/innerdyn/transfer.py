@@ -26,12 +26,13 @@ with N <= 512 is one block.
 
 The matrix is float64 exactly when s has zero imaginary part and g is real;
 then every solve in `spectral` runs in real arithmetic. Complex s keeps
-complex weights on the same kernel.
+complex weights on the same kernel. `spectral` owns everything read off the
+matrix: the leading data, the gap and the Green-Kubo variance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +40,7 @@ from .blaschke import (BlaschkeMap, angle_map, boundary_preimages_batch, circle_
                        circle_grid)
 from .circle import TWO_PI
 from .errors import GapLost
-from .spectral import (SpectralData, deflated_subleading, leading_spectral_data,
-                       operator_parameter)
+from .spectral import SpectralData, green_kubo, leading_spectral_data, operator_parameter
 
 _GAP_CEILING = 0.95
 _BLOCK_BYTES = 1 << 21  # bytes of one row block of the matrix during assembly
@@ -50,26 +50,12 @@ _INVARIANCE_MODES = 8   # trigonometric moments |n| <= 8 of the invariance defec
 
 @dataclass
 class OperatorMatrix:
-    """Dense collocation matrix of a weighted transfer operator."""
+    """Dense collocation matrix of a weighted transfer operator, with the
+    preimages and weights it was assembled from."""
 
     matrix: np.ndarray
-    grid: np.ndarray
     preimages: np.ndarray   # shape (N, d), angles
     weights: np.ndarray     # shape (N, d), |F'|^{-s} e^{s g}
-    s: complex
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.grid)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ values
-
-    def unit_mass_defect(self) -> float:
-        """sup-norm of M*1 - 1; zero for s = 1 with no observable."""
-        one = np.ones(self.dimension)
-        return float(np.max(np.abs(self.matrix @ one - 1.0)))
 
 
 def _row_data(y: np.ndarray, w: np.ndarray, grid: np.ndarray):
@@ -139,26 +125,7 @@ def assemble_operator(F: BlaschkeMap, s: complex = 1.0, g=None, N: int = 256) ->
         for l, data in enumerate(branches):
             _interpolation_rows(block, lo, data, grid, buf, first=(l == 0))
         block[:, 1::2] *= -1.0
-    meta = {"map": F.label(), "s": s,
-            "observable": getattr(g, "name", None) if g is not None else None}
-    return OperatorMatrix(matrix=mat, grid=grid, preimages=Y, weights=W, s=s, meta=meta)
-
-
-def leading_eigen(M: OperatorMatrix, tol: float = 1e-13) -> SpectralData:
-    """Leading eigenvalue, eigenfunction and conformal weights of M.
-
-    The eigenfunction is normalized to integral 1 against the conformal
-    weights, which themselves sum to 1; the gap field holds |lambda_2/lambda|
-    from the Arnoldi solve on the deflated operator.
-    """
-    data = leading_spectral_data(M.matrix, tol=tol)
-    data.meta.update(M.meta)
-    return data
-
-
-def subleading_modulus(M: OperatorMatrix, S: SpectralData) -> float:
-    """|lambda_2| of M given its leading spectral data."""
-    return float(deflated_subleading(M.matrix, S.lam, S.rho, S.weights))
+    return OperatorMatrix(matrix=mat, preimages=Y, weights=W)
 
 
 @dataclass
@@ -183,7 +150,10 @@ def pressure_and_derivs(F: BlaschkeMap, g, h: float = 1e-2, N: int = 256) -> Pre
 
     P(t) = log lambda(|F'|^{-1} e^{t g}) is evaluated on the five-point
     stencil {0, +-h, +-2h}; fourth-order (Richardson-refined) differences give
-    P'(0) and P''(0). A gap monitor guards the perturbation smallness.
+    P'(0) and P''(0). A gap monitor guards the perturbation smallness. The
+    node t = 0 is the weightless operator, which fixes Lebesgue measure
+    (rho = 1, weights 1/N), and `spectral.green_kubo` reads the variance
+    prediction off it.
     """
     if not 1e-4 <= h <= 1e-2:
         raise ValueError("step h must lie in [1e-4, 1e-2]")
@@ -193,19 +163,20 @@ def pressure_and_derivs(F: BlaschkeMap, g, h: float = 1e-2, N: int = 256) -> Pre
     for t in tvals:
         def gt(theta, _t=t):
             return _t * np.asarray(g(theta), dtype=float)
-        M = assemble_operator(F, 1.0, gt if t != 0.0 else None, N)
-        data = leading_eigen(M, tol=_PRESSURE_TOL)
+        M = assemble_operator(F, 1.0, gt if t != 0.0 else None, N).matrix
+        data = leading_spectral_data(M, tol=_PRESSURE_TOL)
         if data.gap > _GAP_CEILING:
             raise GapLost(f"subleading ratio {data.gap:.3f} at node t = {t}")
         min_gap = min(min_gap, 1.0 - data.gap)
         pvals[t] = float(np.log(data.lam.real))
+        if t == 0.0:
+            gv = np.asarray(g(circle_grid(N)), dtype=float)
+            var_pred = green_kubo(M, np.ones(N), np.full(N, 1.0 / N), gv)
     p_m2, p_m1, p_0, p_1, p_2 = (pvals[t] for t in tvals)
     dp = (-p_2 + 8 * p_1 - 8 * p_m1 + p_m2) / (12 * h)
     ddp = (-p_2 + 16 * p_1 - 30 * p_0 + 16 * p_m1 - p_m2) / (12 * h * h)
     grid = circle_grid(4096)
     mean_pred = float(np.mean(np.asarray(g(grid), dtype=float)))
-    from .stochastic import green_kubo_variance  # local import, avoids a cycle
-    var_pred = green_kubo_variance(F, g)
     return PressureReport(p0=p_0, dp=dp, ddp=ddp, mean_prediction=mean_pred,
                           variance_prediction=var_pred, min_gap=min_gap, nodes=pvals)
 
@@ -217,8 +188,7 @@ def conformal_equilibrium(F: BlaschkeMap, g, N: int = 256) -> SpectralData:
     rho * weights is the invariant equilibrium measure, checked by the tests
     via the invariance of trigonometric moments.
     """
-    M = assemble_operator(F, 1.0, g, N)
-    data = leading_eigen(M)
+    data = leading_spectral_data(assemble_operator(F, 1.0, g, N).matrix)
     if data.gap > _GAP_CEILING:
         raise GapLost(f"subleading ratio {data.gap:.3f} for the weighted operator")
     return data

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from innerdyn import blaschke
 from innerdyn.blaschke import (BlaschkeMap, angle_map,
                                boundary_preimages, circle_abs_deriv,
                                circle_values, clark_measure, disk_preimages,
@@ -160,6 +161,19 @@ def test_lyapunov_sizes_its_rule_for_zeros_near_the_circle(a):
     # 4096-point rule misses it by 8.2e-6, 5.3e-4 and 1.6e-3 here
     F = BlaschkeMap((0j, complex(a)))
     assert lyapunov_exponent(F) == pytest.approx(np.log1p(np.sqrt(1 - a * a)), abs=1e-13)
+
+
+def test_lyapunov_exponent_is_computed_once_per_map(monkeypatch):
+    # the CLI and counting.enumerate_orbit both ask for it on every request
+    calls = []
+    deriv = blaschke.circle_abs_deriv
+    monkeypatch.setattr(blaschke, "circle_abs_deriv",
+                        lambda F, t: calls.append(1) or deriv(F, t))
+    F = BlaschkeMap((0j, 0.123 + 0.456j))
+    first = lyapunov_exponent(F)
+    calls.clear()
+    assert lyapunov_exponent(BlaschkeMap((0j, 0.123 + 0.456j))) == first
+    assert calls == []
 
 
 def test_lyapunov_refuses_a_rule_over_budget_at_once():

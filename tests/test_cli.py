@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import innerdyn
-from innerdyn import counting, parabolic, shift, stochastic
+from innerdyn import blaschke, counting, parabolic, shift, stochastic
 from innerdyn.cli import main
 from innerdyn.parabolic import kac_check
 
@@ -241,8 +241,7 @@ import innerdyn.cli
 from innerdyn.parabolic import build_parabolic, lyapunov_integral
 from innerdyn.stochastic import BirkhoffSample, clt_diagnostics
 assert abs(lyapunov_integral(build_parabolic([(0.0, 1.0)])) - 2 * math.pi) < 1e-9
-sample = BirkhoffSample(n=1, values=np.linspace(-2.0, 2.0, 101), seed=0,
-                        observable="h", map_label="none", exact_angles=True)
+sample = BirkhoffSample(n=1, values=np.linspace(-2.0, 2.0, 101), exact_angles=True)
 clt_diagnostics(sample, 1.0)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
@@ -285,6 +284,30 @@ def test_grid_below_one_exits_2_before_the_work(tmp_path, monkeypatch, capsys,
     assert main(argv + ["--grid", grid, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert calls == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, work", [
+    (["count", "--map", MONOMIAL, "--T={value}"], (counting, "enumerate_orbit")),
+    (["cesaro", "--map", MONOMIAL, "--T={value}"], (counting, "enumerate_orbit")),
+    (["shift-count", "--system", "{system}", "--T={value}"], (shift, "count_words")),
+    (["parabolic-count", "--map", BOOLE, "--T={value}", "--x", "0.5",
+      "--interval=-1,1", "--level", "1"], (parabolic, "parabolic_count")),
+    (["clark", "--map", FH, "--alpha={value}"], (blaschke, "clark_measure")),
+], ids=["count", "cesaro", "shift-count", "parabolic-count", "clark"])
+def test_non_finite_float_flag_exits_2_before_the_work(tmp_path, monkeypatch, capsys,
+                                                      value, argv, work):
+    # a NaN T used to count nothing, exit 0 and embed "T":NaN, which is not JSON
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({
+        "alphabet": 2, "potential": {"values": {"1": -0.7, "2": -0.7}}}))
+    calls = []
+    monkeypatch.setattr(*work, lambda *a, **k: calls.append(a))
+    argv = [a.replace("{system}", str(system)).replace("{value}", value) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "x.out")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "x.out").exists()
 
 
 @pytest.mark.parametrize("interval", ["-5,5", "1,-1", "0.5,0.5"])

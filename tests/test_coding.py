@@ -87,9 +87,10 @@ def test_conformal_mass_against_operator_weights():
     # the dual eigenvector of the s = 1 operator is the conformal measure on
     # the grid; its mass on a cylinder arc matches the arc measure up to the
     # grid resolution
-    from innerdyn.transfer import assemble_operator, leading_eigen
+    from innerdyn.spectral import leading_spectral_data
+    from innerdyn.transfer import assemble_operator
     N = 256
-    data = leading_eigen(assemble_operator(FH, 1.0, None, N))
+    data = leading_spectral_data(assemble_operator(FH, 1.0, None, N).matrix)
     grid = np.arange(N) * TWO_PI / N
     for word in [(1,), (2,), (1, 2)]:
         arc = cylinder_arc(PH, word)

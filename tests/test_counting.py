@@ -12,6 +12,7 @@ from innerdyn.coding import build_partition, cylinder_arc
 from innerdyn.counting import (CountingLedger, asymptotic_report, backward_orbit,
                                coded_count, enumerate_orbit, ratio_amplitude)
 from innerdyn.errors import BudgetExceeded
+from innerdyn.parabolic import build_parabolic, parabolic_count
 from innerdyn.shift import PotentialSpec, SymbolicSystem, count_words
 
 F2 = BlaschkeMap.monomial(2)
@@ -26,6 +27,19 @@ def test_binary_count_exact():
     assert led.count(5.0, strict=True) == 255           # no event at exactly 5
     assert enumerate_orbit(F2, 0.3, 0.0).count(0.0, strict=False) == 1
     assert enumerate_orbit(F2, 0.3, -1.0).total == 0
+
+
+def test_nan_horizon_is_refused_by_every_walk():
+    # no value is <= NaN, so a walk would return an empty tree as if T < 0
+    S = SymbolicSystem.full_shift(2)
+    psi = PotentialSpec.constant(S, -LOG2)
+    walks = [lambda T: enumerate_orbit(FH, 0.0, T),
+             lambda T: backward_orbit(F2, 0.3, T),
+             lambda T: count_words(S, psi, (1, 1), T),
+             lambda T: parabolic_count(build_parabolic([(0.0, 1.0)]), 0.5, T, [(-1.0, 1.0)])]
+    for walk in walks:
+        with pytest.raises(ValueError, match="NaN"):
+            walk(math.nan)
 
 
 def test_strict_vs_closed_at_lattice_points():

@@ -131,15 +131,15 @@ def test_summability_gauss_like():
 
 def test_cylinder_operator_full_two_shift():
     M = cylinder_operator(S2, PSI2, 1.0, 0.0)
-    assert np.allclose(M.matrix, 0.5 * np.ones((2, 2)))
+    assert np.allclose(M, 0.5 * np.ones((2, 2)))
     assert spectral_data(S2, PSI2, 1.0).lam == pytest.approx(1.0, abs=1e-13)
     assert spectral_data(S2, PSI2, 2.0).lam == pytest.approx(0.5, abs=1e-13)
 
 
 def test_modified_operator_constant_potential():
     M = cylinder_operator(S2, PSI2, 1.0, 1.0)
-    assert np.allclose(M.matrix, -LOG2 * 0.5 * np.ones((2, 2)))
-    lam = np.linalg.eigvals(M.matrix)
+    assert np.allclose(M, -LOG2 * 0.5 * np.ones((2, 2)))
+    lam = np.linalg.eigvals(M)
     assert np.max(lam.real) == pytest.approx(-LOG2 * 1.0, abs=1e-12) or \
         np.min(lam.real) == pytest.approx(-LOG2, abs=1e-12)
 
@@ -182,12 +182,13 @@ def test_rpf_bundle_invariants():
     # shift invariance on cylinders: mu([w]) = sum_a mu([a w])
     deeper = {w: 0.0 for w in basis}
     M = cylinder_operator(g, psi, 1.0, 0.0)
+    index = g.cylinder_table(1).index
     for i, w in enumerate(basis):
         for a in (1, 2):
             if g.allows(a, w[0]):
                 # mu([a w]) = rho(aw) m([aw]); depth-1 potential:
                 # m([aw]) = e^{psi(a)} m([w]) by conformality
-                j = M.index[(a,)]
+                j = index[(a,)]
                 maw = math.exp(psi.values[(a,)]) * data.weights[i].real
                 deeper[w] += data.rho[j].real * maw
         assert deeper[w] == pytest.approx(mu[i], abs=1e-9)
@@ -195,7 +196,7 @@ def test_rpf_bundle_invariants():
     rng = np.random.default_rng(7)
     for _ in range(5):
         gvec = rng.normal(size=len(basis))
-        lhs = float(np.dot(data.weights.real, M.matrix.real @ gvec))
+        lhs = float(np.dot(data.weights.real, M.real @ gvec))
         rhs = data.lam.real * float(np.dot(data.weights.real, gvec))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 

@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from innerdyn.counting import CountingLedger
 from innerdyn.errors import BudgetExceeded
-from innerdyn.shift import (CylinderMatrix, PotentialSpec, SymbolicSystem,
-                            count_words, cylinder_operator)
+from innerdyn.shift import PotentialSpec, SymbolicSystem, count_words, cylinder_operator
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +47,7 @@ def loop_cylinder_operator(S, psi, s=1.0, p=0.0):
             if j is None:
                 continue
             mat[i, j] += _weight(psi.values[wp], complex(s).real if real else s, p)
-    return CylinderMatrix(s=complex(s), p=float(p), matrix=mat, basis=basis,
-                          index=index, meta={"system": S.label(), "depth": k})
+    return mat
 
 
 def dfs_count_words(S, psi, xi, T, B=None, node_budget=10**7):
@@ -125,7 +123,7 @@ def test_operator_weights_match_per_word_power():
     x = [psi.values[(a,)] for a in range(1, 1001)]
     for s in (1.0, 1.0 + 0.5j):
         for p in (0.5, 1.5, 2.0, 3.0):
-            M = cylinder_operator(S, psi, s, p).matrix
+            M = cylinder_operator(S, psi, s, p)
             row = np.zeros(1000, dtype=complex if complex(s).imag else float)
             row += np.array([_weight(v, s, p) for v in x])
             assert M[0].tobytes() == row.tobytes()
@@ -154,9 +152,7 @@ def test_operator_matches_double_loop_bytewise(rows, depth, seed, s, p):
     S, psi, _ = _system(rows, depth, seed)
     got = cylinder_operator(S, psi, s, p)
     want = loop_cylinder_operator(S, psi, s, p)
-    assert got.matrix.tobytes() == want.matrix.tobytes()
-    assert got.basis == want.basis and got.index == want.index
-    assert (got.s, got.p, got.meta) == (want.s, want.p, want.meta)
+    assert got.tobytes() == want.tobytes()
 
 
 @given(_incidences(), st.integers(1, 3), st.integers(0, 2**32 - 1),

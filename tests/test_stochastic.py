@@ -61,8 +61,7 @@ def test_exact_iterator_matches_float_doubling_start():
 def test_ks_self_consistency_on_injected_normals():
     rng = np.random.default_rng(0)
     vals = rng.normal(0.0, 1.0, 40000)
-    sample = BirkhoffSample(n=1, values=vals, seed=0, observable="h",
-                            map_label="none", exact_angles=True)
+    sample = BirkhoffSample(n=1, values=vals, exact_angles=True)
     ks, ratio = clt_diagnostics(sample, 1.0)
     assert ks < 3.0 / np.sqrt(40000) * 1.63
     assert ratio == pytest.approx(1.0, abs=0.05)
@@ -87,8 +86,7 @@ def test_clt_ks_statistic_unmoved_by_normal_cdf():
 
 
 def test_degenerate_variance_rejected():
-    sample = BirkhoffSample(n=1, values=np.zeros(10), seed=0, observable="h",
-                            map_label="none", exact_angles=True)
+    sample = BirkhoffSample(n=1, values=np.zeros(10), exact_angles=True)
     with pytest.raises(DegenerateVariance):
         clt_diagnostics(sample, 0.0)
 

@@ -6,9 +6,10 @@ import pytest
 from innerdyn.blaschke import BlaschkeMap, angle_map
 from innerdyn.circle import circle_grid
 from innerdyn.observables import COS, Observable, constant
+from innerdyn.spectral import deflated_subleading, leading_spectral_data
+from innerdyn.stochastic import green_kubo_variance
 from innerdyn.transfer import (assemble_operator, conformal_equilibrium,
-                               equilibrium_invariance_defect, leading_eigen,
-                               pressure_and_derivs, subleading_modulus)
+                               equilibrium_invariance_defect, pressure_and_derivs)
 
 F2 = BlaschkeMap.monomial(2)
 F3 = BlaschkeMap.monomial(3)
@@ -18,8 +19,8 @@ GK_FH_COS = 1.0 / 6.0    # closed form: c_k = (1/2)(-1/2)^k, summed
 
 def test_unit_mass_invariant():
     for F in (F2, F3, FH):
-        M = assemble_operator(F, 1.0, None, 128)
-        assert M.unit_mass_defect() < 1e-10
+        M = assemble_operator(F, 1.0, None, 128).matrix
+        assert np.max(np.abs(M @ np.ones(128) - 1.0)) < 1e-10
 
 
 def test_monomial_mode_collapse():
@@ -27,18 +28,18 @@ def test_monomial_mode_collapse():
     N = 64
     M = assemble_operator(F2, 1.0, None, N)
     grid = circle_grid(N)
-    out = M.apply(np.exp(4j * grid))
+    out = M.matrix @ np.exp(4j * grid)
     assert np.max(np.abs(out - np.exp(2j * grid))) < 1e-10
-    out = M.apply(np.exp(3j * grid))
+    out = M.matrix @ np.exp(3j * grid)
     assert np.max(np.abs(out)) < 1e-10
 
 
 def test_monomial_constant_mode_scaling():
     # weight |F'|^{-s} scales the constant by d^{1-s}
     M = assemble_operator(F2, 2.0, None, 64)
-    out = M.apply(np.ones(64))
+    out = M.matrix @ np.ones(64)
     assert np.max(np.abs(out - 0.5)) < 1e-12
-    assert leading_eigen(M).lam == pytest.approx(0.5, abs=1e-10)
+    assert leading_spectral_data(M.matrix).lam == pytest.approx(0.5, abs=1e-10)
 
 
 def test_duality_with_composition():
@@ -54,7 +55,7 @@ def test_duality_with_composition():
         u = sum(c * np.exp(1j * k * grid) for k, c in zip(range(-3, 4), cu))
         v = sum(c * np.exp(1j * k * grid) for k, c in zip(range(-3, 4), cv))
         vF = sum(c * np.exp(1j * k * img) for k, c in zip(range(-3, 4), cv))
-        lhs = np.mean(M.apply(u) * np.conj(v))
+        lhs = np.mean((M.matrix @ u) * np.conj(v))
         rhs = np.mean(u * np.conj(vF))
         assert abs(lhs - rhs) < 1e-9
 
@@ -64,12 +65,12 @@ def test_mean_preservation():
     grid = circle_grid(N)
     M = assemble_operator(FH, 1.0, None, N)
     u = np.cos(grid) + 0.3 * np.sin(2 * grid) + 0.7
-    assert np.mean(M.apply(u)) == pytest.approx(np.mean(u), abs=1e-11)
+    assert np.mean(M.matrix @ u) == pytest.approx(np.mean(u), abs=1e-11)
 
 
 @pytest.mark.parametrize("F", [F2, F3, FH], ids=["z2", "z3", "fh"])
 def test_leading_eigenvalue_is_one(F):
-    data = leading_eigen(assemble_operator(F, 1.0, None, 256))
+    data = leading_spectral_data(assemble_operator(F, 1.0, None, 256).matrix)
     assert abs(data.lam - 1.0) < 1e-10
     assert data.residual < 1e-8
     assert np.all(data.rho.real > 0)
@@ -77,7 +78,7 @@ def test_leading_eigenvalue_is_one(F):
 
 
 def test_uniform_conformal_weights_for_lebesgue():
-    data = leading_eigen(assemble_operator(F2, 1.0, None, 64))
+    data = leading_spectral_data(assemble_operator(F2, 1.0, None, 64).matrix)
     assert np.max(np.abs(data.weights - 1.0 / 64)) < 1e-10
     assert np.max(np.abs(data.rho - 1.0)) < 1e-8
 
@@ -87,25 +88,24 @@ def test_subleading_linearizer_spectrum(a):
     # spectrum of the adjoint pair is {1} and powers of F'(0) = -a
     F = BlaschkeMap((0j, a + 0j))
     M = assemble_operator(F, 1.0, None, 256)
-    S = leading_eigen(M)
-    assert subleading_modulus(M, S) == pytest.approx(a, abs=1e-3)
+    assert leading_spectral_data(M.matrix).gap == pytest.approx(a, abs=1e-3)
 
 
 def test_subleading_collapses_for_monomial():
-    M = assemble_operator(F2, 1.0, None, 256)
-    S = leading_eigen(M)
-    assert subleading_modulus(M, S) < 1e-6
+    M = assemble_operator(F2, 1.0, None, 256).matrix
+    S = leading_spectral_data(M)
+    assert deflated_subleading(M, S.lam, S.rho, S.weights) < 1e-6
 
 
 def test_gap_field_collapses_for_monomial():
     # the gap monitor reads the same nilpotent remainder as the accurate
     # path: without the collapse rule its Ritz values are noise of size
     # eps^(1/k), not 0
-    assert leading_eigen(assemble_operator(F2, 1.0, None, 256)).gap < 1e-6
+    assert leading_spectral_data(assemble_operator(F2, 1.0, None, 256).matrix).gap < 1e-6
 
 
 def test_gap_field_for_fh():
-    S = leading_eigen(assemble_operator(FH, 1.0, None, 256))
+    S = leading_spectral_data(assemble_operator(FH, 1.0, None, 256).matrix)
     assert S.gap == pytest.approx(0.5, abs=1e-3)
 
 
@@ -123,6 +123,14 @@ def test_pressure_fh_cos():
     assert rep.dp == pytest.approx(0.0, abs=1e-6)
     assert rep.ddp == pytest.approx(GK_FH_COS, abs=1e-3)
     assert rep.variance_prediction == pytest.approx(GK_FH_COS, abs=1e-10)
+
+
+@pytest.mark.parametrize("F", [FH, BlaschkeMap((0j, 0.9 + 0j))], ids=["fh", "a09"])
+def test_pressure_variance_is_the_green_kubo_variance(F):
+    # at N = 512 the pressure's t = 0 node is the matrix green_kubo_variance
+    # assembles, and both read the variance off it with spectral.green_kubo
+    rep = pressure_and_derivs(F, COS, N=512)
+    assert rep.variance_prediction == green_kubo_variance(F, COS)
 
 
 def test_pressure_constant_observable():
@@ -179,7 +187,7 @@ def test_critical_line_iterates_stay_smooth():
     start = c1_norm(u)
     norms = []
     for _ in range(60):
-        u = M.apply(u)
+        u = M.matrix @ u
         norms.append(c1_norm(u))
     assert max(norms) < 10 * start
     assert norms[-1] <= max(norms[:10]) + 1e-9
@@ -193,7 +201,7 @@ def test_iterate_contraction():
     g = np.cos(grid).astype(complex)
     sup = []
     for _ in range(10):
-        g = M.apply(g)
+        g = M.matrix @ g
         sup.append(np.max(np.abs(g)))
     gap = 0.5
     assert sup[9] < 2.0 * gap**10
