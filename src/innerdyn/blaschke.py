@@ -4,13 +4,17 @@ A degree-d map is F(z) = e^{i*rot} * prod_i (z - a_i)/(1 - conj(a_i) z) with
 all |a_i| < 1 and a_0 = 0, so F(0) = 0 and normalized Lebesgue measure on the
 unit circle is F-invariant. On the circle the argument of F lifts to a
 strictly increasing function L gaining 2*pi*d per revolution, sampled once
-per map on a cached grid. A boundary preimage is the root of g(t) = arg
-F(e^{it}) - tau inside one grid cell of that lift; it is found by a
-vectorised Newton iteration (g' = |F'| in closed form) started from linear
-interpolation of the lift, with a bisection step whenever a Newton step
-leaves the cell's bracket. `lift_inverse` extends this inverse to every
-real tau by whole turns, and every other circle equation goes through it:
-the periodic points of F^n are the fixed points of n-fold compositions of
+per map on a cached grid together with its slope |F'| at the nodes and a
+table of uniform buckets in tau that finds the grid cell of any tau in O(1).
+A boundary preimage is the root of g(t) = arg F(e^{it}) - tau inside one
+cell of that lift. Newton starts from cubic Hermite interpolation of the
+inverse lift in the cell (end slopes 1/|F'|), and a root is accepted after
+one step when the Newton error bound M s^2 / (2m), with m <= |F'| and
+M >= |d/dt |F'|| over the circle, is below rounding; the rest continue a
+safeguarded Newton iteration with a bisection step whenever a step leaves
+the cell's bracket. `lift_inverse` extends this inverse to every real tau
+by whole turns, and every other circle equation goes through it: the
+periodic points of F^n are the fixed points of n-fold compositions of
 inverse branches, found by a safeguarded Newton iteration on those
 compositions, and the coding layer pulls cylinders back with it.
 
@@ -91,6 +95,11 @@ class BlaschkeMap:
         """Upper bound sum_i (1+|a_i|)/(1-|a_i|) for |F'| on the circle."""
         return float(sum((1 + abs(a)) / (1 - abs(a)) for a in self.zeros))
 
+    def min_boundary_deriv(self) -> float:
+        """Lower bound sum_i (1-|a_i|)/(1+|a_i|) for |F'| on the circle; at
+        least 1, because a_0 = 0."""
+        return float(sum((1 - abs(a)) / (1 + abs(a)) for a in self.zeros))
+
     def label(self) -> str:
         if self.is_monomial and self.rotation == 0.0:
             return f"z^{self.degree}"
@@ -139,7 +148,8 @@ def circle_values(F: BlaschkeMap, theta) -> np.ndarray:
     z = np.exp(1j * np.asarray(theta, dtype=float))
     out = np.full(z.shape, np.exp(1j * F.rotation), dtype=complex)
     for a in F.zeros:
-        out *= (z - a) / (1.0 - np.conj(a) * z)
+        # a zero at the origin contributes z / 1, which is z to the bit
+        out *= (z - a) / (1.0 - np.conj(a) * z) if a else z
     return out
 
 
@@ -178,11 +188,15 @@ def _lift_grid(F: BlaschkeMap) -> tuple[np.ndarray, np.ndarray]:
 
     The `_grid_size` grid is fine enough that the lift increases by < pi/4
     per cell, which makes principal-argument comparisons inside a cell
-    unambiguous.
+    unambiguous. A cell that falls, or rises by more than pi, fails the
+    monotonicity or the total-gain check.
     """
     n = _grid_size(F)
     t = TWO_PI * np.arange(n + 1) / n
-    ph = np.unwrap(np.angle(circle_values(F, t)))
+    ph = np.angle(circle_values(F, t))
+    # the lift rises by less than pi/4 per cell, so each fall below -pi is
+    # one turn of the principal argument
+    ph += TWO_PI * np.concatenate(([0], np.cumsum(np.diff(ph) < -np.pi)))
     if np.any(np.diff(ph) < -1e-9):
         raise LiftNonMonotone("argument lift of the boundary map decreased")
     tot = ph[-1] - ph[0]
@@ -193,35 +207,113 @@ def _lift_grid(F: BlaschkeMap) -> tuple[np.ndarray, np.ndarray]:
     return t, ph
 
 
+@functools.lru_cache(maxsize=64)
+def _lift_cells(F: BlaschkeMap) -> tuple[np.ndarray, np.ndarray, float]:
+    """|F'| at the `_lift_grid` nodes, and a bucket table for cell lookup.
+
+    Bucket b covers tau in [ph[0] + b*width, ph[0] + (b+1)*width); width is
+    the narrowest cell shrunk by 1e-6, so that rounding in the division
+    cannot put two nodes in one bucket, and every bucket holds at most one
+    node. tab[b] is the index of the first node in bucket b or later. Every
+    cell spans at least 2*pi*m/n of lift, m = `min_boundary_deriv()` >= 1,
+    so the lift's 2*pi*d needs about d*n/m buckets: at most 34 MB of int32
+    on the largest grid. The table is a cumulative sum over one mark per
+    node, so building it takes linear time.
+    """
+    t, ph = _lift_grid(F)
+    # |F'| = sum (1 - r^2) / ((1 - r)^2 + 4r sin^2((t - arg a)/2)), r = |a|:
+    # no cancellation next to a zero near the circle, and no complex exp
+    slope = np.full(len(t), float(F.zeros.count(0j)))
+    for a in F.zeros:
+        if a:
+            r, h = abs(a), np.sin(0.5 * (t - np.angle(a)))
+            slope += (1.0 - r * r) / ((1.0 - r) ** 2 + 4.0 * r * h * h)
+    width = float(np.min(np.diff(ph))) * (1.0 - 1e-6)
+    node = ((ph - ph[0]) / width).astype(np.int64)
+    tab = np.zeros(node[-1] + 1, dtype=np.int32)
+    tab[node[:-1] + 1] = 1
+    np.cumsum(tab, out=tab)
+    return slope, tab, width
+
+
+def _lift_cell(F: BlaschkeMap, tau: np.ndarray) -> np.ndarray:
+    """Index i in [1, n] of the lift cell [ph[i-1], ph[i]] holding each tau;
+    equal to clip(searchsorted(ph, tau), 1, n). The bucket of tau holds at
+    most one node, ph[tab[b]] when there is one; every node of an earlier
+    bucket is below tau and every node of a later bucket above it, because
+    the bucket index is a monotone function of the value."""
+    _, ph = _lift_grid(F)
+    _, tab, width = _lift_cells(F)
+    b = np.clip((tau - ph[0]) / width, 0, len(tab) - 1).astype(np.intp)
+    first = tab[b]
+    return np.clip(first + (tau > ph[first]), 1, len(ph) - 1)
+
+
+def _newton_terms(F: BlaschkeMap, t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g = arg(F(e^{it}) * w) and |F'(e^{it})|, from one exponential per
+    point; w = e^{-i*tau} for the Newton residual g = L(t) - tau."""
+    z = np.exp(1j * t)
+    val = w * np.exp(1j * F.rotation)
+    slope = np.zeros(t.shape)
+    for a in F.zeros:
+        if a:
+            q = z - a
+            val *= q / (1.0 - np.conj(a) * z)
+            slope += (1.0 - abs(a) ** 2) / (q.real * q.real + q.imag * q.imag)
+        else:
+            val *= z
+            slope += 1.0
+    return np.angle(val), slope
+
+
 def _preimage_newton(F: BlaschkeMap, tau: np.ndarray) -> np.ndarray:
     """The angles t with lift(t) = tau, by safeguarded Newton in lift cells.
 
-    Each tau is bracketed by the grid cell of the cached lift that contains
-    it. There the lift differs from tau by less than pi, so
-    g(t) = arg(F(e^{it}) e^{-i*tau}) is the lift minus tau, increasing with
-    g' = |F'(e^{it})|. Newton starts from linear interpolation of the lift in
-    the cell; every sweep moves the bracket end on the side given by the
-    sign of g to the current point, and replaces a step that leaves the
-    bracket by its midpoint. An entry is done once its Newton step is below
-    4e-15 * max(1, |t|); that test comes first, because a root on a cell
-    node collapses the bracket to one point and no step can then land inside.
+    Each tau is bracketed by the grid cell [t0, t1] of the cached lift that
+    contains it, found in O(1) by `_lift_cell`. There the lift differs from
+    tau by less than pi, so g(t) = arg(F(e^{it}) e^{-i*tau}) is the lift
+    minus tau, increasing with g' = |F'(e^{it})|. Newton starts from the
+    cubic Hermite interpolant of the inverse lift in the cell, whose end
+    slopes are 1/|F'| at the nodes: on z(z - 0.5)/(1 - 0.5z) its error is at
+    most 3e-14, against 2.5e-7 for linear interpolation.
+
+    A Newton step s taken at t lands within M s^2 / (2m) of the root: by
+    Taylor's theorem |g(t + s)| <= M s^2 / 2, where M = sum_i 2|a_i|(1+|a_i|)
+    / (1-|a_i|)^3 bounds |d/dt |F'||, and g' >= m = `F.min_boundary_deriv()`.
+    An entry is done once that bound is at most 2.2e-16 * max(1, |t|) with
+    t + s inside its bracket, or once its step is below 4e-15 * max(1, |t|)
+    wherever it lands: a root on a cell node collapses the bracket to one
+    point, inside which no step can land. The others go on sweeping: every
+    sweep moves the bracket end on the side given by the sign of g to the
+    current point, and replaces a step that leaves the bracket by its
+    midpoint.
     """
     grid, ph = _lift_grid(F)
-    idx = np.clip(np.searchsorted(ph, tau), 1, len(ph) - 1)
+    node_slope = _lift_cells(F)[0]
+    idx = _lift_cell(F, tau)
     tlo, thi = grid[idx - 1], grid[idx]
-    t = tlo + np.clip((tau - ph[idx - 1]) / (ph[idx] - ph[idx - 1]), 0.0, 1.0) * (thi - tlo)
+    dp = ph[idx] - ph[idx - 1]
+    u = np.clip((tau - ph[idx - 1]) / dp, 0.0, 1.0)
+    # Hermite basis: t = t0 + h01 (t1 - t0) + dp (h10 / |F'(t0)| + h11 / |F'(t1)|)
+    t = tlo + u * u * (3.0 - 2.0 * u) * (thi - tlo) + u * (1.0 - u) * dp * (
+        (1.0 - u) / node_slope[idx - 1] - u / node_slope[idx])
+    curv = sum(2 * abs(a) * (1 + abs(a)) / (1 - abs(a)) ** 3 for a in F.zeros) / (
+        2 * F.min_boundary_deriv())
+    w = np.exp(-1j * tau)
     root = np.empty_like(t)
     active = np.arange(len(t))
     for _ in range(_NEWTON_SWEEPS):
-        g = np.angle(circle_values(F, t) * np.exp(-1j * tau))
-        step = -g / circle_abs_deriv(F, t)
+        g, slope = _newton_terms(F, t, w)
+        step = -g / slope
         nxt = t + step
-        done = np.abs(step) <= 4e-15 * np.maximum(1.0, np.abs(t))
+        scale = np.maximum(1.0, np.abs(t))
+        done = (np.abs(step) <= 4e-15 * scale) | (
+            (curv * step * step <= 2.2e-16 * scale) & (tlo <= nxt) & (nxt <= thi))
         root[active[done]] = nxt[done]
         if done.all():
             return root
         keep = ~done
-        active, tau, t, g, nxt = active[keep], tau[keep], t[keep], g[keep], nxt[keep]
+        active, w, t, g, nxt = active[keep], w[keep], t[keep], g[keep], nxt[keep]
         below = g < 0
         tlo = np.where(below, t, tlo[keep])
         thi = np.where(below, thi[keep], t)
@@ -237,10 +329,13 @@ def lift_inverse(F: BlaschkeMap, tau) -> np.ndarray:
     L(0) = arg F(1) in (-pi, pi]. Since L(t + 2*pi) = L(t) + 2*pi*d, tau is
     reduced by whole turns into the grid's range [L(0), L(0) + 2*pi*d),
     solved by _preimage_newton, and the turns are added back to the root.
-    The inverse is increasing with slope 1/|F'| at the root.
+    The inverse is increasing with slope 1/|F'| at the root. A NaN or
+    infinite tau is refused with ValueError.
     """
     _, ph = _lift_grid(F)
     tau = np.asarray(tau, dtype=float)
+    if not np.isfinite(tau).all():
+        raise ValueError("lift_inverse needs finite targets")
     turns = np.floor((tau - ph[0]) / (TWO_PI * F.degree))
     base = _preimage_newton(F, np.ravel(tau - TWO_PI * F.degree * turns))
     return base.reshape(tau.shape) + TWO_PI * turns
@@ -401,7 +496,7 @@ def periodic_points(F: BlaschkeMap, n: int) -> list[tuple[CirclePoint, float]]:
     count = d**n - 1
     if count > 10**7:
         raise BudgetExceeded(f"d^n - 1 = {count} exceeds the 1e7 budget")
-    rho = sum((1 - abs(a)) / (1 + abs(a)) for a in F.zeros) ** (-n)
+    rho = F.min_boundary_deriv() ** (-n)
     k = np.arange(count)
     t = TWO_PI * k / count
     lo, hi = np.full(count, -np.inf), np.full(count, np.inf)

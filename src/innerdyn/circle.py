@@ -94,6 +94,25 @@ def arcs_contain(arcs, theta):
     return out
 
 
+def arcs_intersection(arcs, others) -> list[Arc]:
+    """The pairwise intersections of two arc unions, as a list of arcs.
+
+    For a in arcs and b in others, measured from the start of a, b covers
+    [r, r + len_b) and, one turn earlier, [r - 2*pi, r - 2*pi + len_b); each
+    piece that meets [0, len_a) gives one arc, so a pair gives none, one or
+    two. The result is disjoint when both unions are.
+    """
+    out = []
+    for a in arcs:
+        for b in others:
+            rel = float(wrap_angle(b.start - a.start))
+            for lo in (rel, rel - TWO_PI):
+                start, end = max(lo, 0.0), min(lo + b.length, a.length)
+                if end > start:
+                    out.append(Arc(a.start + start, end - start))
+    return out
+
+
 def arcs_measure(arcs) -> float:
     """Total normalized measure of a union of arcs, assumed disjoint."""
     return float(sum(a.measure for a in arcs))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .blaschke import (BlaschkeMap, boundary_preimages_batch, circle_abs_deriv,
                        lyapunov_exponent)
-from .circle import TWO_PI, Arc, arcs_contain, as_angle
+from .circle import TWO_PI, Arc, arcs_contain, arcs_intersection, as_angle
 from .coding import encode
 from .errors import BudgetExceeded
 
@@ -38,12 +38,15 @@ class CountingLedger:
     """Sorted event stream (value, weight, location) with count queries.
 
     values are the log-derivatives of the events; weights are integer
-    multiplicities (1 for enumerated events, level sizes for aggregated
-    monomial ledgers). locations are circle angles or real positions, or
-    None for aggregated ledgers. member_mask marks events inside the target
-    set when the ledger was built against one. meta holds, for an aggregated
-    ledger only, the seed angle, degree and rotation that arc restriction
-    needs.
+    multiplicities (1 for enumerated events; for aggregated monomial ledgers
+    the level sizes as exact Python ints in an object array, since d^n
+    outgrows every integer dtype). locations are circle angles or real
+    positions, or None for aggregated ledgers. member_mask marks events
+    inside the target set when the ledger was built against one. meta holds,
+    for an aggregated ledger only, the seed angle, degree and rotation that
+    arc restriction needs, and after a restriction its arcs. Counts are
+    exact; only the Cesaro and Stieltjes functionals convert weights to
+    float.
     """
 
     values: np.ndarray
@@ -67,21 +70,26 @@ class CountingLedger:
                               member_mask=member_mask)
 
     @functools.cached_property
-    def _sums(self):
-        """Member weights w and their prefix sums W_i = sum_{j<i} w_j and
-        S_i = sum_{j<i} w_j e^{-v_j}, built on the first query."""
+    def _counts(self):
+        """Member weights w and their prefix sums W_i = sum_{j<i} w_j, built
+        on the first query; exact for integer weights."""
         w = (self.weights if self.member_mask is None
              else np.where(self.member_mask, self.weights, 0))
-        return w, _prefix_sums(w), _prefix_sums(w * np.exp(-self.values))
+        return w, _prefix_sums(w)
+
+    @functools.cached_property
+    def _laplace(self):
+        """Float prefix sums S_i = sum_{j<i} w_j e^{-v_j}."""
+        return _prefix_sums(self._counts[0].astype(float) * np.exp(-self.values))
 
     def count(self, T: float, strict: bool = True) -> int:
         """N(T) with the strict '<' convention by default; closed uses '<='."""
         idx = np.searchsorted(self.values, T, side="left" if strict else "right")
-        return int(self._sums[1][idx])
+        return int(self._counts[1][idx])
 
     @property
     def total(self) -> int:
-        return int(self._sums[1][-1])
+        return int(self._counts[1][-1])
 
     def restricted(self, arcs) -> "CountingLedger":
         """Ledger filtered to events whose location lies in the arc union."""
@@ -96,18 +104,20 @@ class CountingLedger:
         """(1/T) int_0^T N(t) e^{-t} dt = (S - W e^{-T}) / T over events v <= T."""
         if T <= 0:
             raise ValueError("T must be positive")
-        _, W, S = self._sums
+        W, S = self._counts[1], self._laplace
         idx = np.searchsorted(self.values, T, side="right")
-        return float(S[idx] - W[idx] * np.exp(-T)) / T if idx else 0.0
+        return float(S[idx] - float(W[idx]) * np.exp(-T)) / T if idx else 0.0
 
     def stieltjes(self, s: complex) -> complex:
         """sum over events of e^{-s * value}, the Laplace transform of dN."""
-        return complex(np.sum(self._sums[0] * np.exp(-complex(s) * self.values)))
+        w = self._counts[0].astype(float)
+        return complex(np.sum(w * np.exp(-complex(s) * self.values)))
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
-    """[0, x_0, x_0 + x_1, ...]; a float sum adds back each step's rounding
-    error, recovered exactly by TwoSum, so it stays within a few ulps."""
+    """[0, x_0, x_0 + x_1, ...]; exact for integers (Python ints in an
+    object array too). A float sum adds back each step's rounding error,
+    recovered exactly by TwoSum, so it stays within a few ulps."""
     out = np.zeros(len(x) + 1, dtype=x.dtype)
     s = np.cumsum(x, out=out[1:])
     if s.dtype.kind == "f":
@@ -139,14 +149,19 @@ def _monomial_level_count_in_arc(x: float, d: int, rotation: float, n: int,
 
 
 def _restrict_aggregated(L: CountingLedger, arcs) -> CountingLedger:
+    """Exact per-level counts in the arcs, intersected with the arcs of an
+    earlier restriction, which the result keeps in its meta."""
+    arcs = tuple(arcs)
+    if "arcs" in L.meta:
+        arcs = tuple(arcs_intersection(L.meta["arcs"], arcs))
     x = L.meta["seed_angle"]
     d = L.meta["degree"]
     rot = L.meta["rotation"]
     # entry n of an aggregated ledger is level n
     new_w = np.array([sum(_monomial_level_count_in_arc(x, d, rot, n, a) for a in arcs)
-                      for n in range(len(L.values))], dtype=float)
+                      for n in range(len(L.values))], dtype=object)
     return CountingLedger(values=L.values, weights=new_w, locations=None,
-                          member_mask=None, meta=dict(L.meta))
+                          member_mask=None, meta={**L.meta, "arcs": arcs})
 
 
 @dataclass
@@ -221,13 +236,21 @@ def _prefix_member(tree: LevelTree, letter, pad, cylinders) -> np.ndarray:
 
 def backward_orbit(F: BlaschkeMap, x, T: float,
                    node_budget: int = _NODE_BUDGET) -> LevelTree:
-    """All preimage-tree nodes (angles) with accumulated log-derivative <= T."""
+    """All preimage-tree nodes (angles) with accumulated log-derivative <= T.
+
+    Every edge adds log|F'| >= log m, m = `F.min_boundary_deriv()`, so a
+    node whose value exceeds T - log m has no child <= T; such nodes are not
+    solved (1e-12 of slack covers the rounding of log|F'|). The tree, its
+    order and its parent links are those of solving every node.
+    """
     d = F.degree
+    live = T - math.log(F.min_boundary_deriv()) + 1e-12
 
     def children(angles, acc):
-        Y = boundary_preimages_batch(F, angles)            # (m, d)
-        owner = np.repeat(np.arange(len(angles)), d)
-        return owner, Y.ravel(), (acc[:, None] + np.log(circle_abs_deriv(F, Y))).ravel()
+        owner = np.flatnonzero(acc <= live)
+        Y = boundary_preimages_batch(F, angles[owner])     # (m, d)
+        vals = acc[owner, None] + np.log(circle_abs_deriv(F, Y))
+        return np.repeat(owner, d), Y.ravel(), vals.ravel()
 
     return _walk(as_angle(x), children, T, node_budget, d)
 
@@ -256,10 +279,7 @@ def enumerate_orbit(F: BlaschkeMap, x, T: float) -> CountingLedger:
         n_max = int(np.floor(T / np.log(d) + 1e-12))
         if sum(d**n for n in range(n_max + 1)) > _NODE_BUDGET:
             vals = np.arange(n_max + 1) * np.log(d)
-            # float64 weights: level sizes d^n exceed any integer dtype for
-            # large T; counts beyond 2^53 are then correctly rounded, which
-            # is harmless for the ratio and Cesaro functionals
-            weights = np.power(float(d), np.arange(n_max + 1, dtype=np.float64))
+            weights = np.array([d**n for n in range(n_max + 1)], dtype=object)
             return CountingLedger(values=vals, weights=weights, locations=None,
                                   meta={"seed_angle": x, "degree": d,
                                         "rotation": F.rotation})

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from innerdyn import blaschke
+from innerdyn import blaschke, counting
 from innerdyn.blaschke import (BlaschkeMap, _lift_grid, boundary_preimages,
                                boundary_preimages_batch, circle_abs_deriv)
-from innerdyn.circle import TWO_PI, circle_grid, wrap_angle
+from innerdyn.circle import TWO_PI, as_angle, circle_grid, wrap_angle
 from innerdyn.counting import backward_orbit, enumerate_orbit
 from innerdyn.errors import BudgetExceeded
 from innerdyn.transfer import assemble_operator
@@ -152,21 +152,86 @@ def test_ledger_counts_identical_on_T_grid(F):
 
 @pytest.mark.parametrize("F", [FH, DEG3, A099, Z2])
 def test_preimage_sweep_count(F):
-    # deterministic cost guard: one circle_values call per Newton sweep;
-    # 60-step bisection would make 60 calls
+    # deterministic cost guard on the map evaluations of the Newton solve:
+    # one per root where the Hermite seed and the one-step bound suffice, and
+    # at most 8 sweeps anywhere; 60-step bisection would make 60
     _lift_grid(F)
-    calls = []
-    original = blaschke.circle_values
+    sizes = []
+    original = blaschke._newton_terms
 
-    def counted(G, theta):
-        calls.append(len(np.atleast_1d(theta)))
-        return original(G, theta)
+    def counted(G, t, w):
+        sizes.append(len(t))
+        return original(G, t, w)
 
-    targets = np.concatenate([circle_grid(512), np.linspace(0.01, 6.2, 301)])
+    rng = np.random.default_rng(11)
+    cases = [(rng.uniform(0.0, TWO_PI, 2000), F is not A099),
+             (np.concatenate([circle_grid(512), np.linspace(0.01, 6.2, 301)]), False)]
+    for targets, one_step in cases:
+        sizes.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blaschke, "_newton_terms", counted)
+            boundary_preimages_batch(F, targets)
+        assert 1 <= len(sizes) <= 8
+        if one_step:
+            assert sum(sizes) <= 1.05 * len(targets) * F.degree
+
+
+@pytest.mark.parametrize("F", [BlaschkeMap((0j, 0.999 + 0j)),
+                               BlaschkeMap((0j, 0.99999 + 0j)),
+                               BlaschkeMap((0j, 0.999 * np.exp(2j)), 0.3)])
+def test_newton_matches_bisection_near_the_circle(F):
+    # |F'| varies fastest next to a zero near the circle, so the Hermite seed
+    # is at its worst there and the one-step bound decides most roots
+    targets = np.random.default_rng(5).uniform(0.0, TWO_PI, 2000)
+    got = boundary_preimages_batch(F, targets)
+    assert circular_gap(got, bisection_preimages_batch(F, targets)) <= 1e-14
+
+
+@pytest.mark.parametrize("F", [FH, DEG3, A099, Z2, BlaschkeMap.monomial(5, 1.0)])
+def test_lift_cell_lookup_is_searchsorted(F):
+    t, ph = _lift_grid(F)
+    _, tab, _ = blaschke._lift_cells(F)
+    assert len(tab) <= F.degree * (len(t) - 1) + 1
+    rng = np.random.default_rng(3)
+    tau = np.concatenate([ph, 0.5 * (ph[1:] + ph[:-1]), np.nextafter(ph, -np.inf),
+                          np.nextafter(ph, np.inf), rng.uniform(ph[0], ph[-1], 5000)])
+    want = np.clip(np.searchsorted(ph, tau), 1, len(ph) - 1)
+    assert np.array_equal(blaschke._lift_cell(F, tau), want)
+
+
+def _full_tree(F, x, T):
+    """The backward tree with every node solved, through the same walker."""
+    d = F.degree
+
+    def children(angles, acc):
+        Y = boundary_preimages_batch(F, angles)
+        vals = acc[:, None] + np.log(circle_abs_deriv(F, Y))
+        return np.repeat(np.arange(len(angles)), d), Y.ravel(), vals.ravel()
+
+    return counting._walk(as_angle(x), children, T, counting._NODE_BUDGET, d)
+
+
+@pytest.mark.parametrize("F,T", [(FH, 9.0), (DEG3, 8.0), (Z2, 10.0), (A099, 8.0)])
+def test_pruned_tree_equals_full_tree(F, T):
+    ref = _full_tree(F, 0.3, T)
+    solved = []
+
+    def recorded(G, targets):
+        solved.append(np.array(targets))
+        return boundary_preimages_batch(G, targets)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(blaschke, "circle_values", counted)
-        boundary_preimages_batch(F, targets)
-    assert 1 <= len(calls) <= 8
+        mp.setattr(counting, "boundary_preimages_batch", recorded)
+        tree = backward_orbit(F, 0.3, T)
+    for field in ("nodes", "values", "parents"):
+        got, want = getattr(tree, field), getattr(ref, field)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # exactly the nodes at most T - log m are solved
+    nodes, values = ref.events()
+    live = values <= T - np.log(F.min_boundary_deriv()) + 1e-12
+    assert np.array_equal(np.sort(np.concatenate(solved)), np.sort(nodes[live]))
+    assert not live.all()
 
 
 def test_lift_grid_refused_before_allocation():

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from innerdyn.blaschke import BlaschkeMap, lyapunov_exponent
 from innerdyn.circle import Arc, FULL_CIRCLE
 from innerdyn.coding import build_partition, cylinder_arc
-from innerdyn.counting import (CountingLedger, asymptotic_report, backward_orbit,
-                               coded_count, enumerate_orbit, ratio_amplitude)
+from innerdyn.counting import (CountingLedger, _monomial_level_count_in_arc,
+                               asymptotic_report, backward_orbit, coded_count,
+                               enumerate_orbit, ratio_amplitude)
 from innerdyn.errors import BudgetExceeded
 from innerdyn.parabolic import build_parabolic, parabolic_count
 from innerdyn.shift import PotentialSpec, SymbolicSystem, count_words
@@ -111,6 +112,48 @@ def test_aggregated_ledger_rotated_monomial():
     for t in np.linspace(0.5, 10.0, 7):
         assert agg.restricted(B).count(t, strict=False) == \
             exact.restricted(B).count(t, strict=False)
+
+
+def _exact_level_counts(x, d, T, arcs):
+    """Python-int level sizes of e^{0i} z^d from x below T, summed over arcs
+    by `_monomial_level_count_in_arc` (all levels when arcs is None)."""
+    levels = [n for n in range(200) if n * math.log(d) < T]
+    if arcs is None:
+        return [d**n for n in levels]
+    return [sum(_monomial_level_count_in_arc(x, d, 0.0, n, a) for a in arcs) for n in levels]
+
+
+@pytest.mark.parametrize("d,T,arc", [(2, 45.0, Arc(0.0, 1.0)), (3, 40.0, Arc(1.0, 1.0))])
+def test_aggregated_counts_are_exact_integers(d, T, arc):
+    # level sizes beyond 2^53: float weights rounded z^3's count(40) by 7 and
+    # read z^2's total as 2^65 instead of 2^65 - 1
+    led = enumerate_orbit(BlaschkeMap.monomial(d), 0.3, T)
+    assert led.locations is None
+    want = _exact_level_counts(0.3, d, T, None)
+    assert led.count(T) == sum(want)
+    assert led.total == sum(want)                 # no level sits at T itself
+    sub = led.restricted([arc])
+    want_arc = _exact_level_counts(0.3, d, T, [arc])
+    assert sub.count(T) == sum(want_arc)
+    assert sub.count(T / 2) == sum(want_arc[:math.ceil(T / 2 / math.log(d))])
+
+
+def test_second_restriction_intersects_on_aggregated_ledgers():
+    agg = enumerate_orbit(F2, 0.3, 30.0)
+    located = enumerate_orbit(F2, 0.3, 12.0)
+    assert agg.locations is None and located.locations is not None
+    A, B = Arc(0.0, 1.0), Arc(3.0, 1.0)
+    assert agg.restricted([A]).restricted([B]).total == 0
+    assert located.restricted([A]).restricted([B]).total == 0
+    # overlapping, nested and wrapping pairs agree with the located ledger
+    pairs = [([Arc(0.5, 2.0)], [Arc(1.0, 3.0)]),
+             ([Arc(1.0, 4.0)], [Arc(2.0, 0.5)]),
+             ([Arc(5.5, 2.0)], [Arc(6.0, 1.5), Arc(2.0, 1.0)]),
+             ([Arc(0.2, 6.0)], [Arc(6.0, 0.9)])]
+    for first, second in pairs:
+        twice = agg.restricted(first).restricted(second)
+        assert twice.count(12.0) == located.restricted(first).restricted(second).count(12.0)
+        assert twice.count(30.0) == twice.restricted([FULL_CIRCLE]).count(30.0)
 
 
 def test_lattice_ratio_oscillates():

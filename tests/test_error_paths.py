@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from innerdyn.blaschke import BlaschkeMap, eval_and_deriv, koenigs, periodic_points
+from innerdyn.blaschke import (BlaschkeMap, boundary_preimages_batch, eval_and_deriv, koenigs,
+                               periodic_points)
 from innerdyn.counting import enumerate_orbit
 from innerdyn.errors import (BudgetExceeded, DivergentSeries, GapLost,
                              PoleProximity, TailBoundExceeded, ZeroMultiplier)
@@ -22,6 +23,13 @@ def test_pole_proximity():
     pole = 1.0 / a
     with pytest.raises(PoleProximity):
         eval_and_deriv(F, pole - 5e-13)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_preimage_target_is_refused(bad):
+    # a NaN once ran 60 Newton sweeps before NoConvergence
+    with pytest.raises(ValueError, match="finite"):
+        boundary_preimages_batch(BlaschkeMap((0j, 0.5 + 0j)), np.array([0.3, bad]))
 
 
 def test_zero_multiplier_rejected():
