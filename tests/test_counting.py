@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from innerdyn.blaschke import BlaschkeMap, lyapunov_exponent
-from innerdyn.circle import Arc, FULL_CIRCLE
+from innerdyn.circle import Arc, FULL_CIRCLE, arcs_intersection
 from innerdyn.coding import build_partition, cylinder_arc
 from innerdyn.counting import (CountingLedger, _monomial_level_count_in_arc,
                                asymptotic_report, backward_orbit, coded_count,
@@ -154,6 +154,64 @@ def test_second_restriction_intersects_on_aggregated_ledgers():
         twice = agg.restricted(first).restricted(second)
         assert twice.count(12.0) == located.restricted(first).restricted(second).count(12.0)
         assert twice.count(30.0) == twice.restricted([FULL_CIRCLE]).count(30.0)
+
+
+@st.composite
+def _arc_union(draw):
+    """One arc, or two disjoint arcs, at a drawn start."""
+    start = draw(st.floats(0.0, 2 * np.pi, exclude_max=True))
+    parts = [draw(st.floats(1e-3, 1.0)) for _ in range(4)]
+    lengths = [2 * np.pi * p / sum(parts) for p in parts]
+    arcs = [Arc(start, lengths[0])]
+    if draw(st.booleans()):
+        arcs.append(Arc(start + lengths[0] + lengths[1], lengths[2]))
+    return arcs
+
+
+_LOCATED_FH = enumerate_orbit(FH, 0.3, 8.0)
+_AGGREGATED_Z2 = enumerate_orbit(F2, 0.3, 30.0)
+_LOCATED_Z2 = enumerate_orbit(F2, 0.3, 12.0)
+
+
+@given(_arc_union(), _arc_union())
+@settings(max_examples=60, deadline=None)
+def test_restriction_composes_on_circle_ledgers(A, B):
+    # restricting to A and then to B is restricting to A & B, on the
+    # located ledger and on the aggregated monomial ledger, and the
+    # aggregated counts are those of the located ledger below T = 12
+    both = arcs_intersection(A, B)
+    twice, once = _LOCATED_FH.restricted(A).restricted(B), _LOCATED_FH.restricted(both)
+    assert twice.total == once.total
+    assert all(twice.count(t) == once.count(t) for t in (2.0, 5.0, 8.0))
+    twice, once = _AGGREGATED_Z2.restricted(A).restricted(B), _AGGREGATED_Z2.restricted(both)
+    assert twice.total == once.total
+    located = _LOCATED_Z2.restricted(A).restricted(B)
+    assert all(twice.count(t) == once.count(t) == located.count(t) for t in (3.0, 7.5, 12.0))
+
+
+def _cylinder_meet(A, B):
+    """The cylinders of the intersection of two cylinder unions: [u] meets
+    [w] in the longer word when one is a prefix of the other, else not."""
+    return [max(u, w, key=len) for u in A for w in B if u[:len(w)] == w[:len(u)]]
+
+
+_WORDS = st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+                  min_size=1, max_size=3)
+_S3 = SymbolicSystem.full_shift(3)
+_PSI3 = PotentialSpec.from_letter_values(_S3, {1: -LOG2, 2: -math.log(3), 3: -math.log(6)})
+
+
+@given(_WORDS, _WORDS)
+@settings(max_examples=60, deadline=None)
+def test_restriction_composes_on_the_shift_ledger(A, B):
+    # the shift ledger restricts by cylinders: its members for A, then for
+    # B, are its members for the cylinders of A & B
+    def members(cylinders):
+        return count_words(_S3, _PSI3, (1, 2), 6.0, cylinders).member_mask
+
+    both = _cylinder_meet(A, B)
+    want = members(A) & members(B)
+    assert np.array_equal(members(both), want) if both else not want.any()
 
 
 def test_lattice_ratio_oscillates():

@@ -6,9 +6,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from innerdyn.errors import BudgetExceeded, NotPrimitive
-from innerdyn.shift import (PotentialSpec, SymbolicSystem, calibrate,
+from innerdyn.shift import (PotentialSpec, SymbolicSystem, _holder_norm,
+                            _holder_norm_data, calibrate,
                             check_finitely_primitive, count_words,
                             cylinder_operator, d_genericity,
                             equilibrium_cylinder_masses, holder_modulus_in_s,
@@ -411,6 +413,47 @@ def test_holder_modulus_gauss_like():
     assert eps0 >= 0.45
     C1, eps1 = holder_modulus_in_s(S, psi, 1.0)
     assert np.isfinite(C1) and C1 > 0
+
+
+def test_holder_modulus_frozen_on_criterion_13_system():
+    # D = L_t - L_s is rank one on this system, so every probe's image is
+    # constant; the values are those of the full O(n^2) Hoelder-norm scan
+    S, psi = gauss_like()
+    psi = calibrate(S, psi)
+    assert holder_modulus_in_s(S, psi, 0.0, 1.0, radius=0.5, seed=0) == \
+        (0.391701126441528, 0.9969180226662055)
+
+
+@st.composite
+def _holder_inputs(draw):
+    """A complex vector (constant, with repeats, or spread out, at a scale
+    from subnormal to large), a letter table of depth 1-3 and alpha."""
+    depth = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    letters = np.array(draw(st.lists(st.lists(st.integers(1, 3), min_size=depth,
+                                              max_size=depth), min_size=n, max_size=n)))
+    part = st.floats(-1e6, 1e6)
+    z = st.builds(complex, part, part)
+    kind = draw(st.sampled_from(["constant", "repeats", "spread"]))
+    if kind == "constant":
+        vec = [draw(z)] * n
+    elif kind == "repeats":
+        pool = draw(st.lists(z, min_size=1, max_size=3))
+        vec = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1),
+                                              min_size=n, max_size=n))]
+    else:
+        vec = draw(st.lists(z, min_size=n, max_size=n))
+    scale = 2.0 ** draw(st.integers(-1080, 64))
+    return np.array(vec, dtype=complex) * scale, letters, draw(st.floats(0.1, 2.0))
+
+
+@given(_holder_inputs())
+@settings(max_examples=300, deadline=None)
+def test_pruned_holder_norm_equals_the_full_scan(inputs):
+    vec, letters, alpha = inputs
+    wmat = _holder_norm_data(letters, alpha)
+    full = float(np.max(np.abs(vec)) + np.max(np.abs(vec[:, None] - vec[None, :]) * wmat))
+    assert _holder_norm(vec, wmat, float(np.max(wmat))) == full
 
 
 # ---------------------------------------------------------------------------

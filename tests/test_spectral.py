@@ -16,13 +16,16 @@ from innerdyn.blaschke import BlaschkeMap
 from innerdyn.errors import NoConvergence, NonDecaying
 from innerdyn.shift import (PotentialSpec, SymbolicSystem, cylinder_operator,
                             pressure_derivs_shift, spectral_data)
-from innerdyn import spectral, stochastic
+from innerdyn import spectral, stochastic, transfer
 from innerdyn.spectral import (_KRYLOV_DIM, deflated_resolvent, deflated_subleading,
                                leading_spectral_data, power_leading)
+from innerdyn.observables import COS
 from innerdyn.stochastic import correlation_sequence
 from innerdyn.transfer import OperatorMatrix, assemble_operator
 
 DEG3 = BlaschkeMap((0j, 0.4 + 0.3j, -0.3 - 0.5j), 0.7)
+A09 = BlaschkeMap((0j, 0.9 + 0j))
+FH = BlaschkeMap((0j, 0.5 + 0j))
 
 
 class RealOperandsOnly:
@@ -123,28 +126,94 @@ def test_real_leading_spectral_data_matches_lapack(n, seed, r, phi, pair):
     assert abs(data.gap - abs(ev[1]) / abs(ev[0])) <= 1e-8
 
 
-def test_real_s_gives_a_real_matrix_and_a_real_krylov_basis(monkeypatch):
-    starts = []
+def _recording_arnoldi(monkeypatch):
+    """Replace spectral._arnoldi by a wrapper; returns the list it appends
+    (start dtype, matvecs) to, one entry per call."""
+    calls = []
     arnoldi = spectral._arnoldi
 
-    def recording(apply, v, *args):
-        starts.append(v.dtype)
-        return arnoldi(apply, v, *args)
+    def recording(apply, v, *args, **kwargs):
+        out = arnoldi(apply, v, *args, **kwargs)
+        calls.append((v.dtype, out[3]))
+        return out
 
     monkeypatch.setattr(spectral, "_arnoldi", recording)
+    return calls
+
+
+def test_real_s_gives_a_real_matrix_and_a_real_krylov_basis(monkeypatch):
+    calls = _recording_arnoldi(monkeypatch)
     M = assemble_operator(BlaschkeMap((0j, 0.9 + 0j)), complex(1.5), None, 64)
     assert M.matrix.dtype == np.float64
     leading_spectral_data(M.matrix)
-    assert starts == [np.float64] * 3
-    starts.clear()
+    assert [dt for dt, _ in calls] == [np.float64] * 2
+    calls.clear()
     M = assemble_operator(BlaschkeMap((0j, 0.9 + 0j)), 1.5 + 0.5j, None, 64)
     assert M.matrix.dtype == np.complex128
     leading_spectral_data(M.matrix)
-    assert starts == [np.complex128] * 3
+    assert [dt for dt, _ in calls] == [np.complex128] * 2
+    # z^2's nilpotent remainder breaks the leading space down: the gap falls
+    # back to the deflated solve, which stays real too
+    calls.clear()
+    M = assemble_operator(BlaschkeMap.monomial(2), complex(1.5), None, 64)
+    assert leading_spectral_data(M.matrix).gap == 0.0
+    assert [dt for dt, _ in calls] == [np.float64] * 3
     S = SymbolicSystem.full_shift(3)
     psi = PotentialSpec.constant(S, -1.0)
     assert cylinder_operator(S, psi, complex(1.5)).dtype == np.float64
     assert cylinder_operator(S, psi, 1.5 + 0.5j).dtype == np.complex128
+
+
+def _pressure_node(t):
+    """The operator of `transfer.pressure_and_derivs` for cos at node t, N = 512."""
+    g = (lambda theta: t * COS(theta)) if t else None
+    return assemble_operator(FH, 1.0, g, 512).matrix
+
+
+GAP_CASES = [(lambda: assemble_operator(A09, 1.5, None, 512).matrix, 1e-13, "a09-s1.5"),
+             (lambda: assemble_operator(DEG3, 1.0, None, 256).matrix, 1e-13, "deg3-s1"),
+             (lambda: assemble_operator(DEG3, 1 + 0.5j, None, 256).matrix, 1e-13,
+              "deg3-s1+0.5i")]
+GAP_CASES += [(lambda t=t: _pressure_node(t), transfer._PRESSURE_TOL, f"fh-pressure-{t:g}")
+              for t in (-2e-2, -1e-2, 0.0, 1e-2, 2e-2)]
+
+
+@pytest.mark.parametrize("build,tol", [c[:2] for c in GAP_CASES],
+                         ids=[c[2] for c in GAP_CASES])
+def test_gap_comes_from_the_leading_krylov_space(monkeypatch, build, tol):
+    # the runner-up Ritz value of the leading solve is certified, so there
+    # are two Krylov solves (leading and dual) and no deflated one; the
+    # leading pair is that of the plain solve to the bit
+    mat = build()
+    plain, plain_dual = power_leading(mat, tol=tol), power_leading(mat.T, tol=tol, seed=7)
+    calls = _recording_arnoldi(monkeypatch)
+    data = leading_spectral_data(mat, tol=tol)
+    assert len(calls) == 2
+    assert calls[0][1] - plain[3] in (1, 2)
+    assert calls[1][1] == plain_dual[3]
+    assert data.lam == plain[0] and data.residual == plain[2]
+    sub = deflated_subleading(mat, data.lam, data.rho, data.weights, tol=1e-8, seed=13)
+    assert abs(data.gap - sub / abs(data.lam)) <= 1e-8
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9])
+def test_gap_at_s1_is_the_derivative_at_the_fixed_point(a):
+    # at s = 1 the subleading eigenvalue of z (z - a) / (1 - a z) is F'(0) = -a
+    mat = assemble_operator(BlaschkeMap((0j, a + 0j)), 1.0, None, 1024).matrix
+    assert abs(leading_spectral_data(mat).gap - a) <= 1e-8
+
+
+def test_uncertified_runner_up_falls_back_to_the_deflated_solve(monkeypatch):
+    # zeros {0, 0.1}: lambda converges within 17 steps, before the runner-up
+    # Ritz value -0.1 is resolved to 1e-8, so the gap needs a third solve
+    mat = assemble_operator(BlaschkeMap((0j, 0.1 + 0j)), 1.0, None, 256).matrix
+    assert power_leading(mat, second=True)[4] is None
+    calls = _recording_arnoldi(monkeypatch)
+    data = leading_spectral_data(mat)
+    assert len(calls) == 3
+    sub = deflated_subleading(mat, data.lam, data.rho, data.weights, tol=1e-8, seed=13)
+    assert data.gap == sub / abs(data.lam)
+    assert abs(data.gap - 0.1) <= 1e-6
 
 
 def test_real_operator_sees_only_real_operands(monkeypatch):
@@ -177,7 +246,7 @@ def test_power_leading_restarts_from_the_ritz_vector():
     for r, restarts in ((0.9, 1), (0.95, 2), (0.99, 8)):
         mat = r * np.roll(np.eye(n), 1, axis=1) + (1.0 - r) / n
         for m in (mat, mat.T):
-            lam, v, res, it = power_leading(m)
+            lam, v, res, it = power_leading(m)[:4]
             assert it > restarts * _KRYLOV_DIM
             assert abs(lam - 1.0) < 1e-12 and res < 1e-10
             assert np.max(np.abs(v / v[0] - 1.0)) < 1e-10
@@ -187,7 +256,7 @@ def test_krylov_matvecs_on_slow_mixing_operator():
     # a = 0.9, s = 1.5: lambda_2 / lambda_1 = -0.9797, so power iteration
     # needs over 1,000 matvecs here; a Krylov space needs under 200
     mat = assemble_operator(BlaschkeMap((0j, 0.9 + 0j)), 1.5, None, 1024).matrix
-    lam, _, _, it = power_leading(mat)
+    lam, _, _, it = power_leading(mat)[:4]
     it_dual = power_leading(mat.T, seed=7)[3]
     assert it < 200 and it_dual < 200
     assert abs(lam - 0.88235263926932639) < 1e-9
@@ -265,7 +334,7 @@ def test_power_leading_slow_but_progressing_converges():
     # |lambda_2 / lambda_1| = 0.998 with a non-normal coupling: power
     # iteration needs thousands of steps, Arnoldi two and one residual check
     mat = np.array([[1.0, 0.3], [0.0, 0.998]])
-    lam, v, res, it = power_leading(mat)
+    lam, v, res, it = power_leading(mat)[:4]
     assert it <= 3
     assert abs(lam - 1.0) < 1e-9 and res < 1e-10
 
