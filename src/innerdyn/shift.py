@@ -34,7 +34,6 @@ _ETA_TAIL_TOL = 1e-12      # relative change that ends the doubling series
 _ETA_MAX_DOUBLINGS = 60
 _HOLDER_LEVELS = 8         # pairs t = s0 + i radius 2^-j, j = 1 .. levels
 _HOLDER_PROBES = 32        # seeded random probe vectors
-_PRUNE_MARGIN = 1e-12      # relative rounding slack of the Hoelder-norm row bound
 
 
 @dataclass(frozen=True)
@@ -563,26 +562,11 @@ def _holder_norm_data(letters: np.ndarray, alpha: float):
     return 2.0 ** (alpha * cp)
 
 
-def _holder_norm(vec, weight_mat, w_max: float) -> float:
-    """max|v| + max_{i,j} |v_i - v_j| W_ij, scanning only rows that can hold the max.
-
-    With r = |v - v_0| and R = max r, every entry of row i is at most
-    w_max (r_i + R) by the triangle inequality, w_max = max W; the full row
-    of the point farthest from v_0 gives a lower bound L of the max. A row
-    whose bound, widened by _PRUNE_MARGIN for rounding and by the smallest
-    normal float for underflow, is below L cannot hold it, so the result
-    equals the full O(n^2) scan bit for bit; a NaN bound keeps its row. A
-    constant vector (R = 0) has variation 0 exactly.
-    """
+def _holder_norm(vec, weight_mat) -> float:
     top = np.max(np.abs(vec))
-    r = np.abs(vec - vec[0])
-    far = int(np.argmax(r))
-    if r[far] == 0:
-        return float(top)
-    lower = np.max(np.abs(vec[far] - vec) * weight_mat[far])
-    bound = w_max * (r + r[far]) * (1.0 + _PRUNE_MARGIN) + np.finfo(float).tiny
-    rows = np.flatnonzero(~(bound < lower))
-    v = np.abs(vec[rows, None] - vec[None, :]) * weight_mat[rows]
+    if np.all(vec == vec[0]):
+        return float(top)   # every pair is 0, as for D g when D = L_t - L_s has rank one
+    v = np.abs(vec[:, None] - vec[None, :]) * weight_mat
     return float(top + np.max(v))
 
 
@@ -598,11 +582,10 @@ def holder_modulus_in_s(S: SymbolicSystem, psi: PotentialSpec, q: float,
     letters = S.cylinder_table(psi.depth).letters
     n = len(letters)
     wmat = _holder_norm_data(letters, psi.alpha)
-    w_max = float(np.max(wmat))
     probe_set = list(np.eye(n)[:64])
     for i in range(_HOLDER_PROBES):
         probe_set.append(uniform_stream(seed, n, offset=i * n) - 0.5)
-    probe_set = [(g, ng) for g in probe_set if (ng := _holder_norm(g, wmat, w_max)) >= 1e-300]
+    probe_set = [(g, ng) for g in probe_set if (ng := _holder_norm(g, wmat)) >= 1e-300]
     base = cylinder_operator(S, psi, s0, q)
     gaps = []
     deltas = []
@@ -612,7 +595,7 @@ def holder_modulus_in_s(S: SymbolicSystem, psi: PotentialSpec, q: float,
         D = other - base
         best = 0.0
         for g, ng in probe_set:
-            best = max(best, _holder_norm(D @ g, wmat, w_max) / ng)
+            best = max(best, _holder_norm(D @ g, wmat) / ng)
         gaps.append(radius * 2.0 ** (-j))
         deltas.append(max(best, 1e-300))
     logx = np.log(np.array(gaps))

@@ -5,17 +5,17 @@ dual (conformal) weights as the leading pair of the transpose. The
 subleading modulus is the runner-up Ritz value of the space that accepted
 the leading pair, once its own residual is certified there; that is the
 case on the benchmark operators, whose outer spectrum has converged by the
-time lambda has. Otherwise (a breakdown of that space, as for the nilpotent
-remainder of z^d, or an uncertified runner-up) it is the leading modulus of
-the rank-one deflation M - lam rho (x) w, solved for separately. A Krylov
-space converges at a rate set by the whole spectrum, not by
-|lambda_2 / lambda_1| alone (Saad, Numerical Methods for Large Eigenvalue
-Problems, 2011), which matters for the slowly mixing maps where that ratio
-is near 1. The resolvent is one linear solve. The deflated projection
-realizes the spectral projection of a simple isolated eigenvalue, so no
-contour integrals are needed. The Green-Kubo variance of an observable is
-read off the same resolvent (`green_kubo`), for the circle and the shift
-alike.
+time lambda has, within the first cycle. Otherwise (a restart, a breakdown
+of that space, as for the nilpotent remainder of z^d, or an uncertified
+runner-up) it is the leading modulus of the rank-one deflation
+M - lam rho (x) w, solved for separately. A Krylov space converges at a
+rate set by the whole spectrum, not by |lambda_2 / lambda_1| alone (Saad,
+Numerical Methods for Large Eigenvalue Problems, 2011), which matters for
+the slowly mixing maps where that ratio is near 1. The resolvent is one
+linear solve. The deflated projection realizes the spectral projection of
+a simple isolated eigenvalue, so no contour integrals are needed. The
+Green-Kubo variance of an observable is read off the same resolvent
+(`green_kubo`), for the circle and the shift alike.
 
 Arithmetic follows the dtype of the operator: a float64 matrix (real s, see
 `operator_parameter`) gets a real Krylov basis, real eigendata and a real
@@ -119,12 +119,15 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0,
     space, 0.0 when it is one-dimensional.
 
     certified is False unless `second` is set. Then the runner-up Ritz value
-    theta_2 of a space that did not break down is certified when its Ritz
-    residual estimate beta |y_2k| and the sup-norm residual of its Ritz
-    vector, one more true matvec (two for a complex vector of a real map),
-    are both at most _GAP_TOL * max(1, |theta_2|), the acceptance of
-    `deflated_subleading` at that tolerance. The leading pair is returned
-    unchanged either way.
+    theta_2 of a first cycle, started from the caller's v, that did not
+    break down is certified when its Ritz residual estimate beta |y_2k| and
+    the sup-norm residual of its Ritz vector, one more true matvec (two for
+    a complex vector of a real map), are both at most
+    _GAP_TOL * max(1, |theta_2|), the acceptance of `deflated_subleading` at
+    that tolerance. A restarted cycle starts from the previous Ritz vector,
+    whose filter polynomial has damped the components near the previous
+    runner-up, so its theta_2 may be a smaller eigenvalue and is never
+    certified. The leading pair is returned unchanged either way.
 
     V and H take the dtype of v. A real v means a real map, which is only
     ever applied to real vectors, since numpy copies a real matrix to
@@ -161,6 +164,7 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0,
 
     matvecs = 0
     last_est = None
+    restarted = False
     while matvecs < _MATVEC_BUDGET:
         v = v / np.linalg.norm(v)
         V[0] = v
@@ -205,7 +209,7 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0,
                         if res <= max(tol, 1e-10) * max(1.0, abs(lam)):
                             runner_up = float(abs(theta[order[1]])) if k > 1 else 0.0
                             certified = False
-                            if second and not breakdown and k > 1:
+                            if second and not restarted and not breakdown and k > 1:
                                 theta2 = theta[order[1]]
                                 if real and theta2.imag == 0:
                                     theta2 = theta2.real
@@ -233,6 +237,7 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0,
             big = x[np.argmax(np.abs(x))]
             x = (x * (abs(big) / big)).real
         v = x
+        restarted = True
     raise NoConvergence(f"Arnoldi iteration not converged within {_MATVEC_BUDGET} matvecs")
 
 
@@ -304,10 +309,11 @@ def leading_spectral_data(mat: np.ndarray, tol: float = 1e-13,
 
     The gap |lambda_2| / |lambda| is read from the runner-up Ritz value of
     the leading solve when that value is certified there (see `_arnoldi`),
-    which costs one or two matvecs. Otherwise, after a breakdown of the
-    leading Krylov space, as for the nilpotent remainder of z^d, or when the
-    runner-up fails its residual checks, `deflated_subleading` solves for
-    |lambda_2|. With want_gap False the gap is 0.0 and costs nothing.
+    which costs one or two matvecs. Otherwise, when the leading solve
+    restarted, after a breakdown of its Krylov space, as for the nilpotent
+    remainder of z^d, or when the runner-up fails its residual checks,
+    `deflated_subleading` solves for |lambda_2|. With want_gap False the gap
+    is 0.0 and costs nothing.
     """
     lam, rho, res, _, sub = power_leading(mat, tol=tol, seed=0, second=want_gap)
     dual = power_leading(mat.T, tol=tol, seed=7)[1]

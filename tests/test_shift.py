@@ -449,11 +449,11 @@ def _holder_inputs(draw):
 
 @given(_holder_inputs())
 @settings(max_examples=300, deadline=None)
-def test_pruned_holder_norm_equals_the_full_scan(inputs):
+def test_holder_norm_equals_the_full_scan(inputs):
     vec, letters, alpha = inputs
     wmat = _holder_norm_data(letters, alpha)
     full = float(np.max(np.abs(vec)) + np.max(np.abs(vec[:, None] - vec[None, :]) * wmat))
-    assert _holder_norm(vec, wmat, float(np.max(wmat))) == full
+    assert _holder_norm(vec, wmat) == full
 
 
 # ---------------------------------------------------------------------------

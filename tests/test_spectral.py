@@ -216,6 +216,29 @@ def test_uncertified_runner_up_falls_back_to_the_deflated_solve(monkeypatch):
     assert abs(data.gap - 0.1) <= 1e-6
 
 
+def test_restarted_leading_solve_falls_back_to_the_deflated_solve(monkeypatch):
+    # spectrum 1, 0.95 and 398 values filling the disk of radius 0.9, on an
+    # orthonormal basis: lambda needs more than one cycle, and a restarted
+    # cycle starts from a Ritz vector whose filter has damped the components
+    # near lambda_2, so its runner-up is not read as the gap
+    rng = np.random.default_rng(0)
+    n = 400
+    B = np.diag([1.0, 0.95] + [0.0] * (n - 2))
+    for i in range(2, n, 2):
+        z = 0.9 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, np.pi))
+        B[i:i + 2, i:i + 2] = [[z.real, -z.imag], [z.imag, z.real]]
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    mat = Q @ B @ Q.T
+    assert power_leading(mat)[3] > _KRYLOV_DIM
+    assert power_leading(mat, second=True)[4] is None
+    calls = _recording_arnoldi(monkeypatch)
+    data = leading_spectral_data(mat)
+    assert len(calls) == 3
+    ev = np.sort(np.abs(np.linalg.eigvals(mat)))[::-1]
+    assert abs(ev[1] - 0.95) <= 1e-12
+    assert abs(data.gap - ev[1] / ev[0]) <= 1e-8
+
+
 def test_real_operator_sees_only_real_operands(monkeypatch):
     # deg3 at s = 1: the subleading eigenvalues are a complex-conjugate
     # pair, so the gap solve certifies a complex Ritz vector, applied to its
