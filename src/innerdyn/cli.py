@@ -191,9 +191,9 @@ def cmd_pressure(args):
     cfg = load_map_config(args.map)
     F = build_circle_map(cfg)
     g = observables.get_observable(args.obs)
-    rep = transfer.pressure_and_derivs(F, g, h=args.step, N=args.modes)
+    rep = transfer.pressure_and_derivs(F, g, N=args.modes)
     config = {"command": "pressure", "map": cfg, "obs": args.obs,
-              "step": args.step, "modes": args.modes}
+              "step": transfer._PRESSURE_STEP, "modes": args.modes}
     write_json(args.out, config, {
         "p0": rep.p0, "dp": rep.dp, "ddp": rep.ddp,
         "mean_prediction": rep.mean_prediction,
@@ -309,16 +309,16 @@ def cmd_shift_count(args):
     grid = np.linspace(max(args.T / args.grid, 1e-6), args.T, args.grid)
     rows = [(t, led.count(t, strict=False)) for t in grid]
     config = {"command": "shift-count", "system": cfg, "T": args.T,
-              "xi": args.xi, "cylinders": args.cylinder or []}
+              "xi": args.xi, "cylinders": args.cylinder or [], "grid": args.grid}
     write_csv(args.out, config, ["T", "N"], rows)
     return 0
 
 
 def cmd_d_generic(args):
     cfg, S, psi = load_symbolic_system(args.system)
-    verdict = shift.d_genericity(S, psi, args.max_period, tol=args.tol)
+    verdict = shift.d_genericity(S, psi)
     config = {"command": "d-generic", "system": cfg,
-              "max_period": args.max_period, "tol": args.tol}
+              "max_period": shift._MAX_PERIOD, "tol": shift._LATTICE_TOL}
     write_json(args.out, config, {
         "kind": verdict.kind,
         "generator": verdict.generator,
@@ -345,9 +345,9 @@ def cmd_eta(args):
 def cmd_kac(args):
     cfg = load_map_config(args.map)
     P = build_parabolic_map(cfg)
-    rep = parabolic.kac_check(P, args.level, quad_points=args.quad_points)
+    rep = parabolic.kac_check(P, args.level)
     config = {"command": "kac", "map": cfg, "level": args.level,
-              "quad_points": args.quad_points}
+              "quad_points": parabolic._KAC_QUAD_POINTS}
     write_json(args.out, config, {
         "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio,
         "cap": rep.cap, "caps": rep.caps, "tail_estimate": rep.tail_estimate,
@@ -370,17 +370,17 @@ def cmd_parabolic_count(args):
         N = led.count(t, strict=False)
         rows.append((t, N, N * np.exp(-t) * rhs / mB, led.cesaro_average(t)))
     config = {"command": "parabolic-count", "map": cfg, "T": args.T,
-              "x": args.x, "intervals": B, "level": args.level}
+              "x": args.x, "intervals": B, "level": args.level, "grid": args.grid}
     write_csv(args.out, config, ["T", "N", "N_exp_ratio", "cesaro"], rows)
     return 0
 
 
 def cmd_holder_mod(args):
     cfg, S, psi = load_symbolic_system(args.system)
-    C, eps = shift.holder_modulus_in_s(S, psi, args.q, complex(args.s0),
-                                       radius=args.radius, seed=args.seed)
+    C, eps = shift.holder_modulus_in_s(S, psi, args.q)
     config = {"command": "holder-mod", "system": cfg, "q": args.q,
-              "s0": args.s0, "radius": args.radius, "seed": args.seed}
+              "s0": shift._HOLDER_S0, "radius": shift._HOLDER_RADIUS,
+              "seed": shift._HOLDER_SEED}
     write_json(args.out, config, {"C_fit": C, "eps_fit": eps})
     return 0
 
@@ -414,7 +414,6 @@ def make_parser() -> argparse.ArgumentParser:
             "Green-Kubo variance")
     q.add_argument("--map", required=True)
     q.add_argument("--obs", default="cos")
-    q.add_argument("--step", type=float, default=1e-2)
     q.add_argument("--modes", type=int, default=256)
 
     q = add("count", cmd_count,
@@ -466,8 +465,6 @@ def make_parser() -> argparse.ArgumentParser:
     q = add("d-generic", cmd_d_generic,
             "lattice-or-generic verdict from periodic Birkhoff values")
     q.add_argument("--system", required=True)
-    q.add_argument("--max-period", type=int, default=8)
-    q.add_argument("--tol", type=float, default=1e-9)
 
     q = add("eta", cmd_eta,
             "Poincare series at s by operator partial sums and resolvent")
@@ -480,7 +477,6 @@ def make_parser() -> argparse.ArgumentParser:
             "first-return Lyapunov identity on the core interval")
     q.add_argument("--map", required=True)
     q.add_argument("--level", type=int, default=5)
-    q.add_argument("--quad-points", type=int, default=12)
 
     q = add("parabolic-count", cmd_parabolic_count,
             "orbit counting for the induced first-return system")
@@ -495,9 +491,6 @@ def make_parser() -> argparse.ArgumentParser:
             "empirical continuity modulus of s -> L_{s,q} on the critical line")
     q.add_argument("--system", required=True)
     q.add_argument("--q", type=float, default=0.0)
-    q.add_argument("--s0", type=float, default=1.0)
-    q.add_argument("--radius", type=float, default=0.5)
-    q.add_argument("--seed", type=int, default=0)
 
     return p
 

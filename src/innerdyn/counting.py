@@ -56,12 +56,11 @@ class CountingLedger:
     meta: dict = field(default_factory=dict)
 
     @staticmethod
-    def from_events(values, locations=None, weights=None, member_mask=None):
+    def from_events(values, locations=None, member_mask=None):
         values = np.asarray(values, dtype=float)
         order = np.argsort(values, kind="stable")
         values = values[order]
-        weights = (np.ones(len(values), dtype=np.int64) if weights is None
-                   else np.asarray(weights, dtype=np.int64)[order])
+        weights = np.ones(len(values), dtype=np.int64)
         if locations is not None:
             locations = np.asarray(locations, dtype=float)[order]
         if member_mask is not None:
@@ -94,6 +93,9 @@ class CountingLedger:
     def restricted(self, arcs) -> "CountingLedger":
         """Ledger filtered to events whose location lies in the arc union."""
         if self.locations is None:
+            if "seed_angle" not in self.meta:
+                raise ValueError("a shift ledger has no locations; it is restricted by "
+                                 "cylinders, through count_words(..., B=...)")
             return _restrict_aggregated(self, arcs)
         mask = arcs_contain(arcs, self.locations)
         return CountingLedger(values=self.values, weights=self.weights, locations=self.locations,
@@ -319,7 +321,8 @@ class AsymptoticRow:
 
 def asymptotic_report(L: CountingLedger, lyapunov: float, mB: float,
                       T_grid) -> list[AsymptoticRow]:
-    """Rows (T, N, N e^{-T}, prediction, ratio); consumed by tests and CLI."""
+    """Rows (T, N, N e^{-T}, prediction, ratio); consumed by `ratio_amplitude`,
+    the tests and `scripts/counting_asymptotics.py`."""
     pred = mB / lyapunov
     rows = []
     for T in T_grid:

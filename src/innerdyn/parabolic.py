@@ -366,7 +366,8 @@ def _gauss_nodes(q: int):
     return x, w
 
 
-_N_FINE = 1 << 14   # strata of deeper levels get the two-point rule
+_N_FINE = 1 << 14       # strata of deeper levels get the two-point rule
+_KAC_QUAD_POINTS = 12   # Gauss points q per stratum up to level _N_FINE
 
 
 @dataclass
@@ -492,10 +493,10 @@ class _KacStrata:
     two-column chain.
     """
 
-    def __init__(self, P: ParabolicMap, N: int, q: int):
+    def __init__(self, P: ParabolicMap, N: int):
         part = real_markov_partition(P, N)
         self.P, self.N, self.cap = P, N, N
-        self.fine_rule, self.tail_rule = _gauss_nodes(q), _gauss_nodes(2)
+        self.fine_rule, self.tail_rule = _gauss_nodes(_KAC_QUAD_POINTS), _gauss_nodes(2)
         gl_x, gl_w = self.fine_rule
         core_lo, core_hi = part.core
 
@@ -564,14 +565,13 @@ class _KacStrata:
         self.cap = cap
 
 
-def kac_check(P: ParabolicMap, N: int, quad_points: int = 12,
-              tail_frac: float = 0.01, cap0: int = 10**4,
+def kac_check(P: ParabolicMap, N: int, tail_frac: float = 0.01, cap0: int = 10**4,
               cap_max: int = 2**20) -> KacReport:
     """Compare int_X log|Fhat'| dl against int_R log|F'| dl.
 
-    The return-time strata of X are integrated by Gauss quadrature: q =
-    quad_points points per stratum up to level 2^14 and two beyond, where
-    the excursion weight is read from a two-column descent chain. The
+    The return-time strata of X are integrated by Gauss quadrature: 12
+    points per stratum up to level 2^14 and two beyond, where the excursion
+    weight is read from a two-column descent chain. The
     infinite families exiting through the tails are truncated at an
     adaptive cap, grown until the extrapolated tail contribution drops below
     tail_frac of the right-hand side, and the estimate is then added to the
@@ -580,7 +580,7 @@ def kac_check(P: ParabolicMap, N: int, quad_points: int = 12,
     raised if no admissible cap exists.
     """
     rhs = lyapunov_integral(P)
-    strata = _KacStrata(P, N, quad_points)
+    strata = _KacStrata(P, N)
     cap = cap0
     caps = []
     while True:

@@ -32,8 +32,13 @@ _SPECTRAL_TOL = 1e-14      # Arnoldi residual tolerance of spectral_data
 _PRESSURE_STEP = 1e-3      # step h of the one-sided pressure stencils
 _ETA_TAIL_TOL = 1e-12      # relative change that ends the doubling series
 _ETA_MAX_DOUBLINGS = 60
+_MAX_PERIOD = 8            # longest period d_genericity scans
+_LATTICE_TOL = 1e-9        # termination tolerance of the lattice cascade
+_HOLDER_S0 = 1.0           # base point s0 on the critical line Re s = 1
+_HOLDER_RADIUS = 0.5
 _HOLDER_LEVELS = 8         # pairs t = s0 + i radius 2^-j, j = 1 .. levels
 _HOLDER_PROBES = 32        # seeded random probe vectors
+_HOLDER_SEED = 0           # stream seed of the probe vectors
 
 
 @dataclass(frozen=True)
@@ -267,34 +272,33 @@ def spectral_data(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
     return data
 
 
-def summability_stats(S: SymbolicSystem, psi: PotentialSpec, s: float = 1.0,
-                      p: float = 0.0):
-    """(inf_sum, sup_sum, integral) of |psi^p e^{s psi}| data per letter.
+def summability_stats(S: SymbolicSystem, psi: PotentialSpec, p: float = 0.0):
+    """(inf_sum, sup_sum, integral) of |psi^p e^{psi}| data per letter.
 
     inf_sum and sup_sum run over depth-1 cylinders; the integral is of
-    |psi|^p against the conformal measure at parameter s. The three are
+    |psi|^p against the conformal measure at s = 1. The three are
     comparable for level-1 Hoelder potentials, which the tests check.
     """
     tab = S.cylinder_table(psi.depth)
     vals = psi.vector(tab.basis)
-    weights = np.abs(vals) ** p * np.exp(s * vals)
+    weights = np.abs(vals) ** p * np.exp(vals)
     # the basis is lexicographic: the words starting with letter a are one run
     ends = np.searchsorted(tab.letters[:, 0], np.arange(1, S.alphabet_size + 2))
     inf_sum = sup_sum = 0.0
     for lo, hi in zip(ends[:-1], ends[1:]):
         inf_sum += float(np.min(weights[lo:hi]))
         sup_sum += float(np.max(weights[lo:hi]))
-    data = spectral_data(S, psi, s, want_gap=False)
+    data = spectral_data(S, psi, 1.0, want_gap=False)
     integral = float(np.dot(data.weights, np.abs(vals) ** p))
     if not (np.isfinite(inf_sum) and np.isfinite(sup_sum) and np.isfinite(integral)):
         raise SummabilityViolated("summability quantities are not finite")
     return inf_sum, sup_sum, integral
 
 
-def equilibrium_cylinder_masses(S: SymbolicSystem, psi: PotentialSpec,
-                                s: float = 1.0) -> tuple[list, np.ndarray, SpectralData]:
-    """(basis, mu([w]) for each w, spectral data); mu = rho * m."""
-    data = spectral_data(S, psi, s, want_gap=False)
+def equilibrium_cylinder_masses(S: SymbolicSystem,
+                                psi: PotentialSpec) -> tuple[list, np.ndarray, SpectralData]:
+    """(basis, mu([w]) for each w, spectral data at s = 1); mu = rho * m."""
+    data = spectral_data(S, psi, 1.0, want_gap=False)
     mu = (data.rho * data.weights).real
     mu = mu / np.sum(mu)
     return S.cylinder_words(psi.depth), mu, data
@@ -338,7 +342,7 @@ def pressure_derivs_shift(S: SymbolicSystem, psi: PotentialSpec) -> ShiftPressur
 
     dp = (4 * d1(h / 2) - d1(h)) / 3
     ddp = (4 * d2(h / 2) - d2(h)) / 3
-    basis, mu, data = equilibrium_cylinder_masses(S, psi, 1.0)
+    basis, mu, data = equilibrium_cylinder_masses(S, psi)
     vals = psi.vector(basis)
     mean_integral = float(np.dot(mu, vals))
     M = cylinder_operator(S, psi, 1.0, 0.0) / data.lam
@@ -505,24 +509,24 @@ def periodic_birkhoff_values(S: SymbolicSystem, psi: PotentialSpec,
     return np.array(out)
 
 
-def lattice_verdict(values, max_period: int, tol: float = 1e-9) -> LatticeVerdict:
+def lattice_verdict(values, max_period: int) -> LatticeVerdict:
     """Decide whether the given Birkhoff values lie in a*Z for some a > 0.
 
     A floating-point Euclidean cascade extracts the candidate generator g.
     The verdict is lattice only when g stays on the scale of the values
     (g > 1e-4 * min value): for incommensurable values the cascade runs the
     continued-fraction expansion down to the cutoff instead, which is the
-    rationality test. tol is the cascade's absolute termination tolerance.
+    rationality test. The cascade ends at the absolute tolerance 1e-9.
     """
     vals = np.sort(np.abs(np.asarray(values, dtype=float)))
-    vals = vals[vals > 10 * tol]
+    vals = vals[vals > 10 * _LATTICE_TOL]
     if len(vals) == 0:
         return LatticeVerdict("lattice", None, max_period, 0)
     scale = float(vals[0])
-    floor = max(tol, 1e-4 * scale)
+    floor = max(_LATTICE_TOL, 1e-4 * scale)
 
     def fold(a, b):
-        while b > tol:
+        while b > _LATTICE_TOL:
             r = math.fmod(a, b)
             r = min(r, abs(b - r))
             a, b = b, r
@@ -534,18 +538,14 @@ def lattice_verdict(values, max_period: int, tol: float = 1e-9) -> LatticeVerdic
         if g <= floor:
             return LatticeVerdict("generic", None, max_period, len(vals))
     mults = np.abs(vals / g - np.round(vals / g)) * g
-    if np.all(mults < max(100 * tol, 1e-7 * scale)):
+    if np.all(mults < max(100 * _LATTICE_TOL, 1e-7 * scale)):
         return LatticeVerdict("lattice", float(g), max_period, len(vals))
     return LatticeVerdict("generic", None, max_period, len(vals))
 
 
-def d_genericity(S: SymbolicSystem, psi: PotentialSpec, max_period: int = 8,
-                 tol: float = 1e-9) -> LatticeVerdict:
-    """Lattice-or-generic verdict from the periodic Birkhoff values."""
-    if max_period > 12:
-        raise ValueError("max_period must be <= 12")
-    return lattice_verdict(periodic_birkhoff_values(S, psi, max_period),
-                           max_period, tol)
+def d_genericity(S: SymbolicSystem, psi: PotentialSpec) -> LatticeVerdict:
+    """Lattice-or-generic verdict from the periodic Birkhoff values, periods <= 8."""
+    return lattice_verdict(periodic_birkhoff_values(S, psi, _MAX_PERIOD), _MAX_PERIOD)
 
 
 # ---------------------------------------------------------------------------
@@ -570,33 +570,32 @@ def _holder_norm(vec, weight_mat) -> float:
     return float(top + np.max(v))
 
 
-def holder_modulus_in_s(S: SymbolicSystem, psi: PotentialSpec, q: float,
-                        s0: complex = 1.0, radius: float = 0.5, seed: int = 0):
+def holder_modulus_in_s(S: SymbolicSystem, psi: PotentialSpec, q: float):
     """Fit ||L_{s,q} - L_{t,q}|| ~ C |s - t|^eps along the critical line.
 
-    Pairs t = s0 + i * radius * 2^{-j}, j = 1 .. 8; the operator-norm
-    estimate maximizes the Hoelder-norm amplification over cylinder
-    indicators and 32 seeded random probe vectors. Returns (C_fit, eps_fit)
-    from the log-log least squares.
+    Pairs t = s0 + i * radius * 2^{-j}, j = 1 .. 8, with s0 = 1 and
+    radius 0.5; the operator-norm estimate maximizes the Hoelder-norm
+    amplification over cylinder indicators and 32 random probe vectors of
+    stream seed 0. Returns (C_fit, eps_fit) from the log-log least squares.
     """
     letters = S.cylinder_table(psi.depth).letters
     n = len(letters)
     wmat = _holder_norm_data(letters, psi.alpha)
     probe_set = list(np.eye(n)[:64])
     for i in range(_HOLDER_PROBES):
-        probe_set.append(uniform_stream(seed, n, offset=i * n) - 0.5)
+        probe_set.append(uniform_stream(_HOLDER_SEED, n, offset=i * n) - 0.5)
     probe_set = [(g, ng) for g in probe_set if (ng := _holder_norm(g, wmat)) >= 1e-300]
-    base = cylinder_operator(S, psi, s0, q)
+    base = cylinder_operator(S, psi, _HOLDER_S0, q)
     gaps = []
     deltas = []
     for j in range(1, _HOLDER_LEVELS + 1):
-        t = complex(s0) + 1j * radius * 2.0 ** (-j)
+        t = complex(_HOLDER_S0) + 1j * _HOLDER_RADIUS * 2.0 ** (-j)
         other = cylinder_operator(S, psi, t, q)
         D = other - base
         best = 0.0
         for g, ng in probe_set:
             best = max(best, _holder_norm(D @ g, wmat) / ng)
-        gaps.append(radius * 2.0 ** (-j))
+        gaps.append(_HOLDER_RADIUS * 2.0 ** (-j))
         deltas.append(max(best, 1e-300))
     logx = np.log(np.array(gaps))
     logy = np.log(np.array(deltas))

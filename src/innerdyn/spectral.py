@@ -314,6 +314,10 @@ def leading_spectral_data(mat: np.ndarray, tol: float = 1e-13,
     remainder of z^d, or when the runner-up fails its residual checks,
     `deflated_subleading` solves for |lambda_2|. With want_gap False the gap
     is 0.0 and costs nothing.
+
+    _GAP_TOL bounds a residual; for a defective lambda_2 (a Jordan block) the
+    eigenvalue error is then bounded only by about its square root (zeros
+    {0, 0.1}, s = 1, N = 256: gap 0.0999997381 where |lambda_2| = 0.1).
     """
     lam, rho, res, _, sub = power_leading(mat, tol=tol, seed=0, second=want_gap)
     dual = power_leading(mat.T, tol=tol, seed=7)[1]

@@ -44,6 +44,7 @@ from .spectral import SpectralData, green_kubo, leading_spectral_data, operator_
 
 _GAP_CEILING = 0.95
 _BLOCK_BYTES = 1 << 21  # bytes of one row block of the matrix during assembly
+_PRESSURE_STEP = 1e-2   # step h of the five-point pressure stencil
 _PRESSURE_TOL = 1e-14   # Arnoldi tolerance at the pressure stencil nodes
 _INVARIANCE_MODES = 8   # trigonometric moments |n| <= 8 of the invariance defect
 
@@ -145,18 +146,17 @@ class PressureReport:
     nodes: dict
 
 
-def pressure_and_derivs(F: BlaschkeMap, g, h: float = 1e-2, N: int = 256) -> PressureReport:
+def pressure_and_derivs(F: BlaschkeMap, g, N: int = 256) -> PressureReport:
     """log lambda of the perturbed operator and central-difference derivatives.
 
     P(t) = log lambda(|F'|^{-1} e^{t g}) is evaluated on the five-point
-    stencil {0, +-h, +-2h}; fourth-order (Richardson-refined) differences give
-    P'(0) and P''(0). A gap monitor guards the perturbation smallness. The
-    node t = 0 is the weightless operator, which fixes Lebesgue measure
-    (rho = 1, weights 1/N), and `spectral.green_kubo` reads the variance
-    prediction off it.
+    stencil {0, +-h, +-2h} with h = 1e-2; fourth-order (Richardson-refined)
+    differences give P'(0) and P''(0). A gap monitor guards the perturbation
+    smallness. The node t = 0 is the weightless operator, which fixes
+    Lebesgue measure (rho = 1, weights 1/N), and `spectral.green_kubo` reads
+    the variance prediction off it.
     """
-    if not 1e-4 <= h <= 1e-2:
-        raise ValueError("step h must lie in [1e-4, 1e-2]")
+    h = _PRESSURE_STEP
     tvals = (-2 * h, -h, 0.0, h, 2 * h)
     pvals = {}
     min_gap = 1.0

@@ -91,7 +91,7 @@ def test_criterion_04_nevanlinna_identity():
 def test_criterion_05_pressure_derivatives():
     worst1 = worst2 = 0.0
     for F in (F2, FH):
-        rep = pressure_and_derivs(F, COS, h=1e-2)
+        rep = pressure_and_derivs(F, COS)
         worst1 = max(worst1, abs(rep.dp - rep.mean_prediction))
         worst2 = max(worst2, abs(rep.ddp - rep.variance_prediction))
     S3 = SymbolicSystem.full_shift(3)
@@ -194,12 +194,12 @@ def test_criterion_10_poincare_series():
 
 def test_criterion_11_d_genericity():
     S2 = SymbolicSystem.full_shift(2)
-    v1 = d_genericity(S2, PotentialSpec.constant(S2, -LOG2), 8)
+    v1 = d_genericity(S2, PotentialSpec.constant(S2, -LOG2))
     S3 = SymbolicSystem.full_shift(3)
     v2 = d_genericity(S3, PotentialSpec.from_letter_values(
-        S3, {1: -LOG2, 2: -math.log(3), 3: -math.log(6)}), 8)
+        S3, {1: -LOG2, 2: -math.log(3), 3: -math.log(6)}))
     L = induced_cycle_multipliers(BOOLE, range(2, 8))
-    v3 = lattice_verdict(L, 8, tol=1e-9)
+    v3 = lattice_verdict(L, 8)
     ok = (v1.is_lattice and v1.generator == pytest.approx(LOG2, abs=1e-9)
           and v2.kind == "generic" and v3.kind == "generic")
     verdict(11, ok, f"z^2 lattice a={v1.generator:.6f}, bernoulli {v2.kind}, "

@@ -148,6 +148,74 @@ def test_kac_and_parabolic_count(tmp_path, monkeypatch):
     assert json.loads(payload)["data"]["caps"] == reports[0].caps
 
 
+def _two_letter_system(tmp_path, depth, values):
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({
+        "alphabet": 2, "incidence": "full",
+        "potential": {"depth": depth, "values": values}}))
+    return str(system)
+
+
+def test_eta_off_the_real_axis_matches_closed_form(tmp_path):
+    # constant potential c on the full 2-shift: eta(s) = sum_n 2^n e^{n c s}
+    c = -np.log(2)
+    system = _two_letter_system(tmp_path, 1, {"1": c, "2": c})
+    code, payload = run(tmp_path, "eta.json", ["eta", "--system", system,
+                                               "--s-re", "2", "--s-im", "0.5"])
+    assert code == 0
+    data = json.loads(payload)["data"]
+    want = 1.0 / (1.0 - 2.0 * np.exp(c * complex(2.0, 0.5)))
+    assert abs(complex(data["eta_re"], data["eta_im"]) - want) <= 1e-12
+    assert data["s_im"] == 0.5
+
+
+def test_eta_seed_word_reaches_the_library(tmp_path):
+    # a depth-3 potential, so eta depends on the seed's first two letters
+    values = {f"{a},{b},{c}": -0.5 - 0.1 * a - 0.04 * b - 0.01 * c
+              for a in (1, 2) for b in (1, 2) for c in (1, 2)}
+    system = _two_letter_system(tmp_path, 3, values)
+    code, payload = run(tmp_path, "eta.json", ["eta", "--system", system, "--xi", "1,2,1"])
+    assert code == 0
+    data = json.loads(payload)["data"]
+    S = shift.SymbolicSystem.full_shift(2)
+    psi = shift.PotentialSpec(3, {tuple(map(int, k.split(","))): v for k, v in values.items()})
+    res = shift.poincare_eta(S, psi, None, 2.0, (1, 2, 1))
+    assert (data["eta_re"], data["eta_im"]) == (res.series.real, res.series.imag)
+    assert res.series != shift.poincare_eta(S, psi, None, 2.0, (1, 1, 1, 1)).series
+
+
+def test_holder_mod_q_reaches_the_library(tmp_path):
+    values = {"1": -0.6, "2": -0.9}
+    system = _two_letter_system(tmp_path, 1, values)
+    code, payload = run(tmp_path, "hm.json", ["holder-mod", "--system", system, "--q", "1"])
+    assert code == 0
+    doc = json.loads(payload)
+    S = shift.SymbolicSystem.full_shift(2)
+    psi = shift.PotentialSpec(1, {(1,): -0.6, (2,): -0.9})
+    C, eps = shift.holder_modulus_in_s(S, psi, 1.0)
+    assert (doc["data"]["C_fit"], doc["data"]["eps_fit"]) == (C, eps)
+    assert (C, eps) != shift.holder_modulus_in_s(S, psi, 0.0)
+    assert doc["config"] == {"command": "holder-mod", "q": 1.0, "s0": 1.0, "radius": 0.5,
+                             "seed": 0, "system": json.loads(Path(system).read_text())}
+
+
+@pytest.mark.parametrize("argv", [
+    ["pressure", "--map", MONOMIAL, "--step", "0.01"],
+    ["kac", "--map", BOOLE, "--quad-points", "12"],
+    ["d-generic", "--system", "sys.json", "--max-period", "8"],
+    ["d-generic", "--system", "sys.json", "--tol", "1e-9"],
+    ["holder-mod", "--system", "sys.json", "--s0", "1"],
+    ["holder-mod", "--system", "sys.json", "--radius", "0.5"],
+    ["holder-mod", "--system", "sys.json", "--seed", "0"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_fixed_settings_are_not_options(argv, capsys):
+    # these settings are module constants; the artifact config still records them
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
 def test_nevanlinna_cli(tmp_path):
     code, payload = run(tmp_path, "nev.json",
                         ["nevanlinna", "--map", FH, "--random-w", "20",
@@ -164,15 +232,38 @@ def test_determinism_across_runs_and_threads(tmp_path):
     assert a == b
 
 
+def _rerun_argv(cfg, tmp_path):
+    """The argv that the embedded config of a counting CSV describes."""
+    argv = [cfg["command"], "--T", str(cfg["T"]), "--grid", str(cfg["grid"])]
+    if cfg["command"] == "shift-count":
+        system = tmp_path / "replayed.json"
+        system.write_text(json.dumps(cfg["system"]))
+        argv += ["--system", str(system), "--xi", cfg["xi"]]
+        argv += [a for c in cfg["cylinders"] for a in ("--cylinder", c)]
+        return argv
+    argv += ["--map", json.dumps(cfg["map"]), "--x", str(cfg["x"])]
+    if cfg["command"] == "parabolic-count":
+        argv += [f"--interval={lo!r},{hi!r}" for lo, hi in cfg["intervals"]]
+        argv += ["--level", str(cfg["level"])]
+    return argv
+
+
 def test_config_roundtrip_rerun_same_hash(tmp_path):
-    code, payload = run(tmp_path, "count.csv",
-                        ["count", "--map", MONOMIAL, "--T", "9", "--grid", "6"])
-    assert code == 0
-    cfg = json.loads(payload.decode().splitlines()[0].split("# config:")[1])
-    argv = ["count", "--map", json.dumps(cfg["map"]), "--T", str(cfg["T"]),
-            "--x", str(cfg["x"]), "--grid", str(cfg["grid"])]
-    code, payload2 = run(tmp_path, "count2.csv", argv)
-    assert payload == payload2
+    # the config of every counting CSV reproduces its artifact, --grid included
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({
+        "alphabet": 2, "potential": {"values": {"1": -0.7, "2": -0.9}}}))
+    for argv in (["count", "--map", MONOMIAL, "--T", "9", "--grid", "6"],
+                 ["shift-count", "--system", str(system), "--T", "4", "--xi", "2,1",
+                  "--cylinder", "1", "--grid", "5"],
+                 ["parabolic-count", "--map", BOOLE, "--T", "7", "--x", "0.5",
+                  "--interval=-1,1", "--level", "1", "--grid", "5"]):
+        code, payload = run(tmp_path, "first.csv", argv)
+        assert code == 0
+        cfg = json.loads(payload.decode().splitlines()[0].split("# config:")[1])
+        code, payload2 = run(tmp_path, "second.csv", _rerun_argv(cfg, tmp_path))
+        assert code == 0
+        assert payload == payload2, argv[0]
 
 
 def test_exit_codes(tmp_path):

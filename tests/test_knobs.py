@@ -1,0 +1,167 @@
+"""Every settable value is set by a caller.
+
+A defaulted parameter that no caller turns, or a command-line option that
+no argv passes, is a configuration that no test covers; such a value
+belongs in a module constant. Two static checks, by `ast`:
+
+(a) every defaulted parameter of a module-level function or method in
+    `src/innerdyn/` receives a value other than its default literal from
+    some call in `src/`, `tests/`, `scripts/` or `perfbench/`, by keyword
+    or by position. Calls are matched by name. A call that forwards
+    `*args`/`**kwargs` sets nothing; nested functions are exempt.
+(b) every option of every `make_parser()` subcommand appears in an argv for
+    that subcommand in `tests/` or `perfbench/`. An argv is a list or tuple
+    literal that starts with the subcommand's name. An option appended to
+    an argv (`argv + [...]`, `[*argv, ...]`, `argv.append`/`extend`) counts
+    for the subcommands whose argvs appear in the same top-level
+    definition; where none appear (a helper that takes any argv), it
+    counts for every subcommand that has the option.
+"""
+
+import argparse
+import ast
+from pathlib import Path
+
+from innerdyn.cli import make_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "innerdyn"
+
+
+def _files(*folders):
+    return [p for folder in folders for p in sorted((ROOT / folder).rglob("*.py"))]
+
+
+def _trees(*folders):
+    return [ast.parse(p.read_text(), filename=str(p)) for p in _files(*folders)]
+
+
+def _literal(node):
+    try:
+        return True, ast.literal_eval(node)
+    except ValueError:
+        return False, None
+
+
+def _same(arg, default) -> bool:
+    ok_a, a = _literal(arg)
+    ok_d, d = _literal(default)
+    if ok_a and ok_d:
+        return a == d and isinstance(a, bool) == isinstance(d, bool)
+    return ast.dump(arg) == ast.dump(default)
+
+
+def _defaulted_params():
+    """(label, call name, positional index or None, name, default node)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [(None, tree.body)] + [(c, c.body) for c in tree.body
+                                         if isinstance(c, ast.ClassDef)]
+        for cls, body in scopes:
+            for fn in body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                decorators = {d.id for d in fn.decorator_list if isinstance(d, ast.Name)}
+                skip = 1 if cls is not None and "staticmethod" not in decorators else 0
+                call = cls.name if fn.name == "__init__" else fn.name
+                label = f"{path.stem}.{cls.name + '.' if cls else ''}{fn.name}"
+                positional = fn.args.posonlyargs + fn.args.args
+                first = len(positional) - len(fn.args.defaults)
+                for i, default in enumerate(fn.args.defaults):
+                    found.append((label, call, first + i - skip,
+                                  positional[first + i].arg, default))
+                for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                    if default is not None:
+                        found.append((label, call, None, a.arg, default))
+    return found
+
+
+def _calls_by_name(trees):
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _turned(call: ast.Call, index, name, default) -> bool:
+    for kw in call.keywords:
+        if kw.arg == name:
+            return not _same(kw.value, default)
+    if index is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return False
+        if i == index:
+            return not _same(arg, default)
+    return False
+
+
+def test_every_defaulted_parameter_is_turned_by_a_caller():
+    calls = _calls_by_name(_trees("src", "tests", "scripts", "perfbench"))
+    untouched = [f"{label}({name}=...)"
+                 for label, call, index, name, default in _defaulted_params()
+                 if not any(_turned(c, index, name, default) for c in calls.get(call, []))]
+    assert untouched == [], untouched
+
+
+def _subcommand_options():
+    parser = make_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for action in q._actions for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+            for name, q in sub.choices.items()}
+
+
+def _options_in(node) -> set:
+    opts = set()
+    for elt in getattr(node, "elts", []):
+        text = None
+        if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
+            text = elt.value
+        elif isinstance(elt, ast.JoinedStr):   # f"--flag={value}"
+            text = next((v.value for v in elt.values[:1] if isinstance(v, ast.Constant)), None)
+        if text is not None and text.startswith("--"):
+            opts.add(text.split("=")[0])
+    return opts
+
+
+def _appended(node):
+    """The sequence literal that `node` appends to some other argv, if any."""
+    seq = (ast.List, ast.Tuple)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return node.right if isinstance(node.right, seq) else None
+    if isinstance(node, seq) and node.elts and isinstance(node.elts[0], ast.Starred):
+        return node
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("append", "extend") and len(node.args) == 1):
+        arg = node.args[0]
+        return arg if isinstance(arg, seq) else ast.List(elts=[arg])
+    return None
+
+
+def test_every_cli_option_is_passed_by_an_argv():
+    options = _subcommand_options()
+    passed = {name: set() for name in options}
+    for tree in _trees("tests", "perfbench"):
+        for scope in tree.body:
+            argvs = [n for n in ast.walk(scope) if isinstance(n, (ast.List, ast.Tuple))
+                     and n.elts and isinstance(n.elts[0], ast.Constant)
+                     and n.elts[0].value in options]
+            here = {n.elts[0].value for n in argvs}
+            for n in argvs:
+                passed[n.elts[0].value] |= _options_in(n)
+            for node in ast.walk(scope):
+                extra = _appended(node)
+                if extra is None:
+                    continue
+                for name in here or options:
+                    passed[name] |= _options_in(extra) & options[name]
+    missing = sorted(f"{name} {opt}" for name, opts in options.items()
+                     for opt in opts - passed[name])
+    assert missing == [], missing

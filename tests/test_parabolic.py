@@ -184,9 +184,9 @@ def test_kac_identity_resolved(P, N, caps):
 def test_kac_two_point_tail_matches_full_rule(monkeypatch):
     # reference: every stratum up to the cap under the q-point rule
     cap, rhs = 65_536, lyapunov_integral(BOOLE)
-    lhs, _tail, _mass = _kac_lhs(_KacStrata(BOOLE, 2, 12), cap)
+    lhs, _tail, _mass = _kac_lhs(_KacStrata(BOOLE, 2), cap)
     monkeypatch.setattr(parabolic, "_N_FINE", cap)
-    ref, _tail, _mass = _kac_lhs(_KacStrata(BOOLE, 2, 12), cap)
+    ref, _tail, _mass = _kac_lhs(_KacStrata(BOOLE, 2), cap)
     assert abs(lhs - ref) / rhs <= 1e-8
 
 
@@ -194,7 +194,7 @@ def test_kac_strata_grow_in_bounded_blocks():
     # one jump of the two-pole table from cap 10^4 to 129,831, as kac_check
     # makes at level 3, held about 40 MB of solver temporaries when all new
     # levels were solved at once; blocks of 2^14 levels keep it near 25 MB
-    strata = _KacStrata(TWOPOLE, 3, 12)
+    strata = _KacStrata(TWOPOLE, 3)
     strata.grow(10**4)
     tracemalloc.start()
     try:
@@ -352,7 +352,7 @@ def test_induced_multipliers_generic():
     assert np.all(np.diff(L) > 0)
     diffs = np.diff(induced_cycle_multipliers(BOOLE, range(2, 30)))
     assert diffs[-1] < diffs[0]          # L_{n+1} - L_n -> 0
-    assert lattice_verdict(L, 8, tol=1e-9).kind == "generic"
+    assert lattice_verdict(L, 8).kind == "generic"
 
 
 def test_induced_cycle_is_periodic():

@@ -106,20 +106,20 @@ def test_non_primitive_eta_refused_fast():
 # ---------------------------------------------------------------------------
 
 def test_summability_arithmetic():
-    inf_s, sup_s, integ = summability_stats(S3, PSI3, 1.0, 1.0)
+    inf_s, sup_s, integ = summability_stats(S3, PSI3, 1.0)
     oracle = LOG2 / 2 + LOG3 / 3 + LOG6 / 6
     assert inf_s == sup_s == pytest.approx(oracle, abs=1e-12)
     assert integ == pytest.approx(oracle, abs=1e-10)
 
 
 def test_summability_p_zero():
-    inf_s, sup_s, integ = summability_stats(S3, PSI3, 1.0, 0.0)
+    inf_s, sup_s, integ = summability_stats(S3, PSI3, 0.0)
     assert (inf_s, sup_s, integ) == pytest.approx((1.0, 1.0, 1.0), abs=1e-10)
 
 
 def test_summability_gauss_like():
     S, psi = gauss_like()
-    inf_s, sup_s, integ = summability_stats(S, psi, 1.0, 2.0)
+    inf_s, sup_s, integ = summability_stats(S, psi, 2.0)
     direct = sum((2 * math.log(n + 1)) ** 2 / (n + 1) ** 2 for n in range(1, 201))
     assert sup_s == pytest.approx(direct, rel=1e-12)
     assert np.isfinite(integ)
@@ -178,7 +178,7 @@ def test_rpf_bundle_invariants():
     g = golden()
     psi = calibrate(g, PotentialSpec.from_letter_values(
         g, {1: -0.8, 2: -1.1}))
-    basis, mu, data = equilibrium_cylinder_masses(g, psi, 1.0)
+    basis, mu, data = equilibrium_cylinder_masses(g, psi)
     assert np.all(data.rho.real > 0)
     assert np.dot(data.weights, data.rho) == pytest.approx(1.0, abs=1e-10)
     # shift invariance on cylinders: mu([w]) = sum_a mu([a w])
@@ -315,6 +315,13 @@ def test_count_words_empty_target_admits_every_event():
     assert led.total == count_words(S2, PSI2, (2, 2, 2, 2), 5.0, B=None).total == 255
 
 
+def test_shift_ledger_refuses_arc_restriction():
+    # a shift ledger has no locations: it is restricted by cylinders when built
+    led = count_words(S2, PSI2, (1, 1), 3.0)
+    with pytest.raises(ValueError, match=r"count_words\(\.\.\., B=\.\.\.\)"):
+        led.restricted([])
+
+
 def test_count_words_golden_mean():
     g = golden()
     psi = PotentialSpec.constant(g, -LOG2)
@@ -338,20 +345,20 @@ def test_count_words_golden_mean():
 # ---------------------------------------------------------------------------
 
 def test_lattice_constant_potential():
-    v = d_genericity(S2, PSI2, 8)
+    v = d_genericity(S2, PSI2)
     assert v.is_lattice
     assert v.generator == pytest.approx(LOG2, abs=1e-12)
 
 
 def test_generic_bernoulli_weights():
-    v = d_genericity(S3, PSI3, 8)
+    v = d_genericity(S3, PSI3)
     assert v.kind == "generic"
 
 
 def test_golden_mean_constant_is_lattice():
     g = golden()
     psi = PotentialSpec.constant(g, -LOG2)
-    v = d_genericity(g, psi, 8)
+    v = d_genericity(g, psi)
     assert v.is_lattice and v.generator == pytest.approx(LOG2, abs=1e-12)
 
 
@@ -366,7 +373,7 @@ def test_periodic_scan_budget_checked_before_scanning():
     S = SymbolicSystem.full_shift(120)
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceeded):
-        d_genericity(S, PotentialSpec.constant(S, -1.0), 8)
+        d_genericity(S, PotentialSpec.constant(S, -1.0))
     assert time.perf_counter() - t0 < 0.1
 
 
@@ -420,7 +427,7 @@ def test_holder_modulus_frozen_on_criterion_13_system():
     # constant; the values are those of the full O(n^2) Hoelder-norm scan
     S, psi = gauss_like()
     psi = calibrate(S, psi)
-    assert holder_modulus_in_s(S, psi, 0.0, 1.0, radius=0.5, seed=0) == \
+    assert holder_modulus_in_s(S, psi, 0.0) == \
         (0.391701126441528, 0.9969180226662055)
 
 
@@ -462,7 +469,7 @@ def test_holder_norm_equals_the_full_scan(inputs):
 
 def test_peripheral_dichotomy():
     # lattice: at a = 2 pi / generator the spectral radius returns to lambda(1)
-    v = d_genericity(S2, PSI2, 8)
+    v = d_genericity(S2, PSI2)
     a = 2 * np.pi / v.generator
     d = spectral_data(S2, PSI2, 1.0 + 1j * a)
     assert abs(abs(d.lam) - 1.0) < 1e-6

@@ -145,7 +145,7 @@ def test_variance_triangle():
     # Green-Kubo, pressure curvature, and Monte-Carlo agree pairwise
     from innerdyn.transfer import pressure_and_derivs
     gk = green_kubo_variance(FH, COS)
-    rep = pressure_and_derivs(FH, COS, h=1e-2)
+    rep = pressure_and_derivs(FH, COS)
     s = birkhoff_samples(FH, COS, 2048, 20000, seed=13)
     mc = np.var(s.values, ddof=1)
     assert abs(rep.ddp / gk - 1) < 0.05

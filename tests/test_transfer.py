@@ -111,7 +111,7 @@ def test_gap_field_for_fh():
 
 
 def test_pressure_monomial_cos():
-    rep = pressure_and_derivs(F2, COS, h=1e-2)
+    rep = pressure_and_derivs(F2, COS)
     assert rep.dp == pytest.approx(0.0, abs=1e-6)
     assert rep.mean_prediction == pytest.approx(0.0, abs=1e-12)
     # Green-Kubo oracle: all composed-cosine correlations vanish
@@ -120,7 +120,7 @@ def test_pressure_monomial_cos():
 
 
 def test_pressure_fh_cos():
-    rep = pressure_and_derivs(FH, COS, h=1e-2)
+    rep = pressure_and_derivs(FH, COS)
     assert rep.dp == pytest.approx(0.0, abs=1e-6)
     assert rep.ddp == pytest.approx(GK_FH_COS, abs=1e-3)
     assert rep.variance_prediction == pytest.approx(GK_FH_COS, abs=1e-10)
@@ -135,14 +135,14 @@ def test_pressure_variance_is_the_green_kubo_variance(F):
 
 
 def test_pressure_constant_observable():
-    rep = pressure_and_derivs(FH, constant(0.7), h=1e-2)
+    rep = pressure_and_derivs(FH, constant(0.7))
     assert rep.dp == pytest.approx(0.7, abs=1e-9)
     assert rep.ddp == pytest.approx(0.0, abs=1e-7)
 
 
 def test_pressure_convexity_on_stencil():
     for F, g in ((F2, COS), (FH, COS)):
-        rep = pressure_and_derivs(F, g, h=1e-2)
+        rep = pressure_and_derivs(F, g)
         h = 1e-2
         second = (rep.nodes[h] - 2 * rep.nodes[0.0] + rep.nodes[-h]) / h**2
         assert second >= -1e-8
