@@ -322,7 +322,7 @@ def cmd_d_generic(args):
     write_json(args.out, config, {
         "kind": verdict.kind,
         "generator": verdict.generator,
-        "periods_scanned": verdict.periods_scanned,
+        "periods_scanned": shift._MAX_PERIOD,
         "n_values": verdict.n_values})
     return 0
 

@@ -480,7 +480,6 @@ def count_words(S: SymbolicSystem, psi: PotentialSpec, xi: Word, T: float,
 class LatticeVerdict:
     kind: str                 # "lattice" | "generic"
     generator: float | None
-    periods_scanned: int
     n_values: int
 
     @property
@@ -509,7 +508,7 @@ def periodic_birkhoff_values(S: SymbolicSystem, psi: PotentialSpec,
     return np.array(out)
 
 
-def lattice_verdict(values, max_period: int) -> LatticeVerdict:
+def lattice_verdict(values) -> LatticeVerdict:
     """Decide whether the given Birkhoff values lie in a*Z for some a > 0.
 
     A floating-point Euclidean cascade extracts the candidate generator g.
@@ -521,7 +520,7 @@ def lattice_verdict(values, max_period: int) -> LatticeVerdict:
     vals = np.sort(np.abs(np.asarray(values, dtype=float)))
     vals = vals[vals > 10 * _LATTICE_TOL]
     if len(vals) == 0:
-        return LatticeVerdict("lattice", None, max_period, 0)
+        return LatticeVerdict("lattice", None, 0)
     scale = float(vals[0])
     floor = max(_LATTICE_TOL, 1e-4 * scale)
 
@@ -536,16 +535,16 @@ def lattice_verdict(values, max_period: int) -> LatticeVerdict:
     for v in vals[1:]:
         g = fold(max(g, v), min(g, v))
         if g <= floor:
-            return LatticeVerdict("generic", None, max_period, len(vals))
+            return LatticeVerdict("generic", None, len(vals))
     mults = np.abs(vals / g - np.round(vals / g)) * g
     if np.all(mults < max(100 * _LATTICE_TOL, 1e-7 * scale)):
-        return LatticeVerdict("lattice", float(g), max_period, len(vals))
-    return LatticeVerdict("generic", None, max_period, len(vals))
+        return LatticeVerdict("lattice", float(g), len(vals))
+    return LatticeVerdict("generic", None, len(vals))
 
 
 def d_genericity(S: SymbolicSystem, psi: PotentialSpec) -> LatticeVerdict:
     """Lattice-or-generic verdict from the periodic Birkhoff values, periods <= 8."""
-    return lattice_verdict(periodic_birkhoff_values(S, psi, _MAX_PERIOD), _MAX_PERIOD)
+    return lattice_verdict(periodic_birkhoff_values(S, psi, _MAX_PERIOD))
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ circle pressure and the shift's variance share; here it is applied to the
 weightless collocation operator, which fixes Lebesgue measure.
 
 For monomial maps theta -> d*theta the orbit is read from 64-bit windows of
-a random base-d digit string, so the orbit angles are exact. The angle is
-taken from a window only every m = 1 + floor(7 / log2 d) steps (an anchor);
-in between, z <- z**d is taken by multiplication, which leaves an error of
-at most about d**(m-1) * eps <= 128 * eps before the next exact anchor. No
-floating-point shadowing caveat applies. Sample i reads only stream
-position i, so large runs are split over two processes with a result that
-is byte-identical to the serial one.
+a random base-d digit string, so the orbit points x = theta / (2*pi) are
+exact. The point is taken from a window only every m = 1 + floor(7 / log2 d)
+steps (an anchor), where z = exp(2*pi*i*x) comes from two 4096-entry tables
+within a few eps, without trigonometric calls; in between, z <- z**d is
+taken by multiplication, which leaves an error of at most about
+d**(m-1) * eps <= 128 * eps before the next anchor. No floating-point
+shadowing caveat applies. Sample i reads only stream position i, so large
+runs are split over two processes with a result that is byte-identical to
+the serial one.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ class BirkhoffSample:
     """Values of S_n h / sqrt(n) over random seeds, with full provenance.
 
     exact_angles is True for the digit-window iterator (monomial maps
-    without rotation): the orbit angles are exact at every anchor step, and
-    between anchors the orbit point is a power of the last anchor, within
-    about d**(m-1) * eps of the exact one (see `birkhoff_samples`).
+    without rotation): the orbit angles are exact at every anchor step, the
+    anchor point z is within a few eps of exp(i*angle), and between anchors
+    the orbit point is a power of the last anchor, within about
+    d**(m-1) * eps of the exact one (see `birkhoff_samples`).
     """
 
     n: int
@@ -71,31 +74,40 @@ def _anchor_spacing(d: int) -> int:
     return m
 
 
-def _orbit_angles(d: int, n: int, seed: int, lo: int, hi: int):
-    """angle(k): exact orbit angles at step k of theta -> d*theta (mod 2*pi).
+def _orbit_fractions(d: int, n: int, seed: int, lo: int, hi: int):
+    """fraction(k): exact orbit points x in [0, 1] at step k of x -> d*x (mod 1).
 
-    For samples lo..hi-1. The orbit of a base-d fraction is the sequence of
-    suffix windows of its digit string, so a pool of n + O(1) random digits
-    per sample IS the exact orbit; step k reads the 64-bit window starting
-    at digit k and rounds it to a double. For powers of two the windows are
-    cut from packed 64-bit words, otherwise a Horner sum over the base-d
-    digits (uint8 for d <= 256) builds them.
+    For samples lo..hi-1; the orbit angle is 2*pi*x. The orbit of a base-d
+    fraction is the sequence of suffix windows of its digit string, so a
+    pool of n + O(1) random digits per sample IS the exact orbit; step k
+    reads the 64-bit window starting at digit k and rounds it to a double.
+    For powers of two the windows are cut from packed 64-bit words (below
+    2**53 after the shift, so their int64 view converts to the same double,
+    more cheaply than uint64), otherwise an in-place Horner sum over the
+    base-d digits (uint8 for d <= 256) builds them. Every call returns the
+    same buffer, which the next call overwrites.
     """
     idx = np.arange(lo, hi, dtype=np.uint64)
+    frac = np.empty(hi - lo)
     if d & (d - 1) == 0:
         b = d.bit_length() - 1  # d = 2^b
         nwords = (n * b + 64) // 64 + 2
         pool = np.empty((nwords, hi - lo), dtype=np.uint64)
         for w in range(nwords):
             pool[w] = splitmix64(seed, idx * np.uint64(nwords) + np.uint64(w))
+        win = np.empty(hi - lo, dtype=np.uint64)
+        tail = np.empty_like(win)
 
-        def angle(k):
+        def fraction(k):
             q, r = divmod(k * b, 64)
             if r == 0:
-                win = pool[q]
+                np.right_shift(pool[q], 11, out=win)
             else:
-                win = (pool[q] << np.uint64(r)) | (pool[q + 1] >> np.uint64(64 - r))
-            return TWO_PI * (win >> np.uint64(11)).astype(np.float64) * 2.0**-53
+                np.left_shift(pool[q], r, out=win)
+                np.right_shift(pool[q + 1], 64 - r, out=tail)
+                np.bitwise_or(win, tail, out=win)
+                np.right_shift(win, 11, out=win)
+            return np.multiply(win.view(np.int64), 2.0**-53, out=frac)
     else:
         horizon = int(np.ceil(54 / np.log2(d))) + 1
         ndig = n + horizon
@@ -104,12 +116,64 @@ def _orbit_angles(d: int, n: int, seed: int, lo: int, hi: int):
             w = splitmix64(seed, idx * np.uint64(ndig) + np.uint64(j))
             digits[j] = w % np.uint64(d)
 
-        def angle(k):
-            frac = np.zeros(hi - lo)
+        def fraction(k):
+            frac.fill(0.0)
             for j in range(k + horizon - 1, k - 1, -1):
-                frac = (frac + digits[j]) / d
-            return TWO_PI * frac
-    return angle
+                np.add(frac, digits[j], out=frac)
+                np.divide(frac, d, out=frac)
+            return frac
+    return fraction
+
+
+def _exp_tables():
+    """T1[j] = exp(2*pi*i*j / 4096) and T2[j] = exp(2*pi*i*j / 2**24), j < 4096.
+
+    T1 is unfolded from its first octant by exact symmetries (swaps and sign
+    flips), so no table angle exceeds pi/4 and each entry is within about
+    an ulp of the exact value.
+    """
+    t = TWO_PI / 4096 * np.arange(513)
+    c, s = np.cos(t), np.sin(t)
+    quarter = np.empty(1024, dtype=complex)
+    quarter[:513] = c + 1j * s
+    quarter[512:] = s[512:0:-1] + 1j * c[512:0:-1]  # exp(i(pi/2 - t))
+    t1 = np.concatenate([quarter, 1j * quarter, -quarter, -1j * quarter])
+    t2 = np.exp(1j * (TWO_PI / 2**24) * np.arange(4096))
+    return t1, t2
+
+
+_EXP_T1, _EXP_T2 = _exp_tables()
+_PHI_UNIT = TWO_PI * 2.0**-24  # phi = _PHI_UNIT * r
+
+
+def _exp_2pi_i(x: np.ndarray, out: np.ndarray, tmp: np.ndarray, u: np.ndarray,
+               index: np.ndarray) -> None:
+    """out <- exp(2*pi*i*x) for x in [0, 1], without trigonometric calls.
+
+    Tang's two-level table: with 2**24 * x = k + r, k integer, 0 <= r < 1,
+    exp(2*pi*i*x) = T1[k >> 12] * T2[k mod 4096] * exp(i*phi) where
+    phi = 2*pi*r / 2**24 < 3.75e-7, so exp(i*phi) = 1 - phi**2/2 + i*phi
+    to within phi**3/6 < 9e-21. The split is exact in float64 (a power-of-
+    two scaling and an integer part), and x = 1 wraps to T1[0]. Scratch:
+    tmp (complex) and u (float64) of the shape of x, index (int64) with two
+    rows of that length. Both indices are kept within [0, 4096]: numpy's
+    "wrap" mode reduces an index by repeated subtraction, so a raw k would
+    cost up to 4096 steps per element.
+    """
+    k, low = index
+    np.multiply(x, 2.0**24, out=u)
+    np.copyto(k, u, casting="unsafe")  # truncation is the floor: u >= 0
+    np.subtract(u, k, out=u)
+    np.bitwise_and(k, 4095, out=low)
+    np.take(_EXP_T2, low, mode="wrap", out=out)
+    np.right_shift(k, 12, out=k)
+    np.take(_EXP_T1, k, mode="wrap", out=tmp)
+    np.multiply(out, tmp, out=out)
+    np.multiply(u, _PHI_UNIT, out=tmp.imag)
+    np.multiply(u, u, out=u)
+    u *= -0.5 * _PHI_UNIT**2
+    np.add(u, 1.0, out=tmp.real)
+    np.multiply(out, tmp, out=out)
 
 
 def _power(z: np.ndarray, d: int, base: np.ndarray) -> None:
@@ -125,20 +189,20 @@ def _power(z: np.ndarray, d: int, base: np.ndarray) -> None:
 
 def _monomial_block(d: int, h, n: int, seed: int, lo: int, hi: int, acc: np.ndarray) -> None:
     """acc += S_n h over samples lo..hi-1 of theta -> d*theta, digit-window orbits."""
-    angle = _orbit_angles(d, n, seed, lo, hi)
+    fraction = _orbit_fractions(d, n, seed, lo, hi)
     fz = getattr(h, "fn_z", None)
-    if fz is None:
-        for k in range(n):
-            acc += np.asarray(h(angle(k)), dtype=float)
-        return
     m = _anchor_spacing(d)
+    if fz is None or m == 1:  # no power steps, so z would buy nothing
+        for k in range(n):
+            acc += np.asarray(h(TWO_PI * fraction(k)), dtype=float)
+        return
     z = np.empty(hi - lo, dtype=complex)
     base = np.empty_like(z)
+    u = np.empty(hi - lo)
+    index = np.empty((2, hi - lo), dtype=np.int64)
     for k in range(n):
         if k % m == 0:
-            theta = angle(k)
-            z.real = np.cos(theta)
-            z.imag = np.sin(theta)
+            _exp_2pi_i(fraction(k), z, base, u, index)
         else:
             _power(z, d, base)
         acc += np.asarray(fz(z), dtype=float)
@@ -170,9 +234,13 @@ def _float_block(F: BlaschkeMap, h, n: int, seed: int, lo: int, hi: int,
             np.subtract(1.0, den, out=den)
             np.divide(factor, den, out=factor)
             w *= factor
-        # the circle is radially repelling, so renormalize every step
+        # the circle is radially repelling, so renormalize every step; two
+        # real products by 1/|w| give the bytes of numpy's w / |w|, which
+        # divides a complex by a real through the same reciprocal
         np.abs(w, out=modulus)
-        np.divide(w, modulus, out=z)
+        np.divide(1.0, modulus, out=modulus)
+        np.multiply(w.real, modulus, out=z.real)
+        np.multiply(w.imag, modulus, out=z.imag)
 
 
 def _usable_cpus() -> int:
@@ -242,12 +310,14 @@ def birkhoff_samples(F: BlaschkeMap, h, n: int, samples: int, seed: int) -> Birk
     on batching, nor on whether the samples are split over two processes.
 
     Monomial maps without rotation run on the exact digit-window iterator.
-    When h has an evaluator on z (`fn_z`), the angle is taken exactly from
-    the window only at anchor steps k = 0, m, 2m, ... with
-    m = 1 + floor(7 / log2 d) (m = 8 for d = 2, 5 for d = 3, 1 for d = 1),
-    and z <- z**d by multiplication in between; a point m - 1 steps past an
+    When h has an evaluator on z (`fn_z`) and m = 1 + floor(7 / log2 d) > 1
+    (m = 8 for d = 2, 5 for d = 3), the exact point is read from the window
+    only at anchor steps k = 0, m, 2m, ..., where z = exp(2*pi*i*x) comes
+    from two 4096-entry tables within a few eps (`_exp_2pi_i`), and
+    z <- z**d by multiplication in between; a point m - 1 steps past an
     anchor carries an error of at most about d**(m-1) * eps <= 128 * eps.
-    Other observables are evaluated on the exact angle at every step. Other
+    Other observables, and every observable when m = 1 (d = 1 or
+    d >= 129), are evaluated on the exact angle at every step. Other
     maps iterate on the circle in double precision, which loses pointwise
     shadowing but not distributional statistics.
     """

@@ -199,7 +199,7 @@ def test_criterion_11_d_genericity():
     v2 = d_genericity(S3, PotentialSpec.from_letter_values(
         S3, {1: -LOG2, 2: -math.log(3), 3: -math.log(6)}))
     L = induced_cycle_multipliers(BOOLE, range(2, 8))
-    v3 = lattice_verdict(L, 8)
+    v3 = lattice_verdict(L)
     ok = (v1.is_lattice and v1.generator == pytest.approx(LOG2, abs=1e-9)
           and v2.kind == "generic" and v3.kind == "generic")
     verdict(11, ok, f"z^2 lattice a={v1.generator:.6f}, bernoulli {v2.kind}, "

@@ -1,11 +1,14 @@
 """The Birkhoff sampler against the per-step reference loops.
 
 Monomial maps: anchored powers stay within 64 * d**(m-1) * eps * sqrt(n) of
-the exact-angle loop. Other maps: the in-place float loop is byte-identical
-to the allocate-per-step loop. Splitting the samples over two processes
-changes no byte, and a failed worker raises instead of returning zeros.
+the exact-angle loop, and the table exponential at the anchors stays within
+4 eps of a 50-digit `decimal` reference. Other maps: the in-place float loop
+is byte-identical to the allocate-per-step loop. Splitting the samples over
+two processes changes no byte, and a failed worker raises instead of
+returning zeros.
 """
 
+import decimal
 import math
 import os
 import signal
@@ -56,6 +59,79 @@ def test_anchored_powers_match_exact_angles(d, obs, seed, n, samples):
     assert got.exact_angles
     bound = 64 * d ** (ANCHOR_SPACING[d] - 1) * EPS * math.sqrt(n)
     assert np.max(np.abs(got.values - want)) <= bound
+
+
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _exp_2pi_i_reference(x: float) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """(cos, sin) of 2*pi*x for the double x, by a Taylor series at 50 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        xd = decimal.Decimal(x)
+        t = 2 * _PI * (xd - xd.to_integral_value())  # |t| <= pi
+        c, s, term, k = decimal.Decimal(0), decimal.Decimal(0), decimal.Decimal(1), 0
+        while abs(term) > decimal.Decimal("1e-55"):
+            if k % 2 == 0:
+                c += term if k % 4 == 0 else -term
+            else:
+                s += term if k % 4 == 1 else -term
+            k += 1
+            term = term * t / k
+        return +c, +s
+
+
+def _table_exp_error(xs) -> np.ndarray:
+    """|table exp(2*pi*i*x) - reference| / eps, elementwise."""
+    x = np.asarray(xs, dtype=float)
+    out = np.empty(len(x), dtype=complex)
+    stochastic._exp_2pi_i(x, out, np.empty_like(out), np.empty(len(x)),
+                          np.empty((2, len(x)), dtype=np.int64))
+    err = []
+    for xi, z in zip(x, out):
+        c, s = _exp_2pi_i_reference(float(xi))
+        dc, ds = decimal.Decimal(z.real) - c, decimal.Decimal(z.imag) - s
+        err.append(math.hypot(float(dc), float(ds)) / EPS)
+    return np.array(err)
+
+
+def test_table_exponential_at_table_boundaries():
+    j = np.arange(4097)
+    k = np.unique(np.r_[0, 1, 4095, 4096, 4097, 2**24 - 1,
+                        np.linspace(0, 2**24, 251).astype(np.int64)])
+    xs = np.r_[j / 4096, np.nextafter(j[1::16] / 4096, 0.0),
+               k / 2**24, np.nextafter(k[1:] / 2**24, 0.0), 1.0 - 2.0**-53]
+    assert np.max(_table_exp_error(xs)) <= 4.0
+    out = np.empty(2, dtype=complex)
+    stochastic._exp_2pi_i(np.array([0.0, 1.0]), out, np.empty_like(out), np.empty(2),
+                          np.empty((2, 2), dtype=np.int64))
+    assert np.array_equal(out, [1.0, 1.0])  # x = 1 wraps to T1[0]
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
+def test_table_exponential_within_4_eps(xs):
+    assert np.max(_table_exp_error(xs)) <= 4.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("h", [COS, SIN], ids=["cos", "sin"])
+def test_single_step_samples_match_exact_angles(d, h):
+    # n = 1: only the anchor at k = 0, no power step
+    F = BlaschkeMap.monomial(d)
+    for seed in range(4):
+        got = birkhoff_samples(F, h, 1, 2000, seed).values
+        want = oracle_birkhoff_values(F, h, 1, 2000, seed)
+        assert np.max(np.abs(got - want)) <= 4 * EPS
+
+
+@pytest.mark.parametrize("d", [1, 130])
+@pytest.mark.parametrize("h", [COS, cos_k(2)], ids=["cos", "cos2"])
+def test_anchor_every_step_evaluates_h_on_the_exact_angle(d, h):
+    # m = 1 (d = 1 or d >= 129): no power steps, so h sees the exact angle
+    assert stochastic._anchor_spacing(d) == 1
+    F = BlaschkeMap.monomial(d)
+    got = birkhoff_samples(F, h, 30, 200, seed=5)
+    assert got.values.tobytes() == oracle_birkhoff_values(F, h, 30, 200, 5).tobytes()
 
 
 @pytest.mark.parametrize("h", [COS, SIN], ids=["cos", "sin"])

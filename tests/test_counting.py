@@ -272,7 +272,7 @@ def test_level_structure_lattice_verdict():
     lv = np.round(led.values / LOG2)
     assert np.max(np.abs(led.values - lv * LOG2)) < 1e-9
     from innerdyn.shift import lattice_verdict
-    v = lattice_verdict(led.values[led.values > 0], 8)
+    v = lattice_verdict(led.values[led.values > 0])
     assert v.is_lattice and v.generator == pytest.approx(LOG2, abs=1e-9)
 
 

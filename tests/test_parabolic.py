@@ -352,7 +352,7 @@ def test_induced_multipliers_generic():
     assert np.all(np.diff(L) > 0)
     diffs = np.diff(induced_cycle_multipliers(BOOLE, range(2, 30)))
     assert diffs[-1] < diffs[0]          # L_{n+1} - L_n -> 0
-    assert lattice_verdict(L, 8).kind == "generic"
+    assert lattice_verdict(L).kind == "generic"
 
 
 def test_induced_cycle_is_periodic():

@@ -399,8 +399,8 @@ def test_periodic_values_in_budget_unchanged(system):
 
 
 def test_lattice_verdict_direct():
-    assert lattice_verdict([LOG2, 2 * LOG2, 5 * LOG2], 4).is_lattice
-    assert lattice_verdict([LOG2, LOG3], 4).kind == "generic"
+    assert lattice_verdict([LOG2, 2 * LOG2, 5 * LOG2]).is_lattice
+    assert lattice_verdict([LOG2, LOG3]).kind == "generic"
 
 
 # ---------------------------------------------------------------------------
