@@ -5,6 +5,10 @@ computation, and emits a CSV or JSON artifact embedding the full effective
 configuration and a content hash, so any artifact can be reproduced and
 checked byte for byte. Exit codes: 0 success, 2 configuration error,
 3 budget or convergence failure.
+
+`main(argv)` returns the exit code, for callers in the same process; `run()`
+is the command (`innerdyn`, `python -m innerdyn.cli`), which ends the
+process without the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -522,5 +526,23 @@ def main(argv=None) -> int:
         return 3
 
 
+def run():
+    """main() on sys.argv, then a flush and a hard exit with its code.
+
+    Every artifact is written and closed, and the Birkhoff worker reaped,
+    before main() returns, so finalising numpy and the package, a sizeable
+    share of a short request, changes no output and is skipped. A SystemExit
+    from argparse (usage errors, --help), any exception and a failed flush
+    take the normal exit path, which reports them as before.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -74,6 +74,16 @@ def _anchor_spacing(d: int) -> int:
     return m
 
 
+def _remainder(words: np.ndarray, d: np.uint64, out: np.ndarray) -> np.ndarray:
+    """words mod d into the uint64 buffer out, as words - (words // d) * d.
+
+    Exact, and several times faster than numpy's uint64 `%` by a scalar.
+    """
+    np.floor_divide(words, d, out=out)
+    np.multiply(out, d, out=out)
+    return np.subtract(words, out, out=out)
+
+
 def _orbit_fractions(d: int, n: int, seed: int, lo: int, hi: int):
     """fraction(k): exact orbit points x in [0, 1] at step k of x -> d*x (mod 1).
 
@@ -112,9 +122,10 @@ def _orbit_fractions(d: int, n: int, seed: int, lo: int, hi: int):
         horizon = int(np.ceil(54 / np.log2(d))) + 1
         ndig = n + horizon
         digits = np.empty((ndig, hi - lo), dtype=np.min_scalar_type(d - 1))
+        rem = np.empty(hi - lo, dtype=np.uint64)
         for j in range(ndig):
             w = splitmix64(seed, idx * np.uint64(ndig) + np.uint64(j))
-            digits[j] = w % np.uint64(d)
+            digits[j] = _remainder(w, np.uint64(d), rem)
 
         def fraction(k):
             frac.fill(0.0)

@@ -1,11 +1,11 @@
 """The Birkhoff sampler against the per-step reference loops.
 
 Monomial maps: anchored powers stay within 64 * d**(m-1) * eps * sqrt(n) of
-the exact-angle loop, and the table exponential at the anchors stays within
-4 eps of a 50-digit `decimal` reference. Other maps: the in-place float loop
-is byte-identical to the allocate-per-step loop. Splitting the samples over
-two processes changes no byte, and a failed worker raises instead of
-returning zeros.
+the exact-angle loop, the table exponential at the anchors stays within
+4 eps of a 50-digit `decimal` reference, and the base-d digits equal numpy's
+`%`. Other maps: the in-place float loop is byte-identical to the
+allocate-per-step loop. Splitting the samples over two processes changes no
+byte, and a failed worker raises instead of returning zeros.
 """
 
 import decimal
@@ -111,6 +111,16 @@ def test_table_exponential_at_table_boundaries():
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
 def test_table_exponential_within_4_eps(xs):
     assert np.max(_table_exp_error(xs)) <= 4.0
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 255])
+def test_base_d_digits_equal_the_remainder(d):
+    top = 2**64 - 1
+    words = np.r_[np.random.default_rng(d).integers(0, top, 10**5, dtype=np.uint64,
+                                                    endpoint=True),
+                  np.array([0, 1, d - 1, d, top - d, top - 1, top], dtype=np.uint64)]
+    got = stochastic._remainder(words, np.uint64(d), np.empty_like(words))
+    assert np.array_equal(got, words % np.uint64(d))
 
 
 @pytest.mark.parametrize("d", [2, 3])

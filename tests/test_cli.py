@@ -1,5 +1,7 @@
-"""CLI: artifacts, embedded configs, hashes, determinism, exit codes."""
+"""CLI: artifacts, embedded configs, hashes, determinism, exit codes, and the
+command's hard exit."""
 
+import ast
 import json
 import os
 import subprocess
@@ -338,14 +340,88 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_cold_start_loads_no_scipy():
-    # a fresh interpreter, so no other test's imports count
+def _fresh_env() -> dict:
+    """The package first on the path, and stdout block-buffered as in a plain
+    shell: PYTHONUNBUFFERED would hide a missing flush."""
     src = str(Path(innerdyn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_cold_start_loads_no_scipy():
+    # a fresh interpreter, so no other test's imports count
+    out = subprocess.run([sys.executable, "-c", _COLD_START], env=_fresh_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]", out.stdout[:300]
+
+
+def _command(argv, **kwargs):
+    """`python -m innerdyn.cli argv` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "innerdyn.cli", *argv], env=_fresh_env(),
+                          **kwargs)
+
+
+def test_command_writes_the_in_process_artifact(tmp_path):
+    argv = ["count", "--map", MONOMIAL, "--T", "8", "--grid", "16"]
+    code, want = run(tmp_path, "main.csv", argv)
+    assert code == 0
+    out = tmp_path / "command.csv"
+    proc = _command(argv + ["--out", str(out)], capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_bytes() == want
+    # the artifact fits the stdout buffer, so it arrives only if the
+    # entry point flushes before its hard exit
+    assert len(want) < 8192
+    proc = _command(argv + ["--out", "-"], capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, b"")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["count", "--map", MONOMIAL, "--T", "nan"], 2, "config error:"),
+    (["clt", "--map", '{"kind":"monomial","d":1}', "--n", "8", "--samples", "8",
+      "--seed", "1"], 3, "NonDecaying:"),
+    (["count", "--T", "4"], 2, "the following arguments are required: --map"),
+], ids=["config-error", "non-decaying", "usage"])
+def test_command_exit_code_and_stderr_match_main(tmp_path, capsys, argv, code, message):
+    out = tmp_path / "x.out"
+    argv = argv + ["--out", str(out)]
+    try:
+        in_process = main(argv)
+    except SystemExit as e:  # argparse
+        in_process = e.code
+    err = capsys.readouterr().err
+    assert in_process == code and message in err
+    proc = _command(argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_command_reports_a_failed_flush():
+    # the write to stdout is buffered and fails only at the flush, which then
+    # takes the normal exit path: Python reports it, without a traceback,
+    # and exits 120
+    with open("/dev/full", "w") as full:
+        proc = _command(["count", "--map", MONOMIAL, "--T", "8", "--out", "-"],
+                        stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 120
+    assert "No space left on device" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_only_the_command_and_the_sampler_child_hard_exit():
+    # os._exit skips every caller's cleanup, so no library routine may call it
+    found = set()
+    for path in sorted(Path(innerdyn.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "_exit"
+                        or isinstance(node, ast.Name) and node.id == "_exit"
+                        or isinstance(node, ast.alias) and node.name == "_exit"):
+                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert found == {"cli.run", "stochastic._accumulate"}
 
 
 def test_unwritable_out_exits_2_before_the_work(tmp_path, monkeypatch, capsys):
