@@ -1,7 +1,7 @@
 """Transfer-operator thermodynamics and orbit counting for expanding maps.
 
 Subpackages by theme: blaschke (circle maps and measure primitives),
-transfer (collocation operators, pressure, conformal/equilibrium data),
+transfer (collocation operators and pressure),
 coding (Markov partition of the circle), shift (symbolic thermodynamics),
 counting (backward-orbit ledgers), stochastic (CLT diagnostics), parabolic
 (first-return inducing on the real line), cli (experiment runner).

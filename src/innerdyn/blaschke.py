@@ -13,10 +13,8 @@ one step when the Newton error bound M s^2 / (2m), with m <= |F'| and
 M >= |d/dt |F'|| over the circle, is below rounding; the rest continue a
 safeguarded Newton iteration with a bisection step whenever a step leaves
 the cell's bracket. `lift_inverse` extends this inverse to every real tau
-by whole turns, and every other circle equation goes through it: the
-periodic points of F^n are the fixed points of n-fold compositions of
-inverse branches, found by a safeguarded Newton iteration on those
-compositions, and the coding layer pulls cylinders back with it.
+by whole turns; the batched boundary preimages and the coding layer's
+partition cuts go through it.
 
 The angular derivative |F'| is finite everywhere on the circle for these
 maps (the infinite-derivative convention needed for maps with boundary
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .circle import TWO_PI, CirclePoint, as_angle, circle_grid, wrap_angle
+from .circle import TWO_PI, as_angle, circle_grid, wrap_angle
 from .errors import (
     BudgetExceeded,
     LiftNonMonotone,
@@ -40,7 +38,6 @@ from .errors import (
     NoConvergence,
     PoleProximity,
     RootEscape,
-    ZeroMultiplier,
 )
 
 _BOUNDARY_MARGIN = 1e-12
@@ -441,84 +438,3 @@ def nevanlinna(F: BlaschkeMap, w: complex) -> float:
     if np.any(mods < 1e-14):
         raise LogSingularity("a preimage sits at the origin")
     return float(np.sum(np.log(1.0 / mods)))
-
-
-# ---------------------------------------------------------------------------
-# Koenigs linearizer
-# ---------------------------------------------------------------------------
-
-def koenigs(F: BlaschkeMap, z: complex, depth: int) -> complex:
-    """Finite-depth linearizing coordinate F'(0)^{-depth} F^{depth}(z).
-
-    Successive depths converge geometrically at rate |F'(0)|; the limit fixes
-    0 with unit derivative and conjugates F to multiplication by F'(0).
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if abs(z) >= 1.0:
-        raise ValueError("linearizing coordinate needs |z| < 1")
-    _, m = eval_and_deriv(F, 0j)
-    if abs(m) < 1e-12:
-        raise ZeroMultiplier("F'(0) = 0; no linearizing coordinate")
-    cur = complex(z)
-    for _ in range(depth):
-        cur, _ = eval_and_deriv(F, cur)
-    return cur / m**depth
-
-
-def multiplier_at_zero(F: BlaschkeMap) -> complex:
-    return eval_and_deriv(F, 0j)[1]
-
-
-# ---------------------------------------------------------------------------
-# periodic points on the circle
-# ---------------------------------------------------------------------------
-
-def periodic_points(F: BlaschkeMap, n: int) -> list[tuple[CirclePoint, float]]:
-    """All fixed points of F^n on the circle with their multipliers |(F^n)'|.
-
-    lift_n(t) - t gains 2*pi*(d^n - 1) per revolution, so the fixed points
-    are the roots t_k of t = G_k(t) = L^{-n}(t + 2*pi*k), k = 0 .. d^n - 2,
-    one point each. As L^{-1}(tau + 2*pi*d*q) = L^{-1}(tau) + 2*pi*q, the
-    turns of k enter one base-d digit per inverse step, which keeps every
-    link of the chain within a few turns and so at full precision. The
-    chain gives the slope G_k' = 1/|(F^n)'(G_k(t))|, which is also the
-    multiplier. All equations run as one vectorised Newton iteration on
-    h = G_k(t) - t. G_k is a contraction with constant
-    rho = (sum (1-|a|)/(1+|a|))^{-n}, so the root lies between G_k(t) and
-    t + h/(1 - rho); these brackets are intersected over the sweeps, and a
-    Newton step that leaves the bracket is replaced by its midpoint. Points
-    come sorted by angle.
-    """
-    if not 1 <= n <= 12:
-        raise ValueError("period must satisfy 1 <= n <= 12")
-    d = F.degree
-    count = d**n - 1
-    if count > 10**7:
-        raise BudgetExceeded(f"d^n - 1 = {count} exceeds the 1e7 budget")
-    rho = F.min_boundary_deriv() ** (-n)
-    k = np.arange(count)
-    t = TWO_PI * k / count
-    lo, hi = np.full(count, -np.inf), np.full(count, np.inf)
-    points, mults = np.empty(count), np.empty(count)
-    active = np.arange(count)
-    for _ in range(_NEWTON_SWEEPS):
-        y, mult = t, np.ones_like(t)
-        for j in range(n):
-            y = lift_inverse(F, y + TWO_PI * (k // d**j % d))
-            mult *= circle_abs_deriv(F, y)
-        h = y - t
-        nxt = t + h / (1.0 - 1.0 / mult)
-        done = np.abs(h) <= 4e-15 * np.maximum(1.0, np.abs(t))
-        points[active[done]], mults[active[done]] = nxt[done], mult[done]
-        if done.all():
-            order = np.argsort(wrap_angle(points))
-            return [(CirclePoint(p), float(m)) for p, m in zip(points[order], mults[order])]
-        keep = ~done
-        active, k, t, h, y, nxt = active[keep], k[keep], t[keep], h[keep], y[keep], nxt[keep]
-        far = t + h / (1.0 - rho)
-        lo = np.maximum(lo[keep], np.minimum(y, far))
-        hi = np.minimum(hi[keep], np.maximum(y, far))
-        t = np.where((nxt < lo) | (nxt > hi), 0.5 * (lo + hi), nxt)
-    raise NoConvergence(
-        f"{len(active)} period-{n} points unconverged after {_NEWTON_SWEEPS} sweeps")

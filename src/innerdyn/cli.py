@@ -103,20 +103,45 @@ def load_map_config(spec: str) -> dict:
     return cfg
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _integer(value, key: str) -> int:
+    """value as an int; a float or a bool would be truncated silently."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"{key} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _number_pairs(value, key: str) -> list[tuple[float, float]]:
+    if not (isinstance(value, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in value)):
+        raise ConfigError(f"{key} must be a list of [number, number] pairs, "
+                          f"got {json.dumps(value)}")
+    return [(float(a), float(b)) for a, b in value]
+
+
 def build_circle_map(cfg: dict) -> blaschke.BlaschkeMap:
     kind = cfg.get("kind")
     if kind == "monomial":
         allowed = {"kind", "d", "rotation"}
         _reject_unknown(cfg, allowed)
-        return blaschke.BlaschkeMap.monomial(int(cfg["d"]),
-                                             float(cfg.get("rotation", 0.0)))
+        return blaschke.BlaschkeMap.monomial(_integer(cfg["d"], "d"),
+                                             _number(cfg.get("rotation", 0.0), "rotation"))
     if kind == "blaschke":
         allowed = {"kind", "zeros", "rotation"}
         _reject_unknown(cfg, allowed)
-        zeros = [complex(re, im) for re, im in cfg["zeros"]]
+        zeros = [complex(re, im) for re, im in _number_pairs(cfg["zeros"], "zeros")]
         if not zeros or zeros[0] != 0:
             raise ConfigError("zeros must be a nonempty list with zeros[0] = [0,0]")
-        return blaschke.BlaschkeMap(tuple(zeros), float(cfg.get("rotation", 0.0)))
+        return blaschke.BlaschkeMap(tuple(zeros), _number(cfg.get("rotation", 0.0), "rotation"))
     raise ConfigError(f"not a circle map kind: {kind!r}")
 
 
@@ -124,27 +149,35 @@ def build_parabolic_map(cfg: dict) -> parabolic.ParabolicMap:
     if cfg.get("kind") != "parabolic":
         raise ConfigError(f"not a parabolic map kind: {cfg.get('kind')!r}")
     _reject_unknown(cfg, {"kind", "poles", "translation"})
-    return parabolic.build_parabolic([(float(b), float(t)) for b, t in cfg["poles"]],
-                                     float(cfg.get("translation", 0.0)))
+    return parabolic.build_parabolic(_number_pairs(cfg["poles"], "poles"),
+                                     _number(cfg.get("translation", 0.0), "translation"))
 
 
 def load_symbolic_system(path: str):
     """(config, system, potential) from a system config file."""
     cfg = _read_json(path)
+    if not isinstance(cfg, dict):
+        raise ConfigError("system config must be an object")
     _reject_unknown(cfg, {"alphabet", "incidence", "potential"})
-    m = int(cfg["alphabet"])
+    m = _integer(cfg["alphabet"], "alphabet")
     inc = cfg.get("incidence", "full")
     if inc == "full":
         S = shift.SymbolicSystem.full_shift(m)
     else:
         S = shift.SymbolicSystem(np.array(inc, dtype=np.uint8))
+        if S.alphabet_size != m:
+            raise ConfigError(f"alphabet {m} does not match the "
+                              f"{S.alphabet_size}-letter incidence")
     pot = cfg.get("potential")
-    if pot is None:
-        raise ConfigError("system config needs a potential")
+    if not isinstance(pot, dict):
+        raise ConfigError("system config needs a potential object")
     _reject_unknown(pot, {"depth", "values", "alpha"})
-    values = {coding.word_from_str(k): float(v) for k, v in pot["values"].items()}
-    return cfg, S, shift.PotentialSpec(int(pot.get("depth", 1)), values,
-                                       alpha=float(pot.get("alpha", 1.0)))
+    if not isinstance(pot["values"], dict):
+        raise ConfigError(f"potential values must be an object, got {json.dumps(pot['values'])}")
+    values = {coding.word_from_str(k): _number(v, f"value of {k!r}")
+              for k, v in pot["values"].items()}
+    return cfg, S, shift.PotentialSpec(_integer(pot.get("depth", 1), "depth"), values,
+                                       alpha=_number(pot.get("alpha", 1.0), "alpha"))
 
 
 def _reject_unknown(cfg: dict, allowed: set):

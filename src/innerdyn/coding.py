@@ -9,7 +9,6 @@ Everything backward goes through `blaschke.lift_inverse`. With L the
 continuous lift of the map and L(p) = p + 2*pi*m, the cuts are
 L^{-1}(p + 2*pi*(m + j)), j = 0..d, and the inverse branch into arc j + 1 is
 tau -> L^{-1}(tau + 2*pi*(m + j)) on the lifted circle [p, p + 2*pi].
-Cylinder points and weights read one backward chain of these branches.
 """
 
 from __future__ import annotations
@@ -18,16 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeMap, angle_map, circle_abs_deriv, lift_inverse
+from .blaschke import BlaschkeMap, angle_map, lift_inverse
 from .circle import TWO_PI, Arc, as_angle, wrap_angle
 from .errors import ExceptionalPoint, NotFixed
 
 _ENDPOINT_TOL = 1e-12
 
 Word = tuple  # letters are 1-based ints
-
-def word_to_str(w) -> str:
-    return ",".join(str(int(a)) for a in w)
 
 
 def word_from_str(s: str) -> Word:
@@ -107,54 +103,3 @@ def encode(P: MarkovPartition, x, depth: int) -> Word:
         letters.append(P.letter(y))
         y = float(angle_map(P.map, y))
     return tuple(letters)
-
-
-def _branch_pull(P: MarkovPartition, letter: int, tau: float) -> float:
-    """Inverse branch into arc `letter`, in the lifted coordinate [p, p+2pi].
-
-    The lift inverse shifted by turns + letter - 1 whole turns maps the
-    lifted circle [p, p+2pi] increasingly onto [cuts[letter-1], cuts[letter]];
-    endpoints go to endpoints.
-    """
-    return float(lift_inverse(P.map, tau + TWO_PI * (P.turns + letter - 1)))
-
-
-def cylinder_arc(P: MarkovPartition, w: Word) -> Arc:
-    """The arc of points whose itinerary starts with w.
-
-    Computed by pulling the base arc of the last letter back through the
-    inverse branches of the earlier letters; diameters shrink geometrically
-    because the map is uniformly expanding on the circle.
-    """
-    if len(w) == 0:
-        raise ValueError("word must be nonempty")
-    for a in w:
-        if not 1 <= a <= P.degree:
-            raise ValueError(f"letter {a} outside 1..{P.degree}")
-    lo, hi = float(P.cuts[w[-1] - 1]), float(P.cuts[w[-1]])
-    for letter in reversed(w[:-1]):
-        lo, hi = _branch_pull(P, letter, lo), _branch_pull(P, letter, hi)
-    return Arc(wrap_angle(lo), hi - lo)
-
-
-def _backward_chain(P: MarkovPartition, w: Word, target) -> tuple[float, float]:
-    """The lifted y in [w] with F^{|w|}(y) = target, and |(F^{|w|})'(y)|.
-
-    The derivative is the product of |F'| over the points of the chain.
-    """
-    cur = float(P.lift(as_angle(target)))
-    deriv = 1.0
-    for letter in reversed(w):
-        cur = _branch_pull(P, letter, cur)
-        deriv *= float(circle_abs_deriv(P.map, cur))
-    return cur, deriv
-
-
-def cylinder_point(P: MarkovPartition, w: Word, target) -> float:
-    """The unique y in the cylinder [w] with F^{|w|}(y) = target (angle)."""
-    return float(wrap_angle(_backward_chain(P, w, target)[0]))
-
-
-def cylinder_weight(P: MarkovPartition, w: Word, target) -> float:
-    """1 / |(F^{|w|})'(y)| at the cylinder's preimage y of the target angle."""
-    return 1.0 / _backward_chain(P, w, target)[1]

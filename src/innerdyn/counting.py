@@ -45,8 +45,7 @@ class CountingLedger:
     inside the target set when the ledger was built against one. meta holds,
     for an aggregated ledger only, the seed angle, degree and rotation that
     arc restriction needs, and after a restriction its arcs. Counts are
-    exact; only the Cesaro and Stieltjes functionals convert weights to
-    float.
+    exact; only the Cesaro average converts weights to float.
     """
 
     values: np.ndarray
@@ -109,11 +108,6 @@ class CountingLedger:
         W, S = self._counts[1], self._laplace
         idx = np.searchsorted(self.values, T, side="right")
         return float(S[idx] - float(W[idx]) * np.exp(-T)) / T if idx else 0.0
-
-    def stieltjes(self, s: complex) -> complex:
-        """sum over events of e^{-s * value}, the Laplace transform of dN."""
-        w = self._counts[0].astype(float)
-        return complex(np.sum(w * np.exp(-complex(s) * self.values)))
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:

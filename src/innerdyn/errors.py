@@ -21,10 +21,6 @@ class LogSingularity(InnerdynError):
     """A disk preimage sits at the origin, making log(1/|root|) infinite."""
 
 
-class ZeroMultiplier(InnerdynError):
-    """F'(0) vanishes, so no linearizing coordinate exists."""
-
-
 class BudgetExceeded(InnerdynError):
     """A requested enumeration would exceed the node budget."""
 
@@ -45,16 +41,8 @@ class GapLost(InnerdynError):
     """The subleading ratio came too close to 1 for a perturbed operator."""
 
 
-class SummabilityViolated(InnerdynError):
-    """A required summability quantity diverges under truncation refinement."""
-
-
 class DivergentSeries(InnerdynError):
     """The operator series for the Poincare function does not converge."""
-
-
-class NoReturnWithinCap(InnerdynError):
-    """An orbit failed to return to the core interval within the iteration cap."""
 
 
 class BisectionFail(InnerdynError):

@@ -30,12 +30,9 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 
 from .counting import _NODE_BUDGET, CountingLedger, _walk, refuse_oversize
-from .errors import (BisectionFail, BudgetExceeded, NoConvergence,
-                     NoReturnWithinCap, NotDoublyParabolic,
+from .errors import (BisectionFail, BudgetExceeded, NoConvergence, NotDoublyParabolic,
                      TailBoundExceeded)
 
-_POLE_TOL = 1e-14
-_RETURN_CAP = 10**6     # iterations first_return waits for a return
 _MAX_AUTO_LEVEL = 64    # deepest core level _auto_level tries
 _ROOT_TOL = 1e-14
 
@@ -79,9 +76,6 @@ class ParabolicMap:
         for b, t in self.poles:
             out = out + t / (x - b) ** 2
         return out if out.ndim else float(out)
-
-    def log_deriv(self, x):
-        return np.log(self.deriv(x))
 
     def label(self) -> str:
         ps = ";".join(f"{b:g},{t:g}" for b, t in self.poles)
@@ -259,35 +253,6 @@ def real_markov_partition(P: ParabolicMap, N: int) -> RealPartition:
         if not 0.5 * expected < ratio < 2.0 * expected:
             raise BisectionFail("boundary-orbit gaps violate the n^(-1/2) law")
     return RealPartition(map=P, level=N, p_plus=pp, p_minus=pm)
-
-
-# ---------------------------------------------------------------------------
-# first return map
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReturnEvent:
-    return_point: float
-    return_time: int
-    log_deriv: float
-
-
-def first_return(P: ParabolicMap, X: tuple[float, float], x: float) -> ReturnEvent:
-    """Iterate F, at most 1e6 times, until the orbit re-enters X, accumulating log|F'|."""
-    lo, hi = X
-    if not lo <= x <= hi:
-        raise ValueError("start point must lie in the core interval")
-    bs = P.pole_locations
-    acc = 0.0
-    y = float(x)
-    for n in range(1, _RETURN_CAP + 1):
-        if np.min(np.abs(y - bs)) < _POLE_TOL * max(1.0, abs(y)):
-            raise NoReturnWithinCap("orbit hit a pole preimage")
-        acc += float(P.log_deriv(y))
-        y = float(P(y))
-        if lo <= y <= hi:
-            return ReturnEvent(return_point=y, return_time=n, log_deriv=acc)
-    raise NoReturnWithinCap(f"no return within {_RETURN_CAP} iterations")
 
 
 # ---------------------------------------------------------------------------

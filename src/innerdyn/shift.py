@@ -19,15 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import _NODE_BUDGET, CountingLedger, _prefix_member, _walk
-from .errors import (BudgetExceeded, DivergentSeries, NoConvergence, NotPrimitive,
-                     SummabilityViolated)
+from .errors import BudgetExceeded, DivergentSeries, NoConvergence, NotPrimitive
 from .rng import uniform_stream
 from .spectral import (SpectralData, deflated_resolvent, green_kubo, leading_spectral_data,
                        operator_parameter)
 
 Word = tuple
 
-_PRIMITIVITY_MAX_LEN = 8   # longest connecting word searched for
 _SPECTRAL_TOL = 1e-14      # Arnoldi residual tolerance of spectral_data
 _PRESSURE_STEP = 1e-3      # step h of the one-sided pressure stencils
 _ETA_TAIL_TOL = 1e-12      # relative change that ends the doubling series
@@ -134,43 +132,6 @@ class SymbolicSystem:
         return f"{kind}[{self.alphabet_size}]"
 
 
-@dataclass(frozen=True)
-class PrimitivityWitness:
-    length: int
-    words: tuple
-
-    @property
-    def found(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class PrimitivityFailure:
-    searched_up_to: int
-
-    @property
-    def found(self) -> bool:
-        return False
-
-
-def check_finitely_primitive(S: SymbolicSystem):
-    """Smallest common length of connecting words, by exhaustive search.
-
-    For each length l <= 8, checks whether for every letter pair (a, b)
-    some word tau of length l makes a|tau|b admissible, i.e. whether
-    A^(l+1) > 0. The witnesses are then all admissible words of length l:
-    each letter has a predecessor (A^(l+1) > 0) and a successor (every row
-    of A is nonzero). Failure is reported, not asserted as non-primitivity.
-    """
-    A = S.incidence.astype(np.int64)
-    power = A.copy()
-    for length in range(1, _PRIMITIVITY_MAX_LEN + 1):
-        power = power @ A  # paths of length `length` + 1
-        if np.all(power > 0):
-            return PrimitivityWitness(length=length, words=tuple(S.cylinder_words(length)))
-    return PrimitivityFailure(searched_up_to=_PRIMITIVITY_MAX_LEN)
-
-
 # ---------------------------------------------------------------------------
 # potentials
 # ---------------------------------------------------------------------------
@@ -270,29 +231,6 @@ def spectral_data(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
         lam_ref = leading_spectral_data(ref, tol=_SPECTRAL_TOL, want_gap=False).lam.real
         data.peripheral = abs(abs(data.lam) - lam_ref) < 1e-9 * max(1.0, lam_ref)
     return data
-
-
-def summability_stats(S: SymbolicSystem, psi: PotentialSpec, p: float = 0.0):
-    """(inf_sum, sup_sum, integral) of |psi^p e^{psi}| data per letter.
-
-    inf_sum and sup_sum run over depth-1 cylinders; the integral is of
-    |psi|^p against the conformal measure at s = 1. The three are
-    comparable for level-1 Hoelder potentials, which the tests check.
-    """
-    tab = S.cylinder_table(psi.depth)
-    vals = psi.vector(tab.basis)
-    weights = np.abs(vals) ** p * np.exp(vals)
-    # the basis is lexicographic: the words starting with letter a are one run
-    ends = np.searchsorted(tab.letters[:, 0], np.arange(1, S.alphabet_size + 2))
-    inf_sum = sup_sum = 0.0
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        inf_sum += float(np.min(weights[lo:hi]))
-        sup_sum += float(np.max(weights[lo:hi]))
-    data = spectral_data(S, psi, 1.0, want_gap=False)
-    integral = float(np.dot(data.weights, np.abs(vals) ** p))
-    if not (np.isfinite(inf_sum) and np.isfinite(sup_sum) and np.isfinite(integral)):
-        raise SummabilityViolated("summability quantities are not finite")
-    return inf_sum, sup_sum, integral
 
 
 def equilibrium_cylinder_masses(S: SymbolicSystem,

@@ -369,26 +369,6 @@ def clt_diagnostics(sample: BirkhoffSample, sigma2: float) -> tuple[float, float
     return ks, var_ratio
 
 
-def correlation_sequence(F: BlaschkeMap, h, k_last: int, N: int = 512) -> np.ndarray:
-    """c_k = int h (h o F^k) dm for k = 0..k_last, h mean-adjusted.
-
-    Computed through the adjoint identity c_k = int (L^k h) h dm with the
-    weightless collocation operator; L smooths, so no frequency blow-up
-    occurs. The duality tests validate the identity independently.
-    """
-    grid = circle_grid(N)
-    hv = np.asarray(h(grid), dtype=float)
-    hv = hv - np.mean(hv)
-    M = assemble_operator(F, 1.0, None, N).matrix
-    out = np.empty(k_last + 1)
-    u = hv
-    out[0] = float(np.mean(hv * hv))
-    for k in range(1, k_last + 1):
-        u = M @ u
-        out[k] = float(np.mean(u * hv))
-    return out
-
-
 def green_kubo_variance(F: BlaschkeMap, h) -> float:
     """Asymptotic variance c_0 + 2 sum_{k>=1} c_k by one resolvent solve.
 

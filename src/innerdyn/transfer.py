@@ -36,17 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import (BlaschkeMap, angle_map, boundary_preimages_batch, circle_abs_deriv,
-                       circle_grid)
+from .blaschke import BlaschkeMap, boundary_preimages_batch, circle_abs_deriv, circle_grid
 from .circle import TWO_PI
 from .errors import GapLost
-from .spectral import SpectralData, green_kubo, leading_spectral_data, operator_parameter
+from .spectral import green_kubo, leading_spectral_data, operator_parameter
 
 _GAP_CEILING = 0.95
 _BLOCK_BYTES = 1 << 21  # bytes of one row block of the matrix during assembly
 _PRESSURE_STEP = 1e-2   # step h of the five-point pressure stencil
 _PRESSURE_TOL = 1e-14   # Arnoldi tolerance at the pressure stencil nodes
-_INVARIANCE_MODES = 8   # trigonometric moments |n| <= 8 of the invariance defect
 
 
 @dataclass
@@ -179,24 +177,3 @@ def pressure_and_derivs(F: BlaschkeMap, g, N: int = 256) -> PressureReport:
     mean_pred = float(np.mean(np.asarray(g(grid), dtype=float)))
     return PressureReport(p0=p_0, dp=dp, ddp=ddp, mean_prediction=mean_pred,
                           variance_prediction=var_pred, min_gap=min_gap, nodes=pvals)
-
-
-def conformal_equilibrium(F: BlaschkeMap, g, N: int = 256) -> SpectralData:
-    """Spectral data for the weight e^{g} |F'|^{-1}.
-
-    The returned weights are the conformal measure on the grid; the product
-    rho * weights is the invariant equilibrium measure, checked by the tests
-    via the invariance of trigonometric moments.
-    """
-    data = leading_spectral_data(assemble_operator(F, 1.0, g, N).matrix)
-    if data.gap > _GAP_CEILING:
-        raise GapLost(f"subleading ratio {data.gap:.3f} for the weighted operator")
-    return data
-
-
-def equilibrium_invariance_defect(F: BlaschkeMap, data: SpectralData, grid: np.ndarray) -> float:
-    """max over 0 < |n| <= 8 of |int e_n o F dmu - int e_n dmu| for mu = rho m."""
-    mu = data.weights * data.rho
-    n = np.r_[-_INVARIANCE_MODES:0, 1:_INVARIANCE_MODES + 1][:, None]
-    moments = np.exp(1j * n * angle_map(F, grid)) - np.exp(1j * n * grid)
-    return float(np.max(np.abs(moments @ mu)))

@@ -11,11 +11,10 @@ from innerdyn import blaschke
 from innerdyn.blaschke import (BlaschkeMap, angle_map,
                                boundary_preimages, circle_abs_deriv,
                                circle_values, clark_measure, disk_preimages,
-                               eval_and_deriv, koenigs, lyapunov_exponent,
-                               multiplier_at_zero, nevanlinna,
-                               periodic_points)
+                               eval_and_deriv, lyapunov_exponent, nevanlinna)
 from innerdyn.circle import TWO_PI, circle_grid
 from innerdyn.errors import BudgetExceeded, LogSingularity
+from periodic_oracle import periodic_points
 
 F2 = BlaschkeMap.monomial(2)
 F3 = BlaschkeMap.monomial(3)
@@ -52,7 +51,7 @@ def test_fh_boundary_derivative_poisson_oracle():
 
 
 def test_multiplier_at_zero():
-    assert multiplier_at_zero(FH) == pytest.approx(-0.5)
+    assert eval_and_deriv(FH, 0j)[1] == pytest.approx(-0.5)
 
 
 @given(st.lists(small_zero, min_size=0, max_size=3),
@@ -240,27 +239,7 @@ def test_disk_preimages_property(zs, rot, r, phi):
 
 
 # ---------------------------------------------------------------------------
-# Koenigs coordinate
-# ---------------------------------------------------------------------------
-
-def test_koenigs_fixed_point():
-    assert koenigs(FH, 0j, 17) == 0
-
-
-def test_koenigs_functional_equation():
-    z = 0.3 + 0j
-    Fz, _ = eval_and_deriv(FH, z)
-    resid = abs(koenigs(FH, Fz, 40) - multiplier_at_zero(FH) * koenigs(FH, z, 40))
-    assert resid < 1e-10
-
-
-def test_koenigs_tangency():
-    val = koenigs(FH, 1e-8, 40)
-    assert abs(val - 1e-8) / 1e-8 < 1e-6
-
-
-# ---------------------------------------------------------------------------
-# periodic points
+# periodic points (the cycle-expansion oracle)
 # ---------------------------------------------------------------------------
 
 def test_periodic_points_monomial():

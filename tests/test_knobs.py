@@ -1,8 +1,9 @@
-"""Every settable value is set by a caller.
+"""Every settable value is set by a caller, and every public definition is read.
 
 A defaulted parameter that no caller turns, or a command-line option that
 no argv passes, is a configuration that no test covers; such a value
-belongs in a module constant. Two static checks, by `ast`:
+belongs in a module constant. A public function that only its own unit
+tests call is API that no experiment uses. Three static checks, by `ast`:
 
 (a) every defaulted parameter of a module-level function or method in
     `src/innerdyn/` receives a value other than its default literal from
@@ -16,10 +17,18 @@ belongs in a module constant. Two static checks, by `ast`:
     for the subcommands whose argvs appear in the same top-level
     definition; where none appear (a helper that takes any argv), it
     counts for every subcommand that has the option.
+(c) every public module-level function and class, and every public method
+    (dunders exempt), of `src/innerdyn/*.py` is named somewhere outside its
+    own body, in `src/`, `scripts/`, `perfbench/` or
+    `tests/test_acceptance.py`; the other tests do not count. A name counts
+    as an `ast.Name`, an attribute, an import alias, or a string constant
+    equal to the name or ending in `.name` (`getattr(h, "on_circle", None)`,
+    a table of dotted names). Names are matched alone, as in (a).
 """
 
 import argparse
 import ast
+from collections import Counter
 from pathlib import Path
 
 from innerdyn.cli import make_parser
@@ -165,3 +174,43 @@ def test_every_cli_option_is_passed_by_an_argv():
     missing = sorted(f"{name} {opt}" for name, opts in options.items()
                      for opt in opts - passed[name])
     assert missing == [], missing
+
+
+def _named(node) -> Counter:
+    """How often each name is read inside `node`, in the senses of (c)."""
+    names = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            names[n.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names[n.value.rsplit(".", 1)[-1]] += 1
+    return names
+
+
+def _public_definitions():
+    """(label, definition node) for every public function, class and method."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not top.name.startswith("_"):
+                found.append((f"{path.stem}.{top.name}", top))
+            if isinstance(top, ast.ClassDef):
+                found += [(f"{path.stem}.{top.name}.{fn.name}", fn) for fn in top.body
+                          if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and not fn.name.startswith("_")]
+    return found
+
+
+def test_every_public_definition_has_a_reader():
+    readers = _files("src", "scripts", "perfbench") + [ROOT / "tests" / "test_acceptance.py"]
+    named = sum((_named(ast.parse(p.read_text(), filename=str(p))) for p in readers), Counter())
+    unread = [label for label, node in _public_definitions()
+              if named[node.name] <= _named(node)[node.name]]
+    assert unread == [], unread

@@ -1,4 +1,4 @@
-"""Doubly-parabolic maps: partition, first return, Kac identity, counting."""
+"""Doubly-parabolic maps: partition, Kac identity, counting."""
 
 import math
 import tracemalloc
@@ -10,12 +10,11 @@ from hypothesis import assume, given, strategies as st
 from scipy.integrate import quad
 
 from innerdyn import parabolic
-from innerdyn.errors import NoConvergence, NotDoublyParabolic, NoReturnWithinCap
+from innerdyn.errors import NoConvergence, NotDoublyParabolic
 from innerdyn.parabolic import (ParabolicMap, _derivative_zeros, _inverse,
                                 _KacStrata, _kac_lhs, boundary_orbit,
-                                build_parabolic, first_return,
-                                induced_cycle_multipliers, kac_check,
-                                lyapunov_integral, parabolic_count,
+                                build_parabolic, induced_cycle_multipliers,
+                                kac_check, lyapunov_integral, parabolic_count,
                                 real_markov_partition)
 from innerdyn.shift import lattice_verdict
 from inverse_oracle import ROOT_TOL, midpoint_inverse
@@ -74,21 +73,6 @@ def test_partition_growth_law():
     # diam J_n ~ n^{-1/2}: the gap ratio at doubled index approaches 2^{-1/2}
     assert gaps[1600] / gaps[800] == pytest.approx(2 ** -0.5, abs=0.02)
     assert part.p_plus[-1] == pytest.approx(math.sqrt(2 * 2001), rel=0.05)
-
-
-def test_first_return_examples():
-    ev = first_return(BOOLE, (-1.0, 1.0), 0.5)
-    assert ev.return_time == 2
-    assert ev.return_point == pytest.approx(-5.0 / 6.0, abs=1e-12)
-    assert ev.log_deriv == pytest.approx(math.log(65.0 / 9.0), abs=1e-12)
-    ev = first_return(BOOLE, (-1.0, 1.0), 0.9)
-    assert ev.return_time == 1
-    assert ev.return_point == pytest.approx(0.9 - 1 / 0.9, abs=1e-12)
-
-
-def test_first_return_pole_start():
-    with pytest.raises(NoReturnWithinCap):
-        first_return(BOOLE, (-1.0, 1.0), 0.0)
 
 
 def test_kac_right_hand_side_closed_form():
@@ -310,7 +294,7 @@ def test_parabolic_count_events_verify_forward():
     for v, z in zip(led.values[1:], led.locations[1:]):
         acc, y, hit = 0.0, float(z), False
         for _ in range(400):
-            acc += float(BOOLE.log_deriv(y))
+            acc += float(np.log(BOOLE.deriv(y)))
             y = float(BOOLE(y))
             if abs(y - 0.5) < 1e-7:
                 hit = abs(acc - v) < 1e-6

@@ -10,13 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from innerdyn.errors import BudgetExceeded, NotPrimitive
 from innerdyn.shift import (PotentialSpec, SymbolicSystem, _holder_norm,
-                            _holder_norm_data, calibrate,
-                            check_finitely_primitive, count_words,
+                            _holder_norm_data, calibrate, count_words,
                             cylinder_operator, d_genericity,
                             equilibrium_cylinder_masses, holder_modulus_in_s,
                             lattice_verdict, periodic_birkhoff_values,
-                            poincare_eta, pressure_derivs_shift, spectral_data,
-                            summability_stats)
+                            poincare_eta, pressure_derivs_shift, spectral_data)
 
 LOG2, LOG3, LOG6 = math.log(2), math.log(3), math.log(6)
 
@@ -44,9 +42,9 @@ def gauss_like(m=200):
 # ---------------------------------------------------------------------------
 
 def test_full_shift_primitive_at_length_one():
-    w = check_finitely_primitive(S2)
-    assert w.found and w.length == 1
-    assert w.words == ((1,), (2,))
+    assert S2.is_primitive
+    # every letter pair is joined by a word of length one: A^2 > 0
+    assert np.all(S2.incidence @ S2.incidence > 0)
 
 
 def test_golden_mean_primitivity_exhaustive_oracle():
@@ -62,21 +60,18 @@ def test_golden_mean_primitivity_exhaustive_oracle():
                 return ell
         return None
 
-    w = check_finitely_primitive(g)
-    assert w.found and w.length == oracle() == 1
-    # the witness verifies: every pair is connected by some witness word
+    assert g.is_primitive and oracle() == 1
+    # the witness verifies: every pair is connected by some word of length one
     for a in (1, 2):
         for b in (1, 2):
-            assert any(g.word_admissible((a,) + tau + (b,)) for tau in w.words)
+            assert any(g.word_admissible((a,) + tau + (b,)) for tau in g.cylinder_words(1))
 
 
 def test_isolated_letter_fails():
     with pytest.raises(ValueError):
         SymbolicSystem(np.array([[1, 0], [0, 0]]))
     # reducible but with outgoing edges everywhere: two disconnected loops
-    iso = SymbolicSystem(np.array([[1, 0], [0, 1]]))
-    res = check_finitely_primitive(iso)
-    assert not res.found and res.searched_up_to == 8
+    assert not SymbolicSystem(np.array([[1, 0], [0, 1]])).is_primitive
 
 
 def test_non_primitive_shift_refused_fast():
@@ -99,32 +94,6 @@ def test_non_primitive_eta_refused_fast():
     with pytest.raises(NotPrimitive):
         poincare_eta(flip, PotentialSpec.constant(flip, -0.7), None, 1.5, (1, 2, 1))
     assert time.perf_counter() - t0 < 0.1
-
-
-# ---------------------------------------------------------------------------
-# summability
-# ---------------------------------------------------------------------------
-
-def test_summability_arithmetic():
-    inf_s, sup_s, integ = summability_stats(S3, PSI3, 1.0)
-    oracle = LOG2 / 2 + LOG3 / 3 + LOG6 / 6
-    assert inf_s == sup_s == pytest.approx(oracle, abs=1e-12)
-    assert integ == pytest.approx(oracle, abs=1e-10)
-
-
-def test_summability_p_zero():
-    inf_s, sup_s, integ = summability_stats(S3, PSI3, 0.0)
-    assert (inf_s, sup_s, integ) == pytest.approx((1.0, 1.0, 1.0), abs=1e-10)
-
-
-def test_summability_gauss_like():
-    S, psi = gauss_like()
-    inf_s, sup_s, integ = summability_stats(S, psi, 2.0)
-    direct = sum((2 * math.log(n + 1)) ** 2 / (n + 1) ** 2 for n in range(1, 201))
-    assert sup_s == pytest.approx(direct, rel=1e-12)
-    assert np.isfinite(integ)
-    # comparability within a bounded ratio (here exact by local constancy)
-    assert sup_s / max(integ, 1e-300) < 50
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ from innerdyn.circle import circle_grid
 from innerdyn.observables import COS, Observable, constant
 from innerdyn.spectral import deflated_subleading, leading_spectral_data
 from innerdyn.stochastic import green_kubo_variance
-from innerdyn.transfer import (assemble_operator, conformal_equilibrium,
-                               equilibrium_invariance_defect, pressure_and_derivs)
+from innerdyn.transfer import assemble_operator, pressure_and_derivs
 
 F2 = BlaschkeMap.monomial(2)
 F3 = BlaschkeMap.monomial(3)
@@ -148,17 +147,31 @@ def test_pressure_convexity_on_stencil():
         assert second >= -1e-8
 
 
+def equilibrium_invariance_defect(F, data, grid):
+    """max over 0 < |n| <= 8 of |int e_n o F dmu - int e_n dmu|.
+
+    mu = rho * weights is the equilibrium measure on the grid, read off the
+    leading data of the weight e^{g} |F'|^{-1}; its trigonometric moments
+    are F-invariant.
+    """
+    mu = data.weights * data.rho
+    n = np.r_[-8:0, 1:9][:, None]
+    moments = np.exp(1j * n * angle_map(F, grid)) - np.exp(1j * n * grid)
+    return float(np.max(np.abs(moments @ mu)))
+
+
 def test_equilibrium_measure_invariance():
     g = Observable("0.1cos", lambda t: 0.1 * np.cos(np.asarray(t)))
     grid = circle_grid(256)
     for F in (F2, FH):
-        data = conformal_equilibrium(F, g, 256)
+        data = leading_spectral_data(assemble_operator(F, 1.0, g, 256).matrix)
+        assert data.gap <= 0.95
         assert equilibrium_invariance_defect(F, data, grid) < 1e-7
         assert np.all(data.rho.real > 0)
 
 
 def test_equilibrium_trivial_weight():
-    data = conformal_equilibrium(F2, None, 128)
+    data = leading_spectral_data(assemble_operator(F2, 1.0, None, 128).matrix)
     assert abs(data.lam - 1.0) < 1e-10
     assert np.max(np.abs(data.rho - 1.0)) < 1e-8
 
@@ -166,7 +179,7 @@ def test_equilibrium_trivial_weight():
 def test_weighted_eigenvalue_matches_pressure_taylor():
     # log lambda(e^{t cos}|F'|^{-1}) ~ t P'(0) + t^2/2 P''(0) at t = 0.1
     g = Observable("0.1cos", lambda t: 0.1 * np.cos(np.asarray(t)))
-    data = conformal_equilibrium(F2, g, 256)
+    data = leading_spectral_data(assemble_operator(F2, 1.0, g, 256).matrix)
     taylor = 0.1 * 0.0 + 0.5 * 0.01 * 0.5
     assert np.log(data.lam.real) == pytest.approx(taylor, abs=5e-4)
 
