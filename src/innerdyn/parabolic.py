@@ -326,11 +326,6 @@ def lyapunov_integral(P: ParabolicMap) -> float:
     return float(2.0 * math.pi * np.sum(_derivative_zeros(P).imag))
 
 
-def _gauss_nodes(q: int):
-    x, w = np.polynomial.legendre.leggauss(q)
-    return x, w
-
-
 _N_FINE = 1 << 14       # strata of deeper levels get the two-point rule
 _KAC_QUAD_POINTS = 12   # Gauss points q per stratum up to level _N_FINE
 
@@ -461,7 +456,8 @@ class _KacStrata:
     def __init__(self, P: ParabolicMap, N: int):
         part = real_markov_partition(P, N)
         self.P, self.N, self.cap = P, N, N
-        self.fine_rule, self.tail_rule = _gauss_nodes(_KAC_QUAD_POINTS), _gauss_nodes(2)
+        self.fine_rule = np.polynomial.legendre.leggauss(_KAC_QUAD_POINTS)
+        self.tail_rule = np.polynomial.legendre.leggauss(2)
         gl_x, gl_w = self.fine_rule
         core_lo, core_hi = part.core
 

@@ -149,7 +149,13 @@ class PotentialSpec:
     alpha: float = 1.0
 
     def __post_init__(self):
+        if self.depth < 1:
+            raise ValueError(f"potential depth must be at least 1, got {self.depth}")
         self.values = {tuple(k): float(v) for k, v in self.values.items()}
+        wrong = [w for w in self.values if len(w) != self.depth]
+        if wrong:
+            raise ValueError(f"potential of depth {self.depth} has a value on the "
+                             f"length-{len(wrong[0])} word {wrong[0]}")
         if max(self.values.values()) >= 0:
             raise ValueError("potential must be negative: sup psi < 0")
 

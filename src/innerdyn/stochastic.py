@@ -7,16 +7,18 @@ Green-Kubo formula (`spectral.green_kubo`, one linear solve), which the
 circle pressure and the shift's variance share; here it is applied to the
 weightless collocation operator, which fixes Lebesgue measure.
 
-For monomial maps theta -> d*theta the orbit is read from 64-bit windows of
-a random base-d digit string, so the orbit points x = theta / (2*pi) are
-exact. The point is taken from a window only every m = 1 + floor(7 / log2 d)
-steps (an anchor), where z = exp(2*pi*i*x) comes from two 4096-entry tables
-within a few eps, without trigonometric calls; in between, z <- z**d is
-taken by multiplication, which leaves an error of at most about
-d**(m-1) * eps <= 128 * eps before the next anchor. No floating-point
-shadowing caveat applies. Sample i reads only stream position i, so large
-runs are split over two processes with a result that is byte-identical to
-the serial one.
+For monomial maps theta -> d*theta the orbit point x = theta / (2*pi) at
+step k is the window from digit k of a random base-d digit string, cut in
+exact uint64 arithmetic; its double is within 1.75 eps of the exact x (the
+digits past the window, the bits below a 53-bit shift, a rounded scale and
+a product; see `_orbit_fractions`). The point is read only every
+m = 1 + floor(7 / log2 d) steps (an anchor; m = 1 for d = 1 and d >= 129):
+there z = exp(2*pi*i*x) comes from two 4096-entry tables within a few eps,
+and in between z <- z**d is taken by multiplication, which leaves an error
+of at most about d**(m-1) * eps <= 128 * eps before the next anchor. No
+floating-point shadowing caveat applies. Sample i reads only stream
+position i, so large runs are split over two processes with a result that
+is byte-identical to the serial one.
 """
 
 from __future__ import annotations
@@ -43,14 +45,7 @@ from .transfer import assemble_operator
 
 @dataclass
 class BirkhoffSample:
-    """Values of S_n h / sqrt(n) over random seeds, with full provenance.
-
-    exact_angles is True for the digit-window iterator (monomial maps
-    without rotation): the orbit angles are exact at every anchor step, the
-    anchor point z is within a few eps of exp(i*angle), and between anchors
-    the orbit point is a power of the last anchor, within about
-    d**(m-1) * eps of the exact one (see `birkhoff_samples`).
-    """
+    """S_n h / sqrt(n) over random seeds; exact_angles marks digit-window orbits."""
 
     n: int
     values: np.ndarray
@@ -85,54 +80,61 @@ def _remainder(words: np.ndarray, d: np.uint64, out: np.ndarray) -> np.ndarray:
 
 
 def _orbit_fractions(d: int, n: int, seed: int, lo: int, hi: int):
-    """fraction(k): exact orbit points x in [0, 1] at step k of x -> d*x (mod 1).
+    """fraction(k): orbit points x in [0, 1] at step k of x -> d*x (mod 1).
 
-    For samples lo..hi-1; the orbit angle is 2*pi*x. The orbit of a base-d
-    fraction is the sequence of suffix windows of its digit string, so a
-    pool of n + O(1) random digits per sample IS the exact orbit; step k
-    reads the 64-bit window starting at digit k and rounds it to a double.
-    For powers of two the windows are cut from packed 64-bit words (below
-    2**53 after the shift, so their int64 view converts to the same double,
-    more cheaply than uint64), otherwise an in-place Horner sum over the
-    base-d digits (uint8 for d <= 256) builds them. Every call returns the
-    same buffer, which the next call overwrites.
+    For samples lo..hi-1, as windows of each sample's digit string, held in
+    uint64 words W_q of m base-e digits: the raw SplitMix64 words for
+    d = 2**b (e = 2, m = 64, step k at bit k*b), else the digits j < ndig =
+    n + ceil(54 / log2 d) + 1, splitmix64(seed, i*ndig + j) mod d, packed
+    with d**m < 2**64 and zero-filled (step k at digit k). The window at
+    q*m + r is w = W_q or (W_q mod e**(m-r)) * e**r + W_{q+1} // e**(m-r),
+    and x = (w >> s) * (2**s / e**m), s = bitlen(e**m - 1) - 53. If
+    e**m <= 2**52 (d = 7133..8192, 65537, ...), s = 0 and the next window
+    adds w' / e**(2m). Error budget: the digits past the window and the bits
+    below the shift lose < 2**s / e**m < 2**-52 (2**-64 with two words), the
+    rounded scale 2**-53 (none for d = 2**b), the product and the sum 2**-54
+    each; so |x - exact| < 1.75 eps, 0.5 eps for d = 2**b. Each call
+    overwrites and returns one buffer.
     """
     idx = np.arange(lo, hi, dtype=np.uint64)
-    frac = np.empty(hi - lo)
-    if d & (d - 1) == 0:
-        b = d.bit_length() - 1  # d = 2^b
+    e = 2 if d & (d - 1) == 0 else d
+    m = max(j for j in range(1, 65) if e**j <= 2**64)
+    s = (e**m - 1).bit_length() - 53
+    words, s = (1, s) if s >= 0 else (2, 0)
+    power = [np.uint64(e**j) for j in range(m)]
+    if e == 2:
+        b = d.bit_length() - 1
         nwords = (n * b + 64) // 64 + 2
         pool = np.empty((nwords, hi - lo), dtype=np.uint64)
         for w in range(nwords):
             pool[w] = splitmix64(seed, idx * np.uint64(nwords) + np.uint64(w))
-        win = np.empty(hi - lo, dtype=np.uint64)
-        tail = np.empty_like(win)
-
-        def fraction(k):
-            q, r = divmod(k * b, 64)
-            if r == 0:
-                np.right_shift(pool[q], 11, out=win)
-            else:
-                np.left_shift(pool[q], r, out=win)
-                np.right_shift(pool[q + 1], 64 - r, out=tail)
-                np.bitwise_or(win, tail, out=win)
-                np.right_shift(win, 11, out=win)
-            return np.multiply(win.view(np.int64), 2.0**-53, out=frac)
     else:
-        horizon = int(np.ceil(54 / np.log2(d))) + 1
-        ndig = n + horizon
-        digits = np.empty((ndig, hi - lo), dtype=np.min_scalar_type(d - 1))
-        rem = np.empty(hi - lo, dtype=np.uint64)
+        b, ndig = 1, n + int(np.ceil(54 / np.log2(d))) + 1
+        pool = np.zeros((-(-ndig // m) + words, hi - lo), dtype=np.uint64)
+        digit = np.empty(hi - lo, dtype=np.uint64)
         for j in range(ndig):
             w = splitmix64(seed, idx * np.uint64(ndig) + np.uint64(j))
-            digits[j] = _remainder(w, np.uint64(d), rem)
+            np.multiply(_remainder(w, np.uint64(d), digit), power[m - 1 - j % m], out=digit)
+            np.add(pool[j // m], digit, out=pool[j // m])
+    win, tail = np.empty((2, hi - lo), dtype=np.uint64)
+    frac, low = np.empty((2, hi - lo))
 
-        def fraction(k):
-            frac.fill(0.0)
-            for j in range(k + horizon - 1, k - 1, -1):
-                np.add(frac, digits[j], out=frac)
-                np.divide(frac, d, out=frac)
-            return frac
+    def window(p):
+        q, r = divmod(p, m)
+        if r == 0:
+            return pool[q]
+        _remainder(pool[q], power[m - r], win)
+        np.multiply(win, power[r], out=win)
+        np.floor_divide(pool[q + 1], power[m - r], out=tail)
+        return np.add(win, tail, out=win)
+
+    def fraction(k):
+        np.right_shift(window(k * b), s, out=win)
+        np.multiply(win.view(np.int64), 2**s / e**m, out=frac)
+        if words == 2:
+            np.multiply(window(k * b + m).view(np.int64), 1 / e ** (2 * m), out=low)
+            np.add(frac, low, out=frac)
+        return frac
     return fraction
 
 
@@ -320,17 +322,12 @@ def birkhoff_samples(F: BlaschkeMap, h, n: int, samples: int, seed: int) -> Birk
     i draws its randomness from stream position i, so results do not depend
     on batching, nor on whether the samples are split over two processes.
 
-    Monomial maps without rotation run on the exact digit-window iterator.
-    When h has an evaluator on z (`fn_z`) and m = 1 + floor(7 / log2 d) > 1
-    (m = 8 for d = 2, 5 for d = 3), the exact point is read from the window
-    only at anchor steps k = 0, m, 2m, ..., where z = exp(2*pi*i*x) comes
-    from two 4096-entry tables within a few eps (`_exp_2pi_i`), and
-    z <- z**d by multiplication in between; a point m - 1 steps past an
-    anchor carries an error of at most about d**(m-1) * eps <= 128 * eps.
-    Other observables, and every observable when m = 1 (d = 1 or
-    d >= 129), are evaluated on the exact angle at every step. Other
-    maps iterate on the circle in double precision, which loses pointwise
-    shadowing but not distributional statistics.
+    Monomial maps without rotation run on the digit-window iterator of the
+    module docstring: h with an evaluator on z (`fn_z`) sees the anchors'
+    table exponential and its powers, other observables see the window's
+    angle at every step. Other maps iterate on the circle in double
+    precision, which loses pointwise shadowing but not distributional
+    statistics.
     """
     check_sample_size(n, samples)
     mean = float(np.mean(np.asarray(h(circle_grid(4096)), dtype=float)))

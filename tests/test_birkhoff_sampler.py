@@ -3,7 +3,9 @@
 Monomial maps: anchored powers stay within 64 * d**(m-1) * eps * sqrt(n) of
 the exact-angle loop, the table exponential at the anchors stays within
 4 eps of a 50-digit `decimal` reference, and the base-d digits equal numpy's
-`%`. Other maps: the in-place float loop is byte-identical to the
+`%`. The digit window is within 2**-51 of the exact fraction of the drawn
+digits for every d, and for d = 2**b it equals the bit-window oracle byte
+for byte. Other maps: the in-place float loop is byte-identical to the
 allocate-per-step loop. Splitting the samples over two processes changes no
 byte, and a failed worker raises instead of returning zeros.
 """
@@ -14,17 +16,18 @@ import os
 import signal
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from innerdyn import stochastic
 from innerdyn.blaschke import BlaschkeMap
 from innerdyn.errors import InnerdynError
 from innerdyn.observables import COS, SIN, cos_k, get_observable, sin_k
 from innerdyn.stochastic import birkhoff_samples
-from sampler_oracle import oracle_birkhoff_values
+from sampler_oracle import drawn_digits, exact_monomial_fractions, oracle_birkhoff_values
 
 EPS = np.finfo(float).eps
 # m = 1 + floor(7 / log2 d): the steps per exact anchor
@@ -121,6 +124,34 @@ def test_base_d_digits_equal_the_remainder(d):
                   np.array([0, 1, d - 1, d, top - d, top - 1, top], dtype=np.uint64)]
     got = stochastic._remainder(words, np.uint64(d), np.empty_like(words))
     assert np.array_equal(got, words % np.uint64(d))
+
+
+@settings(max_examples=40)
+@given(d=st.sampled_from([3, 5, 7, 130, 255, 257, 1627, 7133, 65537]),
+       seed=st.integers(0, 2**31 - 1),
+       n=st.integers(1, 48),
+       k=st.integers(0, 47),
+       lo=st.integers(0, 1000))
+def test_window_within_2_eps_of_the_exact_fraction(d, seed, n, k, lo):
+    # the exact orbit point at step k is the base-d fraction of the drawn
+    # digits k .. ndig-1; a one-word window at d = 65537 misses it by up to
+    # 16 eps, so large d need the second word
+    k = min(k, n - 1)
+    got = stochastic._orbit_fractions(d, n, seed, lo, lo + 4)(k)
+    for x, digits in zip(got, drawn_digits(d, n, seed, lo, lo + 4)):
+        tail = digits[k:]
+        exact = Fraction(sum(g * d ** (len(tail) - 1 - j) for j, g in enumerate(tail)),
+                         d ** len(tail))
+        assert abs(Fraction(x) - exact) <= Fraction(1, 2**51)
+
+
+@pytest.mark.parametrize("b", [0, 1, 2, 3, 7, 8])
+def test_power_of_two_windows_equal_the_bit_window_oracle(b):
+    # b = 3 and 7 do not divide 64, so windows straddle two words
+    d, n, samples = 2**b, 150, 40
+    fraction = stochastic._orbit_fractions(d, n, 17, 0, samples)
+    for k, want in enumerate(exact_monomial_fractions(d, n, samples, 17)):
+        assert fraction(k).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3])

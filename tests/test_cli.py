@@ -521,3 +521,17 @@ def test_malformed_config_exits_2(tmp_path, capsys, argv, system):
     assert main(argv + ["--out", str(tmp_path / "x.out")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("depth, values", [
+    (0, {"1": -0.7, "2": -0.9}),
+    (2, {"1": -0.7, "2": -0.9}),
+    (1, {"1": -0.7, "1,2": -0.9}),
+], ids=["depth-0", "keys-shorter", "keys-mixed"])
+def test_bad_potential_depth_exits_2(tmp_path, capsys, depth, values):
+    # depth 0 ended in "config error: ()", a KeyError of the Birkhoff sums
+    system = _two_letter_system(tmp_path, depth, values)
+    assert main(["d-generic", "--system", system, "--out", str(tmp_path / "x.out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "depth" in err
+    assert not (tmp_path / "x.out").exists()

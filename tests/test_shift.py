@@ -107,6 +107,19 @@ def test_cylinder_operator_full_two_shift():
     assert spectral_data(S2, PSI2, 2.0).lam == pytest.approx(0.5, abs=1e-13)
 
 
+@pytest.mark.parametrize("depth, values", [
+    (0, {(1,): -0.7, (2,): -0.9}),
+    (-1, {(1,): -0.7, (2,): -0.9}),
+    (2, {(1,): -0.7, (2,): -0.9}),
+    (1, {(1,): -0.7, (1, 2): -0.9}),
+])
+def test_potential_refuses_bad_depth(depth, values):
+    # depth 0 used to be accepted and then failed with KeyError: () in
+    # periodic_birkhoff_values; keys of another length never matched a word
+    with pytest.raises(ValueError, match="depth"):
+        PotentialSpec(depth, values)
+
+
 def test_modified_operator_constant_potential():
     M = cylinder_operator(S2, PSI2, 1.0, 1.0)
     assert np.allclose(M, -LOG2 * 0.5 * np.ones((2, 2)))
