@@ -97,12 +97,6 @@ class BlaschkeMap:
         least 1, because a_0 = 0."""
         return float(sum((1 - abs(a)) / (1 + abs(a)) for a in self.zeros))
 
-    def label(self) -> str:
-        if self.is_monomial and self.rotation == 0.0:
-            return f"z^{self.degree}"
-        zs = ",".join(f"{a.real:.6g}{a.imag:+.6g}i" for a in self.zeros)
-        return f"blaschke[{zs};rot={self.rotation:.6g}]"
-
 
 def eval_and_deriv(F: BlaschkeMap, z: complex) -> tuple[complex, complex]:
     """Evaluate F and F' at a point of the closed disk.

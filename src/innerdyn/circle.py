@@ -1,4 +1,4 @@
-"""Points, arcs and quadrature grids on the unit circle.
+"""Angles, arcs and quadrature grids on the unit circle.
 
 Angles live in [0, 2*pi). Arcs are half-open [start, end) going
 counterclockwise, which resolves membership ties deterministically when a
@@ -21,22 +21,8 @@ def wrap_angle(theta):
 
 
 def as_angle(x) -> float:
-    """Accept a CirclePoint, a float angle, or a unimodular complex number."""
-    if isinstance(x, CirclePoint):
-        return x.angle
-    if isinstance(x, complex):
-        return float(wrap_angle(np.angle(x)))
+    """A float angle reduced to [0, 2*pi)."""
     return float(wrap_angle(float(x)))
-
-
-@dataclass(frozen=True)
-class CirclePoint:
-    """Canonical representative of e^{i*theta}."""
-
-    angle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "angle", float(wrap_angle(self.angle)))
 
 
 @dataclass(frozen=True)

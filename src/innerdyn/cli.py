@@ -31,8 +31,6 @@ from .rng import uniform_stream
 
 def fmt(x) -> str:
     """17 significant digits: exact round trip for 64-bit floats."""
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x)).lower()
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")

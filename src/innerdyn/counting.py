@@ -304,38 +304,15 @@ def coded_count(partition, x, T: float, cylinders) -> CountingLedger:
     return CountingLedger.from_events(vals, locations=locs, member_mask=member)
 
 
-@dataclass
-class AsymptoticRow:
-    T: float
-    N: int
-    scaled: float       # N(T) e^{-T}
-    predicted: float    # m(B) / Lyapunov
-    ratio: float
-
-
-def asymptotic_report(L: CountingLedger, lyapunov: float, mB: float,
-                      T_grid) -> list[AsymptoticRow]:
-    """Rows (T, N, N e^{-T}, prediction, ratio); consumed by `ratio_amplitude`,
-    the tests and `scripts/counting_asymptotics.py`."""
-    pred = mB / lyapunov
-    rows = []
-    for T in T_grid:
-        N = L.count(T, strict=True)
-        scaled = N * np.exp(-T)
-        rows.append(AsymptoticRow(T=float(T), N=N, scaled=float(scaled),
-                                  predicted=pred,
-                                  ratio=float(scaled / pred) if pred > 0 else np.nan))
-    return rows
-
-
 def cesaro_average(L: CountingLedger, T: float) -> float:
     return L.cesaro_average(T)
 
 
 def ratio_amplitude(L: CountingLedger, lyapunov: float, mB: float,
                     T_lo: float, T_hi: float) -> float:
-    """Oscillation (max - min) of the normalized ratio at 512 points of a T window."""
-    grid = np.linspace(T_lo, T_hi, _RATIO_SAMPLES)
-    rows = asymptotic_report(L, lyapunov, mB, grid)
-    ratios = np.array([r.ratio for r in rows])
+    """Oscillation (max - min) of the normalized ratio (N(T) e^{-T}) / (m(B) /
+    Lyapunov) at 512 points of a T window."""
+    pred = mB / lyapunov
+    ratios = np.array([L.count(T, strict=True) * np.exp(-T) / pred
+                       for T in np.linspace(T_lo, T_hi, _RATIO_SAMPLES)])
     return float(np.max(ratios) - np.min(ratios))

@@ -159,9 +159,6 @@ class PotentialSpec:
         if max(self.values.values()) >= 0:
             raise ValueError("potential must be negative: sup psi < 0")
 
-    def value(self, w: Word) -> float:
-        return self.values[tuple(w[: self.depth])]
-
     def vector(self, basis: list[Word]) -> np.ndarray:
         return np.array([self.values[w] for w in basis])
 
@@ -269,10 +266,10 @@ def pressure_derivs_shift(S: SymbolicSystem, psi: PotentialSpec) -> ShiftPressur
     ride along for cross-checking.
     """
     h = _PRESSURE_STEP
-    svals = sorted({1.0, 1.0 + h / 2, 1.0 + h, 1.0 + 3 * h / 2, 1.0 + 2 * h, 1.0 + 3 * h})
+    basis, mu, data = equilibrium_cylinder_masses(S, psi)
     P = {}
-    for sv in svals:
-        lam = spectral_data(S, psi, sv, want_gap=False).lam.real
+    for sv in (1.0, 1.0 + h / 2, 1.0 + h, 1.0 + 3 * h / 2, 1.0 + 2 * h, 1.0 + 3 * h):
+        lam = data.lam.real if sv == 1.0 else spectral_data(S, psi, sv, want_gap=False).lam.real
         if lam <= 0:
             raise NoConvergence("nonpositive leading eigenvalue on the real axis")
         P[sv] = math.log(lam)
@@ -286,7 +283,6 @@ def pressure_derivs_shift(S: SymbolicSystem, psi: PotentialSpec) -> ShiftPressur
 
     dp = (4 * d1(h / 2) - d1(h)) / 3
     ddp = (4 * d2(h / 2) - d2(h)) / 3
-    basis, mu, data = equilibrium_cylinder_masses(S, psi)
     vals = psi.vector(basis)
     mean_integral = float(np.dot(mu, vals))
     M = cylinder_operator(S, psi, 1.0, 0.0) / data.lam

@@ -10,13 +10,13 @@ points are found through `innerdyn.blaschke.lift_inverse`.
 import numpy as np
 
 from innerdyn.blaschke import BlaschkeMap, circle_abs_deriv, lift_inverse
-from innerdyn.circle import TWO_PI, CirclePoint, wrap_angle
+from innerdyn.circle import TWO_PI, wrap_angle
 from innerdyn.errors import BudgetExceeded, NoConvergence
 
 SWEEPS = 60   # Newton sweeps before NoConvergence
 
 
-def periodic_points(F: BlaschkeMap, n: int) -> list[tuple[CirclePoint, float]]:
+def periodic_points(F: BlaschkeMap, n: int) -> list[tuple[float, float]]:
     """All fixed points of F^n on the circle with their multipliers |(F^n)'|.
 
     lift_n(t) - t gains 2*pi*(d^n - 1) per revolution, so the fixed points
@@ -30,7 +30,7 @@ def periodic_points(F: BlaschkeMap, n: int) -> list[tuple[CirclePoint, float]]:
     rho = (sum (1-|a|)/(1+|a|))^{-n}, so the root lies between G_k(t) and
     t + h/(1 - rho); these brackets are intersected over the sweeps, and a
     Newton step that leaves the bracket is replaced by its midpoint. Points
-    come sorted by angle.
+    come as angles in [0, 2*pi), sorted.
     """
     if not 1 <= n <= 12:
         raise ValueError("period must satisfy 1 <= n <= 12")
@@ -54,8 +54,7 @@ def periodic_points(F: BlaschkeMap, n: int) -> list[tuple[CirclePoint, float]]:
         done = np.abs(h) <= 4e-15 * np.maximum(1.0, np.abs(t))
         points[active[done]], mults[active[done]] = nxt[done], mult[done]
         if done.all():
-            order = np.argsort(wrap_angle(points))
-            return [(CirclePoint(p), float(m)) for p, m in zip(points[order], mults[order])]
+            return sorted(zip(wrap_angle(points).tolist(), mults.tolist()))
         keep = ~done
         active, k, t, h, y, nxt = active[keep], k[keep], t[keep], h[keep], y[keep], nxt[keep]
         far = t + h / (1.0 - rho)

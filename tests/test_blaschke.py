@@ -245,18 +245,18 @@ def test_disk_preimages_property(zs, rot, r, phi):
 def test_periodic_points_monomial():
     pts = periodic_points(F2, 3)
     assert len(pts) == 7
-    assert [p.angle for p, _ in pts] == pytest.approx(
+    assert [p for p, _ in pts] == pytest.approx(
         [2 * np.pi * k / 7 for k in range(7)], abs=1e-10)
     assert [m for _, m in pts] == pytest.approx([8.0] * 7, abs=1e-8)
     pts = periodic_points(F2, 1)
-    assert len(pts) == 1 and pts[0][0].angle == pytest.approx(0.0, abs=1e-10)
+    assert len(pts) == 1 and pts[0][0] == pytest.approx(0.0, abs=1e-10)
     assert pts[0][1] == pytest.approx(2.0, abs=1e-10)
 
 
 def test_periodic_points_fh():
     pts = periodic_points(FH, 1)
     assert len(pts) == 1
-    assert pts[0][0].angle == pytest.approx(0.0, abs=1e-10)
+    assert pts[0][0] == pytest.approx(0.0, abs=1e-10)
     assert pts[0][1] == pytest.approx(4.0, abs=1e-8)
 
 
@@ -264,7 +264,7 @@ def _check_periodic_points(F, n):
     # lift_n(t) - t gains 2*pi*(d^n - 1) per turn, so d^n - 1 distinct
     # fixed points of F^n are all of them
     pts = periodic_points(F, n)
-    ang = np.array([p.angle for p, _ in pts])
+    ang = np.array([p for p, _ in pts])
     mult = np.array([m for _, m in pts])
     assert len(pts) == F.degree**n - 1
     assert np.all(np.diff(np.append(ang, ang[0] + TWO_PI)) > 1e-12)

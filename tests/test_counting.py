@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from innerdyn.blaschke import BlaschkeMap, lyapunov_exponent
+from innerdyn.blaschke import BlaschkeMap
 from innerdyn.circle import Arc, FULL_CIRCLE, arcs_intersection
 from innerdyn.coding import build_partition
 from innerdyn.counting import (CountingLedger, _monomial_level_count_in_arc,
-                               asymptotic_report, backward_orbit, coded_count,
-                               enumerate_orbit, ratio_amplitude)
+                               backward_orbit, coded_count, enumerate_orbit,
+                               ratio_amplitude)
 from innerdyn.errors import BudgetExceeded
 from innerdyn.parabolic import build_parabolic, parabolic_count
 from innerdyn.shift import PotentialSpec, SymbolicSystem, count_words
@@ -242,13 +242,12 @@ def test_cesaro_small_T_limit():
 
 def test_fh_asymptotic_ratio():
     led = enumerate_orbit(FH, 0.0, 12.0)
-    rows = asymptotic_report(led, LYAP_FH, 1.0, [12.0])
-    assert abs(rows[0].ratio - 1.0) <= 0.10
+    assert abs(led.count(12.0, strict=True) * np.exp(-12.0) * LYAP_FH - 1.0) <= 0.10
     ces = led.cesaro_average(12.0)
     assert abs(ces * LYAP_FH - 1.0) <= 0.05
     B = [Arc.from_endpoints(0.0, np.pi)]
-    rowsB = asymptotic_report(led.restricted(B), LYAP_FH, 0.5, [12.0])
-    assert abs(rowsB[0].ratio - 1.0) <= 0.10
+    NB = led.restricted(B).count(12.0, strict=True)
+    assert abs(NB * np.exp(-12.0) * LYAP_FH / 0.5 - 1.0) <= 0.10
 
 
 def test_seed_robustness():

@@ -3,12 +3,13 @@
 A defaulted parameter that no caller turns, or a command-line option that
 no argv passes, is a configuration that no test covers; such a value
 belongs in a module constant. A public function that only its own unit
-tests call is API that no experiment uses. Three static checks, by `ast`:
+tests call is API that no experiment uses; a result field that nothing reads
+is output that no test checks. Four static checks, by `ast`:
 
 (a) every defaulted parameter of a module-level function or method in
     `src/innerdyn/` receives a value other than its default literal from
-    some call in `src/`, `tests/`, `scripts/` or `perfbench/`, by keyword
-    or by position. Calls are matched by name. A call that forwards
+    some call in `src/`, `tests/` or `perfbench/`, by keyword or by
+    position. Calls are matched by name. A call that forwards
     `*args`/`**kwargs` sets nothing; nested functions are exempt.
 (b) every option of every `make_parser()` subcommand appears in an argv for
     that subcommand in `tests/` or `perfbench/`. An argv is a list or tuple
@@ -16,18 +17,22 @@ tests call is API that no experiment uses. Three static checks, by `ast`:
     an argv (`argv + [...]`, `[*argv, ...]`, `argv.append`/`extend`) counts
     for the subcommands whose argvs appear in the same top-level
     definition; where none appear (a helper that takes any argv), it
-    counts for every subcommand that has the option.
+    counts for every subcommand that has the option. No `.py` file outside
+    `tests/` and `perfbench/` builds a parser other than `make_parser`.
 (c) every public module-level function and class, and every public method
     (dunders exempt), of `src/innerdyn/*.py` is named somewhere outside its
-    own body, in `src/`, `scripts/`, `perfbench/` or
-    `tests/test_acceptance.py`; the other tests do not count. A name counts
-    as an `ast.Name`, an attribute, an import alias, or a string constant
-    equal to the name or ending in `.name` (`getattr(h, "on_circle", None)`,
-    a table of dotted names). Names are matched alone, as in (a).
+    own body, in `src/`, `perfbench/` or `tests/test_acceptance.py`; the
+    other tests do not count. A name counts as an `ast.Name`, an
+    attribute, an import alias, or a string constant equal to the name or
+    ending in `.name` (`getattr(h, "on_circle", None)`, a table of dotted
+    names). Names are matched alone, as in (a).
+(d) every `@dataclass` field in `src/innerdyn/` is read as an attribute
+    (`x.field`, matched by name alone) in `src/`, `tests/` or `perfbench/`.
 """
 
 import argparse
 import ast
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -112,7 +117,7 @@ def _turned(call: ast.Call, index, name, default) -> bool:
 
 
 def test_every_defaulted_parameter_is_turned_by_a_caller():
-    calls = _calls_by_name(_trees("src", "tests", "scripts", "perfbench"))
+    calls = _calls_by_name(_trees("src", "tests", "perfbench"))
     untouched = [f"{label}({name}=...)"
                  for label, call, index, name, default in _defaulted_params()
                  if not any(_turned(c, index, name, default) for c in calls.get(call, []))]
@@ -173,6 +178,15 @@ def test_every_cli_option_is_passed_by_an_argv():
                     passed[name] |= _options_in(extra) & options[name]
     missing = sorted(f"{name} {opt}" for name, opts in options.items()
                      for opt in opts - passed[name])
+    # and no program outside tests/ and perfbench/ builds a parser of its own
+    skip = {"tests", "perfbench", "build", "site-packages"}
+    programs = [p for p in ROOT.rglob("*.py") if not skip & set(p.relative_to(ROOT).parts)
+                and not p.relative_to(ROOT).parts[0].startswith(".")]
+    parsers = [(p, n.lineno) for p in programs for n in ast.walk(ast.parse(p.read_text()))
+               if isinstance(n, ast.Call) and "ArgumentParser" in ast.dump(n.func)]
+    lines, first = inspect.getsourcelines(make_parser)
+    missing += [f"{p.relative_to(ROOT)}:{ln}" for p, ln in parsers
+                if p != SRC / "cli.py" or not first <= ln < first + len(lines)]
     assert missing == [], missing
 
 
@@ -209,8 +223,18 @@ def _public_definitions():
 
 
 def test_every_public_definition_has_a_reader():
-    readers = _files("src", "scripts", "perfbench") + [ROOT / "tests" / "test_acceptance.py"]
+    readers = _files("src", "perfbench") + [ROOT / "tests" / "test_acceptance.py"]
     named = sum((_named(ast.parse(p.read_text(), filename=str(p))) for p in readers), Counter())
     unread = [label for label, node in _public_definitions()
               if named[node.name] <= _named(node)[node.name]]
+    assert unread == [], unread
+
+
+def test_every_dataclass_field_is_read():
+    read = {n.attr for tree in _trees("src", "tests", "perfbench") for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{p.stem}.{c.name}.{f.target.id}" for p in sorted(SRC.glob("*.py"))
+              for c in ast.walk(ast.parse(p.read_text())) if isinstance(c, ast.ClassDef)
+              and any("dataclass" in ast.dump(d) for d in c.decorator_list)
+              for f in c.body if isinstance(f, ast.AnnAssign) and f.target.id not in read]
     assert unread == [], unread
