@@ -100,7 +100,11 @@ def arcs_intersection(arcs, others) -> list[Arc]:
 
 
 def arcs_measure(arcs) -> float:
-    """Total normalized measure of a union of arcs, assumed disjoint."""
+    """Total normalized measure of pairwise disjoint arcs.
+
+    The sum counts an overlap twice, so the CLI refuses counting targets
+    that overlap in more than an endpoint.
+    """
     return float(sum(a.measure for a in arcs))
 
 

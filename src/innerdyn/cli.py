@@ -196,8 +196,22 @@ def _parse_pairs(flag: str, specs) -> list[tuple[float, float]]:
     return pairs
 
 
+def _refuse_overlap(flag: str, specs, overlap):
+    """ConfigError when two targets overlap(i, j) in more than an endpoint:
+    m(B) is the sum of the target measures, while a ledger counts their union."""
+    for j in range(len(specs)):
+        for i in range(j):
+            if overlap(i, j):
+                raise ConfigError(f"{flag} {specs[i]!r} and {specs[j]!r} overlap; "
+                                  "give disjoint targets")
+
+
 def _parse_arcs(arc_args) -> list[Arc]:
-    return [Arc.from_endpoints(a, b) for a, b in _parse_pairs("--arc", arc_args)]
+    arcs = [Arc.from_endpoints(a, b) for a, b in _parse_pairs("--arc", arc_args)]
+    # half-open arcs meet iff one holds the start of the other
+    _refuse_overlap("--arc", arc_args or [], lambda i, j: arcs[i].contains(arcs[j].start)
+                    or arcs[j].contains(arcs[i].start))
+    return arcs
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +410,8 @@ def cmd_parabolic_count(args):
     B = _parse_pairs("--interval", args.interval)
     if not B:
         raise ConfigError("give at least one --interval lo,hi")
+    _refuse_overlap("--interval", args.interval,
+                    lambda i, j: max(B[i][0], B[j][0]) < min(B[i][1], B[j][1]))
     led = parabolic.parabolic_count(P, args.x, args.T, B, N=args.level)
     rhs = parabolic.lyapunov_integral(P)
     mB = sum(hi - lo for lo, hi in B)

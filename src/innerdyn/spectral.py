@@ -40,6 +40,7 @@ _RITZ_EVERY = 8         # an eig every step would cost more than the matvecs at 
 _MATVEC_BUDGET = 16 * _KRYLOV_DIM
 _EQUAL_MODULUS = 1e-8   # relative distance below which two Ritz moduli are one
 _GAP_TOL = 1e-8         # residual tolerance of |lambda_2|, relative to max(1, |lambda_2|)
+_RANK_ONE_BLOCKS = 16   # row blocks of the resolvent's rank-one term: N^2 / 16 entries each
 
 
 @dataclass
@@ -346,9 +347,16 @@ def deflated_resolvent(mat: np.ndarray, lam: complex, rho: np.ndarray,
     converges whenever the rest of the spectrum lies inside the unit disk;
     its sum is the solution x of (I - mat + lam * rho (x) weights) x = v.
     NonDecaying is raised when LAPACK reports the matrix singular or the
-    solve leaves a residual above 1e-10 * ||v||.
+    solve leaves a residual above 1e-10 * ||v||. The system is built in one
+    N x N array, equal entry by entry to I - mat + lam * outer(rho, weights),
+    with the rank-one term added in row blocks.
     """
-    A = np.eye(len(v)) - mat + lam * np.outer(rho, weights)
+    n = len(v)
+    A = np.result_type(mat, lam, rho, weights).type(0) - mat
+    A.flat[::n + 1] += 1
+    step = -(-n // _RANK_ONE_BLOCKS)
+    for lo in range(0, n, step):
+        A[lo:lo + step] += lam * np.multiply.outer(rho[lo:lo + step], weights)
     try:
         x = np.linalg.solve(A, v)
     except np.linalg.LinAlgError:

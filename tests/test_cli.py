@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,46 @@ def _command(argv, **kwargs):
                           **kwargs)
 
 
+def _env_without_blas_timeout() -> dict:
+    """_fresh_env() without the BLAS thread timeout that importing innerdyn in
+    this process set."""
+    env = _fresh_env()
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    env.pop("GOTO_THREAD_TIMEOUT", None)
+    return env
+
+
+@pytest.mark.parametrize("given, want", [
+    ({}, "18"),
+    ({"OPENBLAS_THREAD_TIMEOUT": "25"}, "25"),
+    ({"GOTO_THREAD_TIMEOUT": "25"}, "None"),
+], ids=["unset", "caller-openblas", "caller-goto"])
+def test_import_sets_the_blas_thread_timeout_unless_the_caller_did(given, want):
+    probe = "import os, innerdyn; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+    env = {**_env_without_blas_timeout(), **given}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == want
+
+
+def test_cold_request_spends_no_cpu_in_idle_blas_workers():
+    # OpenBLAS's default idle timeout spun its worker about 0.13 s per
+    # process, CPU beyond the wall time of a request that runs one thread
+    argv = [sys.executable, "-m", "innerdyn.cli", "count", "--map", MONOMIAL,
+            "--T", "4", "--out", "-"]
+    env = _env_without_blas_timeout()
+    excess = []
+    for _ in range(3):
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+        assert proc.returncode == 0
+        excess.append(usage.ru_utime + usage.ru_stime - wall)
+    assert sorted(excess)[1] <= 0.04, excess
+
+
 def test_command_writes_the_in_process_artifact(tmp_path):
     argv = ["count", "--map", MONOMIAL, "--T", "8", "--grid", "16"]
     code, want = run(tmp_path, "main.csv", argv)
@@ -535,3 +576,40 @@ def test_bad_potential_depth_exits_2(tmp_path, capsys, depth, values):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "depth" in err
     assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["count", "--map", FH, "--T", "8", "--arc", "0,3.14159", "--arc", "0,3.14159"],
+     "--arc"),
+    (["count", "--map", FH, "--T", "8", "--arc", "3,1", "--arc", "0.5,2"], "--arc"),
+    (["cesaro", "--map", FH, "--T", "8", "--arc", "0,3", "--arc", "2,4"], "--arc"),
+    (["parabolic-count", "--map", BOOLE, "--T", "6", "--x", "0.5", "--level", "1",
+      "--interval=-1,1", "--interval=-1,1"], "--interval"),
+    (["parabolic-count", "--map", BOOLE, "--T", "6", "--x", "0.5", "--level", "1",
+      "--interval=-1,0.5", "--interval=0,1"], "--interval"),
+], ids=["count-twice", "count-wrapped", "cesaro", "parabolic-twice", "parabolic-nested"])
+def test_overlapping_targets_exit_2(tmp_path, capsys, argv, flag):
+    # m(B) sums the targets while the ledger counts their union, so a target
+    # given twice used to halve N_exp_ratio and exit 0
+    assert main(argv + ["--out", str(tmp_path / "x.out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag} ") and "overlap" in err
+    assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("argv, split, whole", [
+    (["count", "--map", FH, "--T", "8", "--grid", "1"],
+     ["--arc", "3,1", "--arc", "1,3"], []),
+    (["parabolic-count", "--map", BOOLE, "--T", "6", "--x", "0.5", "--level", "1",
+      "--grid", "1"], ["--interval=-1,0", "--interval=0,1"], ["--interval=-1,1"]),
+], ids=["count", "parabolic-count"])
+def test_targets_meeting_at_an_endpoint_count_as_their_union(tmp_path, argv, split, whole):
+    # a wrap-around arc is one arc, and targets that share only an endpoint
+    # tile their union: two complementary arcs count the whole circle
+    rows = []
+    for name, targets in (("split.csv", split), ("whole.csv", whole)):
+        code, payload = run(tmp_path, name, argv + targets)
+        assert code == 0
+        rows.append(payload.decode().splitlines()[-1].split(","))
+    assert rows[0][1] == rows[1][1]
+    assert float(rows[0][2]) == pytest.approx(float(rows[1][2]), rel=1e-12)

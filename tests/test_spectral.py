@@ -7,6 +7,7 @@ correlation series it replaced; all references live here.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ class RealOperandsOnly:
         assert u.dtype == np.float64, f"operand of dtype {u.dtype}"
         return self.a @ u
 
-    # `ndarray - wrapper` defers to __rsub__: the dense resolvent matrix
+    # `0 - wrapper` defers to __rsub__: the dense resolvent matrix
     # I - mat + rho (x) w is built from the entries, not applied to an operand
     __array_ufunc__ = None
 
@@ -308,6 +309,33 @@ def test_deflated_resolvent_matches_neumann_sum(n, seed, scale, phase):
     got = deflated_resolvent(mat, data.lam, data.rho, data.weights, v)
     want = _neumann_sum(mat, data.lam, data.rho, data.weights, v, 300)
     assert np.max(np.abs(got - want)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [5, 37, 512])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_deflated_resolvent_builds_one_system_matrix(n, kind):
+    # the system I - mat + lam * rho (x) w is built in one N x N array, entry
+    # for entry the direct formula, whose temporaries peaked at twice that
+    rng = np.random.default_rng(n)
+    mat = rng.uniform(0.0, 1.0, (n, n)) / n
+    rho = rng.uniform(0.5, 1.5, n)
+    w = rng.uniform(0.0, 1.0, n)
+    lam = 0.7
+    if kind == "complex":
+        mat, rho, lam = mat * np.exp(0.3j), rho * (1.0 + 0.2j), 0.7 - 0.1j
+    w = w / np.dot(w, rho)
+    v = rng.uniform(-1.0, 1.0, n)
+    want = np.linalg.solve(np.eye(n) - mat + lam * np.outer(rho, w), v)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = deflated_resolvent(mat, lam, rho, w, v)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    if n >= 512:
+        assert peak < 1.25 * n * n * mat.itemsize
 
 
 def test_deflated_resolvent_refuses_singular_system():
