@@ -11,14 +11,11 @@ Everything here reduces to the monotone equation F(x) = y on one branch, and
 two routines are the only root-finders: `_inverse` solves it on any bracket
 for any array of targets, and `_ladder` solves a whole backward orbit on an
 outer branch (boundary orbits, excursion descents) as one bidiagonal system.
-`_inverse` is a safeguarded Newton iteration. Where a bracket ends at a pole
-b of mass t it starts from the pole expansion x0 = b - t / (y - R_b), with R_b
-the regular part of F at b, so the preimages of points far out in a tail,
-such as the Kac stratum boundaries, take about three evaluations each;
-elsewhere it starts from the bracket midpoint.
+Both take F and F' from one pass over the poles (`_f_df`).
 
 The Kac check builds its table of return-time strata once (`_KacStrata`) and
-grows it in place as the cap grows: a larger cap costs only its new levels.
+grows it in place as the cap grows: a larger cap costs only its new levels,
+streamed through in blocks of fixed size.
 """
 
 from __future__ import annotations
@@ -99,6 +96,18 @@ def build_parabolic(poles, translation: float = 0.0) -> ParabolicMap:
 # the two root-finders: branch inverse and outer-branch ladder
 # ---------------------------------------------------------------------------
 
+def _f_df(P: ParabolicMap, x: np.ndarray):
+    """(F(x), F'(x)) for a float array x, bit for bit P(x) and P.deriv(x),
+    with x - b formed once per pole."""
+    f, df = x.copy(), np.ones_like(x)
+    d, q = np.empty_like(x), np.empty_like(x)
+    for b, t in P.poles:
+        np.subtract(x, b, out=d)
+        f -= np.divide(t, d, out=q)
+        df += np.divide(t, np.square(d, out=q), out=q)
+    return f, df
+
+
 def _inverse(P: ParabolicMap, lo, hi, y):
     """Solve F(x) = y on the branch (lo, hi) where F increases onto its image.
 
@@ -137,8 +146,9 @@ def _inverse(P: ParabolicMap, lo, hi, y):
     out = np.empty_like(x)
     todo = np.arange(x.size)
     for _ in range(200):
-        r = P(x) - y
-        step = r / P.deriv(x)
+        r, g = _f_df(P, x)
+        r -= y
+        step = r / g
         # next to a pole F' is huge and Newton crawls: a step as long as the
         # way to the bracket end proves nothing
         done = np.abs(step) < np.minimum(_ROOT_TOL * np.maximum(1.0, np.abs(x)),
@@ -178,11 +188,13 @@ def _ladder(P: ParabolicMap, side: str, x0, count: int) -> np.ndarray:
     k = np.arange(1, count + 1, dtype=float).reshape((count,) + (1,) * x0.ndim)
     x = b + sign * np.sqrt((x0 - b) ** 2 + 2.0 * P.mass * k)
     for _ in range(60):
-        r = P(x) - np.concatenate([x0[None], x[:-1]])
+        r, g = _f_df(P, x)
+        r[0] -= x0
+        r[1:] -= x[:-1]
         converged = np.all(np.abs(r) <= _ROOT_TOL * np.maximum(1.0, np.abs(x)))
-        g = P.deriv(x)
         G = np.cumprod(g, axis=0)
-        x = x - np.cumsum(r * (G / g), axis=0) / G
+        r *= np.divide(G, g, out=g)
+        x -= np.divide(np.cumsum(r, axis=0, out=r), G, out=r)
         if converged:
             return x
     raise BisectionFail("outer-branch ladder did not converge")
@@ -328,6 +340,7 @@ def lyapunov_integral(P: ParabolicMap) -> float:
 
 _N_FINE = 1 << 14       # strata of deeper levels get the two-point rule
 _KAC_QUAD_POINTS = 12   # Gauss points q per stratum up to level _N_FINE
+_PANEL_TOL = 1e-14      # agreement of an adaptive panel of a time-1 stratum with its halves
 
 
 @dataclass
@@ -352,12 +365,9 @@ def _full_branches(P: ParabolicMap, part: RealPartition):
     J_1^- the right tail, and every bounded basic interval covers both.
     """
     bs = list(P.pole_locations)
-    out = []
-    out.append((bs[-1], float(part.p_plus[1]), True, False))    # J_1^+
-    out.append((float(part.p_minus[1]), bs[0], False, True))    # J_1^-
-    for i in range(len(bs) - 1):
-        out.append((bs[i], bs[i + 1], True, True))
-    return out
+    return [(bs[-1], float(part.p_plus[1]), True, False),      # J_1^+
+            (float(part.p_minus[1]), bs[0], False, True),      # J_1^-
+            *((lo, hi, True, True) for lo, hi in zip(bs[:-1], bs[1:]))]
 
 
 def _excursion_chain(P: ParabolicMap, side: str, chain: list, count: int):
@@ -368,9 +378,9 @@ def _excursion_chain(P: ParabolicMap, side: str, chain: list, count: int):
     the descent diffeomorphism J_n -> J_N, s the accumulated log F' of the
     descent from them into X, and the first `used` levels of the block have
     been returned. The chain starts as one level, J_N itself, with s = 0.
-    Returns (nodes, sums), each (c, count): the next levels, reading the
-    rest of the block first and then solving whole blocks of _ORBIT_BLOCK
-    levels, each from the last level of the one before. Blocks so end at
+    Returns (nodes, sums, barycentric weights), each (c, count), of the next
+    levels: the rest of the block, then whole blocks of _ORBIT_BLOCK levels,
+    each solved from the last level of the one before. Blocks so end at
     fixed levels N + k _ORBIT_BLOCK, as in `boundary_orbit`, and every node
     and sum is the same whatever sequence of counts grew the chain. The
     excursion weight S varies across J_n by sum_m var(log F' | J_m) = O(1/n),
@@ -389,54 +399,89 @@ def _excursion_chain(P: ParabolicMap, side: str, chain: list, count: int):
         sums.append(s[:used])
         got += used
     chain[:] = x, s, used
-    return np.concatenate(nodes).T.copy(), np.concatenate(sums).T.copy()
+    xs = np.concatenate(nodes).T.copy()
+    w, d = np.empty_like(xs), np.empty_like(xs)
+    for j in range(len(xs)):            # w_j = 1 / prod_{i != j} (x_j - x_i)
+        np.subtract(xs[j], xs, out=d)
+        d[j] = 1.0                      # the factor i = j, which drops out exactly
+        np.divide(1.0, np.prod(d, axis=0), out=w[j])
+    return xs, np.concatenate(sums).T.copy(), w
 
 
-def _interp_barycentric(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Polynomial interpolation per column: nodes xs, values ys (c, m); x (g, m) -> (g, m).
+def _interp_barycentric(chain_part, x: np.ndarray) -> np.ndarray:
+    """Polynomial interpolation per column: nodes, values, weights (c, m); x (g, m) -> (g, m).
 
     Barycentric form, laid out so that every sum runs over whole rows; a
     target on a node, where the form overflows, takes that node's value.
     """
-    w = np.empty_like(xs)
-    for j in range(len(xs)):
-        w[j] = 1.0 / np.prod(xs[j] - np.delete(xs, j, axis=0), axis=0)
+    xs, ys, w = chain_part
     out = np.empty_like(x)
+    wd, wy, num = np.empty_like(xs), np.empty_like(xs), np.empty(xs.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(len(x)):
-            wd = w / (x[i] - xs)
-            out[i] = np.sum(wd * ys, axis=0) / np.sum(wd, axis=0)
+            np.divide(w, np.subtract(x[i], xs, out=wd), out=wd)
+            np.sum(np.multiply(wd, ys, out=wy), axis=0, out=num)
+            np.divide(num, np.sum(wd, axis=0, out=out[i]), out=out[i])
     i, k = np.nonzero(~np.isfinite(out))
     out[i, k] = ys[np.argmin(np.abs(x[i, k] - xs[:, k]), axis=0), k]
     return out
 
 
-def _stratum_integrals(P: ParabolicMap, lo, hi, nodes, sums, rule) -> np.ndarray:
+def _stratum_integrals(P: ParabolicMap, lo, hi, chain_part, rule) -> np.ndarray:
     """Gauss rule per stratum [lo_k, hi_k] for int log F' + S o F.
 
-    F maps stratum k onto the level of column k of nodes, and S there is
-    interpolated from nodes[:, k] and sums[:, k].
+    F maps stratum k onto the level of column k of the chain part
+    (nodes, sums, weights), and S there is interpolated from it.
     """
     gl_x, gl_w = rule
     half = 0.5 * (hi - lo)
-    pts = 0.5 * (lo + hi) + half * gl_x[:, None]
-    f = np.log(P.deriv(pts)) + _interp_barycentric(nodes, sums, P(pts))
+    F, f = _f_df(P, 0.5 * (lo + hi) + half * gl_x[:, None])
+    f = np.log(f, out=f)
+    f += _interp_barycentric(chain_part, F)
     return np.sum(gl_w[:, None] * f, axis=0) * half
+
+
+def _log_deriv_integrals(P: ParabolicMap, lo, hi, rule) -> np.ndarray:
+    """int log F' over each interval [lo_k, hi_k] by adaptive Gauss panels.
+
+    log F' peaks steeply at a pole next to an interval's end, which one panel
+    can miss by a percent, so a panel is bisected until it and its two
+    halves agree to _PANEL_TOL * max(1, |I|), I the sum of the halves.
+    """
+    gl_x, gl_w = rule
+
+    def gauss(lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return np.sum(gl_w * np.log(P.deriv(mid[:, None] + half[:, None] * gl_x)), axis=1) * half
+
+    out, k, whole = np.zeros(len(lo)), np.arange(len(lo)), gauss(lo, hi)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        left, right = gauss(lo, mid), gauss(mid, hi)
+        est = left + right
+        ok = np.abs(est - whole) <= _PANEL_TOL * np.maximum(1.0, np.abs(est))
+        np.add.at(out, k[ok], est[ok])
+        k, lo, hi, whole = (np.concatenate([u[~ok], v[~ok]])
+                            for u, v in ((k, k), (lo, mid), (mid, hi), (left, right)))
+        if not len(k):
+            return out
+    raise NoConvergence(f"log F' panels unresolved for {P.label()}")
 
 
 @dataclass
 class _BranchStrata:
     """Strata of one full branch exiting through one tail, levels N+1 .. cap.
 
-    xb holds the preimages of p_N .. p_cap on the branch, so stratum k lies
-    between xb[k] and xb[k+1], and F maps it onto J_{N+k+1}; contrib[k] is
-    the integral of log Fhat' over it and lengths[k] its length.
+    last is the preimage on the branch of p_cap, the outer end of the last
+    stratum; stratum k lies between the preimages of p_{N+k} and p_{N+k+1},
+    and F maps it onto J_{N+k+1}; contrib[k] is the integral of log Fhat'
+    over it and lengths[k] its length.
     """
 
     lo: float
     hi: float
     pole_end: float
-    xb: np.ndarray
+    last: float
     contrib: np.ndarray
     lengths: np.ndarray
 
@@ -458,27 +503,18 @@ class _KacStrata:
         self.P, self.N, self.cap = P, N, N
         self.fine_rule = np.polynomial.legendre.leggauss(_KAC_QUAD_POINTS)
         self.tail_rule = np.polynomial.legendre.leggauss(2)
-        gl_x, gl_w = self.fine_rule
         core_lo, core_hi = part.core
-
-        def gauss_log_deriv(lo, hi):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            pts = mid + half * gl_x
-            return float(np.sum(gl_w * np.log(P.deriv(pts))) * half)
-
-        self.fixed = 0.0
-        self.fixed_mass = 0.0
-        # single-stratum intervals J_m^{+-}, 2 <= m <= N (one F-step back into X)
-        for m in range(2, N + 1):
-            for lo, hi in (part.interval_plus(m), part.interval_minus(m)):
-                self.fixed += gauss_log_deriv(lo, hi)
-                self.fixed_mass += hi - lo
-        # time-1 strata of the full branches (image clipped to X on covered sides)
+        # single-stratum intervals J_m^{+-}, 2 <= m <= N (one F-step back into
+        # X), then the time-1 strata of the full branches (image clipped to X
+        # on covered sides)
+        ivals = [iv for m in range(2, N + 1) for iv in (part.interval_plus(m), part.interval_minus(m))]
         for blo, bhi, cl, cr in _full_branches(P, part):
-            x_left = _inverse(P, blo, bhi, core_lo) if cl else blo
-            x_right = _inverse(P, blo, bhi, core_hi) if cr else bhi
-            self.fixed += gauss_log_deriv(x_left, x_right)
-            self.fixed_mass += x_right - x_left
+            ivals.append((_inverse(P, blo, bhi, core_lo) if cl else blo,
+                          _inverse(P, blo, bhi, core_hi) if cr else bhi))
+        self.fixed_mass = 0.0
+        for lo, hi in ivals:
+            self.fixed_mass += hi - lo
+        self.fixed = float(np.sum(_log_deriv_integrals(P, *np.array(ivals).T, self.fine_rule)))
 
         self.sides = []
         for side in ("-", "+"):
@@ -487,42 +523,50 @@ class _KacStrata:
             chains = [[(mid + half * x)[None, :], np.zeros((1, len(x))), 1]
                       for x, _w in (self.fine_rule, self.tail_rule)]
             branches = [_BranchStrata(blo, bhi, blo if side == "-" else bhi,
-                                      np.array([_inverse(P, blo, bhi, p[N])]),
-                                      np.empty(0), np.empty(0))
+                                      _inverse(P, blo, bhi, p[N]), np.empty(0), np.empty(0))
                         for blo, bhi, cl, cr in _full_branches(P, part)
                         if (cl if side == "-" else cr)]
             self.sides.append((side, chains, branches))
 
     def grow(self, cap: int) -> None:
-        """Extend every branch's strata to the levels N+1 .. cap."""
-        P, old = self.P, self.cap
+        """Extend every branch's strata to the levels N+1 .. cap.
+
+        Each side's new levels go through once, in blocks of _N_FINE levels:
+        a block takes its nodes from the descent chains and their
+        interpolation weights once for all the side's branches, and keeps of
+        each branch only its last preimage and the stratum integrals and
+        lengths, written into arrays allocated once per call.
+        """
+        P, N, old = self.P, self.N, self.cap
         if cap <= old:
             return
         nf = max(0, min(cap, _N_FINE) - old)     # new levels under the q-point rule
         for side, (fine, tail), branches in self.sides:
             p = boundary_orbit(P, side, cap + 1)
-            nodes, sums = _excursion_chain(P, side, fine, nf)
-            # the two-column chain keeps pace with the cap; only its levels
-            # above _N_FINE are read
-            t_nodes, t_sums = _excursion_chain(P, side, tail, cap - old)
             for br in branches:
-                # preimages of p_{old+1} .. p_cap cut the new strata, solved a
-                # block of levels at a time to keep the temporaries small
-                for a in range(0, cap - old, _N_FINE):
-                    b = min(cap - old, a + _N_FINE)
+                br.contrib, br.lengths = (np.concatenate([v, np.empty(cap - old)])
+                                          for v in (br.contrib, br.lengths))
+            for a in range(0, cap - old, _N_FINE):
+                b = min(cap - old, a + _N_FINE)
+                f = max(0, min(nf, b) - a)          # levels under the q-point rule
+                # the two-column chain keeps pace with the cap; only its levels
+                # above _N_FINE are read
+                parts = [(0, f, _excursion_chain(P, side, fine, f), self.fine_rule),
+                         (f, b - a, [v[:, f:] for v in _excursion_chain(P, side, tail, b - a)],
+                          self.tail_rule)]
+                for br in branches:
+                    # preimages of p_{old+1+a} .. p_{old+b} cut the block's strata
                     xb = _inverse(P, br.lo, br.hi, p[old + 1 + a: old + 1 + b])
-                    ends = np.concatenate([br.xb[-1:], xb])
+                    ends = np.concatenate([[br.last], xb])
                     lo = np.minimum(ends[1:], ends[:-1])
                     hi = np.maximum(ends[1:], ends[:-1])
-                    f = max(0, min(nf, b) - a)          # levels under the q-point rule
-                    contrib = np.concatenate([
-                        _stratum_integrals(P, lo[:f], hi[:f], nodes[:, a:a + f],
-                                           sums[:, a:a + f], self.fine_rule),
-                        _stratum_integrals(P, lo[f:], hi[f:], t_nodes[:, a + f:b],
-                                           t_sums[:, a + f:b], self.tail_rule)])
-                    br.xb = np.concatenate([br.xb, xb])
-                    br.contrib = np.concatenate([br.contrib, contrib])
-                    br.lengths = np.concatenate([br.lengths, hi - lo])
+                    br.last = xb[-1]
+                    at = old - N + a
+                    np.subtract(hi, lo, out=br.lengths[at: at + b - a])
+                    for i, j, chain_part, rule in parts:
+                        if j > i:
+                            br.contrib[at + i: at + j] = _stratum_integrals(
+                                P, lo[i:j], hi[i:j], chain_part, rule)
         self.cap = cap
 
 
@@ -530,16 +574,22 @@ def kac_check(P: ParabolicMap, N: int, tail_frac: float = 0.01, cap0: int = 10**
               cap_max: int = 2**20) -> KacReport:
     """Compare int_X log|Fhat'| dl against int_R log|F'| dl.
 
-    The return-time strata of X are integrated by Gauss quadrature: 12
-    points per stratum up to level 2^14 and two beyond, where the excursion
-    weight is read from a two-column descent chain. The
+    The return-time strata of X are integrated by Gauss quadrature: adaptive
+    12-point panels for the strata of return time 1 and of the intervals
+    J_m, 12 points per excursion stratum up to level 2^14 and two beyond,
+    where the excursion weight is read from a two-column descent chain. The
     infinite families exiting through the tails are truncated at an
     adaptive cap, grown until the extrapolated tail contribution drops below
     tail_frac of the right-hand side, and the estimate is then added to the
     left-hand side. One `_KacStrata` table serves every cap: a larger cap
     computes only the levels beyond the last one. TailBoundExceeded is
-    raised if no admissible cap exists.
+    raised if no admissible cap exists; a tail_frac that is not positive, or
+    caps outside N < cap0 <= cap_max, raise ValueError before any work.
     """
+    if not tail_frac > 0:
+        raise ValueError(f"tail_frac must be positive, got {tail_frac}")
+    if not N < cap0 <= cap_max:
+        raise ValueError(f"need level < cap0 <= cap_max, got {N}, {cap0}, {cap_max}")
     rhs = lyapunov_integral(P)
     strata = _KacStrata(P, N)
     cap = cap0
@@ -576,7 +626,7 @@ def _kac_lhs(strata: _KacStrata, cap: int):
         for br in branches:
             total += float(np.sum(br.contrib))
             mass_total += float(np.sum(br.lengths))
-            rem = abs(br.xb[-1] - br.pole_end)
+            rem = abs(br.last - br.pole_end)
             mass_total += rem
             coef, *_ = np.linalg.lstsq(A, (br.contrib / br.lengths)[sel], rcond=None)
             tail_total += rem * float(coef[0] + coef[1] * mean_ln)

@@ -50,6 +50,12 @@ REFUSALS = {
     "orbit-length": (BudgetExceeded, "long", lambda: boundary_orbit(BOOLE, "+", 2 * 10**6 + 1)),
     "cycle-n-1": (ValueError, "n >= 2", lambda: induced_cycle_multipliers(BOOLE, [1])),
     "seed-off-core": (ValueError, "core", lambda: parabolic_count(BOOLE, 9, 5, [(0, .5)], N=1)),
+    "kac-cap0-below-level": (ValueError, "cap0", lambda: kac_check(BOOLE, 5, cap0=3)),
+    "kac-cap0-at-level": (ValueError, "cap0", lambda: kac_check(BOOLE, 5, cap0=5)),
+    "kac-cap0-above-max": (ValueError, "cap0", lambda: kac_check(BOOLE, 5, cap0=5000, cap_max=4000)),
+    "kac-tail-0": (ValueError, "tail_frac", lambda: kac_check(BOOLE, 5, tail_frac=0.0)),
+    "kac-tail-negative": (ValueError, "tail_frac", lambda: kac_check(BOOLE, 5, tail_frac=-0.01)),
+    "kac-tail-nan": (ValueError, "tail_frac", lambda: kac_check(BOOLE, 5, tail_frac=math.nan)),
     "not-square": (ValueError, "square", lambda: SymbolicSystem(np.ones((2, 3)))),
     "cylinder-depth-0": (ValueError, "depth", lambda: S2.cylinder_table(0)),
     "basis-1e6": (BudgetExceeded, "1e6", lambda: SymbolicSystem.full_shift(11).cylinder_table(6)),

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from innerdyn import parabolic
 from innerdyn.errors import NoConvergence, NotDoublyParabolic
-from innerdyn.parabolic import (ParabolicMap, _derivative_zeros, _inverse,
+from innerdyn.parabolic import (ParabolicMap, _derivative_zeros, _f_df, _inverse,
                                 _KacStrata, _kac_lhs, boundary_orbit,
                                 build_parabolic, induced_cycle_multipliers,
                                 kac_check, lyapunov_integral, parabolic_count,
@@ -176,8 +176,11 @@ def test_kac_two_point_tail_matches_full_rule(monkeypatch):
 
 def test_kac_strata_grow_in_bounded_blocks():
     # one jump of the two-pole table from cap 10^4 to 129,831, as kac_check
-    # makes at level 3, held about 40 MB of solver temporaries when all new
-    # levels were solved at once; blocks of 2^14 levels keep it near 25 MB
+    # makes at level 3: streaming each side's new levels through blocks of
+    # 2^14 levels, and keeping per level only the stratum integral and
+    # length, holds the peak near 19 MB (about 25 MB when every branch kept
+    # its preimages and re-concatenated its arrays per block, 40 MB when all
+    # new levels were solved at once)
     strata = _KacStrata(TWOPOLE, 3)
     strata.grow(10**4)
     tracemalloc.start()
@@ -186,7 +189,43 @@ def test_kac_strata_grow_in_bounded_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 30e6
+    assert peak < 20e6
+
+
+def test_kac_strata_frozen_values():
+    # the excursion strata alone, grown in two steps as kac_check grows them
+    # at level 3; frozen bits, held through the blocked rewrite of grow
+    strata = _KacStrata(TWOPOLE, 3)
+    strata.fixed = 0.0
+    _kac_lhs(strata, 10**4)
+    assert _kac_lhs(strata, 129_831) == (4.19834913626773, 0.08447611723307882,
+                                         5.495934344178275)
+
+
+@pytest.mark.parametrize("t,tol", [(0.1, 1e-4), (1e-3, 1e-3)])
+def test_kac_identity_light_separated_poles(t, tol):
+    # log F' peaks steeply at the poles +-b next to the ends of the time-1
+    # strata; one 12-point panel missed the middle stratum by -0.9% of the
+    # rhs at (+-10, 0.1) and by -22% at (+-100, 1e-3)
+    b = 10.0 if t == 0.1 else 100.0
+    rep = kac_check(build_parabolic([(-b, t), (b, t)]), 2)
+    assert abs(rep.ratio - 1.0) <= tol
+
+
+@given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-4.0, 2.0)), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 2), st.floats(-12.0, 1.0), st.sampled_from([-1.0, 1.0])),
+                min_size=1, max_size=20),
+       st.floats(-1e3, 1e3))
+def test_fused_map_and_derivative_are_bit_exact(poles, near, far):
+    # x within 10^e of a pole (e down to -12), and one point anywhere
+    P = build_parabolic([(b, 10.0**e) for b, e in dict(poles).items()])
+    bs = P.pole_locations
+    x = np.array([bs[i % len(bs)] + s * 10.0**e for i, e, s in near] + [far])
+    assume(np.all(np.abs(x[:, None] - bs) > 1e-13))
+    for arr in (x, x.reshape(-1, 1)[::-1]):
+        f, df = _f_df(P, arr)
+        assert f.tobytes() == P(arr).tobytes()
+        assert df.tobytes() == P.deriv(arr).tobytes()
 
 
 def test_kac_mass_decomposition():
