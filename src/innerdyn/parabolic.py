@@ -445,8 +445,8 @@ def _log_deriv_integrals(P: ParabolicMap, lo, hi, rule) -> np.ndarray:
     """int log F' over each interval [lo_k, hi_k] by adaptive Gauss panels.
 
     log F' peaks steeply at a pole next to an interval's end, which one panel
-    can miss by a percent, so a panel is bisected until it and its two
-    halves agree to _PANEL_TOL * max(1, |I|), I the sum of the halves.
+    can miss by percents of the integral, so a panel is bisected until it and
+    its two halves agree to _PANEL_TOL * max(1, |I|), I the sum of the halves.
     """
     gl_x, gl_w = rule
 
