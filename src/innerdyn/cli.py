@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import (blaschke, coding, counting, observables, parabolic, shift, spectral, stochastic,
+from . import (blaschke, coding, counting, observables, parabolic, shift, stochastic,
                transfer)
 from .circle import Arc, arcs_measure
 from .errors import ConfigError, InnerdynError
@@ -225,14 +225,14 @@ def cmd_spectrum(args):
     rows = []
     for s in svals:
         M = transfer.assemble_operator(F, s, None, args.modes).matrix
-        data = spectral.leading_spectral_data(M)
+        data = transfer.circle_spectrum(F, s, None, M)
         rows.append((s.real, s.imag, data.lam.real, data.lam.imag,
-                     data.gap, data.residual))
-        del M, data  # free this operator before the next one is assembled
+                     data.gap, data.gap_bound, data.residual))
+        del M  # free this operator before the next one is assembled
     config = {"command": "spectrum", "map": cfg, "modes": args.modes,
               "s": [[s.real, s.imag] for s in svals]}
-    write_csv(args.out, config,
-              ["s_re", "s_im", "lambda_re", "lambda_im", "gap", "residual"], rows)
+    write_csv(args.out, config, ["s_re", "s_im", "lambda_re", "lambda_im", "gap",
+                                 "gap_bound", "residual"], rows)
     return 0
 
 

@@ -17,6 +17,14 @@ a simple isolated eigenvalue, so no contour integrals are needed. The
 Green-Kubo variance of an observable is read off the same resolvent
 (`green_kubo`), for the circle and the shift alike.
 
+That generic gap is what `leading_spectral_data` returns, and the shift
+reads it. The circle's `spectrum` and `pressure` read theirs instead from
+`transfer.circle_spectrum`: the resolved |lambda_2 / lambda_1| of the
+dense LAPACK spectrum (`dense_leading`) on the smallest coarse grid N_c
+that resolves the operator, with its change from N_c to 2 N_c as a bound.
+Their lambda is still the N-mode Arnoldi eigenvalue (`power_leading`),
+started from the coarse eigenfunction, and they make no dual solve.
+
 Arithmetic follows the dtype of the operator: a float64 matrix (real s, see
 `operator_parameter`) gets a real Krylov basis, real eigendata and a real
 resolvent solve, at half the memory and about half the time per matvec of
@@ -40,6 +48,9 @@ _RITZ_EVERY = 8         # an eig every step would cost more than the matvecs at 
 _MATVEC_BUDGET = 16 * _KRYLOV_DIM
 _EQUAL_MODULUS = 1e-8   # relative distance below which two Ritz moduli are one
 _GAP_TOL = 1e-8         # residual tolerance of |lambda_2|, relative to max(1, |lambda_2|)
+_COLLAPSE = 1e-8        # one-step fall of the deflated iterates below which the remainder is
+                        # nilpotent at this resolution, relative to max(1, |lambda|) in
+                        # `deflated_subleading` and to |lambda| in `dense_leading`
 _RANK_ONE_BLOCKS = 16   # row blocks of the resolvent's rank-one term: N^2 / 16 entries each
 
 
@@ -242,11 +253,15 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0,
     raise NoConvergence(f"Arnoldi iteration not converged within {_MATVEC_BUDGET} matvecs")
 
 
-def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0, second: bool = False):
+def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0, second: bool = False,
+                  start: np.ndarray | None = None):
     """Leading eigenpair by restarted Arnoldi.
 
     Returns (lam, vector, residual, matvecs, subleading). The pair is real
-    (lam a float) when mat is real, complex otherwise. The Ritz residual
+    (lam a float) when mat is real, complex otherwise. The iteration starts
+    from `start` when given (a real start for a real mat), else from the
+    seeded `_start_vector`; a start close to the leading eigenvector ends
+    the first cycle in a breakdown within a step or two. The Ritz residual
     estimate must drop below tol * max(1, |lam|) and the sup-norm
     eigen-equation residual of the returned unit vector below
     max(tol, 1e-10) * max(1, |lam|). Raises NoConvergence at once when the
@@ -261,7 +276,8 @@ def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0, second: bo
     """
     if tol < 1e-16:
         raise ValueError("tol too small")
-    v = _start_vector(mat.shape[0], seed).astype(np.result_type(mat.dtype, np.float64))
+    v = _start_vector(mat.shape[0], seed) if start is None else start
+    v = v.astype(np.result_type(mat.dtype, np.float64))
     lam, v, res, matvecs, runner_up, certified = _arnoldi(lambda u: mat @ u, v, tol,
                                                           second=second)
     if lam != 0 and runner_up >= (1.0 - _EQUAL_MODULUS) * abs(lam):
@@ -291,12 +307,50 @@ def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
     def apply(u):
         return mat @ u - lam * rho * np.dot(dual, u)
 
-    collapse = 1e-8 * max(1.0, abs(lam))
+    collapse = _COLLAPSE * max(1.0, abs(lam))
     v = apply(_start_vector(mat.shape[0], seed))  # kill the leading component
     if np.linalg.norm(v) < collapse:
         return 0.0
     sub = _arnoldi(apply, v, tol, collapse)[0]
     return float(abs(sub))
+
+
+def dense_leading(mat: np.ndarray, want_rho: bool = True):
+    """(lam, rho, gap) of a small dense operator, from its LAPACK spectrum.
+
+    lam is the eigenvalue of largest modulus (a float when it is real), rho
+    its unit eigenvector by inverse iteration (`_eigenvector`), or None when
+    want_rho is False, and gap = |lambda_2| / |lambda| for the runner-up
+    lambda_2 in modulus.
+
+    The gap is 0.0 when the remainder is nilpotent at this resolution, by
+    the collapse rule of `deflated_subleading` taken relative to |lam|: the
+    iterates mat^j v of v = (mat - lam) u, which has no component along
+    rho, fall below _COLLAPSE * |lam| in one step within log2(N) + 1 steps,
+    the nilpotency index of the remainder of z^d for every d. The
+    eigenvalues of such a remainder are rounding noise of size
+    eps^(1/log_d N), not lambda_2. (Against max(1, |lam|), the degree-3
+    benchmark map at s = 30, where |lam| = 1.4e-11, read gap 0 for 0.94.)
+    NoConvergence is raised when lambda_2 has the modulus of lam, as in
+    `power_leading`.
+    """
+    n = len(mat)
+    ev = np.linalg.eigvals(mat)
+    ev = ev[np.argsort(-np.abs(ev), kind="stable")]
+    lam = ev[0].real if ev[0].imag == 0 else ev[0]
+    if abs(ev[1]) >= (1.0 - _EQUAL_MODULUS) * abs(lam):
+        raise NoConvergence(f"no dominant eigenvalue: two eigenvalues of equal modulus "
+                            f"{abs(lam):.6g} and {abs(ev[1]):.6g}")
+    rho = _eigenvector(mat, lam) if want_rho else None
+    collapse = _COLLAPSE * abs(lam)
+    u = _start_vector(n)
+    v = mat @ u - lam * u
+    for _ in range(n.bit_length() + 1):
+        ratio = float(np.linalg.norm(v))
+        if ratio < collapse:
+            return lam, rho, 0.0
+        v = mat @ (v / ratio)
+    return lam, rho, float(abs(ev[1]) / abs(lam))
 
 
 def leading_spectral_data(mat: np.ndarray, tol: float = 1e-13,
@@ -318,7 +372,10 @@ def leading_spectral_data(mat: np.ndarray, tol: float = 1e-13,
 
     _GAP_TOL bounds a residual; for a defective lambda_2 (a Jordan block) the
     eigenvalue error is then bounded only by about its square root (zeros
-    {0, 0.1}, s = 1, N = 256: gap 0.0999997381 where |lambda_2| = 0.1).
+    {0, 0.1}, s = 1, N = 256: gap 0.0999997381 where |lambda_2| = 0.1). The
+    circle's `spectrum` and `pressure` do not read this gap:
+    `transfer.circle_spectrum` takes theirs from a dense coarse spectrum,
+    0.1000000000004 on that map, with a bound of 1.6e-12.
     """
     lam, rho, res, _, sub = power_leading(mat, tol=tol, seed=0, second=want_gap)
     dual = power_leading(mat.T, tol=tol, seed=7)[1]

@@ -26,8 +26,19 @@ with N <= 512 is one block.
 
 The matrix is float64 exactly when s has zero imaginary part and g is real;
 then every solve in `spectral` runs in real arithmetic. Complex s keeps
-complex weights on the same kernel. `spectral` owns everything read off the
+complex weights on the same kernel. `spectral` owns everything read off a
 matrix: the leading data, the gap and the Green-Kubo variance.
+
+`circle_spectrum` reads an N-mode operator on two grids. Near z^d the
+operator is close to the nilpotent shift e^{ikx} -> e^{i(k/d)x}, whose
+discretized Jordan chains of length log_d N spread rounding to about
+eps^(1/log_d N) (Trefethen and Embree, Spectra and Pseudospectra, 2005), so
+a finer grid can give a worse lambda_2. The gap |lambda_2 / lambda| is
+therefore read from the dense spectrum of the smallest grid N_c that
+resolves the operator, with the change from N_c to 2 N_c as its bound; at
+s = 1 it is |F'(0)| when F(0) = 0 (Slipantschuk, Bandtlow and Just,
+Nonlinearity 2013). lambda stays the N-mode eigenvalue, from an Arnoldi
+solve started at the coarse eigenfunction.
 """
 
 from __future__ import annotations
@@ -39,12 +50,15 @@ import numpy as np
 from .blaschke import BlaschkeMap, boundary_preimages_batch, circle_abs_deriv, circle_grid
 from .circle import TWO_PI
 from .errors import GapLost
-from .spectral import green_kubo, leading_spectral_data, operator_parameter
+from .spectral import dense_leading, green_kubo, operator_parameter, power_leading
 
 _GAP_CEILING = 0.95
 _BLOCK_BYTES = 1 << 21  # bytes of one row block of the matrix during assembly
 _PRESSURE_STEP = 1e-2   # step h of the five-point pressure stencil
 _PRESSURE_TOL = 1e-14   # Arnoldi tolerance at the pressure stencil nodes
+_COARSE_MIN = 32        # smallest coarse grid of `circle_spectrum`
+_COARSE_MAX = 512       # largest coarse grid: a dense eigensolve at 2 x 512 takes 0.5 s
+_TAIL_ROUNDING = 1e-13  # Fourier tail of rho at which a grid resolves the operator
 
 
 @dataclass
@@ -128,6 +142,73 @@ def assemble_operator(F: BlaschkeMap, s: complex = 1.0, g=None, N: int = 256) ->
 
 
 @dataclass
+class CircleSpectrum:
+    """Leading eigenvalue of an N-mode operator and its resolved gap.
+
+    lam, residual: the N-mode leading eigenvalue and the sup-norm residual
+    of its eigenvector; gap: |lambda_2 / lambda| of the dense spectrum on
+    the coarse grid N_c; gap_bound: how far that gap moves from N_c to 2 N_c.
+    """
+
+    lam: float | complex
+    gap: float
+    gap_bound: float
+    residual: float
+
+
+def _fourier_tail(rho: np.ndarray) -> float:
+    """Largest Fourier coefficient of rho in the top quarter of the
+    frequencies, |k| >= 3N/8, against the largest of all."""
+    n = len(rho)
+    c = np.abs(np.fft.fft(rho))
+    return float(np.max(c[3 * n // 8:n - 3 * n // 8 + 1]) / np.max(c))
+
+
+def _refine(v: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric trigonometric interpolant of v at n equispaced nodes:
+    v's spectrum zero-padded to n >= m, its Nyquist mode split between
+    +-m/2 (which are one mode again when n == m)."""
+    m = len(v)
+    c = np.fft.fft(v) * (n / m)
+    pad = np.zeros(n, dtype=c.dtype)
+    pad[:m // 2] = c[:m // 2]
+    pad[n - m // 2 + 1:] = c[m // 2 + 1:]
+    pad[m // 2] += 0.5 * c[m // 2]
+    pad[n - m // 2] += 0.5 * c[m // 2]
+    u = np.fft.ifft(pad)
+    return u if np.iscomplexobj(v) else u.real
+
+
+def circle_spectrum(F: BlaschkeMap, s: complex, g, mat: np.ndarray,
+                    tol: float = 1e-13) -> CircleSpectrum:
+    """lambda and the gap of mat = assemble_operator(F, s, g, N).matrix.
+
+    Coarse grids N_c = 32, 64, ... up to max(32, N/2), and at most 512, are
+    assembled and solved densely (`spectral.dense_leading`) until the
+    leading eigenfunction's Fourier tail (`_fourier_tail`) is at rounding,
+    1e-13; the largest grid is taken when none is. The gap is that grid's
+    dense |lambda_2 / lambda|, 0.0 when its remainder is nilpotent, and
+    gap_bound is the distance to the gap at 2 N_c. The coarse eigenfunction,
+    interpolated to N nodes (`_refine`), starts the N-mode Arnoldi solve
+    (`spectral.power_leading`), so lam and residual are the N-mode
+    eigendata under the acceptance of a cold solve at tol, usually after
+    two matvecs. No dual solve is made: the caller reads lam and the gap.
+    """
+    n_fine = len(mat)
+    top = min(max(_COARSE_MIN, n_fine // 2), _COARSE_MAX)
+    n = _COARSE_MIN
+    while True:
+        _, rho, gap = dense_leading(assemble_operator(F, s, g, n).matrix)
+        if n == top or _fourier_tail(rho) <= _TAIL_ROUNDING:
+            break
+        n *= 2
+    partner = assemble_operator(F, s, g, 2 * n).matrix
+    bound = abs(gap - dense_leading(partner, want_rho=False)[2])
+    lam, _, res = power_leading(mat, tol=tol, start=_refine(rho, n_fine))[:3]
+    return CircleSpectrum(lam=lam, gap=gap, gap_bound=bound, residual=res)
+
+
+@dataclass
 class PressureReport:
     """Pressure curve data at 0 and its first two derivatives.
 
@@ -149,8 +230,9 @@ def pressure_and_derivs(F: BlaschkeMap, g, N: int = 256) -> PressureReport:
 
     P(t) = log lambda(|F'|^{-1} e^{t g}) is evaluated on the five-point
     stencil {0, +-h, +-2h} with h = 1e-2; fourth-order (Richardson-refined)
-    differences give P'(0) and P''(0). A gap monitor guards the perturbation
-    smallness. The node t = 0 is the weightless operator, which fixes
+    differences give P'(0) and P''(0). Each node is read by `circle_spectrum`,
+    and its resolved gap guards the perturbation smallness (GapLost above
+    0.95). The node t = 0 is the weightless operator, which fixes
     Lebesgue measure (rho = 1, weights 1/N), and `spectral.green_kubo` reads
     the variance prediction off it.
     """
@@ -161,8 +243,9 @@ def pressure_and_derivs(F: BlaschkeMap, g, N: int = 256) -> PressureReport:
     for t in tvals:
         def gt(theta, _t=t):
             return _t * np.asarray(g(theta), dtype=float)
-        M = assemble_operator(F, 1.0, gt if t != 0.0 else None, N).matrix
-        data = leading_spectral_data(M, tol=_PRESSURE_TOL)
+        g_t = gt if t != 0.0 else None
+        M = assemble_operator(F, 1.0, g_t, N).matrix
+        data = circle_spectrum(F, 1.0, g_t, M, tol=_PRESSURE_TOL)
         if data.gap > _GAP_CEILING:
             raise GapLost(f"subleading ratio {data.gap:.3f} at node t = {t}")
         min_gap = min(min_gap, 1.0 - data.gap)

@@ -19,7 +19,7 @@ from innerdyn.shift import (PotentialSpec, SymbolicSystem, cylinder_operator,
                             pressure_derivs_shift, spectral_data)
 from innerdyn import spectral, stochastic, transfer
 from innerdyn.spectral import (_KRYLOV_DIM, deflated_resolvent, deflated_subleading,
-                               leading_spectral_data, power_leading)
+                               dense_leading, leading_spectral_data, power_leading)
 from innerdyn.observables import COS
 from innerdyn.transfer import OperatorMatrix, assemble_operator
 
@@ -280,6 +280,35 @@ def test_power_leading_restarts_from_the_ritz_vector():
             assert it > restarts * _KRYLOV_DIM
             assert abs(lam - 1.0) < 1e-12 and res < 1e-10
             assert np.max(np.abs(v / v[0] - 1.0)) < 1e-10
+
+
+def test_circle_spectrum_warm_start_spends_few_matvecs(monkeypatch):
+    # a = 0.9, s = 1.5, N = 2048: the dense eigenfunction at N_c = 128,
+    # interpolated to 2048 nodes, starts the one N-mode Arnoldi solve, which
+    # a cold start needs about 80 matvecs for; no dual solve follows
+    mat = assemble_operator(A09, 1.5, None, 2048).matrix
+    lam, _, res = power_leading(mat)[:3]
+    calls = _recording_arnoldi(monkeypatch)
+    data = transfer.circle_spectrum(A09, 1.5, None, mat)
+    assert len(calls) == 1 and calls[0][0] == np.float64
+    assert calls[0][1] <= 8
+    # the acceptance of `_arnoldi` at tol 1e-13, which the cold solve met too
+    accept = 1e-10 * max(1.0, abs(lam))
+    assert res <= accept and data.residual <= accept
+    assert abs(data.lam - lam) <= 1e-13 * abs(lam)
+    assert abs(data.gap - 0.97966965168642) <= 1e-12
+    assert data.gap_bound <= 1e-12
+
+
+def test_dense_gap_does_not_collapse_at_a_small_lambda():
+    # deg3 at s = 30: |lambda| = 1.4e-11 and |lambda_2 / lambda| = 0.94. The
+    # collapse rule is relative to |lambda|; against 1e-8 * max(1, |lambda|)
+    # this remainder would be called nilpotent and the gap read as 0
+    mat = assemble_operator(DEG3, 30.0, None, 128).matrix
+    ev = np.sort(np.abs(np.linalg.eigvals(mat)))[::-1]
+    assert ev[0] < 1e-10
+    gap = dense_leading(mat, want_rho=False)[2]
+    assert abs(gap - ev[1] / ev[0]) <= 1e-12 and gap > 0.9
 
 
 def test_krylov_matvecs_on_slow_mixing_operator():

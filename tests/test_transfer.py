@@ -1,14 +1,18 @@
 """Collocation transfer operators: spectra, pressure, equilibrium measures."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from innerdyn.blaschke import BlaschkeMap, angle_map
 from innerdyn.circle import circle_grid
+from innerdyn.cli import main
 from innerdyn.observables import COS, Observable, constant
 from innerdyn.spectral import deflated_subleading, leading_spectral_data
 from innerdyn.stochastic import green_kubo_variance
-from innerdyn.transfer import assemble_operator, pressure_and_derivs
+from innerdyn.transfer import _refine, assemble_operator, circle_spectrum, pressure_and_derivs
 
 F2 = BlaschkeMap.monomial(2)
 F3 = BlaschkeMap.monomial(3)
@@ -107,6 +111,99 @@ def test_gap_field_collapses_for_monomial():
 def test_gap_field_for_fh():
     S = leading_spectral_data(assemble_operator(FH, 1.0, None, 256).matrix)
     assert S.gap == pytest.approx(0.5, abs=1e-3)
+
+
+def _spectrum_row(tmp_path, cfg, s, modes):
+    """The one row of `innerdyn spectrum` for a map config, s and --modes."""
+    out = tmp_path / "spectrum.csv"
+    argv = ["spectrum", "--map", json.dumps(cfg), "--s", str(s), "--modes", str(modes)]
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    return dict(zip(lines[2].split(","), map(float, lines[3].split(","))))
+
+
+def _zeros(*zeros):
+    return {"kind": "blaschke", "zeros": [[z.real, z.imag] for z in map(complex, zeros)]}
+
+
+@pytest.mark.parametrize("a,modes", [(0.1, 256), (0.97, 2048)])
+def test_spectrum_gap_at_s1_is_the_derivative_at_the_fixed_point(tmp_path, a, modes):
+    # at s = 1 the gap of z (z - a) / (1 - a z) is |F'(0)| = a. On a = 0.1,
+    # lambda_2 = -0.1 is defective at N = 256, and a residual of 1e-8 held
+    # it only to 2.6e-7; on a = 0.97 the N = 2048 Krylov solve ran out of
+    # budget. The dense coarse spectrum reads both to 1e-12.
+    row = _spectrum_row(tmp_path, _zeros(0, a), 1.0, modes)
+    assert abs(row["lambda_re"] - 1.0) <= 1e-10
+    assert abs(row["gap"] - a) <= 1e-8
+    assert row["gap_bound"] <= 1e-8
+
+
+def test_spectrum_lambda_of_a_slowly_mixing_map_matches_arpack(tmp_path):
+    # a = 0.99, s = 1.5: |lambda_2 / lambda| = 0.99991, where the cold
+    # N = 1024 Krylov solve ran out of budget; ARPACK is the oracle
+    from scipy.sparse.linalg import eigs
+
+    F = BlaschkeMap((0j, 0.99 + 0j))
+    row = _spectrum_row(tmp_path, _zeros(0, 0.99), 1.5, 1024)
+    want = eigs(assemble_operator(F, 1.5, None, 1024).matrix, k=1, which="LM",
+                tol=1e-14)[0][0]
+    assert abs(want.imag) <= 1e-12
+    assert abs(row["lambda_re"] - want.real) <= 1e-9 * abs(want)
+    assert row["residual"] <= 1e-10
+    assert abs(row["gap"] - 0.9999136898933) <= row["gap_bound"] + 1e-12
+
+
+def test_spectrum_gap_bound_covers_the_noise_of_a_near_monomial_map(tmp_path):
+    # zeros {0, -0.001}: the gap is 0.001, but near z^2 the discretized
+    # Jordan chains spread rounding to eps^(1/log2 N): the dense gap reads
+    # 1.1e-6 too high at N_c = 32 and 1e-3 too high at 64, so the bound,
+    # their difference, is 1e-3 and covers the error
+    row = _spectrum_row(tmp_path, _zeros(0, -0.001), 1.0, 256)
+    err = abs(row["gap"] - 0.001)
+    assert 1e-8 < err <= row["gap_bound"]
+
+
+@given(st.lists(st.tuples(st.floats(-4.0, -0.05), st.floats(0.0, 2 * np.pi)),
+                min_size=1, max_size=2),
+       st.floats(0.0, 2 * np.pi), st.sampled_from([64, 256]))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_circle_gap_is_right_or_flagged(zeros, rotation, modes):
+    # at s = 1 the gap of a Blaschke product with F(0) = 0 is |F'(0)|, the
+    # product of the other zeros' moduli, here from 1e-4 (near z^d, where
+    # the dense gap reads rounding noise) to 0.89: within 1e-8, or the bound
+    # covers the error
+    F = BlaschkeMap((0j, *(10 ** lr * np.exp(1j * th) for lr, th in zeros)), rotation)
+    want = float(np.prod([10 ** lr for lr, _ in zeros]))
+    data = circle_spectrum(F, 1.0, None, assemble_operator(F, 1.0, None, modes).matrix)
+    assert abs(data.lam - 1.0) <= 1e-10
+    assert abs(data.gap - want) <= max(1e-8, data.gap_bound)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_spectrum_gap_of_a_monomial_is_zero(tmp_path, d):
+    # the remainder of z^d is nilpotent: its dense eigenvalues are rounding
+    # noise, and the collapse rule reads the gap as 0
+    row = _spectrum_row(tmp_path, {"kind": "monomial", "d": d}, 1.0, 256)
+    assert row["gap"] == 0.0 and row["gap_bound"] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_refine_is_the_symmetric_interpolant(kind):
+    # a trigonometric polynomial of degree 15 with its Nyquist mode at 32
+    # nodes, refined to 128 nodes, against its symmetric interpolant there
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=16) + (1j * rng.normal(size=16) if kind == "complex" else 0)
+    nyq = rng.normal()
+
+    def f(x):
+        u = sum(c[k] * np.cos(k * x + k) for k in range(16)) + nyq * np.cos(16 * x)
+        return u if kind == "complex" else u.real
+
+    coarse, fine = circle_grid(32), circle_grid(128)
+    got = _refine(f(coarse), 128)
+    assert np.iscomplexobj(got) == (kind == "complex")
+    assert np.max(np.abs(got - f(fine))) <= 1e-12
+    assert np.max(np.abs(_refine(f(coarse), 32) - f(coarse))) <= 1e-14
 
 
 def test_pressure_monomial_cos():
