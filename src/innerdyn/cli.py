@@ -224,11 +224,9 @@ def cmd_spectrum(args):
     svals = [complex(s) for s in (args.s or ["1.0"])]
     rows = []
     for s in svals:
-        M = transfer.assemble_operator(F, s, None, args.modes).matrix
-        data = transfer.circle_spectrum(F, s, None, M)
+        data = transfer.circle_spectrum(F, s, None, args.modes)
         rows.append((s.real, s.imag, data.lam.real, data.lam.imag,
                      data.gap, data.gap_bound, data.residual))
-        del M  # free this operator before the next one is assembled
     config = {"command": "spectrum", "map": cfg, "modes": args.modes,
               "s": [[s.real, s.imag] for s in svals]}
     write_csv(args.out, config, ["s_re", "s_im", "lambda_re", "lambda_im", "gap",

@@ -22,8 +22,9 @@ reads it. The circle's `spectrum` and `pressure` read theirs instead from
 `transfer.circle_spectrum`: the resolved |lambda_2 / lambda_1| of the
 dense LAPACK spectrum (`dense_leading`) on the smallest coarse grid N_c
 that resolves the operator, with its change from N_c to 2 N_c as a bound.
-Their lambda is still the N-mode Arnoldi eigenvalue (`power_leading`),
-started from the coarse eigenfunction, and they make no dual solve.
+Their lambda is still the N-mode Arnoldi eigenvalue (`power_leading`) of
+the matrix-free `transfer.nufft_operator`, started from the coarse
+eigenfunction, and they make no dual solve.
 
 Arithmetic follows the dtype of the operator: a float64 matrix (real s, see
 `operator_parameter`) gets a real Krylov basis, real eigendata and a real
@@ -257,6 +258,8 @@ def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0, second: bo
                   start: np.ndarray | None = None):
     """Leading eigenpair by restarted Arnoldi.
 
+    mat is a matrix, or any operator with shape, dtype and `@` on vectors,
+    such as `transfer.NufftOperator`.
     Returns (lam, vector, residual, matvecs, subleading). The pair is real
     (lam a float) when mat is real, complex otherwise. The iteration starts
     from `start` when given (a real start for a real mat), else from the

@@ -71,6 +71,8 @@ REFUSALS = {
     "cli-no-kind": (2, "'kind'", ["spectrum", "--map", '{"d":2}']),
     "cli-rotation": (2, "rotation", ["spectrum", "--map", Z2[:-1] + ',"rotation":"x"}']),
     "cli-spectrum-parabolic": (2, "not a circle map", ["spectrum", "--map", PAR]),
+    "cli-spectrum-modes-100": (2, "power of two", ["spectrum", "--map", Z2, "--modes", "100"]),
+    "cli-pressure-modes-100": (2, "power of two", ["pressure", "--map", Z2, "--modes", "100"]),
     "cli-kac-circle": (2, "not a parabolic map", ["kac", "--map", Z2]),
     "cli-system-list": (2, "must be an object", ["d-generic", "--system", "{tmp}/list.json"]),
     "cli-random-w-no-seed": (2, "--seed", ["nevanlinna", "--map", Z2, "--random-w", "3"]),

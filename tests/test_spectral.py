@@ -285,11 +285,12 @@ def test_power_leading_restarts_from_the_ritz_vector():
 def test_circle_spectrum_warm_start_spends_few_matvecs(monkeypatch):
     # a = 0.9, s = 1.5, N = 2048: the dense eigenfunction at N_c = 128,
     # interpolated to 2048 nodes, starts the one N-mode Arnoldi solve, which
-    # a cold start needs about 80 matvecs for; no dual solve follows
+    # a cold start on the dense matrix needs about 80 matvecs for; no dual
+    # solve follows
     mat = assemble_operator(A09, 1.5, None, 2048).matrix
     lam, _, res = power_leading(mat)[:3]
     calls = _recording_arnoldi(monkeypatch)
-    data = transfer.circle_spectrum(A09, 1.5, None, mat)
+    data = transfer.circle_spectrum(A09, 1.5, None, 2048)
     assert len(calls) == 1 and calls[0][0] == np.float64
     assert calls[0][1] <= 8
     # the acceptance of `_arnoldi` at tol 1e-13, which the cold solve met too

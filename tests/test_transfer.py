@@ -1,10 +1,11 @@
 """Collocation transfer operators: spectra, pressure, equilibrium measures."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from innerdyn.blaschke import BlaschkeMap, angle_map
 from innerdyn.circle import circle_grid
@@ -12,11 +13,13 @@ from innerdyn.cli import main
 from innerdyn.observables import COS, Observable, constant
 from innerdyn.spectral import deflated_subleading, leading_spectral_data
 from innerdyn.stochastic import green_kubo_variance
-from innerdyn.transfer import _refine, assemble_operator, circle_spectrum, pressure_and_derivs
+from innerdyn.transfer import (_refine, assemble_operator, circle_spectrum, nufft_operator,
+                               pressure_and_derivs)
 
 F2 = BlaschkeMap.monomial(2)
 F3 = BlaschkeMap.monomial(3)
 FH = BlaschkeMap((0j, 0.5 + 0j))
+DEG3 = BlaschkeMap((0j, 0.4 + 0.3j, -0.3 - 0.5j), 0.7)
 GK_FH_COS = 1.0 / 6.0    # closed form: c_k = (1/2)(-1/2)^k, summed
 
 
@@ -174,7 +177,7 @@ def test_circle_gap_is_right_or_flagged(zeros, rotation, modes):
     # covers the error
     F = BlaschkeMap((0j, *(10 ** lr * np.exp(1j * th) for lr, th in zeros)), rotation)
     want = float(np.prod([10 ** lr for lr, _ in zeros]))
-    data = circle_spectrum(F, 1.0, None, assemble_operator(F, 1.0, None, modes).matrix)
+    data = circle_spectrum(F, 1.0, None, modes)
     assert abs(data.lam - 1.0) <= 1e-10
     assert abs(data.gap - want) <= max(1e-8, data.gap_bound)
 
@@ -204,6 +207,90 @@ def test_refine_is_the_symmetric_interpolant(kind):
     assert np.iscomplexobj(got) == (kind == "complex")
     assert np.max(np.abs(got - f(fine))) <= 1e-12
     assert np.max(np.abs(_refine(f(coarse), 32) - f(coarse))) <= 1e-14
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2 * np.pi)),
+                min_size=1, max_size=2),
+       st.floats(0.0, 2 * np.pi), st.sampled_from([32, 64, 256, 1024]),
+       st.sampled_from([1.0, 1.5, 1.0 + 0.5j, 2.0 - 1.0j]), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example([(0.0, 0.0)], 0.0, 256, 1.0, False, False, 0)   # z^2: preimages on nodes
+@settings(max_examples=24, deadline=None, derandomize=True)
+def test_nufft_apply_is_the_collocation_matrix(zeros, rotation, modes, s, with_g, smooth, seed):
+    # the matrix-free N-mode operator of circle_spectrum and the dense matrix
+    # of the LAPACK consumers are one operator: same preimages and weights,
+    # and the NUFFT apply equals matrix @ v to 1e-12 in the sup norm
+    F = BlaschkeMap((0j, *(r * np.exp(1j * th) for r, th in zeros)), rotation)
+    g = (lambda y: 0.3 * np.cos(y) - 0.2 * np.sin(2 * y)) if with_g else None
+    M = assemble_operator(F, s, g, modes)
+    op = nufft_operator(M.preimages, M.weights)
+    assert op.shape == M.matrix.shape and op.dtype == M.matrix.dtype
+    x = circle_grid(modes)
+    rng = np.random.default_rng(seed)
+    v = 1.0 + 0.5 * np.cos(x + 1.0) + 0.2 * np.sin(3 * x) if smooth else rng.normal(size=modes)
+    if np.iscomplexobj(M.matrix):
+        v = v + 1j * (np.cos(2 * x) if smooth else rng.normal(size=modes))
+    want = M.matrix @ v
+    got = op @ v
+    assert got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+def test_nufft_apply_is_the_exact_interpolant():
+    # against a long-double cardinal sum at the same preimages: the offsets
+    # to the fine nodes are taken against 2 pi in two parts, so the apply is
+    # within rounding of the interpolant (1e-15), where one-part offsets and
+    # the dense kernel are 1e-13 off, as a high mode is shifted by N eps / 2
+    N = 512
+    M = assemble_operator(BlaschkeMap((0j, 0.9 + 0j)), 1.5, None, N)
+    v = np.random.default_rng(2).normal(size=N)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    t = M.preimages.astype(np.longdouble)[:, :, None] - 2 * pi * np.arange(N) / N
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = np.sin(N * t / 2) / np.tan(t / 2) / N
+    K[t == 0] = 1
+    want = np.einsum("il,ilj,j->i", M.weights.astype(np.longdouble), K, v.astype(np.longdouble))
+    got = nufft_operator(M.preimages, M.weights) @ v
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_spectrum_never_holds_the_n_mode_matrix(tmp_path):
+    # a = 0.9, s = 1.5, N = 2048: the dense N-mode matrix alone is 33.6 MB;
+    # the NUFFT plan and the Krylov basis take a few MB
+    argv = ["spectrum", "--map", json.dumps(_zeros(0, 0.9)), "--s", "1.5", "--modes", "2048",
+            "--out", str(tmp_path / "spectrum.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def test_spectrum_lambda_far_below_one_is_relative(tmp_path):
+    # the degree-3 map at s = 30: |lambda| = 1.4e-11 and |lambda_2 / lambda|
+    # = 0.94. Against max(1, |theta|), Arnoldi's acceptance was absolute and
+    # the N-mode solve refused with two Ritz values of equal modulus; the
+    # operator is applied divided by the coarse |lambda|
+    row = _spectrum_row(tmp_path, {**_zeros(0, 0.4 + 0.3j, -0.3 - 0.5j), "rotation": 0.7},
+                        30.0, 256)
+    ev = np.linalg.eigvals(assemble_operator(DEG3, 30.0, None, 256).matrix)
+    want = ev[np.argmax(np.abs(ev))]
+    assert abs(want) < 1e-10
+    assert abs(complex(row["lambda_re"], row["lambda_im"]) - want) <= 1e-9 * abs(want)
+    assert row["residual"] <= 1e-10 * abs(want)
+    assert abs(row["gap"] - 0.9375620376739) <= 1e-9
+
+
+def test_unresolved_gap_is_read_on_the_finer_grid(tmp_path):
+    # a = 0.9, s = 1.5 at --modes 64: the only coarse grid, 32, does not
+    # resolve rho, so the gap is read at 64, 3e-15 from the value resolved
+    # at 128; the 32-grid read 0.97966962796, 2.4e-8 off
+    row = _spectrum_row(tmp_path, _zeros(0, 0.9), 1.5, 64)
+    assert abs(row["gap"] - 0.97966965168642) <= 1e-12
+    assert 1e-8 < row["gap_bound"] <= 1e-7
 
 
 def test_pressure_monomial_cos():
