@@ -6,7 +6,7 @@ on depth-k cylinder indicators. A general Hoelder potential is approached by
 raising k, and an infinite alphabet by truncation; neither remainder is
 bounded here. A transfer operator is a plain matrix on the basis of
 `SymbolicSystem.cylinder_table`; `spectral` owns everything read off it:
-the leading data, the gap and the Green-Kubo variance.
+the leading data and the Green-Kubo variance.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .counting import _NODE_BUDGET, CountingLedger, _prefix_member, _walk
 from .errors import BudgetExceeded, DivergentSeries, NoConvergence, NotPrimitive
 from .rng import uniform_stream
 from .spectral import (SpectralData, deflated_resolvent, green_kubo, leading_spectral_data,
-                       operator_parameter)
+                       operator_parameter, power_leading)
 
 Word = tuple
 
@@ -177,7 +177,7 @@ class PotentialSpec:
 
 def calibrate(S: SymbolicSystem, psi: PotentialSpec) -> PotentialSpec:
     """Shift the potential by a constant so that its pressure vanishes."""
-    lam = spectral_data(S, psi, 1.0, want_gap=False).lam.real
+    lam = spectral_data(S, psi, 1.0).lam.real
     return psi.shifted(-math.log(lam))
 
 
@@ -214,8 +214,7 @@ def _require_primitive(S: SymbolicSystem) -> None:
                            "the leading eigenvalue is not isolated")
 
 
-def spectral_data(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
-                  want_gap: bool = True) -> SpectralData:
+def spectral_data(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0) -> SpectralData:
     """Leading eigendata of L_{s psi} on the cylinder basis.
 
     The incidence must be primitive (NotPrimitive otherwise), which makes
@@ -228,10 +227,10 @@ def spectral_data(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
         raise ValueError("spectral data is defined on the half-plane Re s >= 1")
     _require_primitive(S)
     M = cylinder_operator(S, psi, s, 0.0)
-    data = leading_spectral_data(M, tol=_SPECTRAL_TOL, want_gap=want_gap)
+    data = leading_spectral_data(M, tol=_SPECTRAL_TOL)
     if abs(complex(s).imag) > 0:
         ref = cylinder_operator(S, psi, complex(s).real, 0.0)
-        lam_ref = leading_spectral_data(ref, tol=_SPECTRAL_TOL, want_gap=False).lam.real
+        lam_ref = power_leading(ref, tol=_SPECTRAL_TOL)[0]
         data.peripheral = abs(abs(data.lam) - lam_ref) < 1e-9 * max(1.0, lam_ref)
     return data
 
@@ -239,7 +238,7 @@ def spectral_data(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
 def equilibrium_cylinder_masses(S: SymbolicSystem,
                                 psi: PotentialSpec) -> tuple[list, np.ndarray, SpectralData]:
     """(basis, mu([w]) for each w, spectral data at s = 1); mu = rho * m."""
-    data = spectral_data(S, psi, 1.0, want_gap=False)
+    data = spectral_data(S, psi, 1.0)
     mu = (data.rho * data.weights).real
     mu = mu / np.sum(mu)
     return S.cylinder_words(psi.depth), mu, data
@@ -269,7 +268,7 @@ def pressure_derivs_shift(S: SymbolicSystem, psi: PotentialSpec) -> ShiftPressur
     basis, mu, data = equilibrium_cylinder_masses(S, psi)
     P = {}
     for sv in (1.0, 1.0 + h / 2, 1.0 + h, 1.0 + 3 * h / 2, 1.0 + 2 * h, 1.0 + 3 * h):
-        lam = data.lam.real if sv == 1.0 else spectral_data(S, psi, sv, want_gap=False).lam.real
+        lam = data.lam.real if sv == 1.0 else spectral_data(S, psi, sv).lam.real
         if lam <= 0:
             raise NoConvergence("nonpositive leading eigenvalue on the real axis")
         P[sv] = math.log(lam)
@@ -358,7 +357,7 @@ def poincare_eta(S: SymbolicSystem, psi: PotentialSpec, offset, s: complex,
     if not converged:
         raise DivergentSeries("operator series failed to settle within budget")
 
-    data = leading_spectral_data(M, want_gap=False)
+    data = leading_spectral_data(M)
     lam = data.lam
     if abs(1.0 - lam) < 1e-14:
         raise DivergentSeries("leading eigenvalue is 1; eta has a pole here")

@@ -1,30 +1,22 @@
 """Dominant-eigenvalue machinery shared by the circle and shift operators.
 
-One explicitly restarted Arnoldi iteration finds the leading pair and the
-dual (conformal) weights as the leading pair of the transpose. The
-subleading modulus is the runner-up Ritz value of the space that accepted
-the leading pair, once its own residual is certified there; that is the
-case on the benchmark operators, whose outer spectrum has converged by the
-time lambda has, within the first cycle. Otherwise (a restart, a breakdown
-of that space, as for the nilpotent remainder of z^d, or an uncertified
-runner-up) it is the leading modulus of the rank-one deflation
-M - lam rho (x) w, solved for separately. A Krylov space converges at a
-rate set by the whole spectrum, not by |lambda_2 / lambda_1| alone (Saad,
-Numerical Methods for Large Eigenvalue Problems, 2011), which matters for
-the slowly mixing maps where that ratio is near 1. The resolvent is one
-linear solve. The deflated projection realizes the spectral projection of
-a simple isolated eigenvalue, so no contour integrals are needed. The
-Green-Kubo variance of an observable is read off the same resolvent
-(`green_kubo`), for the circle and the shift alike.
+One explicitly restarted Arnoldi iteration finds the leading pair, and the
+dual (conformal) weights as the leading pair of the transpose. A Krylov
+space converges at a rate set by the whole spectrum, not by
+|lambda_2 / lambda_1| alone (Saad, Numerical Methods for Large Eigenvalue
+Problems, 2011), which matters for the slowly mixing maps where that ratio
+is near 1. The resolvent is one linear solve. The deflated projection
+realizes the spectral projection of a simple isolated eigenvalue, so no
+contour integrals are needed. The Green-Kubo variance of an observable is
+read off the same resolvent (`green_kubo`), for the circle and the shift
+alike.
 
-That generic gap is what `leading_spectral_data` returns, and the shift
-reads it. The circle's `spectrum` and `pressure` read theirs instead from
-`transfer.circle_spectrum`: the resolved |lambda_2 / lambda_1| of the
-dense LAPACK spectrum (`dense_leading`) on the smallest coarse grid N_c
-that resolves the operator, with its change from N_c to 2 N_c as a bound.
-Their lambda is still the N-mode Arnoldi eigenvalue (`power_leading`) of
-the matrix-free `transfer.nufft_operator`, started from the coarse
-eigenfunction, and they make no dual solve.
+The spectral gap has one route, `transfer.circle_spectrum`: the resolved
+|lambda_2 / lambda_1| of the dense LAPACK spectrum (`dense_leading`) on
+the smallest coarse grid N_c that resolves the operator, with its change
+from N_c to 2 N_c as a bound. Its lambda is the N-mode Arnoldi eigenvalue
+(`power_leading`) of the matrix-free `transfer.nufft_operator`, started
+from the coarse eigenfunction, with no dual solve.
 
 Arithmetic follows the dtype of the operator: a float64 matrix (real s, see
 `operator_parameter`) gets a real Krylov basis, real eigendata and a real
@@ -48,7 +40,8 @@ _KRYLOV_DIM = 128       # basis vectors per Arnoldi cycle: 4 MB at N = 2048
 _RITZ_EVERY = 8         # an eig every step would cost more than the matvecs at N = 512
 _MATVEC_BUDGET = 16 * _KRYLOV_DIM
 _EQUAL_MODULUS = 1e-8   # relative distance below which two Ritz moduli are one
-_GAP_TOL = 1e-8         # residual tolerance of |lambda_2|, relative to max(1, |lambda_2|)
+_SUBLEADING_TOL = 1e-10  # Arnoldi tolerance of `deflated_subleading`
+_SUBLEADING_SEED = 1    # start vector seed of `deflated_subleading`
 _COLLAPSE = 1e-8        # one-step fall of the deflated iterates below which the remainder is
                         # nilpotent at this resolution, relative to max(1, |lambda|) in
                         # `deflated_subleading` and to |lambda| in `dense_leading`
@@ -61,13 +54,12 @@ class SpectralData:
 
     lam: leading eigenvalue; rho: eigenfunction with integral 1 against the
     conformal weights; weights: dual eigenvector normalized to total mass 1;
-    gap: |lambda_2| / |lambda|; residual: sup-norm eigen-equation defect.
+    residual: sup-norm eigen-equation defect.
     """
 
     lam: complex
     rho: np.ndarray
     weights: np.ndarray
-    gap: float
     residual: float
     peripheral: bool = False
 
@@ -96,11 +88,14 @@ def _eigenvector(h: np.ndarray, theta) -> np.ndarray:
     """Unit eigenvector of the small matrix h for its eigenvalue theta.
 
     Two steps of inverse iteration with the shift moved off theta by a few
-    ulps; cheaper than the eigenvectors of a full eig, of which only this
-    one is read. Real for real h and theta. A pivot that still comes out
-    exactly zero moves the shift 16x further off.
+    ulps of |theta| (of max |h|, or of 1, when theta is 0); cheaper than the
+    eigenvectors of a full eig, of which only this one is read. Real for
+    real h and theta. A pivot that still comes out exactly zero moves the
+    shift 16x further off. An offset of a few ulps of 1 would swamp a theta
+    far below eps: the full shift with weights 2^-60, 3^-60 and 6^-60 read
+    lambda = -1.1e-19 for 8.7e-19.
     """
-    offset = 4 * np.finfo(float).eps * max(1.0, abs(theta))
+    offset = 4 * np.finfo(float).eps * (abs(theta) or float(np.max(np.abs(h))) or 1.0)
     while True:
         a = h - (theta + offset) * np.eye(len(h))
         y = np.ones(len(h), dtype=a.dtype)
@@ -113,12 +108,11 @@ def _eigenvector(h: np.ndarray, theta) -> np.ndarray:
             offset *= 16
 
 
-def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0,
-             second: bool = False):
+def _arnoldi(apply, v: np.ndarray, tol: float):
     """Ritz pair of largest modulus of the linear map `apply`.
 
-    Returns (theta, x, res, matvecs, runner_up, certified). A cycle builds
-    an orthonormal Krylov basis from v, stored as rows, by two-pass classical
+    Returns (theta, x, res, matvecs, runner_up). A cycle builds an
+    orthonormal Krylov basis from v, stored as rows, by two-pass classical
     Gram-Schmidt. Every _RITZ_EVERY steps, at _KRYLOV_DIM rows and at
     breakdown (always by step len(v)), the eigenvalues of the Hessenberg
     matrix H are the Ritz values. The one of largest modulus, theta, with
@@ -130,17 +124,6 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0,
     |theta|). Otherwise, and at a full basis, the next cycle starts from x.
     runner_up is the modulus of the second Ritz value of the accepting
     space, 0.0 when it is one-dimensional.
-
-    certified is False unless `second` is set. Then the runner-up Ritz value
-    theta_2 of a first cycle, started from the caller's v, that did not
-    break down is certified when its Ritz residual estimate beta |y_2k| and
-    the sup-norm residual of its Ritz vector, one more true matvec (two for
-    a complex vector of a real map), are both at most
-    _GAP_TOL * max(1, |theta_2|), the acceptance of `deflated_subleading` at
-    that tolerance. A restarted cycle starts from the previous Ritz vector,
-    whose filter polynomial has damped the components near the previous
-    runner-up, so its theta_2 may be a smaller eigenvalue and is never
-    certified. The leading pair is returned unchanged either way.
 
     V and H take the dtype of v. A real v means a real map, which is only
     ever applied to real vectors, since numpy copies a real matrix to
@@ -156,11 +139,6 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0,
     On a ring of equal-modulus eigenvalues r * exp(2 pi i j / n) (a deflated
     cyclic shift) the estimate falls only about 3.5x per restart, and the
     budget would be spent before it certifies.
-
-    With collapse > 0, the step ratio ||A^j v|| / ||A^{j-1} v||, read from
-    the product of the Hessenberg columns, is checked every step, and
-    (0, v, 0.0, matvecs, 0.0, False) returns as soon as it falls below
-    collapse.
     NoConvergence is raised after _MATVEC_BUDGET matvecs.
     """
     n = len(v)
@@ -177,11 +155,9 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0,
 
     matvecs = 0
     last_est = None
-    restarted = False
     while matvecs < _MATVEC_BUDGET:
         v = v / np.linalg.norm(v)
         V[0] = v
-        power = np.ones(1, dtype=v.dtype)   # A^j v in the basis, unit norm
         for j in range(m):
             w = apply(V[j])
             matvecs += 1
@@ -193,14 +169,6 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0,
             beta = float(np.linalg.norm(w))
             H[j + 1, j] = beta
             k = j + 1
-            if collapse:
-                power = H[:k + 1, :k] @ power
-                ratio = float(np.linalg.norm(power))
-                if ratio < collapse:
-                    # the remainder acts nilpotently at this resolution: its
-                    # Ritz values would be rounding noise of size eps^(1/k)
-                    return 0.0, v, 0.0, matvecs, 0.0, False
-                power /= ratio
             breakdown = k == n or beta <= 1e-12 * float(np.linalg.norm(H[:k + 1, j]))
             if breakdown or k == m or k % _RITZ_EVERY == 0:
                 theta = np.linalg.eigvals(H[:k, :k])
@@ -221,20 +189,7 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0,
                         res = float(np.max(np.abs(ax - lam * x)) / np.max(np.abs(x)))
                         if res <= max(tol, 1e-10) * max(1.0, abs(lam)):
                             runner_up = float(abs(theta[order[1]])) if k > 1 else 0.0
-                            certified = False
-                            if second and not restarted and not breakdown and k > 1:
-                                theta2 = theta[order[1]]
-                                if real and theta2.imag == 0:
-                                    theta2 = theta2.real
-                                y2 = _eigenvector(H[:k, :k], theta2)
-                                bound = _GAP_TOL * max(1.0, abs(theta2))
-                                if beta * abs(y2[-1]) <= bound:
-                                    x2 = product(lambda c: c @ V[:k], y2)
-                                    ax2 = product(apply, x2)
-                                    matvecs += 1 + (real and np.iscomplexobj(x2))
-                                    certified = bool(np.max(np.abs(ax2 - theta2 * x2))
-                                                     <= bound * np.max(np.abs(x2)))
-                            return lam, x, res, matvecs, runner_up, certified
+                            return lam, x, res, matvecs, runner_up
                     break
             V[k] = w / beta
         if last_est is not None and est > tol:
@@ -250,47 +205,58 @@ def _arnoldi(apply, v: np.ndarray, tol: float, collapse: float = 0.0,
             big = x[np.argmax(np.abs(x))]
             x = (x * (abs(big) / big)).real
         v = x
-        restarted = True
     raise NoConvergence(f"Arnoldi iteration not converged within {_MATVEC_BUDGET} matvecs")
 
 
-def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0, second: bool = False,
+def _collapses(apply, v: np.ndarray, floor: float) -> bool:
+    """Whether the iterates of v under `apply` collapse below floor.
+
+    True when ||v||, or the one-step fall ||apply(u)|| of a later unit
+    iterate u, drops below floor within len(v).bit_length() + 1 steps: the
+    nilpotency index of the remainder of z^d on N nodes is at most
+    log2(N) + 1 for every d. The remainder then acts nilpotently at this
+    resolution, and its eigenvalues are rounding noise of size
+    eps^(1/log_d N), not lambda_2.
+    """
+    for _ in range(len(v).bit_length() + 1):
+        ratio = float(np.linalg.norm(v))
+        if ratio < floor:
+            return True
+        v = apply(v / ratio)
+    return False
+
+
+def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0,
                   start: np.ndarray | None = None):
     """Leading eigenpair by restarted Arnoldi.
 
     mat is a matrix, or any operator with shape, dtype and `@` on vectors,
     such as `transfer.NufftOperator`.
-    Returns (lam, vector, residual, matvecs, subleading). The pair is real
-    (lam a float) when mat is real, complex otherwise. The iteration starts
-    from `start` when given (a real start for a real mat), else from the
-    seeded `_start_vector`; a start close to the leading eigenvector ends
-    the first cycle in a breakdown within a step or two. The Ritz residual
-    estimate must drop below tol * max(1, |lam|) and the sup-norm
-    eigen-equation residual of the returned unit vector below
-    max(tol, 1e-10) * max(1, |lam|). Raises NoConvergence at once when the
-    two largest Ritz values of the converged space have equal modulus, as
-    for [[0, 1], [1, 0]] or a complex-conjugate top pair of a real matrix,
-    where no eigenvalue dominates, and when the matvec budget runs out.
-
-    subleading is None unless `second` is set and the runner-up Ritz value
-    of the accepting space passes the checks of `_arnoldi`; it is then that
-    value's modulus, and matvecs includes the one or two spent on checking
-    it.
+    Returns (lam, vector, residual, matvecs). The pair is real (lam a float)
+    when mat is real, complex otherwise. The iteration starts from `start`
+    when given (a real start for a real mat), else from the seeded
+    `_start_vector`; a start close to the leading eigenvector ends the first
+    cycle in a breakdown within a step or two. The Ritz residual estimate
+    must drop below tol * max(1, |lam|) and the sup-norm eigen-equation
+    residual of the returned unit vector below max(tol, 1e-10) *
+    max(1, |lam|). Raises NoConvergence at once when the two largest Ritz
+    values of the converged space have equal modulus, as for
+    [[0, 1], [1, 0]] or a complex-conjugate top pair of a real matrix, where
+    no eigenvalue dominates, and when the matvec budget runs out.
     """
     if tol < 1e-16:
         raise ValueError("tol too small")
     v = _start_vector(mat.shape[0], seed) if start is None else start
     v = v.astype(np.result_type(mat.dtype, np.float64))
-    lam, v, res, matvecs, runner_up, certified = _arnoldi(lambda u: mat @ u, v, tol,
-                                                          second=second)
+    lam, v, res, matvecs, runner_up = _arnoldi(lambda u: mat @ u, v, tol)
     if lam != 0 and runner_up >= (1.0 - _EQUAL_MODULUS) * abs(lam):
         raise NoConvergence(f"no dominant eigenvalue: two Ritz values of equal modulus "
                             f"{abs(lam):.6g} and {runner_up:.6g}")
-    return lam, v, res, matvecs, runner_up if certified else None
+    return lam, v, res, matvecs
 
 
 def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
-                        dual: np.ndarray, tol: float = 1e-10, seed: int = 1) -> float:
+                        dual: np.ndarray) -> float:
     """|lambda_2| as the leading modulus of M - lam * rho (x) dual.
 
     dual must be scaled so that dual . rho = 1; the rank-one removal then
@@ -298,9 +264,10 @@ def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
     complex-conjugate pair or a non-normal block with eigenvalues +-r, are
     read like any other; with real inputs the solve stays real. Returns 0.0
     when the deflated iterates collapse below 1e-8 * max(1, |lam|)
-    (nilpotent remainder); the Ritz residual estimate must drop below tol
-    and the sup-norm residual below max(tol, 1e-10), both relative to
-    max(1, |lambda_2|), or NoConvergence is raised.
+    (`_collapses`: a nilpotent remainder); else the Ritz residual estimate
+    must drop below _SUBLEADING_TOL and the sup-norm residual below
+    max(_SUBLEADING_TOL, 1e-10), both relative to max(1, |lambda_2|), or
+    NoConvergence is raised.
     """
     scale = np.dot(dual, rho)
     if abs(scale) < 1e-300:
@@ -310,12 +277,10 @@ def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
     def apply(u):
         return mat @ u - lam * rho * np.dot(dual, u)
 
-    collapse = _COLLAPSE * max(1.0, abs(lam))
-    v = apply(_start_vector(mat.shape[0], seed))  # kill the leading component
-    if np.linalg.norm(v) < collapse:
+    v = apply(_start_vector(mat.shape[0], _SUBLEADING_SEED))  # kill the leading component
+    if _collapses(apply, v, _COLLAPSE * max(1.0, abs(lam))):
         return 0.0
-    sub = _arnoldi(apply, v, tol, collapse)[0]
-    return float(abs(sub))
+    return float(abs(_arnoldi(apply, v, _SUBLEADING_TOL)[0]))
 
 
 def dense_leading(mat: np.ndarray, want_rho: bool = True):
@@ -326,18 +291,14 @@ def dense_leading(mat: np.ndarray, want_rho: bool = True):
     want_rho is False, and gap = |lambda_2| / |lambda| for the runner-up
     lambda_2 in modulus.
 
-    The gap is 0.0 when the remainder is nilpotent at this resolution, by
-    the collapse rule of `deflated_subleading` taken relative to |lam|: the
+    The gap is 0.0 when the remainder is nilpotent at this resolution: the
     iterates mat^j v of v = (mat - lam) u, which has no component along
-    rho, fall below _COLLAPSE * |lam| in one step within log2(N) + 1 steps,
-    the nilpotency index of the remainder of z^d for every d. The
-    eigenvalues of such a remainder are rounding noise of size
-    eps^(1/log_d N), not lambda_2. (Against max(1, |lam|), the degree-3
-    benchmark map at s = 30, where |lam| = 1.4e-11, read gap 0 for 0.94.)
-    NoConvergence is raised when lambda_2 has the modulus of lam, as in
-    `power_leading`.
+    rho, collapse below _COLLAPSE * |lam| (`_collapses`). The floor is
+    relative to |lam|: against max(1, |lam|), as in `deflated_subleading`,
+    the degree-3 benchmark map at s = 30, where |lam| = 1.4e-11, read gap 0
+    for 0.94. NoConvergence is raised when lambda_2 has the modulus of lam,
+    as in `power_leading`.
     """
-    n = len(mat)
     ev = np.linalg.eigvals(mat)
     ev = ev[np.argsort(-np.abs(ev), kind="stable")]
     lam = ev[0].real if ev[0].imag == 0 else ev[0]
@@ -345,42 +306,21 @@ def dense_leading(mat: np.ndarray, want_rho: bool = True):
         raise NoConvergence(f"no dominant eigenvalue: two eigenvalues of equal modulus "
                             f"{abs(lam):.6g} and {abs(ev[1]):.6g}")
     rho = _eigenvector(mat, lam) if want_rho else None
-    collapse = _COLLAPSE * abs(lam)
-    u = _start_vector(n)
-    v = mat @ u - lam * u
-    for _ in range(n.bit_length() + 1):
-        ratio = float(np.linalg.norm(v))
-        if ratio < collapse:
-            return lam, rho, 0.0
-        v = mat @ (v / ratio)
+    u = _start_vector(len(mat))
+    if _collapses(lambda x: mat @ x, mat @ u - lam * u, _COLLAPSE * abs(lam)):
+        return lam, rho, 0.0
     return lam, rho, float(abs(ev[1]) / abs(lam))
 
 
-def leading_spectral_data(mat: np.ndarray, tol: float = 1e-13,
-                          want_gap: bool = True) -> SpectralData:
-    """Leading pair, dual weights and subleading ratio for a dense operator.
+def leading_spectral_data(mat: np.ndarray, tol: float = 1e-13) -> SpectralData:
+    """Leading pair and dual weights of a dense operator.
 
     The outputs follow the dtype of mat: a real operator gives a float lam
     and real vectors, with rho > 0 and nonnegative weights when it is
     positive; a complex one gives complex outputs. Either way the weights sum
     to 1 and pair with rho to 1, which fixes the free scale of both vectors.
-
-    The gap |lambda_2| / |lambda| is read from the runner-up Ritz value of
-    the leading solve when that value is certified there (see `_arnoldi`),
-    which costs one or two matvecs. Otherwise, when the leading solve
-    restarted, after a breakdown of its Krylov space, as for the nilpotent
-    remainder of z^d, or when the runner-up fails its residual checks,
-    `deflated_subleading` solves for |lambda_2|. With want_gap False the gap
-    is 0.0 and costs nothing.
-
-    _GAP_TOL bounds a residual; for a defective lambda_2 (a Jordan block) the
-    eigenvalue error is then bounded only by about its square root (zeros
-    {0, 0.1}, s = 1, N = 256: gap 0.0999997381 where |lambda_2| = 0.1). The
-    circle's `spectrum` and `pressure` do not read this gap:
-    `transfer.circle_spectrum` takes theirs from a dense coarse spectrum,
-    0.1000000000004 on that map, with a bound of 1.6e-12.
     """
-    lam, rho, res, _, sub = power_leading(mat, tol=tol, seed=0, second=want_gap)
+    lam, rho, res = power_leading(mat, tol=tol)[:3]
     dual = power_leading(mat.T, tol=tol, seed=7)[1]
     mass = np.sum(dual)
     if abs(mass) < 1e-300:
@@ -390,12 +330,7 @@ def leading_spectral_data(mat: np.ndarray, tol: float = 1e-13,
     if abs(pairing) < 1e-300:
         raise NoConvergence("eigenfunction orthogonal to the conformal weights")
     rho = rho / pairing
-    gap = 0.0
-    if want_gap:
-        if sub is None:
-            sub = deflated_subleading(mat, lam, rho, weights, tol=_GAP_TOL, seed=13)
-        gap = float(sub / abs(lam)) if abs(lam) > 0 else 0.0
-    return SpectralData(lam=lam, rho=rho, weights=weights, gap=gap, residual=res)
+    return SpectralData(lam=lam, rho=rho, weights=weights, residual=res)
 
 
 def deflated_resolvent(mat: np.ndarray, lam: complex, rho: np.ndarray,

@@ -26,8 +26,9 @@ with N <= 512 is one block.
 
 The matrix is float64 exactly when s has zero imaginary part and g is real;
 then every solve in `spectral` runs in real arithmetic. Complex s keeps
-complex weights on the same kernel. `spectral` owns everything read off a
-matrix: the leading data, the gap and the Green-Kubo variance.
+complex weights on the same kernel. `spectral` owns the solvers run on a
+matrix: the leading data, the dense spectrum that `circle_spectrum` reads
+the gap from, and the Green-Kubo variance.
 
 The dense matrix serves the LAPACK consumers: the coarse grids of
 `circle_spectrum`, Green-Kubo and the circle variance. An N-mode operator

@@ -114,7 +114,7 @@ def test_coded_circle_table_is_exactly_calibrated():
             wt_tail = cylinder_weight(P, w[1:], 2.0) if k > 1 else 1.0
             vals[w] = math.log(wt_full / wt_tail)
         psi = PotentialSpec(k, vals)
-        d = spectral_data(S, psi, 1.0, want_gap=False)
+        d = spectral_data(S, psi, 1.0)
         assert d.lam.real == pytest.approx(1.0, abs=1e-12)
         basis = S.cylinder_words(k)
         worst = max(abs(d.weights.real[i] - cylinder_arc(P, w).measure)
@@ -135,7 +135,7 @@ def test_bernoulli_eigenvalue_closed_form(vals, s):
     S = SymbolicSystem.full_shift(len(vals))
     psi = PotentialSpec.from_letter_values(
         S, {i + 1: v for i, v in enumerate(vals)})
-    lam = spectral_data(S, psi, s, want_gap=False).lam.real
+    lam = spectral_data(S, psi, s).lam.real
     assert lam == pytest.approx(sum(math.exp(s * v) for v in vals), rel=1e-11)
 
 

@@ -187,18 +187,35 @@ def test_rpf_bundle_invariants():
 
 def test_lambda_monotone_logconvex_in_s():
     svals = np.linspace(1.0, 3.0, 9)
-    lams = [spectral_data(S3, PSI3, s, want_gap=False).lam.real for s in svals]
+    lams = [spectral_data(S3, PSI3, s).lam.real for s in svals]
     assert all(b < a for a, b in zip(lams, lams[1:]))
     logs = np.log(lams)
     second = np.diff(logs, 2)
     assert np.all(second >= -1e-10)
 
 
+def _criterion13():
+    S, psi = gauss_like()
+    return S, calibrate(S, psi)
+
+
+@pytest.mark.parametrize("system,s", [(lambda: (S3, PSI3), 60.0), (_criterion13, 30.0)],
+                         ids=["bernoulli3-s60", "criterion13-s30"])
+def test_lambda_far_below_eps_is_relatively_accurate(system, s):
+    # a depth-1 potential on a full shift gives a rank-one operator, so
+    # lambda_s is the sum of the letter weights e^{s psi(a)}: 8.7e-19 and
+    # 5.7e-13 here, where an inverse-iteration shift of a few ulps of 1 read
+    # -1.1e-19 and a value 1.05e-5 off
+    S, psi = system()
+    want = math.fsum(math.exp(s * v) for v in psi.vector(S.cylinder_words(1)))
+    assert abs(spectral_data(S, psi, s).lam - want) <= 1e-13 * want
+
+
 def test_truncation_stability():
     S1, p1 = gauss_like(100)
     S2g, p2 = gauss_like(200)
-    lam1 = spectral_data(S1, p1, 1.0, want_gap=False).lam.real
-    lam2 = spectral_data(S2g, p2, 1.0, want_gap=False).lam.real
+    lam1 = spectral_data(S1, p1, 1.0).lam.real
+    lam2 = spectral_data(S2g, p2, 1.0).lam.real
     tail_bound = sum(1.0 / (n + 1) ** 2 for n in range(101, 201)) + 1.0 / (200 + 1)
     assert abs(lam2 - lam1) < tail_bound
 

@@ -97,7 +97,6 @@ def test_leading_spectral_data_matches_lapack(n, seed, phase):
     assert abs(data.lam - ev[0]) <= 1e-12 * abs(ev[0])
     assert data.residual <= 1e-10
     assert np.max(np.abs(data.weights - left / np.sum(left))) <= 1e-9
-    assert abs(data.gap - abs(ev[1]) / abs(ev[0])) <= 1e-8
 
 
 @given(st.integers(3, _KRYLOV_DIM + 32), st.integers(0, 2**32 - 1),
@@ -130,7 +129,6 @@ def test_real_leading_spectral_data_matches_lapack(n, seed, r, phi, pair):
     # zero, which scales the normalized weights up: compare relative to them
     want = left / np.sum(left)
     assert np.max(np.abs(data.weights - want)) <= 1e-9 * np.max(np.abs(want))
-    assert abs(data.gap - abs(ev[1]) / abs(ev[0])) <= 1e-8
 
 
 def _recording_arnoldi(monkeypatch):
@@ -159,104 +157,31 @@ def test_real_s_gives_a_real_matrix_and_a_real_krylov_basis(monkeypatch):
     assert M.matrix.dtype == np.complex128
     leading_spectral_data(M.matrix)
     assert [dt for dt, _ in calls] == [np.complex128] * 2
-    # z^2's nilpotent remainder breaks the leading space down: the gap falls
-    # back to the deflated solve, which stays real too
-    calls.clear()
-    M = assemble_operator(BlaschkeMap.monomial(2), complex(1.5), None, 64)
-    assert leading_spectral_data(M.matrix).gap == 0.0
-    assert [dt for dt, _ in calls] == [np.float64] * 3
     S = SymbolicSystem.full_shift(3)
     psi = PotentialSpec.constant(S, -1.0)
     assert cylinder_operator(S, psi, complex(1.5)).dtype == np.float64
     assert cylinder_operator(S, psi, 1.5 + 0.5j).dtype == np.complex128
 
 
-def _pressure_node(t):
-    """The operator of `transfer.pressure_and_derivs` for cos at node t, N = 512."""
-    g = (lambda theta: t * COS(theta)) if t else None
-    return assemble_operator(FH, 1.0, g, 512).matrix
-
-
-GAP_CASES = [(lambda: assemble_operator(A09, 1.5, None, 512).matrix, 1e-13, "a09-s1.5"),
-             (lambda: assemble_operator(DEG3, 1.0, None, 256).matrix, 1e-13, "deg3-s1"),
-             (lambda: assemble_operator(DEG3, 1 + 0.5j, None, 256).matrix, 1e-13,
-              "deg3-s1+0.5i")]
-GAP_CASES += [(lambda t=t: _pressure_node(t), transfer._PRESSURE_TOL, f"fh-pressure-{t:g}")
-              for t in (-2e-2, -1e-2, 0.0, 1e-2, 2e-2)]
-
-
-@pytest.mark.parametrize("build,tol", [c[:2] for c in GAP_CASES],
-                         ids=[c[2] for c in GAP_CASES])
-def test_gap_comes_from_the_leading_krylov_space(monkeypatch, build, tol):
-    # the runner-up Ritz value of the leading solve is certified, so there
-    # are two Krylov solves (leading and dual) and no deflated one; the
-    # leading pair is that of the plain solve to the bit
-    mat = build()
-    plain, plain_dual = power_leading(mat, tol=tol), power_leading(mat.T, tol=tol, seed=7)
-    calls = _recording_arnoldi(monkeypatch)
-    data = leading_spectral_data(mat, tol=tol)
-    assert len(calls) == 2
-    assert calls[0][1] - plain[3] in (1, 2)
-    assert calls[1][1] == plain_dual[3]
-    assert data.lam == plain[0] and data.residual == plain[2]
-    sub = deflated_subleading(mat, data.lam, data.rho, data.weights, tol=1e-8, seed=13)
-    assert abs(data.gap - sub / abs(data.lam)) <= 1e-8
-
-
 @pytest.mark.parametrize("a", [0.5, 0.9])
 def test_gap_at_s1_is_the_derivative_at_the_fixed_point(a):
     # at s = 1 the subleading eigenvalue of z (z - a) / (1 - a z) is F'(0) = -a
-    mat = assemble_operator(BlaschkeMap((0j, a + 0j)), 1.0, None, 1024).matrix
-    assert abs(leading_spectral_data(mat).gap - a) <= 1e-8
-
-
-def test_uncertified_runner_up_falls_back_to_the_deflated_solve(monkeypatch):
-    # zeros {0, 0.1}: lambda converges within 17 steps, before the runner-up
-    # Ritz value -0.1 is resolved to 1e-8, so the gap needs a third solve
-    mat = assemble_operator(BlaschkeMap((0j, 0.1 + 0j)), 1.0, None, 256).matrix
-    assert power_leading(mat, second=True)[4] is None
-    calls = _recording_arnoldi(monkeypatch)
-    data = leading_spectral_data(mat)
-    assert len(calls) == 3
-    sub = deflated_subleading(mat, data.lam, data.rho, data.weights, tol=1e-8, seed=13)
-    assert data.gap == sub / abs(data.lam)
-    assert abs(data.gap - 0.1) <= 1e-6
-
-
-def test_restarted_leading_solve_falls_back_to_the_deflated_solve(monkeypatch):
-    # spectrum 1, 0.95 and 398 values filling the disk of radius 0.9, on an
-    # orthonormal basis: lambda needs more than one cycle, and a restarted
-    # cycle starts from a Ritz vector whose filter has damped the components
-    # near lambda_2, so its runner-up is not read as the gap
-    rng = np.random.default_rng(0)
-    n = 400
-    B = np.diag([1.0, 0.95] + [0.0] * (n - 2))
-    for i in range(2, n, 2):
-        z = 0.9 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, np.pi))
-        B[i:i + 2, i:i + 2] = [[z.real, -z.imag], [z.imag, z.real]]
-    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    mat = Q @ B @ Q.T
-    assert power_leading(mat)[3] > _KRYLOV_DIM
-    assert power_leading(mat, second=True)[4] is None
-    calls = _recording_arnoldi(monkeypatch)
-    data = leading_spectral_data(mat)
-    assert len(calls) == 3
-    ev = np.sort(np.abs(np.linalg.eigvals(mat)))[::-1]
-    assert abs(ev[1] - 0.95) <= 1e-12
-    assert abs(data.gap - ev[1] / ev[0]) <= 1e-8
+    assert abs(transfer.circle_spectrum(BlaschkeMap((0j, a + 0j)), 1.0, None, 1024).gap
+               - a) <= 1e-8
 
 
 def test_real_operator_sees_only_real_operands(monkeypatch):
     # deg3 at s = 1: the subleading eigenvalues are a complex-conjugate
-    # pair, so the gap solve certifies a complex Ritz vector, applied to its
-    # real and imaginary parts separately
+    # pair, so the deflated solve accepts a complex Ritz vector, applied to
+    # its real and imaginary parts separately
     mat = assemble_operator(DEG3, 1.0, None, 128).matrix
     data = leading_spectral_data(RealOperandsOnly(mat))
+    sub = deflated_subleading(RealOperandsOnly(mat), data.lam, data.rho, data.weights)
     ev = np.linalg.eigvals(mat)
     ev = ev[np.argsort(-np.abs(ev))]
     assert abs(ev[1].imag) > 0.1
     assert abs(data.lam - 1.0) <= 1e-12
-    assert abs(data.gap - abs(ev[1]) / abs(ev[0])) <= 1e-8
+    assert abs(sub / abs(data.lam) - abs(ev[1]) / abs(ev[0])) <= 1e-8
     want = stochastic.green_kubo_variance(FH, COS)
     assemble = stochastic.assemble_operator
     monkeypatch.setattr(stochastic, "assemble_operator", lambda *a: OperatorMatrix(
@@ -320,8 +245,6 @@ def test_krylov_matvecs_on_slow_mixing_operator():
     it_dual = power_leading(mat.T, seed=7)[3]
     assert it < 200 and it_dual < 200
     assert abs(lam - 0.88235263926932639) < 1e-9
-    data = leading_spectral_data(mat)
-    assert abs(data.gap - 0.97966964804024681) < 1e-6
 
 
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(0.5, 1.0),
@@ -332,9 +255,9 @@ def test_deflated_resolvent_matches_neumann_sum(n, seed, scale, phase):
     P = rng.uniform(0.1, 1.0, (n, n))
     P *= scale / np.max(np.abs(np.linalg.eigvals(P)))
     mat = P * np.exp(1j * phase)
+    # the Neumann sum converges at the rate |lambda_2|
+    assume(np.sort(np.abs(np.linalg.eigvals(mat)))[-2] < 0.8)
     data = leading_spectral_data(mat)
-    # the Neumann sum converges at the rate |lambda_2| = gap * scale
-    assume(data.gap * scale < 0.8)
     v = rng.uniform(-1.0, 1.0, n)
     got = deflated_resolvent(mat, data.lam, data.rho, data.weights, v)
     want = _neumann_sum(mat, data.lam, data.rho, data.weights, v, 300)
@@ -433,6 +356,6 @@ def test_power_leading_slow_but_progressing_converges():
 ], ids=["depth2", "golden"])
 def test_shift_green_kubo_matches_correlation_series(S, values):
     psi = PotentialSpec(len(next(iter(values))), values)
-    data = spectral_data(S, psi, 1.0, want_gap=False)
+    data = spectral_data(S, psi, 1.0)
     want = _gk_series(S, psi, data.lam.real, data.rho.real, data.weights.real)
     assert pressure_derivs_shift(S, psi).variance_gk == pytest.approx(want, rel=1e-14, abs=0)

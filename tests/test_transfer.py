@@ -93,8 +93,7 @@ def test_uniform_conformal_weights_for_lebesgue():
 def test_subleading_linearizer_spectrum(a):
     # spectrum of the adjoint pair is {1} and powers of F'(0) = -a
     F = BlaschkeMap((0j, a + 0j))
-    M = assemble_operator(F, 1.0, None, 256)
-    assert leading_spectral_data(M.matrix).gap == pytest.approx(a, abs=1e-3)
+    assert circle_spectrum(F, 1.0, None, 256).gap == pytest.approx(a, abs=1e-8)
 
 
 def test_subleading_collapses_for_monomial():
@@ -104,16 +103,14 @@ def test_subleading_collapses_for_monomial():
 
 
 def test_gap_field_collapses_for_monomial():
-    # the gap monitor reads the same nilpotent remainder as the accurate
-    # path: without the collapse rule its Ritz values are noise of size
-    # eps^(1/k), not 0
+    # the dense coarse spectrum of a nilpotent remainder is noise of size
+    # eps^(1/k); the collapse rule reads the gap as 0
     for F in (F2, F3):
-        assert leading_spectral_data(assemble_operator(F, 1.0, None, 256).matrix).gap == 0.0
+        assert circle_spectrum(F, 1.0, None, 256).gap == 0.0
 
 
 def test_gap_field_for_fh():
-    S = leading_spectral_data(assemble_operator(FH, 1.0, None, 256).matrix)
-    assert S.gap == pytest.approx(0.5, abs=1e-3)
+    assert circle_spectrum(FH, 1.0, None, 256).gap == pytest.approx(0.5, abs=1e-8)
 
 
 def _spectrum_row(tmp_path, cfg, s, modes):
@@ -348,8 +345,8 @@ def test_equilibrium_measure_invariance():
     g = Observable("0.1cos", lambda t: 0.1 * np.cos(np.asarray(t)))
     grid = circle_grid(256)
     for F in (F2, FH):
+        assert circle_spectrum(F, 1.0, g, 256).gap <= 0.95
         data = leading_spectral_data(assemble_operator(F, 1.0, g, 256).matrix)
-        assert data.gap <= 0.95
         assert equilibrium_invariance_defect(F, data, grid) < 1e-7
         assert np.all(data.rho.real > 0)
 
