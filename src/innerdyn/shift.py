@@ -12,7 +12,6 @@ the leading data and the Green-Kubo variance.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,11 +25,11 @@ from .spectral import (SpectralData, deflated_resolvent, green_kubo, leading_spe
 
 Word = tuple
 
-_SPECTRAL_TOL = 1e-14      # Arnoldi residual tolerance of spectral_data
 _PRESSURE_STEP = 1e-3      # step h of the one-sided pressure stencils
 _ETA_TAIL_TOL = 1e-12      # relative change that ends the doubling series
 _ETA_MAX_DOUBLINGS = 60
 _MAX_PERIOD = 8            # longest period d_genericity scans
+_WORD_CHUNK = 1 << 16      # words per chunk of the periodic-word scan
 _LATTICE_TOL = 1e-9        # termination tolerance of the lattice cascade
 _HOLDER_S0 = 1.0           # base point s0 on the critical line Re s = 1
 _HOLDER_RADIUS = 0.5
@@ -218,20 +217,22 @@ def spectral_data(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0) -> Sp
     """Leading eigendata of L_{s psi} on the cylinder basis.
 
     The incidence must be primitive (NotPrimitive otherwise), which makes
-    the leading eigenvalue simple and isolated. For complex s the returned
-    lam is the dominant eigenvalue found by restarted Arnoldi; `peripheral`
-    flags a modulus matching the real-parameter eigenvalue at Re(s) within
-    1e-9, the signature of a lattice potential.
+    the leading eigenvalue simple and isolated; for real s it is positive,
+    and a lam <= 0 raises NoConvergence. For complex s the returned lam is
+    the dominant eigenvalue found by restarted Arnoldi; `peripheral` flags a
+    modulus matching the real-parameter eigenvalue at Re(s) within 1e-9, the
+    signature of a lattice potential.
     """
     if complex(s).real < 1.0 - 1e-12:
         raise ValueError("spectral data is defined on the half-plane Re s >= 1")
     _require_primitive(S)
     M = cylinder_operator(S, psi, s, 0.0)
-    data = leading_spectral_data(M, tol=_SPECTRAL_TOL)
-    if abs(complex(s).imag) > 0:
-        ref = cylinder_operator(S, psi, complex(s).real, 0.0)
-        lam_ref = power_leading(ref, tol=_SPECTRAL_TOL)[0]
+    data = leading_spectral_data(M)
+    if complex(s).imag != 0:
+        lam_ref = power_leading(cylinder_operator(S, psi, complex(s).real, 0.0))[0]
         data.peripheral = abs(abs(data.lam) - lam_ref) < 1e-9 * max(1.0, lam_ref)
+    elif not data.lam > 0:
+        raise NoConvergence(f"nonpositive leading eigenvalue {data.lam:.3g} on the real axis")
     return data
 
 
@@ -266,12 +267,8 @@ def pressure_derivs_shift(S: SymbolicSystem, psi: PotentialSpec) -> ShiftPressur
     """
     h = _PRESSURE_STEP
     basis, mu, data = equilibrium_cylinder_masses(S, psi)
-    P = {}
-    for sv in (1.0, 1.0 + h / 2, 1.0 + h, 1.0 + 3 * h / 2, 1.0 + 2 * h, 1.0 + 3 * h):
-        lam = data.lam.real if sv == 1.0 else spectral_data(S, psi, sv).lam.real
-        if lam <= 0:
-            raise NoConvergence("nonpositive leading eigenvalue on the real axis")
-        P[sv] = math.log(lam)
+    P = {sv: math.log(data.lam if sv == 1.0 else spectral_data(S, psi, sv).lam)
+         for sv in (1.0, 1.0 + h / 2, 1.0 + h, 1.0 + 3 * h / 2, 1.0 + 2 * h, 1.0 + 3 * h)}
 
     def d1(step):
         return (-3 * P[1.0] + 4 * P[1.0 + step] - P[1.0 + 2 * step]) / (2 * step)
@@ -432,19 +429,28 @@ def periodic_birkhoff_values(S: SymbolicSystem, psi: PotentialSpec,
 
     The scan visits sum_{n <= max_period} M**n words for M letters; that
     total is checked against the node budget of 1e7 before any word is
-    visited.
+    visited. Period n's words are the base-M codes 0 .. M**n - 1, the order
+    of `itertools.product`, in chunks; admissibility and the potential on
+    each depth-k window are table lookups, summed left to right from 0.0.
     """
-    k = psi.depth
-    if sum(S.alphabet_size**n for n in range(1, max_period + 1)) > _NODE_BUDGET:
+    m, k = S.alphabet_size, psi.depth
+    if sum(m**n for n in range(1, max_period + 1)) > _NODE_BUDGET:
         raise BudgetExceeded("periodic-word scan exceeds the node budget")
+    tab = S.cylinder_table(k)
+    place = m ** np.arange(k - 1, -1, -1)
+    value = np.zeros(m**k)
+    value[(tab.letters - 1) @ place] = psi.vector(tab.basis)
     out = []
     for n in range(1, max_period + 1):
-        for w in itertools.product(range(1, S.alphabet_size + 1), repeat=n):
-            if not all(S.allows(w[i], w[(i + 1) % n]) for i in range(n)):
-                continue
-            ext = tuple(w[(i) % n] for i in range(n + k))
-            out.append(sum(psi.values[ext[j: j + k]] for j in range(n)))
-    return np.array(out)
+        for lo in range(0, m**n, _WORD_CHUNK):
+            code = np.arange(lo, min(lo + _WORD_CHUNK, m**n))
+            digits = code[:, None] // m ** np.arange(n - 1, -1, -1) % m
+            digits = digits[np.all(S.incidence[digits, np.roll(digits, -1, axis=1)], axis=1)]
+            total = np.zeros(len(digits))
+            for j in range(n):
+                total += value[digits[:, (j + np.arange(k)) % n] @ place]
+            out.append(total)
+    return np.concatenate(out)
 
 
 def lattice_verdict(values) -> LatticeVerdict:

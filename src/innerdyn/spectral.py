@@ -5,11 +5,13 @@ dual (conformal) weights as the leading pair of the transpose. A Krylov
 space converges at a rate set by the whole spectrum, not by
 |lambda_2 / lambda_1| alone (Saad, Numerical Methods for Large Eigenvalue
 Problems, 2011), which matters for the slowly mixing maps where that ratio
-is near 1. The resolvent is one linear solve. The deflated projection
-realizes the spectral projection of a simple isolated eigenvalue, so no
-contour integrals are needed. The Green-Kubo variance of an observable is
-read off the same resolvent (`green_kubo`), for the circle and the shift
-alike.
+is near 1. Every leading solve, on the circle and on the shift, is accepted
+by one rule, relative to |lambda|, at one tolerance, _LEADING_TOL, so a
+lambda far below 1 (a large s) keeps as many digits as one near 1. The
+resolvent is one linear solve. The deflated projection realizes the
+spectral projection of a simple isolated eigenvalue, so no contour
+integrals are needed. The Green-Kubo variance of an observable is read off
+the same resolvent (`green_kubo`), for the circle and the shift alike.
 
 The spectral gap has one route, `transfer.circle_spectrum`: the resolved
 |lambda_2 / lambda_1| of the dense LAPACK spectrum (`dense_leading`) on
@@ -40,11 +42,11 @@ _KRYLOV_DIM = 128       # basis vectors per Arnoldi cycle: 4 MB at N = 2048
 _RITZ_EVERY = 8         # an eig every step would cost more than the matvecs at N = 512
 _MATVEC_BUDGET = 16 * _KRYLOV_DIM
 _EQUAL_MODULUS = 1e-8   # relative distance below which two Ritz moduli are one
+_LEADING_TOL = 1e-14    # Arnoldi tolerance of every leading solve, relative to |lambda|
 _SUBLEADING_TOL = 1e-10  # Arnoldi tolerance of `deflated_subleading`
 _SUBLEADING_SEED = 1    # start vector seed of `deflated_subleading`
-_COLLAPSE = 1e-8        # one-step fall of the deflated iterates below which the remainder is
-                        # nilpotent at this resolution, relative to max(1, |lambda|) in
-                        # `deflated_subleading` and to |lambda| in `dense_leading`
+_COLLAPSE = 1e-8        # one-step fall of the deflated iterates, relative to |lambda|,
+                        # below which the remainder is nilpotent at this resolution
 _RANK_ONE_BLOCKS = 16   # row blocks of the resolvent's rank-one term: N^2 / 16 entries each
 
 
@@ -117,11 +119,12 @@ def _arnoldi(apply, v: np.ndarray, tol: float):
     breakdown (always by step len(v)), the eigenvalues of the Hessenberg
     matrix H are the Ritz values. The one of largest modulus, theta, with
     unit eigenvector y of H (`_eigenvector`), has the residual estimate
-    beta |y_k|. Once that is at most tol * max(1, |theta|), or at breakdown,
-    where it is exact, the Ritz vector x costs one true matvec: theta
-    becomes the Rayleigh quotient and the pair is returned if the sup-norm
-    residual |Ax - theta x| / |x| is at most max(tol, 1e-10) * max(1,
-    |theta|). Otherwise, and at a full basis, the next cycle starts from x.
+    beta |y_k|. Once that is at most tol * |theta|, or at breakdown, where
+    it is exact, the Ritz vector x costs one true matvec: theta becomes the
+    Rayleigh quotient and the pair is returned if the sup-norm residual
+    |Ax - theta x| / |x| is at most max(tol, 1e-10) * |theta|: both tests
+    are relative to theta, and a zero theta passes only with a zero
+    residual. Otherwise, and at a full basis, the next cycle starts from x.
     runner_up is the modulus of the second Ritz value of the accepting
     space, 0.0 when it is one-dimensional.
 
@@ -177,7 +180,7 @@ def _arnoldi(apply, v: np.ndarray, tol: float):
                 if real and top.imag == 0:
                     top = top.real
                 y = _eigenvector(H[:k, :k], top)
-                est = beta * abs(y[-1]) / max(1.0, abs(top))
+                est = beta * abs(y[-1]) / abs(top) if top else math.inf
                 converged = breakdown or est <= tol
                 if converged or k == m:
                     x = product(lambda c: c @ V[:k], y)
@@ -187,7 +190,7 @@ def _arnoldi(apply, v: np.ndarray, tol: float):
                         matvecs += 1 + (real and np.iscomplexobj(x))
                         lam = np.vdot(x, ax).item()
                         res = float(np.max(np.abs(ax - lam * x)) / np.max(np.abs(x)))
-                        if res <= max(tol, 1e-10) * max(1.0, abs(lam)):
+                        if res <= max(tol, 1e-10) * abs(lam):
                             runner_up = float(abs(theta[order[1]])) if k > 1 else 0.0
                             return lam, x, res, matvecs, runner_up
                     break
@@ -226,8 +229,7 @@ def _collapses(apply, v: np.ndarray, floor: float) -> bool:
     return False
 
 
-def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0,
-                  start: np.ndarray | None = None):
+def power_leading(mat: np.ndarray, seed: int = 0, start: np.ndarray | None = None):
     """Leading eigenpair by restarted Arnoldi.
 
     mat is a matrix, or any operator with shape, dtype and `@` on vectors,
@@ -237,18 +239,16 @@ def power_leading(mat: np.ndarray, tol: float = 1e-13, seed: int = 0,
     when given (a real start for a real mat), else from the seeded
     `_start_vector`; a start close to the leading eigenvector ends the first
     cycle in a breakdown within a step or two. The Ritz residual estimate
-    must drop below tol * max(1, |lam|) and the sup-norm eigen-equation
-    residual of the returned unit vector below max(tol, 1e-10) *
-    max(1, |lam|). Raises NoConvergence at once when the two largest Ritz
-    values of the converged space have equal modulus, as for
+    must drop below _LEADING_TOL * |lam| and the sup-norm eigen-equation
+    residual of the returned unit vector below 1e-10 * |lam| (`_arnoldi`),
+    whatever the scale of mat. Raises NoConvergence at once when the two
+    largest Ritz values of the converged space have equal modulus, as for
     [[0, 1], [1, 0]] or a complex-conjugate top pair of a real matrix, where
     no eigenvalue dominates, and when the matvec budget runs out.
     """
-    if tol < 1e-16:
-        raise ValueError("tol too small")
     v = _start_vector(mat.shape[0], seed) if start is None else start
     v = v.astype(np.result_type(mat.dtype, np.float64))
-    lam, v, res, matvecs, runner_up = _arnoldi(lambda u: mat @ u, v, tol)
+    lam, v, res, matvecs, runner_up = _arnoldi(lambda u: mat @ u, v, _LEADING_TOL)
     if lam != 0 and runner_up >= (1.0 - _EQUAL_MODULUS) * abs(lam):
         raise NoConvergence(f"no dominant eigenvalue: two Ritz values of equal modulus "
                             f"{abs(lam):.6g} and {runner_up:.6g}")
@@ -263,11 +263,10 @@ def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
     annihilates the leading eigenspace. Equal-modulus pairs, such as a
     complex-conjugate pair or a non-normal block with eigenvalues +-r, are
     read like any other; with real inputs the solve stays real. Returns 0.0
-    when the deflated iterates collapse below 1e-8 * max(1, |lam|)
-    (`_collapses`: a nilpotent remainder); else the Ritz residual estimate
-    must drop below _SUBLEADING_TOL and the sup-norm residual below
-    max(_SUBLEADING_TOL, 1e-10), both relative to max(1, |lambda_2|), or
-    NoConvergence is raised.
+    when the deflated iterates collapse below _COLLAPSE * |lam|
+    (`_collapses`: a nilpotent remainder), as in `dense_leading`; else the
+    Ritz residual estimate and the sup-norm residual must drop below
+    _SUBLEADING_TOL * |lambda_2| (`_arnoldi`), or NoConvergence is raised.
     """
     scale = np.dot(dual, rho)
     if abs(scale) < 1e-300:
@@ -278,7 +277,7 @@ def deflated_subleading(mat: np.ndarray, lam: complex, rho: np.ndarray,
         return mat @ u - lam * rho * np.dot(dual, u)
 
     v = apply(_start_vector(mat.shape[0], _SUBLEADING_SEED))  # kill the leading component
-    if _collapses(apply, v, _COLLAPSE * max(1.0, abs(lam))):
+    if _collapses(apply, v, _COLLAPSE * abs(lam)):
         return 0.0
     return float(abs(_arnoldi(apply, v, _SUBLEADING_TOL)[0]))
 
@@ -294,10 +293,9 @@ def dense_leading(mat: np.ndarray, want_rho: bool = True):
     The gap is 0.0 when the remainder is nilpotent at this resolution: the
     iterates mat^j v of v = (mat - lam) u, which has no component along
     rho, collapse below _COLLAPSE * |lam| (`_collapses`). The floor is
-    relative to |lam|: against max(1, |lam|), as in `deflated_subleading`,
-    the degree-3 benchmark map at s = 30, where |lam| = 1.4e-11, read gap 0
-    for 0.94. NoConvergence is raised when lambda_2 has the modulus of lam,
-    as in `power_leading`.
+    relative to |lam|: against max(1, |lam|), the degree-3 benchmark map at
+    s = 30, where |lam| = 1.4e-11, read gap 0 for 0.94. NoConvergence is
+    raised when lambda_2 has the modulus of lam, as in `power_leading`.
     """
     ev = np.linalg.eigvals(mat)
     ev = ev[np.argsort(-np.abs(ev), kind="stable")]
@@ -312,7 +310,7 @@ def dense_leading(mat: np.ndarray, want_rho: bool = True):
     return lam, rho, float(abs(ev[1]) / abs(lam))
 
 
-def leading_spectral_data(mat: np.ndarray, tol: float = 1e-13) -> SpectralData:
+def leading_spectral_data(mat: np.ndarray) -> SpectralData:
     """Leading pair and dual weights of a dense operator.
 
     The outputs follow the dtype of mat: a real operator gives a float lam
@@ -320,8 +318,8 @@ def leading_spectral_data(mat: np.ndarray, tol: float = 1e-13) -> SpectralData:
     positive; a complex one gives complex outputs. Either way the weights sum
     to 1 and pair with rho to 1, which fixes the free scale of both vectors.
     """
-    lam, rho, res = power_leading(mat, tol=tol)[:3]
-    dual = power_leading(mat.T, tol=tol, seed=7)[1]
+    lam, rho, res = power_leading(mat)[:3]
+    dual = power_leading(mat.T, seed=7)[1]
     mass = np.sum(dual)
     if abs(mass) < 1e-300:
         raise NoConvergence("dual weights have zero total mass")

@@ -46,7 +46,8 @@ therefore read from the dense spectrum of the smallest grid N_c that
 resolves the operator, with the change from N_c to 2 N_c as its bound; at
 s = 1 it is |F'(0)| when F(0) = 0 (Slipantschuk, Bandtlow and Just,
 Nonlinearity 2013). lambda stays the N-mode eigenvalue, from an Arnoldi
-solve of the matrix-free operator started at the coarse eigenfunction.
+solve of the matrix-free operator started at the coarse eigenfunction and
+accepted, like every leading solve, relative to |lambda| (`spectral`).
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .spectral import dense_leading, green_kubo, operator_parameter, power_leadi
 _GAP_CEILING = 0.95
 _BLOCK_BYTES = 1 << 21  # bytes of one row block of the matrix during assembly
 _PRESSURE_STEP = 1e-2   # step h of the five-point pressure stencil
-_PRESSURE_TOL = 1e-14   # Arnoldi tolerance at the pressure stencil nodes
 _COARSE_MIN = 32        # smallest coarse grid of `circle_spectrum`
 _COARSE_MAX = 512       # largest coarse grid: a dense eigensolve at 2 x 512 takes 0.5 s
 _TAIL_ROUNDING = 1e-13  # Fourier tail of rho at which a grid resolves the operator
@@ -225,8 +225,9 @@ class CircleSpectrum:
     """Leading eigenvalue of an N-mode operator and its resolved gap.
 
     lam, residual: the N-mode leading eigenvalue and the sup-norm residual
-    of its eigenvector; gap: |lambda_2 / lambda| of the dense spectrum on
-    the coarse grid N_c; gap_bound: how far that gap moves from N_c to 2 N_c.
+    of its unit eigenvector, at most 1e-10 |lam|; gap: |lambda_2 / lambda|
+    of the dense spectrum on the coarse grid N_c; gap_bound: how far that
+    gap moves from N_c to 2 N_c.
     """
 
     lam: float | complex
@@ -258,8 +259,7 @@ def _refine(v: np.ndarray, n: int) -> np.ndarray:
     return u if np.iscomplexobj(v) else u.real
 
 
-def circle_spectrum(F: BlaschkeMap, s: complex, g, N: int,
-                    tol: float = 1e-13) -> CircleSpectrum:
+def circle_spectrum(F: BlaschkeMap, s: complex, g, N: int) -> CircleSpectrum:
     """lambda and the gap of the N-mode operator with weight |F'|^{-s} e^{s g}.
 
     Coarse grids N_c = 32, 64, ... up to max(32, N/2), and at most 512, are
@@ -269,30 +269,25 @@ def circle_spectrum(F: BlaschkeMap, s: complex, g, N: int,
     remainder is nilpotent, and gap_bound is the distance to the gap at
     2 N_c; when no grid resolves the operator, the gap is read at 2 N_c
     with the same bound. The N-mode operator is never assembled: its
-    preimages and weights, divided by the coarse |lambda|, make a
-    `nufft_operator`, and the coarse eigenfunction, interpolated to N nodes
-    (`_refine`), starts its Arnoldi solve (`spectral.power_leading`). lam
-    and residual are scaled back, so they are the N-mode eigendata under
-    the acceptance of a cold solve at tol, taken relative to |lambda| even
-    when |lambda| is far below 1, usually after two matvecs. No dual solve
-    is made: the caller reads lam and the gap.
+    preimages and weights make a `nufft_operator`, and the coarse
+    eigenfunction, interpolated to N nodes (`_refine`), starts its Arnoldi
+    solve (`spectral.power_leading`), which usually accepts after two
+    matvecs. No dual solve is made: the caller reads lam and the gap.
     """
     _, Y, W = _preimage_weights(F, s, g, N)
     top = min(max(_COARSE_MIN, N // 2), _COARSE_MAX)
     n = _COARSE_MIN
     while True:
-        lam, rho, gap = dense_leading(assemble_operator(F, s, g, n).matrix)
+        _, rho, gap = dense_leading(assemble_operator(F, s, g, n).matrix)
         resolved = _fourier_tail(rho) <= _TAIL_ROUNDING
         if resolved or n == top:
             break
         n *= 2
     partner = dense_leading(assemble_operator(F, s, g, 2 * n).matrix, want_rho=False)[2]
     bound = abs(gap - partner)
-    scale = abs(lam)
-    op = nufft_operator(Y, W / scale)
-    lam, _, res = power_leading(op, tol=tol, start=_refine(rho, N))[:3]
-    return CircleSpectrum(lam=lam * scale, gap=gap if resolved else partner,
-                          gap_bound=bound, residual=res * scale)
+    lam, _, res = power_leading(nufft_operator(Y, W), start=_refine(rho, N))[:3]
+    return CircleSpectrum(lam=lam, gap=gap if resolved else partner, gap_bound=bound,
+                          residual=res)
 
 
 @dataclass
@@ -332,7 +327,7 @@ def pressure_and_derivs(F: BlaschkeMap, g, N: int = 256) -> PressureReport:
         def gt(theta, _t=t):
             return _t * np.asarray(g(theta), dtype=float)
         g_t = gt if t != 0.0 else None
-        data = circle_spectrum(F, 1.0, g_t, N, tol=_PRESSURE_TOL)
+        data = circle_spectrum(F, 1.0, g_t, N)
         if data.gap > _GAP_CEILING:
             raise GapLost(f"subleading ratio {data.gap:.3f} at node t = {t}")
         min_gap = min(min_gap, 1.0 - data.gap)

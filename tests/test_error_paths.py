@@ -18,7 +18,6 @@ from innerdyn.parabolic import (ParabolicMap, boundary_orbit, build_parabolic, k
                                 induced_cycle_multipliers, parabolic_count, real_markov_partition)
 from innerdyn.rng import uniform_stream
 from innerdyn.shift import PotentialSpec, SymbolicSystem, count_words, poincare_eta
-from innerdyn.spectral import power_leading
 from innerdyn.stochastic import check_sample_size
 from innerdyn.transfer import assemble_operator, pressure_and_derivs
 from periodic_oracle import periodic_points
@@ -65,7 +64,6 @@ REFUSALS = {
     "eta-seed-inadmissible": (ValueError, "not admissible", lambda: poincare_eta(
         GOLDEN, PotentialSpec.constant(GOLDEN, -1.0), None, 2.0, (2, 2))),
     "words-seed-short": (ValueError, "too short", lambda: count_words(S2, PSI2, (1,), 3.0)),
-    "tol-1e-17": (ValueError, "tol too small", lambda: power_leading(np.eye(2), tol=1e-17)),
     "modes-100": (ValueError, "power of two", lambda: assemble_operator(FH, 1.0, None, 100)),
     "step-budget": (ValueError, "1e9", lambda: check_sample_size(10**5, 10**5)),
     "cli-no-kind": (2, "'kind'", ["spectrum", "--map", '{"d":2}']),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from innerdyn.errors import BudgetExceeded, NotPrimitive
+from innerdyn.errors import BudgetExceeded, NoConvergence, NotPrimitive
 from innerdyn.shift import (PotentialSpec, SymbolicSystem, _holder_norm,
                             _holder_norm_data, calibrate, count_words,
                             cylinder_operator, d_genericity,
@@ -211,6 +211,73 @@ def test_lambda_far_below_eps_is_relatively_accurate(system, s):
     assert abs(spectral_data(S, psi, s).lam - want) <= 1e-13 * want
 
 
+def _random_systems():
+    """40 full shifts with seeded random potentials of depth 2 to 5."""
+    rng = np.random.default_rng(3)
+    out = []
+    for trial in range(40):
+        m, k = [(3, 3), (2, 5), (4, 2), (3, 4)][trial % 4]
+        out.append((SymbolicSystem.full_shift(m),
+                    PotentialSpec(k, {w: -rng.uniform(0.5, 3.0) for w in
+                                      itertools.product(range(1, m + 1), repeat=k)})))
+    return out
+
+
+def _perron_bracket(M):
+    """Collatz-Wielandt bounds min, max of (M x)_i / x_i on the Perron root
+    of a nonnegative primitive M, for x = M^(2^40) 1 by repeated squaring.
+
+    Products of nonnegative matrices have no cancellation, so x keeps
+    every entry to a few ulps, however graded M is.
+    """
+    P = M / M.max()
+    for _ in range(40):
+        P = P @ P
+        P /= P.max()
+    x = P @ np.ones(len(M))
+    r = (M @ x) / x
+    return r.min(), r.max()
+
+
+# (trial, s) with s <= 20 that Collatz-Wielandt power iteration from the
+# ones vector does not bracket to 1e-13 within 2e5 steps
+_SLOW_TO_CERTIFY = {(4, 20), (7, 20), (9, 10), (9, 20), (19, 10), (19, 20), (27, 20),
+                    (28, 10), (28, 20), (32, 10), (32, 20), (33, 20), (36, 20),
+                    (37, 10), (37, 20)}
+
+
+def test_shift_lambda_matches_the_certified_perron_root():
+    # graded operators with lambda from 1e-29 to 1: a residual test absolute
+    # below |lambda| = 1 accepted (23, 20) 2.4e-6 off and (25, 40) as
+    # -2.2e-21 for 4.6e-24, and refused (1, 20) as an equal-modulus pair
+    systems = _random_systems()
+    cases = [(t, s) for t in range(40) for s in (1, 10, 20)
+             if (t, s) not in _SLOW_TO_CERTIFY] + [(25, 40), (39, 40)]
+    off = []
+    for trial, s in cases:
+        S, psi = systems[trial]
+        lo, hi = _perron_bracket(cylinder_operator(S, psi, float(s)))
+        assert hi <= lo * (1 + 1e-13), (trial, s)
+        want = 0.5 * (lo + hi)
+        try:
+            lam = spectral_data(S, psi, float(s)).lam
+        except NoConvergence as e:
+            off.append((trial, s, str(e)))
+            continue
+        if not abs(lam - want) <= 1e-9 * want:
+            off.append((trial, s, lam, want))
+    assert len(cases) == 107 and off == []
+
+
+def test_nonpositive_real_lambda_is_refused():
+    # trial 23 at s = 40: the Perron root is 5.9e-17, and the Arnoldi pair
+    # of the graded matrix has lambda = -3.0e-16 with a relative residual
+    # under 1e-10
+    S, psi = _random_systems()[23]
+    with pytest.raises(NoConvergence, match="nonpositive leading eigenvalue"):
+        spectral_data(S, psi, 40.0)
+
+
 def test_truncation_stability():
     S1, p1 = gauss_like(100)
     S2g, p2 = gauss_like(200)
@@ -387,14 +454,36 @@ def _periodic_values_scan(S, psi, max_period):
     return np.array(out)
 
 
-@pytest.mark.parametrize("system", ["golden", "bernoulli3"])
-def test_periodic_values_in_budget_unchanged(system):
-    if system == "golden":
-        S, psi = golden(), PotentialSpec.constant(golden(), -LOG2)
-    else:
-        S, psi = S3, PSI3
-    vals = periodic_birkhoff_values(S, psi, 6)
-    assert np.array_equal(vals, _periodic_values_scan(S, psi, 6))
+def _random_potential(incidence, depth):
+    S = SymbolicSystem(np.array(incidence))
+    rng = np.random.default_rng(depth * 10 + S.alphabet_size)
+    return S, PotentialSpec(depth, {w: -rng.uniform(0.5, 3.0) for w in S.cylinder_words(depth)})
+
+
+@pytest.mark.parametrize("system, max_period", [
+    (lambda: (golden(), PotentialSpec.constant(golden(), -LOG2)), 6),
+    (lambda: (S3, PSI3), 6),
+    (lambda: _random_potential(np.ones((2, 2)), 1), 8),
+    (lambda: _random_potential(np.ones((3, 3)), 2), 7),
+    (lambda: _random_potential([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2), 8),
+    (lambda: _random_potential(np.ones((4, 4)), 1), 6),
+], ids=["golden", "bernoulli3", "full2-depth1", "full3-depth2", "cycle3-depth2",
+        "full4-depth1"])
+def test_periodic_values_in_budget_unchanged(system, max_period):
+    # every value to the bit, in the word loop's order
+    S, psi = system()
+    vals = periodic_birkhoff_values(S, psi, max_period)
+    assert vals.tobytes() == _periodic_values_scan(S, psi, max_period).tobytes()
+
+
+def test_d_genericity_on_six_letters_is_fast():
+    # 2.0M cyclic words of period <= 8; the word loop took 13.5 s
+    S = SymbolicSystem.full_shift(6)
+    psi = PotentialSpec.from_letter_values(S, {a: -math.log(a + 1) for a in range(1, 7)})
+    t0 = time.perf_counter()
+    v = d_genericity(S, psi)
+    assert time.perf_counter() - t0 < 2.0
+    assert v.kind == "generic" and v.n_values == 2015538
 
 
 def test_lattice_verdict_direct():

@@ -218,8 +218,9 @@ def test_circle_spectrum_warm_start_spends_few_matvecs(monkeypatch):
     data = transfer.circle_spectrum(A09, 1.5, None, 2048)
     assert len(calls) == 1 and calls[0][0] == np.float64
     assert calls[0][1] <= 8
-    # the acceptance of `_arnoldi` at tol 1e-13, which the cold solve met too
-    accept = 1e-10 * max(1.0, abs(lam))
+    # the acceptance of every leading solve, relative to |lambda|, which the
+    # cold solve met too
+    accept = 1e-10 * abs(lam)
     assert res <= accept and data.residual <= accept
     assert abs(data.lam - lam) <= 1e-13 * abs(lam)
     assert abs(data.gap - 0.97966965168642) <= 1e-12

@@ -269,8 +269,8 @@ def test_spectrum_never_holds_the_n_mode_matrix(tmp_path):
 def test_spectrum_lambda_far_below_one_is_relative(tmp_path):
     # the degree-3 map at s = 30: |lambda| = 1.4e-11 and |lambda_2 / lambda|
     # = 0.94. Against max(1, |theta|), Arnoldi's acceptance was absolute and
-    # the N-mode solve refused with two Ritz values of equal modulus; the
-    # operator is applied divided by the coarse |lambda|
+    # the N-mode solve refused with two Ritz values of equal modulus; it is
+    # now relative to |theta|
     row = _spectrum_row(tmp_path, {**_zeros(0, 0.4 + 0.3j, -0.3 - 0.5j), "rotation": 0.7},
                         30.0, 256)
     ev = np.linalg.eigvals(assemble_operator(DEG3, 30.0, None, 256).matrix)
