@@ -15,10 +15,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Observable:
-    """A real observable on angles, with an optional evaluator on z."""
+    """A real observable on angles, with its bandwidth (the largest
+    frequency it holds) and an optional evaluator on z."""
 
     name: str
     fn: Callable
+    bandwidth: int
     fn_z: Callable | None = None
 
     def __call__(self, theta):
@@ -33,19 +35,19 @@ class Observable:
 def cos_k(k: int) -> Observable:
     # for k = 1, z.real gives the bytes of (z**1).real without the power
     return Observable(f"cos{k if k != 1 else ''}",
-                      lambda t, _k=k: np.cos(_k * np.asarray(t)),
+                      lambda t, _k=k: np.cos(_k * np.asarray(t)), k,
                       (lambda z: z.real) if k == 1 else (lambda z, _k=k: (z**_k).real))
 
 
 def sin_k(k: int) -> Observable:
     return Observable(f"sin{k if k != 1 else ''}",
-                      lambda t, _k=k: np.sin(_k * np.asarray(t)),
+                      lambda t, _k=k: np.sin(_k * np.asarray(t)), k,
                       (lambda z: z.imag) if k == 1 else (lambda z, _k=k: (z**_k).imag))
 
 
 def constant(c: float) -> Observable:
     return Observable(f"const({c:g})",
-                      lambda t, _c=c: np.full(np.shape(t), _c, dtype=float),
+                      lambda t, _c=c: np.full(np.shape(t), _c, dtype=float), 0,
                       lambda z, _c=c: np.full(np.shape(z), _c, dtype=float))
 
 

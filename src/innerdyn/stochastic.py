@@ -40,7 +40,7 @@ from .circle import TWO_PI
 from .errors import DegenerateVariance, InnerdynError
 from .rng import splitmix64, uniform_stream
 from .spectral import green_kubo
-from .transfer import assemble_operator
+from .transfer import _MAX_MODES, assemble_operator
 
 
 @dataclass
@@ -58,7 +58,7 @@ class BirkhoffSample:
 
 # smaller runs stay in one process: a fork costs milliseconds
 _SPLIT_MIN_STEPS = 10**6
-_GREEN_KUBO_NODES = 512
+_GREEN_KUBO_NODES = 512   # smallest Green-Kubo grid; a wider observable gets a finer one
 
 
 def _anchor_spacing(d: int) -> int:
@@ -369,14 +369,19 @@ def clt_diagnostics(sample: BirkhoffSample, sigma2: float) -> tuple[float, float
 def green_kubo_variance(F: BlaschkeMap, h) -> float:
     """Asymptotic variance c_0 + 2 sum_{k>=1} c_k by one resolvent solve.
 
-    `spectral.green_kubo` on the weightless collocation operator L on
-    N = 512 nodes, whose leading data are known exactly: rho = 1 and the
-    Lebesgue weights 1/N. The rank-one deflation removes the eigenvalue 1
-    of the constants, so the solve is regular whenever L has a spectral
-    gap; NonDecaying is raised when it leaves a residual above
+    `spectral.green_kubo` on the weightless collocation operator L on N
+    nodes, whose leading data are known exactly: rho = 1 and the Lebesgue
+    weights 1/N. N is the smallest power of two from 512 up that resolves
+    h, N > 2K for its bandwidth K; ValueError names a K that needs more
+    than 4096 nodes. The rank-one deflation removes the eigenvalue 1 of the
+    constants, so the solve is regular whenever L has a spectral gap;
+    NonDecaying is raised when it leaves a residual above
     1e-10 * ||h - mean||.
     """
-    N = _GREEN_KUBO_NODES
+    N = max(_GREEN_KUBO_NODES, 1 << (2 * h.bandwidth).bit_length())
+    if N > _MAX_MODES:
+        raise ValueError(f"observable bandwidth {h.bandwidth} needs more than "
+                         f"{2 * h.bandwidth} nodes; the grid stops at {_MAX_MODES}")
     hv = np.asarray(h(circle_grid(N)), dtype=float)
     L = assemble_operator(F, 1.0, None, N).matrix
     return green_kubo(L, np.ones(N), np.full(N, 1.0 / N), hv)

@@ -7,35 +7,25 @@ preimages through its trigonometric interpolant, which is spectrally accurate
 because everything in sight is analytic for finite Blaschke products.
 
 The interpolant on the nodes x_j = 2*pi*j/N is the symmetric one: the
-frequencies |k| < N/2 plus the Nyquist mode split as cos(N x/2). Its
-cardinal function is real (Henrici 1979; Trefethen, Spectral Methods in
-MATLAB, 2000, ch. 3), K_j(y) = sin(N t/2) cot(t/2) / N with t = y - x_j, so
-each matrix row costs O(N) instead of a dense DFT and the matrix is the
-weights times a real kernel. The numerator is evaluated as
-(-1)^(j0+j) sin(N delta/2) with delta = y - x_j0 the offset from the nearest
-node, which stays accurate at large N*y and at near-hits; a row whose
-preimage is exactly a node is that node's unit vector.
-
-The matrix is assembled in row blocks of about 2 MB straight into one
-preallocated array: the per-row data of each branch is computed once, then
-each block's kernel is filled in a scratch block, scaled, and written (first
-branch) or added (later branches) in branch order. Every entry takes the
-same float operations whatever the block size, so the matrix does not depend
-on it, and the assembly peak is the matrix plus one block. A float64 matrix
-with N <= 512 is one block.
+frequencies |k| < N/2 plus the Nyquist mode split as cos(N x/2) (Henrici
+1979; Trefethen, Spectral Methods in MATLAB, 2000, ch. 3). It is evaluated
+one way, by a type-2 non-uniform FFT with Gaussian gridding
+(`nufft_operator`), within 2e-15 of the exact interpolant at every
+preimage, a preimage on a node included. An operator that is only applied,
+the N-mode operator of `spectrum` and `pressure`, keeps the plan, in
+O(N log N + N d q) time and O(N d q) memory for a stencil of q = 32 points,
+where the matrix takes N^2. The LAPACK consumers, the coarse grids of
+`circle_spectrum`, the Green-Kubo step of `pressure_and_derivs` and
+`stochastic.green_kubo_variance`, take the plan's dense matrix
+(`NufftOperator.dense`, `assemble_operator`), built in row blocks straight
+into one preallocated array, so that the assembly peak is the matrix, the
+plan and one block.
 
 The matrix is float64 exactly when s has zero imaginary part and g is real;
 then every solve in `spectral` runs in real arithmetic. Complex s keeps
-complex weights on the same kernel. `spectral` owns the solvers run on a
+complex weights on the same stencil. `spectral` owns the solvers run on a
 matrix: the leading data, the dense spectrum that `circle_spectrum` reads
 the gap from, and the Green-Kubo variance.
-
-The dense matrix serves the LAPACK consumers: the coarse grids of
-`circle_spectrum`, Green-Kubo and the circle variance. An N-mode operator
-that is only applied, as in `spectrum` and `pressure`, is never assembled:
-`nufft_operator` keeps the same preimages and weights and applies the same
-interpolant by a non-uniform FFT, in O(N log N + N d q) time and O(N d q)
-memory for a stencil of q = 32 points, where the matrix takes N^2.
 
 `circle_spectrum` reads an N-mode operator on two grids. Near z^d the
 operator is close to the nilpotent shift e^{ikx} -> e^{i(k/d)x}, whose
@@ -62,7 +52,8 @@ from .errors import GapLost
 from .spectral import dense_leading, green_kubo, operator_parameter, power_leading
 
 _GAP_CEILING = 0.95
-_BLOCK_BYTES = 1 << 21  # bytes of one row block of the matrix during assembly
+_MAX_MODES = 4096       # largest collocation grid
+_BLOCK_BYTES = 1 << 18  # bytes of the fine grid of one row block of `NufftOperator.dense`
 _PRESSURE_STEP = 1e-2   # step h of the five-point pressure stencil
 _COARSE_MIN = 32        # smallest coarse grid of `circle_spectrum`
 _COARSE_MAX = 512       # largest coarse grid: a dense eigensolve at 2 x 512 takes 0.5 s
@@ -83,81 +74,28 @@ class OperatorMatrix:
     weights: np.ndarray     # shape (N, d), |F'|^{-s} e^{s g}
 
 
-def _row_data(y: np.ndarray, w: np.ndarray, grid: np.ndarray):
-    """Per-row data of one branch: the preimages moved into range, the
-    nearest node j0, the row factor w (-1)^j0 sin(N delta/2) / N, the hit
-    mask and the hit value w (-1)^j0.
-
-    y is moved into [-pi/N, 2*pi - pi/N), so that the one small denominator
-    of a row is at its nearest node j0, where numerator and denominator
-    share delta = y - x_j0; a row with delta == 0 is an exact hit.
-    """
-    N = len(grid)
-    y = np.where(y >= TWO_PI - np.pi / N, y - TWO_PI, y)
-    j0 = np.clip(np.rint(y * (N / TWO_PI)).astype(np.int64), 0, N - 1)
-    delta = y - grid[j0]
-    sign = np.where(j0 % 2 == 0, 1.0, -1.0)
-    return y, j0, w * sign * np.sin(0.5 * N * delta) / N, delta == 0.0, w * sign
-
-
-def _interpolation_rows(out: np.ndarray, lo: int, data, grid: np.ndarray,
-                        buf: np.ndarray, first: bool) -> None:
-    """Write (first branch) or add w_i K_j(y_i) (-1)^j for the row block
-    out = rows lo, lo + 1, ... of the matrix, before the column sign (-1)^j.
-
-    The kernel cot((y_i - x_j)/2) is filled in buf, or in out itself for a
-    real first branch, and scaled by the row factor from `_row_data`; an
-    exact-hit row is the unit vector w (-1)^j0 e_j0.
-    """
-    y, j0, rows, hits, corner = (a[lo:lo + len(out)] for a in data)
-    real = not np.iscomplexobj(rows)
-    R = out if first and real else buf[:len(out)]
-    np.subtract.outer(y, grid, out=R)
-    R *= 0.5
-    np.tan(R, out=R)
-    hit = np.nonzero(hits)[0]
-    R[hit] = 1.0  # exact hits: the row is a unit vector, set below
-    np.divide(1.0, R, out=R)
-    if real:
-        R *= rows[:, None]
-    else:
-        R = np.multiply(R, rows[:, None], out=out if first else None)
-    R[hit, j0[hit]] = corner[hit]
-    if not first:
-        out += R
-
-
 def _preimage_weights(F: BlaschkeMap, s: complex, g, N: int):
-    """The N nodes, their preimages, shape (N, d), and the weights
+    """The preimages of the N nodes, shape (N, d), and the weights
     |F'|^{-s} e^{s g} there; float64 weights when s has zero imaginary part
     and g is real, else complex. N must be a power of two in [32, 4096]."""
-    if N < 32 or N > 4096 or N & (N - 1):
-        raise ValueError("N must be a power of two in [32, 4096]")
+    if N < 32 or N > _MAX_MODES or N & (N - 1):
+        raise ValueError(f"N must be a power of two in [32, {_MAX_MODES}]")
     p = operator_parameter(s)
-    grid = circle_grid(N)
-    Y = boundary_preimages_batch(F, grid)
+    Y = boundary_preimages_batch(F, circle_grid(N))
     W = circle_abs_deriv(F, Y) ** (-p)
     if g is not None:
         W = W * np.exp(p * np.asarray(g(Y)))
-    return grid, Y, W
+    return Y, W
 
 
 def assemble_operator(F: BlaschkeMap, s: complex = 1.0, g=None, N: int = 256) -> OperatorMatrix:
-    """Collocation matrix for the weight |F'|^{-s} e^{s g} on N grid values.
+    """Collocation matrix for the weight |F'|^{-s} e^{s g} on N grid values,
+    the dense form of the same preimages' `nufft_operator`.
 
     float64 when s has zero imaginary part and g is real, else complex.
     """
-    grid, Y, W = _preimage_weights(F, s, g, N)
-    branches = [_row_data(Y[:, l], W[:, l], grid) for l in range(F.degree)]
-    mat = np.empty((N, N), dtype=W.dtype)
-    step = max(1, _BLOCK_BYTES // (N * mat.itemsize))
-    buf = np.empty((min(step, N), N))
-    for lo in range(0, N, step):
-        block = mat[lo:lo + step]
-        for l, data in enumerate(branches):
-            _interpolation_rows(block, lo, data, grid, buf, first=(l == 0))
-        block[:, 1::2] *= -1.0
-    return OperatorMatrix(matrix=mat, preimages=Y, weights=W)
+    Y, W = _preimage_weights(F, s, g, N)
+    return OperatorMatrix(matrix=nufft_operator(Y, W).dense(), preimages=Y, weights=W)
 
 
 @dataclass
@@ -182,6 +120,41 @@ class NufftOperator:
         fine = np.fft.irfft(np.fft.rfft(u) * self.deconvolve, _OVERSAMPLE * len(u))
         return np.einsum("ij,ij->i", self.stencil, fine[self.index])
 
+    def dense(self) -> np.ndarray:
+        """The N x N matrix of the apply, row by row its adjoint: the row's
+        stencil spread onto the fine grid, a real FFT, the deconvolution with
+        the +-N/2 modes folded into one, and an inverse real FFT onto the N
+        nodes, scaled by N / 2N. Rows go in blocks whose fine grid takes
+        _BLOCK_BYTES; a complex stencil makes the real and imaginary parts
+        of each block in two passes.
+        """
+        N = self.shape[0]
+        n, q = _OVERSAMPLE * N, 2 * _SPREAD
+        scale = np.zeros(n // 2 + 1, dtype=complex)   # an irfft to N nodes reads k <= N/2
+        scale[:N // 2 + 1] = self.deconvolve * (N / n)
+        scale[N // 2] *= 2.0
+        mat = np.empty(self.shape, self.dtype)
+        step = max(1, _BLOCK_BYTES // (8 * n))
+        fine = np.empty((min(step, N), n))
+        spec = np.empty((min(step, N), n // 2 + 1), dtype=complex)
+        parts = [(self.stencil.real, mat.real)]
+        if np.iscomplexobj(mat):
+            parts.append((self.stencil.imag, mat.imag))
+        for lo in range(0, N, step):
+            hi = min(lo + step, N)
+            rows = np.arange(hi - lo)[:, None]
+            for part, out in parts:
+                f = fine[:hi - lo]
+                f.fill(0.0)
+                # branch by branch: two branches may share a fine point,
+                # which one fancy-indexed += would add only once
+                for c in range(0, self.index.shape[1], q):
+                    f[rows, self.index[lo:hi, c:c + q]] += part[lo:hi, c:c + q]
+                coef = np.fft.rfft(f, out=spec[:hi - lo])
+                coef *= scale
+                np.fft.irfft(coef, N, out=out[lo:hi])
+        return mat
+
 
 def nufft_operator(preimages: np.ndarray, weights: np.ndarray) -> NufftOperator:
     """The operator u -> sum_l weights[:, l] I[u](preimages[:, l]) on N nodes,
@@ -200,8 +173,7 @@ def nufft_operator(preimages: np.ndarray, weights: np.ndarray) -> NufftOperator:
     exp(-2 pi _SPREAD / 3), 3e-15. The offsets y - x_m are taken against
     2 pi in two parts, so a rounded node does not shift a mode of frequency
     N/2 by N eps / 2. On random vectors at N = 512 to 2048 the apply is
-    within 2e-15 of the exact interpolant (a long-double cardinal sum),
-    where the dense kernel of `assemble_operator` is 1e-13 to 3e-13 off.
+    within 2e-15 of the exact interpolant (a long-double cardinal sum).
 
     The plan holds 2 N d _SPREAD stencil weights and indices, 2 MB at
     N = 2048, d = 2, and an apply costs two real FFTs and one gather.
@@ -227,13 +199,14 @@ class CircleSpectrum:
     lam, residual: the N-mode leading eigenvalue and the sup-norm residual
     of its unit eigenvector, at most 1e-10 |lam|; gap: |lambda_2 / lambda|
     of the dense spectrum on the coarse grid N_c; gap_bound: how far that
-    gap moves from N_c to 2 N_c.
+    gap moves from N_c to 2 N_c; operator: the N-mode operator itself.
     """
 
     lam: float | complex
     gap: float
     gap_bound: float
     residual: float
+    operator: NufftOperator
 
 
 def _fourier_tail(rho: np.ndarray) -> float:
@@ -274,7 +247,7 @@ def circle_spectrum(F: BlaschkeMap, s: complex, g, N: int) -> CircleSpectrum:
     solve (`spectral.power_leading`), which usually accepts after two
     matvecs. No dual solve is made: the caller reads lam and the gap.
     """
-    _, Y, W = _preimage_weights(F, s, g, N)
+    Y, W = _preimage_weights(F, s, g, N)
     top = min(max(_COARSE_MIN, N // 2), _COARSE_MAX)
     n = _COARSE_MIN
     while True:
@@ -285,9 +258,10 @@ def circle_spectrum(F: BlaschkeMap, s: complex, g, N: int) -> CircleSpectrum:
         n *= 2
     partner = dense_leading(assemble_operator(F, s, g, 2 * n).matrix, want_rho=False)[2]
     bound = abs(gap - partner)
-    lam, _, res = power_leading(nufft_operator(Y, W), start=_refine(rho, N))[:3]
+    op = nufft_operator(Y, W)
+    lam, _, res = power_leading(op, start=_refine(rho, N))[:3]
     return CircleSpectrum(lam=lam, gap=gap if resolved else partner, gap_bound=bound,
-                          residual=res)
+                          residual=res, operator=op)
 
 
 @dataclass
@@ -316,9 +290,13 @@ def pressure_and_derivs(F: BlaschkeMap, g, N: int = 256) -> PressureReport:
     and its resolved gap guards the perturbation smallness (GapLost above
     0.95). The node t = 0 is the weightless operator, which fixes
     Lebesgue measure (rho = 1, weights 1/N), and `spectral.green_kubo` reads
-    the variance prediction off its dense matrix, the one N x N matrix that
-    this function assembles.
+    the variance prediction off the dense matrix of its N-mode operator, the
+    one N x N matrix that this function assembles. An observable of
+    bandwidth K is refused before any work unless N > 2K resolves it.
     """
+    if 2 * g.bandwidth >= N:
+        raise ValueError(f"observable bandwidth {g.bandwidth} needs more than "
+                         f"{2 * g.bandwidth} modes, got {N}")
     h = _PRESSURE_STEP
     tvals = (-2 * h, -h, 0.0, h, 2 * h)
     pvals = {}
@@ -333,7 +311,8 @@ def pressure_and_derivs(F: BlaschkeMap, g, N: int = 256) -> PressureReport:
         min_gap = min(min_gap, 1.0 - data.gap)
         pvals[t] = float(np.log(data.lam.real))
         if t == 0.0:
-            M = assemble_operator(F, 1.0, None, N).matrix
+            M = data.operator.dense()
+            del data   # the plan, before the solve that sets the peak
             gv = np.asarray(g(circle_grid(N)), dtype=float)
             var_pred = green_kubo(M, np.ones(N), np.full(N, 1.0 / N), gv)
     p_m2, p_m1, p_0, p_1, p_2 = (pvals[t] for t in tvals)

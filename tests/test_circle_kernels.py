@@ -1,9 +1,11 @@
 """Circle kernels against their reference implementations.
 
 The Newton preimage solve is checked against 60-step monotone bisection in
-the same lift cells, and the closed-form collocation rows against the dense
-DFT assembly E @ dft of the symmetric interpolant. Both references are kept
-here, outside the package.
+the same lift cells. The collocation matrix, which the package builds from
+the one NUFFT plan of the symmetric interpolant, is checked against the
+dense DFT assembly E @ dft of that interpolant and against its cardinal
+function summed in long double. The references are kept here, outside the
+package.
 """
 
 import time
@@ -75,6 +77,19 @@ def dense_dft_matrix(F, s, N, rows=slice(None)):
         # row r of E times the DFT matrix exp(-2 pi i k j / N) / N
         mat += W[:, l][:, None] * (np.fft.fft(E, axis=1) / N)
     return mat
+
+
+def cardinal_rows(M, rows):
+    """Rows of the collocation matrix M by the cardinal function of the
+    symmetric interpolant, K_j(y) = sin(N t/2) cot(t/2) / N with t = y - x_j,
+    in long double at M's preimages and weights."""
+    N = M.matrix.shape[1]
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    t = M.preimages[rows].astype(np.longdouble)[:, :, None] - 2 * pi * np.arange(N) / N
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = np.sin(N * t / 2) / np.tan(t / 2) / N
+    K[t == 0] = 1
+    return np.einsum("il,ilj->ij", M.weights[rows].astype(np.clongdouble), K)
 
 
 def circular_gap(a, b):
@@ -261,19 +276,21 @@ def test_assembly_matches_dense_dft(F, N):
         assert np.max(np.abs(got - dense_dft_matrix(F, s, N))) <= 1e-12
 
 
-def test_assembly_exact_hit_rows_are_unit_vectors():
-    # z^2 maps the even grid nodes onto grid nodes: those rows are
-    # W_0 e_j + W_1 e_k with no interpolation spill
-    N = 64
-    M = assemble_operator(Z2, 1.0, None, N)
-    grid = circle_grid(N)
-    on_node = np.isin(M.preimages, grid).all(axis=1)
-    assert on_node.sum() >= N // 4
-    for i in np.nonzero(on_node)[0]:
-        row = np.zeros(N, dtype=complex)
-        for l in range(2):
-            row[np.searchsorted(grid, M.preimages[i, l])] += M.weights[i, l]
-        assert np.max(np.abs(M.matrix[i] - row)) <= 1e-15
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+@pytest.mark.parametrize("F, s, N", [(A09, 1.5, 512), (A09, 1.5, 1024), (DEG3, 1.0 + 0.5j, 1024),
+                                     (Z2, 1.0, 64), (Z2, 1.0, 2048)],
+                         ids=["a0.9-512", "a0.9-1024", "deg3-complex-1024", "z2-64", "z2-2048"])
+def test_assembly_is_the_exact_interpolant(F, s, N):
+    # the matrix is within rounding of the interpolant's cardinal function
+    # (8e-16 observed). A cotangent kernel read 5.2e-14 at a = 0.9, N = 512,
+    # and its unit-vector rows for preimages on nodes, which z^2 makes on
+    # every even row, were 1.1e-13 off at N = 2048
+    M = assemble_operator(F, s, None, N)
+    rows = np.arange(N) if N <= 512 else np.r_[0:N:32, 5:N:32]
+    if F is Z2:
+        assert np.isin(M.preimages[rows], circle_grid(N)).all(axis=1).any()
+    err = np.max(np.abs(M.matrix[rows] - cardinal_rows(M, rows)))
+    assert err <= 2e-15 * np.max(np.abs(M.matrix))
 
 
 @pytest.mark.parametrize("F, s", [(A09, 1.5), (DEG3, 1.0 + 0.5j)], ids=["a0.9", "deg3-complex"])
@@ -290,16 +307,9 @@ def test_assembly_peak_is_the_matrix_and_one_row_block(F, s):
 
 def test_blocked_assembly_hit_rows_and_dense_dft():
     # at N = 2048 the rows are assembled in blocks; z^2 maps even nodes onto
-    # nodes, so every block has exact-hit rows at block-local indices
+    # nodes, so these rows mix preimages on nodes (even) and off them (odd)
     N = 2048
     M = assemble_operator(Z2, 1.0, None, N)
-    grid = circle_grid(N)
-    hits = np.nonzero(np.isin(M.preimages, grid).all(axis=1))[0]
-    assert np.unique(hits // 128).tolist() == list(range(N // 128))
-    want = np.zeros((len(hits), N))
-    for l in range(2):
-        want[np.arange(len(hits)), np.searchsorted(grid, M.preimages[hits, l])] += M.weights[hits, l]
-    assert np.max(np.abs(M.matrix[hits] - want)) <= 1e-15
     rows = np.unique(np.concatenate([np.arange(0, N, 32), np.arange(127, N, 128),
                                      np.arange(17, N, 64)]))
     assert np.max(np.abs(M.matrix[rows] - dense_dft_matrix(Z2, 1.0, N, rows))) <= 1e-12

@@ -1,0 +1,41 @@
+"""Subcommand routines against exact identities over their accepted inputs.
+
+Each property draws inputs from the domain a routine accepts and checks it
+against a closed form that needs no grid, so a wrong answer anywhere in
+that domain, not only at a few pinned inputs, fails the suite.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from innerdyn.blaschke import BlaschkeMap, lyapunov_exponent
+
+
+def jensen_lyapunov(F: BlaschkeMap) -> float:
+    """int log|F'| dm by Jensen's formula: log|F'(0)| plus log(1/|c|) over
+    the critical points c of F in the disk.
+
+    F = P / Q with P = e^{i rot} z prod (z - a) and Q = prod (1 - conj(a) z)
+    over the zeros a != 0; F' is analytic on the closed disk, its zeros
+    there are those of P'Q - PQ' inside it, and F'(0) = e^{i rot} prod (-a).
+    """
+    P, Q = np.poly1d([1.0, 0.0]), np.poly1d([1.0])
+    for a in F.zeros[1:]:
+        P *= np.poly1d([1.0, -a])
+        Q *= np.poly1d([-np.conj(a), 1.0])
+    crit = (P.deriv() * Q - P * Q.deriv()).roots
+    inside = crit[np.abs(crit) < 1.0]
+    assert len(inside) == F.degree - 1
+    return float(np.sum(np.log(np.abs(F.zeros[1:]))) - np.sum(np.log(np.abs(inside))))
+
+
+zero = st.builds(lambda r, phi: r * np.exp(1j * phi),
+                 st.floats(0.05, 0.95), st.floats(0.0, 2 * np.pi))
+
+
+@given(st.lists(zero, min_size=1, max_size=2), st.floats(0.0, 2 * np.pi))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_lyapunov_exponent_is_jensens_formula(zeros, rotation):
+    F = BlaschkeMap((0j, *zeros), rotation)
+    want = jensen_lyapunov(F)
+    assert abs(lyapunov_exponent(F) - want) <= 1e-12 * abs(want)

@@ -9,7 +9,7 @@ from scipy.special import ndtr
 from innerdyn.blaschke import BlaschkeMap, angle_map
 from innerdyn.circle import circle_grid
 from innerdyn.errors import DegenerateVariance, NonDecaying
-from innerdyn.observables import COS, Observable, constant
+from innerdyn.observables import COS, Observable, constant, cos_k
 from innerdyn.rng import splitmix64, uniform_stream
 from innerdyn.stochastic import (BirkhoffSample, birkhoff_samples,
                                  clt_diagnostics, green_kubo_variance, normal_cdf)
@@ -116,7 +116,7 @@ def test_degenerate_variance_rejected():
 
 def test_coboundary_telescopes():
     # h = cos(2t) - cos(t) = z o F - z under doubling: S_n h stays bounded
-    cob = Observable("cob", lambda t: np.cos(2 * np.asarray(t)) - np.cos(np.asarray(t)))
+    cob = Observable("cob", lambda t: np.cos(2 * np.asarray(t)) - np.cos(np.asarray(t)), 2)
     s = birkhoff_samples(F2, cob, 1024, 3000, seed=5)
     assert np.var(s.values) < 0.01
 
@@ -142,6 +142,21 @@ def test_green_kubo_slow_decay_closed_form(a):
     # series misses most of the cancellation; sigma^2 = (1-a) / (2(1+a))
     F = BlaschkeMap((0j, a + 0j))
     assert green_kubo_variance(F, COS) == pytest.approx((1 - a) / (2 * (1 + a)), abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [512, 513, 1000])
+def test_green_kubo_resolves_the_observable(k):
+    # on 512 nodes cos(512 t) is 1 at every node and cos(513 t) reads as
+    # cos t, so the variance read 0.0, 0.026 and 0.587 here; the grid now
+    # grows to 2048 > 2k, where sigma^2 is 1/2 to 1.7e-14 (against 4096)
+    F = BlaschkeMap((0j, 0.9 + 0j))
+    assert green_kubo_variance(F, cos_k(k)) == pytest.approx(0.5, abs=1e-10)
+
+
+def test_green_kubo_refuses_a_bandwidth_beyond_the_largest_grid():
+    # cos(2048 t) needs more than 4096 nodes, the largest collocation grid
+    with pytest.raises(ValueError, match="bandwidth 2048"):
+        green_kubo_variance(FH, cos_k(2048))
 
 
 def test_green_kubo_refuses_identity_map():

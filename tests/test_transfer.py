@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from innerdyn import transfer
 from innerdyn.blaschke import BlaschkeMap, angle_map
 from innerdyn.circle import circle_grid
 from innerdyn.cli import main
@@ -314,6 +315,30 @@ def test_pressure_variance_is_the_green_kubo_variance(F):
     assert rep.variance_prediction == green_kubo_variance(F, COS)
 
 
+def test_pressure_solves_each_node_once(monkeypatch):
+    # the t = 0 Green-Kubo matrix is the dense form of that node's N-mode
+    # operator, so each of the five nodes solves its 512 preimages once;
+    # assembling that matrix again solved them a sixth time
+    sizes = []
+    solve = transfer.boundary_preimages_batch
+    monkeypatch.setattr(transfer, "boundary_preimages_batch",
+                        lambda F, x: sizes.append(len(x)) or solve(F, x))
+    pressure_and_derivs(FH, COS, N=512)
+    assert sizes.count(512) == 5
+
+
+def test_pressure_refuses_an_observable_its_grid_aliases(tmp_path, capsys, monkeypatch):
+    # cos1000 on 512 modes aliases to a low frequency: P' read -0.0080 for 0
+    # and P'' 0.470 for 0.5. It exits 2, naming the bandwidth, before any work
+    monkeypatch.setattr(transfer, "boundary_preimages_batch", None)
+    out = tmp_path / "pressure.json"
+    argv = ["pressure", "--map", json.dumps(_zeros(0, 0.5)), "--obs", "cos1000",
+            "--modes", "512", "--out", str(out)]
+    assert main(argv) == 2
+    assert "bandwidth 1000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pressure_constant_observable():
     rep = pressure_and_derivs(FH, constant(0.7))
     assert rep.dp == pytest.approx(0.7, abs=1e-9)
@@ -342,7 +367,7 @@ def equilibrium_invariance_defect(F, data, grid):
 
 
 def test_equilibrium_measure_invariance():
-    g = Observable("0.1cos", lambda t: 0.1 * np.cos(np.asarray(t)))
+    g = Observable("0.1cos", lambda t: 0.1 * np.cos(np.asarray(t)), 1)
     grid = circle_grid(256)
     for F in (F2, FH):
         assert circle_spectrum(F, 1.0, g, 256).gap <= 0.95
@@ -359,7 +384,7 @@ def test_equilibrium_trivial_weight():
 
 def test_weighted_eigenvalue_matches_pressure_taylor():
     # log lambda(e^{t cos}|F'|^{-1}) ~ t P'(0) + t^2/2 P''(0) at t = 0.1
-    g = Observable("0.1cos", lambda t: 0.1 * np.cos(np.asarray(t)))
+    g = Observable("0.1cos", lambda t: 0.1 * np.cos(np.asarray(t)), 1)
     data = leading_spectral_data(assemble_operator(F2, 1.0, g, 256).matrix)
     taylor = 0.1 * 0.0 + 0.5 * 0.01 * 0.5
     assert np.log(data.lam.real) == pytest.approx(taylor, abs=5e-4)
