@@ -244,7 +244,7 @@ def cmd_pressure(args):
     write_json(args.out, config, {
         "p0": rep.p0, "dp": rep.dp, "ddp": rep.ddp,
         "mean_prediction": rep.mean_prediction,
-        "variance_prediction": rep.variance_prediction,
+        "variance_prediction": stochastic.green_kubo_variance(F, g),
         "min_gap": rep.min_gap})
     return 0
 

@@ -36,6 +36,7 @@ _HOLDER_RADIUS = 0.5
 _HOLDER_LEVELS = 8         # pairs t = s0 + i radius 2^-j, j = 1 .. levels
 _HOLDER_PROBES = 32        # seeded random probe vectors
 _HOLDER_SEED = 0           # stream seed of the probe vectors
+_MAX_BASIS = 2048          # most cylinder words of a transfer matrix: 64 MB when complex
 
 
 @dataclass(frozen=True)
@@ -193,10 +194,11 @@ def cylinder_operator(S: SymbolicSystem, psi: PotentialSpec, s: complex = 1.0,
     weight at w', which is exact because psi is locally constant at depth k.
     psi^p (|psi|^p for non-integer p) is Python's float power: numpy's power
     rounds differently in the last place. The matrix is float64 when s has
-    zero imaginary part, complex otherwise.
+    zero imaginary part, complex otherwise; past 2048 words, BudgetExceeded.
     """
-    k = psi.depth
-    tab = S.cylinder_table(k)
+    tab = S.cylinder_table(psi.depth)
+    if len(tab.basis) > _MAX_BASIS:
+        raise BudgetExceeded(f"cylinder basis of {len(tab.basis)} words exceeds {_MAX_BASIS}")
     x = psi.vector(tab.basis)
     weight = np.exp(operator_parameter(s) * x)
     if p != 0:
@@ -522,14 +524,14 @@ def holder_modulus_in_s(S: SymbolicSystem, psi: PotentialSpec, q: float):
     amplification over cylinder indicators and 32 random probe vectors of
     stream seed 0. Returns (C_fit, eps_fit) from the log-log least squares.
     """
+    base = cylinder_operator(S, psi, _HOLDER_S0, q)   # first: it refuses an oversize basis
     letters = S.cylinder_table(psi.depth).letters
     n = len(letters)
     wmat = _holder_norm_data(letters, psi.alpha)
-    probe_set = list(np.eye(n)[:64])
+    probe_set = list(np.eye(min(n, 64), n))
     for i in range(_HOLDER_PROBES):
         probe_set.append(uniform_stream(_HOLDER_SEED, n, offset=i * n) - 0.5)
     probe_set = [(g, ng) for g in probe_set if (ng := _holder_norm(g, wmat)) >= 1e-300]
-    base = cylinder_operator(S, psi, _HOLDER_S0, q)
     gaps = []
     deltas = []
     for j in range(1, _HOLDER_LEVELS + 1):

@@ -15,7 +15,7 @@ preimage, a preimage on a node included. An operator that is only applied,
 the N-mode operator of `spectrum` and `pressure`, keeps the plan, in
 O(N log N + N d q) time and O(N d q) memory for a stencil of q = 32 points,
 where the matrix takes N^2. The LAPACK consumers, the coarse grids of
-`circle_spectrum`, the Green-Kubo step of `pressure_and_derivs` and
+`circle_spectrum` and the Green-Kubo grid of
 `stochastic.green_kubo_variance`, take the plan's dense matrix
 (`NufftOperator.dense`, `assemble_operator`), built in row blocks straight
 into one preallocated array, so that the assembly peak is the matrix, the
@@ -24,8 +24,8 @@ plan and one block.
 The matrix is float64 exactly when s has zero imaginary part and g is real;
 then every solve in `spectral` runs in real arithmetic. Complex s keeps
 complex weights on the same stencil. `spectral` owns the solvers run on a
-matrix: the leading data, the dense spectrum that `circle_spectrum` reads
-the gap from, and the Green-Kubo variance.
+matrix: the leading data and the dense spectrum that `circle_spectrum` reads
+the gap from.
 
 `circle_spectrum` reads an N-mode operator on two grids. Near z^d the
 operator is close to the nilpotent shift e^{ikx} -> e^{i(k/d)x}, whose
@@ -49,7 +49,7 @@ import numpy as np
 from .blaschke import BlaschkeMap, boundary_preimages_batch, circle_abs_deriv, circle_grid
 from .circle import TWO_PI
 from .errors import GapLost
-from .spectral import dense_leading, green_kubo, operator_parameter, power_leading
+from .spectral import dense_leading, operator_parameter, power_leading
 
 _GAP_CEILING = 0.95
 _MAX_MODES = 4096       # largest collocation grid
@@ -199,14 +199,13 @@ class CircleSpectrum:
     lam, residual: the N-mode leading eigenvalue and the sup-norm residual
     of its unit eigenvector, at most 1e-10 |lam|; gap: |lambda_2 / lambda|
     of the dense spectrum on the coarse grid N_c; gap_bound: how far that
-    gap moves from N_c to 2 N_c; operator: the N-mode operator itself.
+    gap moves from N_c to 2 N_c.
     """
 
     lam: float | complex
     gap: float
     gap_bound: float
     residual: float
-    operator: NufftOperator
 
 
 def _fourier_tail(rho: np.ndarray) -> float:
@@ -258,25 +257,24 @@ def circle_spectrum(F: BlaschkeMap, s: complex, g, N: int) -> CircleSpectrum:
         n *= 2
     partner = dense_leading(assemble_operator(F, s, g, 2 * n).matrix, want_rho=False)[2]
     bound = abs(gap - partner)
-    op = nufft_operator(Y, W)
-    lam, _, res = power_leading(op, start=_refine(rho, N))[:3]
+    lam, _, res = power_leading(nufft_operator(Y, W), start=_refine(rho, N))[:3]
     return CircleSpectrum(lam=lam, gap=gap if resolved else partner, gap_bound=bound,
-                          residual=res, operator=op)
+                          residual=res)
 
 
 @dataclass
 class PressureReport:
     """Pressure curve data at 0 and its first two derivatives.
 
-    mean_prediction and variance_prediction are the independent checks:
-    the observable's Lebesgue mean and its Green-Kubo asymptotic variance.
+    mean_prediction is the independent check of dp: the observable's
+    Lebesgue mean. The check of ddp, the Green-Kubo asymptotic variance, is
+    `stochastic.green_kubo_variance`.
     """
 
     p0: float
     dp: float
     ddp: float
     mean_prediction: float
-    variance_prediction: float
     min_gap: float
     nodes: dict
 
@@ -288,11 +286,8 @@ def pressure_and_derivs(F: BlaschkeMap, g, N: int = 256) -> PressureReport:
     stencil {0, +-h, +-2h} with h = 1e-2; fourth-order (Richardson-refined)
     differences give P'(0) and P''(0). Each node is read by `circle_spectrum`,
     and its resolved gap guards the perturbation smallness (GapLost above
-    0.95). The node t = 0 is the weightless operator, which fixes
-    Lebesgue measure (rho = 1, weights 1/N), and `spectral.green_kubo` reads
-    the variance prediction off the dense matrix of its N-mode operator, the
-    one N x N matrix that this function assembles. An observable of
-    bandwidth K is refused before any work unless N > 2K resolves it.
+    0.95); no N x N matrix is assembled. An observable of bandwidth K is
+    refused before any work unless N > 2K resolves it.
     """
     if 2 * g.bandwidth >= N:
         raise ValueError(f"observable bandwidth {g.bandwidth} needs more than "
@@ -310,15 +305,10 @@ def pressure_and_derivs(F: BlaschkeMap, g, N: int = 256) -> PressureReport:
             raise GapLost(f"subleading ratio {data.gap:.3f} at node t = {t}")
         min_gap = min(min_gap, 1.0 - data.gap)
         pvals[t] = float(np.log(data.lam.real))
-        if t == 0.0:
-            M = data.operator.dense()
-            del data   # the plan, before the solve that sets the peak
-            gv = np.asarray(g(circle_grid(N)), dtype=float)
-            var_pred = green_kubo(M, np.ones(N), np.full(N, 1.0 / N), gv)
     p_m2, p_m1, p_0, p_1, p_2 = (pvals[t] for t in tvals)
     dp = (-p_2 + 8 * p_1 - 8 * p_m1 + p_m2) / (12 * h)
     ddp = (-p_2 + 16 * p_1 - 30 * p_0 + 16 * p_m1 - p_m2) / (12 * h * h)
     grid = circle_grid(4096)
     mean_pred = float(np.mean(np.asarray(g(grid), dtype=float)))
     return PressureReport(p0=p_0, dp=dp, ddp=ddp, mean_prediction=mean_pred,
-                          variance_prediction=var_pred, min_gap=min_gap, nodes=pvals)
+                          min_gap=min_gap, nodes=pvals)

@@ -93,7 +93,7 @@ def test_criterion_05_pressure_derivatives():
     for F in (F2, FH):
         rep = pressure_and_derivs(F, COS)
         worst1 = max(worst1, abs(rep.dp - rep.mean_prediction))
-        worst2 = max(worst2, abs(rep.ddp - rep.variance_prediction))
+        worst2 = max(worst2, abs(rep.ddp - green_kubo_variance(F, COS)))
     S3 = SymbolicSystem.full_shift(3)
     psi3 = PotentialSpec.from_letter_values(
         S3, {1: -LOG2, 2: -math.log(3), 3: -math.log(6)})

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from innerdyn import shift
 from innerdyn.errors import BudgetExceeded, NoConvergence, NotPrimitive
 from innerdyn.shift import (PotentialSpec, SymbolicSystem, _holder_norm,
                             _holder_norm_data, calibrate, count_words,
@@ -118,6 +119,23 @@ def test_potential_refuses_bad_depth(depth, values):
     # periodic_birkhoff_values; keys of another length never matched a word
     with pytest.raises(ValueError, match="depth"):
         PotentialSpec(depth, values)
+
+
+def test_cylinder_operator_refuses_an_oversize_basis():
+    # 4096 words, 128 MB as a float64 matrix; cylinder_table admits 1e6
+    psi = PotentialSpec(12, {w: -LOG2 for w in S2.cylinder_words(12)})
+    with pytest.raises(BudgetExceeded, match="4096 words"):
+        cylinder_operator(S2, psi)
+
+
+def test_holder_modulus_refuses_an_oversize_basis_first(monkeypatch):
+    # the n x n Hoelder weights alone took 81 n^2 bytes before any check
+    def unreachable(*args):
+        raise AssertionError("Hoelder weights built for an oversize basis")
+    monkeypatch.setattr(shift, "_holder_norm_data", unreachable)
+    psi = PotentialSpec(12, {w: -LOG2 for w in S2.cylinder_words(12)})
+    with pytest.raises(BudgetExceeded):
+        holder_modulus_in_s(S2, psi, 0.0)
 
 
 def test_modified_operator_constant_potential():

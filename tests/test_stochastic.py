@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from innerdyn import stochastic
 from innerdyn.blaschke import BlaschkeMap, angle_map
 from innerdyn.circle import circle_grid
 from innerdyn.errors import DegenerateVariance, NonDecaying
@@ -151,6 +152,19 @@ def test_green_kubo_resolves_the_observable(k):
     # grows to 2048 > 2k, where sigma^2 is 1/2 to 1.7e-14 (against 4096)
     F = BlaschkeMap((0j, 0.9 + 0j))
     assert green_kubo_variance(F, cos_k(k)) == pytest.approx(0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("zeros", [(0.999, 0.5), (0.99j, -0.9), (0.9999, 0.3)],
+                         ids=["0.999", "0.99i", "0.9999"])
+@pytest.mark.parametrize("k", [1, 5])
+def test_green_kubo_grid_does_not_move_the_variance(monkeypatch, zeros, k):
+    # pressure reads sigma^2 on this grid whatever its --modes, which rests
+    # on the weightless variance being the same on a finer grid: here zeros
+    # near the circle make the slowest correlation decay; measured <= 7e-16
+    F = BlaschkeMap((0j, *map(complex, zeros)))
+    coarse = green_kubo_variance(F, cos_k(k))
+    monkeypatch.setattr(stochastic, "_GREEN_KUBO_NODES", 1024)
+    assert abs(green_kubo_variance(F, cos_k(k)) - coarse) <= 1e-13
 
 
 def test_green_kubo_refuses_a_bandwidth_beyond_the_largest_grid():

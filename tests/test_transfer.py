@@ -297,28 +297,43 @@ def test_pressure_monomial_cos():
     assert rep.mean_prediction == pytest.approx(0.0, abs=1e-12)
     # Green-Kubo oracle: all composed-cosine correlations vanish
     assert rep.ddp == pytest.approx(0.5, abs=1e-3)
-    assert rep.variance_prediction == pytest.approx(0.5, abs=1e-12)
+    assert green_kubo_variance(F2, COS) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_pressure_fh_cos():
     rep = pressure_and_derivs(FH, COS)
     assert rep.dp == pytest.approx(0.0, abs=1e-6)
     assert rep.ddp == pytest.approx(GK_FH_COS, abs=1e-3)
-    assert rep.variance_prediction == pytest.approx(GK_FH_COS, abs=1e-10)
+    assert green_kubo_variance(FH, COS) == pytest.approx(GK_FH_COS, abs=1e-10)
 
 
-@pytest.mark.parametrize("F", [FH, BlaschkeMap((0j, 0.9 + 0j))], ids=["fh", "a09"])
-def test_pressure_variance_is_the_green_kubo_variance(F):
-    # at N = 512 the pressure's t = 0 node is the matrix green_kubo_variance
-    # assembles, and both read the variance off it with spectral.green_kubo
-    rep = pressure_and_derivs(F, COS, N=512)
-    assert rep.variance_prediction == green_kubo_variance(F, COS)
+@pytest.mark.parametrize("a", [0.5, 0.9], ids=["fh", "a09"])
+def test_pressure_variance_is_the_green_kubo_variance(tmp_path, a):
+    # the artifact's variance is clt's, read on clt's grid whatever --modes
+    want = green_kubo_variance(BlaschkeMap((0j, complex(a))), COS)
+    for modes in (256, 512, 2048):
+        out = tmp_path / f"pressure-{modes}.json"
+        argv = ["pressure", "--map", json.dumps(_zeros(0, a)), "--obs", "cos",
+                "--modes", str(modes), "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["data"]["variance_prediction"] == want
+
+
+def test_pressure_never_holds_the_n_mode_matrix():
+    # FH, N = 4096: one dense N-mode matrix is 128 MB; each node's NUFFT
+    # plan and Krylov basis and the coarse grids take a few MB
+    tracemalloc.start()
+    try:
+        pressure_and_derivs(FH, COS, N=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_pressure_solves_each_node_once(monkeypatch):
-    # the t = 0 Green-Kubo matrix is the dense form of that node's N-mode
-    # operator, so each of the five nodes solves its 512 preimages once;
-    # assembling that matrix again solved them a sixth time
+    # each of the five nodes solves its 512 preimages once; no other step
+    # of pressure_and_derivs reads the N-mode grid
     sizes = []
     solve = transfer.boundary_preimages_batch
     monkeypatch.setattr(transfer, "boundary_preimages_batch",
