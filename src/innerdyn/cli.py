@@ -249,40 +249,46 @@ def cmd_pressure(args):
     return 0
 
 
-def cmd_count(args):
-    cfg = load_map_config(args.map)
-    F = build_circle_map(cfg)
-    lam = blaschke.lyapunov_exponent(F)
-    arcs = _parse_arcs(args.arc)
-    strict = not args.closed
-    led = counting.enumerate_orbit(F, args.x, args.T)
-    sub = led.restricted(arcs) if arcs else led
-    mB = arcs_measure(arcs) if arcs else 1.0
-    grid = np.linspace(max(args.T / args.grid, 1e-6), args.T, args.grid)
+def _horizons(args) -> np.ndarray:
+    """The --grid horizons of a counting table, up to --T."""
+    return np.linspace(max(args.T / args.grid, 1e-6), args.T, args.grid)
+
+
+def _write_growth_table(args, config: dict, led, strict: bool, rate: float, mB: float):
+    """The CSV of N(t), the normalized growth N(t) e^{-t} rate / m(B) and the
+    Cesaro average at each horizon."""
     rows = []
-    for t in grid:
-        N = sub.count(t, strict=strict)
-        rows.append((t, N, N * np.exp(-t) * lam / mB,
-                     sub.cesaro_average(t)))
-    config = {"command": "count", "map": cfg, "T": args.T, "x": args.x,
-              "arcs": [[a.start, a.end] for a in arcs],
-              "strict": strict, "grid": args.grid}
+    for t in _horizons(args):
+        N = led.count(t, strict=strict)
+        rows.append((t, N, N * np.exp(-t) * rate / mB, led.cesaro_average(t)))
     write_csv(args.out, config, ["T", "N", "N_exp_ratio", "cesaro"], rows)
     return 0
 
 
-def cmd_cesaro(args):
+def _circle_ledger(args, command: str):
+    """(config, ledger restricted to the --arc targets, m(B), Lyapunov
+    exponent) of the circle counting commands."""
     cfg = load_map_config(args.map)
     F = build_circle_map(cfg)
     lam = blaschke.lyapunov_exponent(F)
     arcs = _parse_arcs(args.arc)
     led = counting.enumerate_orbit(F, args.x, args.T)
-    sub = led.restricted(arcs) if arcs else led
-    mB = arcs_measure(arcs) if arcs else 1.0
-    value = sub.cesaro_average(args.T)
-    config = {"command": "cesaro", "map": cfg, "T": args.T, "x": args.x,
+    config = {"command": command, "map": cfg, "T": args.T, "x": args.x,
               "arcs": [[a.start, a.end] for a in arcs]}
-    write_json(args.out, config, {"T": args.T, "cesaro": value,
+    if not arcs:
+        return config, led, 1.0, lam
+    return config, led.restricted(arcs), arcs_measure(arcs), lam
+
+
+def cmd_count(args):
+    config, led, mB, lam = _circle_ledger(args, "count")
+    config.update(strict=not args.closed, grid=args.grid)
+    return _write_growth_table(args, config, led, not args.closed, lam, mB)
+
+
+def cmd_cesaro(args):
+    config, led, mB, lam = _circle_ledger(args, "cesaro")
+    write_json(args.out, config, {"T": args.T, "cesaro": led.cesaro_average(args.T),
                                   "prediction": mB / lam})
     return 0
 
@@ -353,8 +359,7 @@ def cmd_shift_count(args):
     xi = coding.word_from_str(args.xi)
     B = [coding.word_from_str(tok) for tok in (args.cylinder or [])]
     led = shift.count_words(S, psi, xi, args.T, B=B)
-    grid = np.linspace(max(args.T / args.grid, 1e-6), args.T, args.grid)
-    rows = [(t, led.count(t, strict=False)) for t in grid]
+    rows = [(t, led.count(t, strict=False)) for t in _horizons(args)]
     config = {"command": "shift-count", "system": cfg, "T": args.T,
               "xi": args.xi, "cylinders": args.cylinder or [], "grid": args.grid}
     write_csv(args.out, config, ["T", "N"], rows)
@@ -411,17 +416,10 @@ def cmd_parabolic_count(args):
     _refuse_overlap("--interval", args.interval,
                     lambda i, j: max(B[i][0], B[j][0]) < min(B[i][1], B[j][1]))
     led = parabolic.parabolic_count(P, args.x, args.T, B, N=args.level)
-    rhs = parabolic.lyapunov_integral(P)
-    mB = sum(hi - lo for lo, hi in B)
-    grid = np.linspace(max(args.T / args.grid, 1e-6), args.T, args.grid)
-    rows = []
-    for t in grid:
-        N = led.count(t, strict=False)
-        rows.append((t, N, N * np.exp(-t) * rhs / mB, led.cesaro_average(t)))
     config = {"command": "parabolic-count", "map": cfg, "T": args.T,
               "x": args.x, "intervals": B, "level": args.level, "grid": args.grid}
-    write_csv(args.out, config, ["T", "N", "N_exp_ratio", "cesaro"], rows)
-    return 0
+    return _write_growth_table(args, config, led, False, parabolic.lyapunov_integral(P),
+                               sum(hi - lo for lo, hi in B))
 
 
 def cmd_holder_mod(args):

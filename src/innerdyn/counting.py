@@ -8,15 +8,17 @@ first-return tree of `parabolic.parabolic_count`; it raises BudgetExceeded
 exactly when there are more events than the node budget, checked after
 every expanded chunk, so a refused walk holds memory of the order of the
 budget. Monomial maps z -> e^{i rot} z^d have all level-n events at n log d,
-so for large T their ledgers hold aggregated (value, multiplicity) levels
-and arc restriction uses the exact equispacing count. Ledgers answer count
-and Cesaro queries by binary search in prefix sums of their member weights.
+so their ledgers hold aggregated (value, multiplicity) levels at every T
+and arc restriction uses the exact equispacing count. An event's weight is
+its multiplicity inside the target set; ledgers answer count and Cesaro
+queries by binary search in prefix sums of their weights.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,84 +39,78 @@ _CHUNK = 1 << 16
 class CountingLedger:
     """Sorted event stream (value, weight, location) with count queries.
 
-    values are the log-derivatives of the events; weights are integer
-    multiplicities (1 for enumerated events; for aggregated monomial ledgers
-    the level sizes as exact Python ints in an object array, since d^n
-    outgrows every integer dtype). locations are circle angles or real
-    positions, or None for aggregated ledgers. member_mask marks events
-    inside the target set when the ledger was built against one. meta holds,
-    for an aggregated ledger only, the seed angle, degree and rotation that
-    arc restriction needs, and after a restriction its arcs. Counts are
-    exact; only the Cesaro average converts weights to float.
+    values are the log-derivatives of the events; weights are their
+    multiplicities inside the target set, so restriction re-weights: bool
+    for enumerated events (False outside the target), and for aggregated
+    monomial ledgers the level sizes in the target as exact Python ints in
+    an object array, since d^n outgrows every integer dtype. locations are
+    circle angles or real positions, or None for aggregated ledgers. meta
+    holds, for an aggregated ledger only, the seed angle, degree and
+    rotation that arc restriction needs, and after a restriction its arcs.
+    Counts are exact; only the Cesaro average converts weights to float.
     """
 
     values: np.ndarray
     weights: np.ndarray
     locations: np.ndarray | None
-    member_mask: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @staticmethod
     def from_events(values, locations=None, member_mask=None):
+        """Ledger of unit events, weighted 0 where member_mask is False."""
         values = np.asarray(values, dtype=float)
         order = np.argsort(values, kind="stable")
-        values = values[order]
-        weights = np.ones(len(values), dtype=np.int64)
+        weights = (np.ones(len(values), dtype=bool) if member_mask is None
+                   else np.asarray(member_mask, dtype=bool)[order])
         if locations is not None:
             locations = np.asarray(locations, dtype=float)[order]
-        if member_mask is not None:
-            member_mask = np.asarray(member_mask, dtype=bool)[order]
-        return CountingLedger(values=values, weights=weights, locations=locations,
-                              member_mask=member_mask)
+        return CountingLedger(values=values[order], weights=weights, locations=locations)
 
     @functools.cached_property
     def _counts(self):
-        """Member weights w and their prefix sums W_i = sum_{j<i} w_j, built
-        on the first query; exact for integer weights."""
-        w = (self.weights if self.member_mask is None
-             else np.where(self.member_mask, self.weights, 0))
-        return w, _prefix_sums(w)
+        """Prefix sums W_i = sum_{j<i} w_j, built on the first query; exact
+        for integer weights."""
+        return _prefix_sums(self.weights)
 
     @functools.cached_property
     def _laplace(self):
         """Float prefix sums S_i = sum_{j<i} w_j e^{-v_j}."""
-        return _prefix_sums(self._counts[0].astype(float) * np.exp(-self.values))
+        return _prefix_sums(self.weights.astype(float) * np.exp(-self.values))
 
     def count(self, T: float, strict: bool = True) -> int:
         """N(T) with the strict '<' convention by default; closed uses '<='."""
         idx = np.searchsorted(self.values, T, side="left" if strict else "right")
-        return int(self._counts[1][idx])
+        return int(self._counts[idx])
 
     @property
     def total(self) -> int:
-        return int(self._counts[1][-1])
+        return int(self._counts[-1])
 
     def restricted(self, arcs) -> "CountingLedger":
-        """Ledger filtered to events whose location lies in the arc union."""
+        """Ledger re-weighted to the events whose location lies in the arc union."""
         if self.locations is None:
             if "seed_angle" not in self.meta:
                 raise ValueError("a shift ledger has no locations; it is restricted by "
                                  "cylinders, through count_words(..., B=...)")
             return _restrict_aggregated(self, arcs)
-        mask = arcs_contain(arcs, self.locations)
-        return CountingLedger(values=self.values, weights=self.weights, locations=self.locations,
-                              member_mask=mask if self.member_mask is None
-                              else (mask & self.member_mask))
+        return CountingLedger(values=self.values, locations=self.locations,
+                              weights=self.weights * arcs_contain(arcs, self.locations))
 
     def cesaro_average(self, T: float) -> float:
         """(1/T) int_0^T N(t) e^{-t} dt = (S - W e^{-T}) / T over events v <= T."""
         if T <= 0:
             raise ValueError("T must be positive")
-        W, S = self._counts[1], self._laplace
+        W, S = self._counts, self._laplace
         idx = np.searchsorted(self.values, T, side="right")
         return float(S[idx] - float(W[idx]) * np.exp(-T)) / T if idx else 0.0
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
-    """[0, x_0, x_0 + x_1, ...]; exact for integers (Python ints in an
-    object array too). A float sum adds back each step's rounding error,
-    recovered exactly by TwoSum, so it stays within a few ulps."""
-    out = np.zeros(len(x) + 1, dtype=x.dtype)
+    """[0, x_0, x_0 + x_1, ...]; exact for integers (bools summed as int64,
+    Python ints in an object array). A float sum adds back each step's
+    rounding error, recovered exactly by TwoSum, so it stays within a few
+    ulps."""
+    out = np.zeros(len(x) + 1, dtype=np.result_type(x, np.int64))
     s = np.cumsum(x, out=out[1:])
     if s.dtype.kind == "f":
         step = s - out[:-1]
@@ -157,7 +153,7 @@ def _restrict_aggregated(L: CountingLedger, arcs) -> CountingLedger:
     new_w = np.array([sum(_monomial_level_count_in_arc(x, d, rot, n, a) for a in arcs)
                       for n in range(len(L.values))], dtype=object)
     return CountingLedger(values=L.values, weights=new_w, locations=None,
-                          member_mask=None, meta={**L.meta, "arcs": arcs})
+                          meta={**L.meta, "arcs": arcs})
 
 
 @dataclass
@@ -262,25 +258,26 @@ def refuse_oversize(T: float, measure: float, lyapunov: float, node_budget: int)
 def enumerate_orbit(F: BlaschkeMap, x, T: float) -> CountingLedger:
     """Exact ledger of all backward-orbit events up to log-derivative T.
 
-    Monomial maps whose predicted event count exceeds the budget switch to
-    the aggregated per-level ledger (lattice structure, exact multiplicity
-    d^n at value n log d); enumeration is refused, never truncated, for
-    other maps over budget.
+    Monomial maps get the aggregated per-level ledger at every T (lattice
+    structure, exact multiplicity d^n at value n log d), refused with
+    BudgetExceeded when its total count does not fit the double that the
+    growth ratio and the Cesaro average convert it to. Enumeration is
+    refused, never truncated, for other maps over budget.
     """
     if F.is_rotation:
         raise ValueError("rotations have no expanding counting theory")
     x = as_angle(x)
     if F.is_monomial:
         d = F.degree
-        n_max = int(np.floor(T / np.log(d) + 1e-12))
-        if sum(d**n for n in range(n_max + 1)) > _NODE_BUDGET:
-            vals = np.arange(n_max + 1) * np.log(d)
-            weights = np.array([d**n for n in range(n_max + 1)], dtype=object)
-            return CountingLedger(values=vals, weights=weights, locations=None,
-                                  meta={"seed_angle": x, "degree": d,
-                                        "rotation": F.rotation})
-    else:
-        refuse_oversize(T, 1.0, lyapunov_exponent(F), _NODE_BUDGET)
+        # d^1024 >= 2^1024 exceeds every double, so the cap refuses without a huge power
+        n_max = int(np.floor(min(T / np.log(d) + 1e-12, 1024.0)))
+        if (d ** (n_max + 1) - 1) // (d - 1) > sys.float_info.max:
+            raise BudgetExceeded(f"z^{d} has more events up to T = {T} than a double holds")
+        return CountingLedger(values=np.arange(n_max + 1) * np.log(d),
+                              weights=np.array([d**n for n in range(n_max + 1)], dtype=object),
+                              locations=None,
+                              meta={"seed_angle": x, "degree": d, "rotation": F.rotation})
+    refuse_oversize(T, 1.0, lyapunov_exponent(F), _NODE_BUDGET)
     locs, vals = backward_orbit(F, x, T).events()
     return CountingLedger.from_events(vals, locations=locs)
 

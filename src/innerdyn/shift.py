@@ -37,6 +37,7 @@ _HOLDER_LEVELS = 8         # pairs t = s0 + i radius 2^-j, j = 1 .. levels
 _HOLDER_PROBES = 32        # seeded random probe vectors
 _HOLDER_SEED = 0           # stream seed of the probe vectors
 _MAX_BASIS = 2048          # most cylinder words of a transfer matrix: 64 MB when complex
+_HOLDER_MAX_BASIS = 512    # most words of holder_modulus_in_s: ~800 n^2 flops, 70 n^2 bytes
 
 
 @dataclass(frozen=True)
@@ -383,8 +384,8 @@ def count_words(S: SymbolicSystem, psi: PotentialSpec, xi: Word, T: float,
     BudgetExceeded is raised exactly when there are more than node_budget
     events, checked per expanded chunk, so a refused walk holds memory of
     the order of the budget. An inadmissible seed raises ValueError. Returns
-    a ledger whose member mask reflects B; B None or empty admits every
-    event, as in `counting.coded_count` and `parabolic.parabolic_count`.
+    a ledger that weighs the events outside B 0; B None or empty admits
+    every event, as in `counting.coded_count` and `parabolic.parabolic_count`.
     """
     k = psi.depth
     xi = tuple(xi)
@@ -523,10 +524,14 @@ def holder_modulus_in_s(S: SymbolicSystem, psi: PotentialSpec, q: float):
     radius 0.5; the operator-norm estimate maximizes the Hoelder-norm
     amplification over cylinder indicators and 32 random probe vectors of
     stream seed 0. Returns (C_fit, eps_fit) from the log-log least squares.
+    A basis over 512 words is refused with BudgetExceeded before any work.
     """
-    base = cylinder_operator(S, psi, _HOLDER_S0, q)   # first: it refuses an oversize basis
     letters = S.cylinder_table(psi.depth).letters
     n = len(letters)
+    if n > _HOLDER_MAX_BASIS:
+        raise BudgetExceeded(f"cylinder basis of {n} words exceeds {_HOLDER_MAX_BASIS} "
+                             "for the Hoelder modulus")
+    base = cylinder_operator(S, psi, _HOLDER_S0, q)
     wmat = _holder_norm_data(letters, psi.alpha)
     probe_set = list(np.eye(min(n, 64), n))
     for i in range(_HOLDER_PROBES):

@@ -328,6 +328,19 @@ def test_library_errors_exit_3(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 3
 
 
+@pytest.mark.parametrize("command", ["count", "cesaro"])
+@pytest.mark.parametrize("d, T", [(2, "720"), (2, "709.5"), (3, "720")])
+def test_monomial_count_past_the_double_range_exits_3(tmp_path, capsys, command, d, T):
+    # more events than the largest double: the growth ratio and the Cesaro
+    # average raised OverflowError (exit 1). At 709.5, 2^1023 fits but the
+    # count 2^1024 - 1 of z^2 does not
+    argv = [command, "--map", f'{{"kind":"monomial","d":{d}}}']
+    assert main(argv + ["--T", T, "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err.startswith("BudgetExceeded:")
+    assert not (tmp_path / "x").exists()
+    assert main(argv + ["--T", "700", "--out", str(tmp_path / "x")]) == 0
+
+
 _COLD_START = """
 import math, sys
 import numpy as np

@@ -23,8 +23,16 @@ LOG2 = np.log(2)
 LYAP_FH = np.log((2 + np.sqrt(3)) / 2)
 
 
+def _located(F, x, T):
+    """The enumerated ledger of every event, for comparison with the
+    aggregated ledger that enumerate_orbit builds for a monomial."""
+    locs, vals = backward_orbit(F, x, T).events()
+    return CountingLedger.from_events(vals, locations=locs)
+
+
 def test_binary_count_exact():
     led = enumerate_orbit(F2, 0.3, 5.0)
+    assert led.locations is None                       # aggregated at every T
     assert led.count(5.0, strict=False) == 255          # floor(5/log 2) = 7 levels
     assert led.count(5.0, strict=True) == 255           # no event at exactly 5
     assert enumerate_orbit(F2, 0.3, 0.0).count(0.0, strict=False) == 1
@@ -66,6 +74,8 @@ def test_restrict_equispaced_levels():
 
 def test_restrict_additivity():
     led = enumerate_orbit(FH, 0.3, 8.0)
+    # an enumerated event weighs 1 byte: its membership in the target
+    assert led.weights.dtype == led.restricted([Arc(0.0, 2.0)]).weights.dtype == bool
     B1 = [Arc.from_endpoints(0.0, 2.0)]
     B2 = [Arc.from_endpoints(2.0, 4.5)]
     both = [Arc.from_endpoints(0.0, 2.0), Arc.from_endpoints(2.0, 4.5)]
@@ -91,7 +101,7 @@ def test_budget_refusal_generic_map():
 
 def test_aggregated_ledger_matches_exact():
     # the lattice fast path and the explicit tree agree wherever both run
-    exact = enumerate_orbit(F2, 0.3, 10.0)
+    exact = _located(F2, 0.3, 10.0)
     agg = enumerate_orbit(F2, 0.3, 40.0)
     assert agg.locations is None
     for t in np.linspace(0.5, 10.0, 13):
@@ -106,7 +116,7 @@ def test_aggregated_ledger_rotated_monomial():
     # arc restriction of the lattice ledger handles a nonzero rotation:
     # level-n preimages shift by rot (d^n - 1)/(d - 1)
     F = BlaschkeMap.monomial(2, rotation=0.7)
-    exact = enumerate_orbit(F, 0.3, 10.0)
+    exact = _located(F, 0.3, 10.0)
     agg = enumerate_orbit(F, 0.3, 40.0)
     assert agg.locations is None
     B = [Arc.from_endpoints(1.0, 4.0)]
@@ -141,7 +151,7 @@ def test_aggregated_counts_are_exact_integers(d, T, arc):
 
 def test_second_restriction_intersects_on_aggregated_ledgers():
     agg = enumerate_orbit(F2, 0.3, 30.0)
-    located = enumerate_orbit(F2, 0.3, 12.0)
+    located = _located(F2, 0.3, 12.0)
     assert agg.locations is None and located.locations is not None
     A, B = Arc(0.0, 1.0), Arc(3.0, 1.0)
     assert agg.restricted([A]).restricted([B]).total == 0
@@ -171,7 +181,7 @@ def _arc_union(draw):
 
 _LOCATED_FH = enumerate_orbit(FH, 0.3, 8.0)
 _AGGREGATED_Z2 = enumerate_orbit(F2, 0.3, 30.0)
-_LOCATED_Z2 = enumerate_orbit(F2, 0.3, 12.0)
+_LOCATED_Z2 = _located(F2, 0.3, 12.0)
 
 
 @given(_arc_union(), _arc_union())
@@ -208,7 +218,7 @@ def test_restriction_composes_on_the_shift_ledger(A, B):
     # the shift ledger restricts by cylinders: its members for A, then for
     # B, are its members for the cylinders of A & B
     def members(cylinders):
-        return count_words(_S3, _PSI3, (1, 2), 6.0, cylinders).member_mask
+        return count_words(_S3, _PSI3, (1, 2), 6.0, cylinders).weights
 
     both = _cylinder_meet(A, B)
     want = members(A) & members(B)
@@ -341,13 +351,13 @@ def _step_integral(values, weights, T):
 @given(st.integers(0, 2**32 - 1), st.integers(0, 200), st.booleans(), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_prefix_queries_match_direct_sums(seed, n, float_weights, masked):
+    # masked: a restricted enumerated ledger, whose weights are bools
     rng = np.random.default_rng(seed)
     values = np.sort(rng.integers(0, 48, n) / 8.0)         # ties on a 1/8 grid
     weights = rng.integers(1, 2**40, n)
     weights = weights.astype(np.float64) if float_weights else weights
-    mask = rng.random(n) < 0.6 if masked else None
-    led = CountingLedger(values=values, weights=weights, locations=None, member_mask=mask)
-    w = weights if mask is None else np.where(mask, weights, 0)
+    w = rng.random(n) < 0.6 if masked else weights
+    led = CountingLedger(values=values, weights=w, locations=None)
     assert led.total == int(np.sum(w))
     for t in np.concatenate([values, np.arange(-1, 50) / 8.0 + 1 / 16]):
         assert led.count(t, strict=True) == int(np.sum(w[values < t]))

@@ -129,13 +129,15 @@ def test_cylinder_operator_refuses_an_oversize_basis():
 
 
 def test_holder_modulus_refuses_an_oversize_basis_first(monkeypatch):
-    # the n x n Hoelder weights alone took 81 n^2 bytes before any check
+    # the n x n Hoelder weights alone took 81 n^2 bytes before any check;
+    # 1024 words, under the matrix bound, took 7.9 s and 72.8 MiB
     def unreachable(*args):
         raise AssertionError("Hoelder weights built for an oversize basis")
     monkeypatch.setattr(shift, "_holder_norm_data", unreachable)
-    psi = PotentialSpec(12, {w: -LOG2 for w in S2.cylinder_words(12)})
-    with pytest.raises(BudgetExceeded):
-        holder_modulus_in_s(S2, psi, 0.0)
+    for depth in (10, 12):
+        psi = PotentialSpec(depth, {w: -LOG2 for w in S2.cylinder_words(depth)})
+        with pytest.raises(BudgetExceeded, match=f"{2**depth} words"):
+            holder_modulus_in_s(S2, psi, 0.0)
 
 
 def test_modified_operator_constant_potential():
