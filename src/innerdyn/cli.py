@@ -282,8 +282,9 @@ def _circle_ledger(args, command: str):
 
 def cmd_count(args):
     config, led, mB, lam = _circle_ledger(args, "count")
-    config.update(strict=not args.closed, grid=args.grid)
-    return _write_growth_table(args, config, led, not args.closed, lam, mB)
+    strict = not args.closed
+    config.update(strict=strict, grid=args.grid)
+    return _write_growth_table(args, config, led, strict, lam, mB)
 
 
 def cmd_cesaro(args):

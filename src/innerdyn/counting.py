@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,12 +268,13 @@ def enumerate_orbit(F: BlaschkeMap, x, T: float) -> CountingLedger:
     x = as_angle(x)
     if F.is_monomial:
         d = F.degree
-        # d^1024 >= 2^1024 exceeds every double, so the cap refuses without a huge power
+        # capped, since d^1024 already exceeds every double
         n_max = int(np.floor(min(T / np.log(d) + 1e-12, 1024.0)))
-        if (d ** (n_max + 1) - 1) // (d - 1) > sys.float_info.max:
+        weights = [d**n for n in range(n_max + 1)]
+        if sum(weights) > float(np.finfo(float).max):
             raise BudgetExceeded(f"z^{d} has more events up to T = {T} than a double holds")
         return CountingLedger(values=np.arange(n_max + 1) * np.log(d),
-                              weights=np.array([d**n for n in range(n_max + 1)], dtype=object),
+                              weights=np.array(weights, dtype=object),
                               locations=None,
                               meta={"seed_angle": x, "degree": d, "rotation": F.rotation})
     refuse_oversize(T, 1.0, lyapunov_exponent(F), _NODE_BUDGET)

@@ -19,7 +19,7 @@ from innerdyn import blaschke, counting
 from innerdyn.blaschke import (BlaschkeMap, _lift_grid, boundary_preimages,
                                boundary_preimages_batch, circle_abs_deriv)
 from innerdyn.circle import TWO_PI, as_angle, circle_grid, wrap_angle
-from innerdyn.counting import backward_orbit, enumerate_orbit
+from innerdyn.counting import CountingLedger, backward_orbit
 from innerdyn.errors import BudgetExceeded
 from innerdyn.transfer import assemble_operator
 
@@ -155,12 +155,18 @@ def test_backward_orbit_ledger_matches_oracle(F, T):
 
 @pytest.mark.parametrize("F", [FH, Z2])
 def test_ledger_counts_identical_on_T_grid(F):
+    # located ledgers from the walker: enumerate_orbit aggregates z^2 without
+    # solving any preimage, so it would not exercise the Newton solve
+    def located():
+        locs, vals = backward_orbit(F, 0.3, T).events()
+        return CountingLedger.from_events(vals, locations=locs)
+
     T = 9.0
-    new = enumerate_orbit(F, 0.3, T)
+    new = located()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("innerdyn.counting.boundary_preimages_batch",
                    bisection_preimages_batch)
-        ref = enumerate_orbit(F, 0.3, T)
+        ref = located()
     grid = np.linspace(0.0, T, 200)
     assert [new.count(t) for t in grid] == [ref.count(t) for t in grid]
 
