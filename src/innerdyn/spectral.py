@@ -11,7 +11,8 @@ lambda far below 1 (a large s) keeps as many digits as one near 1. The
 resolvent is one linear solve. The deflated projection realizes the
 spectral projection of a simple isolated eigenvalue, so no contour
 integrals are needed. The Green-Kubo variance of an observable is read off
-the same resolvent (`green_kubo`), for the circle and the shift alike.
+the same resolvent (`green_kubo`), for the circle and the shift alike; the
+caller hands it the solve, dense on the shift, on two grids on the circle.
 
 The spectral gap has one route, `transfer.circle_spectrum`: the resolved
 |lambda_2 / lambda_1| of the dense LAPACK spectrum (`dense_leading`) on
@@ -360,19 +361,23 @@ def deflated_resolvent(mat: np.ndarray, lam: complex, rho: np.ndarray,
     return x
 
 
-def green_kubo(mat: np.ndarray, rho: np.ndarray, weights: np.ndarray, g: np.ndarray) -> float:
-    """Asymptotic variance <mu, phi^2> + 2 sum_{k>=1} <weights, phi mat^k (rho phi)>.
+def green_kubo(op, rho: np.ndarray, weights: np.ndarray, g: np.ndarray, solve) -> float:
+    """Asymptotic variance <mu, phi^2> + 2 sum_{k>=1} <weights, phi op^k (rho phi)>.
 
-    mat has leading eigenvalue 1 with eigenfunction rho and dual weights,
-    weights . rho = 1, and mu = rho * weights is the invariant measure;
-    phi = g - <mu, g> is centered. Since <weights, rho phi> = 0, the sum
-    over k >= 0 of mat^k (rho phi) is the deflated resolvent x, so the
-    variance is <mu, phi^2> + 2 <weights, phi * mat x>. The pairings are
-    pairwise sums, so with uniform weights 1/N they are numpy means to the
-    bit. NonDecaying comes from `deflated_resolvent`.
+    op (a matrix, or any operator with `@` on vectors) has leading
+    eigenvalue 1 with eigenfunction rho and dual weights, weights . rho = 1,
+    and mu = rho * weights is the invariant measure; phi = g - <mu, g> is
+    centered. Since <weights, rho phi> = 0, the sum over k >= 0 of
+    op^k (rho phi) is the deflated resolvent x, the solution of
+    (I - op + rho (x) weights) x = rho phi, which solve(v) returns: a dense
+    `deflated_resolvent` for the shift, a two-grid solve for the circle
+    (`stochastic.green_kubo_variance`). The variance is
+    <mu, phi^2> + 2 <weights, phi * op x>. The pairings are pairwise sums,
+    so with uniform weights 1/N they are numpy means to the bit.
+    NonDecaying comes from the solve.
     """
     mu = rho * weights
     mu = mu / np.sum(mu)
     phi = g - float(np.sum(mu * g))
-    x = deflated_resolvent(mat, 1, rho, weights, rho * phi)
-    return float(np.sum(mu * (phi * phi))) + 2.0 * float(np.sum(weights * (phi * (mat @ x))))
+    x = solve(rho * phi)
+    return float(np.sum(mu * (phi * phi))) + 2.0 * float(np.sum(weights * (phi * (op @ x))))

@@ -3,9 +3,13 @@
 Orbit statistics of Birkhoff sums S_n h / sqrt(n) over Lebesgue-random seeds,
 a Kolmogorov-Smirnov comparison with the Gaussian, and the asymptotic
 variance from the resolvent of the transfer operator. `spectral` owns the
-Green-Kubo formula (`spectral.green_kubo`, one linear solve), which the
-shift's variance shares; here it is applied, for `clt` and `pressure`, to
-the weightless collocation operator, which fixes Lebesgue measure.
+Green-Kubo formula (`spectral.green_kubo`), which the shift's variance
+shares; here it is applied, for `clt` and `pressure`, to the weightless
+collocation operator, which fixes Lebesgue measure. That operator is
+applied matrix-free on its N >= 512 nodes, and its resolvent is solved on
+a coarse grid of 32 nodes or more with one residual correction at N,
+certified by the residual; the N x N matrix is assembled only for an
+observable that no coarse grid certifies.
 
 For monomial maps theta -> d*theta the orbit point x = theta / (2*pi) at
 step k is the window from digit k of a random base-d digit string, cut in
@@ -16,7 +20,9 @@ m = 1 + floor(7 / log2 d) steps (an anchor; m = 1 for d = 1 and d >= 129):
 there z = exp(2*pi*i*x) comes from two 4096-entry tables within a few eps,
 and in between z <- z**d is taken by multiplication, which leaves an error
 of at most about d**(m-1) * eps <= 128 * eps before the next anchor. No
-floating-point shadowing caveat applies. Sample i reads only stream
+floating-point shadowing caveat applies. The digit string is drawn as the
+window reaches it, a few uint64 words per sample at a time, so the
+sampler's memory does not grow with n. Sample i reads only stream
 position i, so large runs are split over two processes with a result that
 is byte-identical to the serial one.
 """
@@ -39,8 +45,9 @@ from .blaschke import BlaschkeMap, circle_grid
 from .circle import TWO_PI
 from .errors import DegenerateVariance, InnerdynError
 from .rng import splitmix64, uniform_stream
-from .spectral import green_kubo
-from .transfer import _MAX_MODES, assemble_operator
+from .spectral import deflated_resolvent, green_kubo
+from .transfer import (_COARSE_MAX, _COARSE_MIN, _MAX_MODES, _preimage_weights, _refine,
+                       assemble_operator, nufft_operator)
 
 
 @dataclass
@@ -83,7 +90,8 @@ def _orbit_fractions(d: int, n: int, seed: int, lo: int, hi: int):
     """fraction(k): orbit points x in [0, 1] at step k of x -> d*x (mod 1).
 
     For samples lo..hi-1, as windows of each sample's digit string, held in
-    uint64 words W_q of m base-e digits: the raw SplitMix64 words for
+    uint64 words W_q of m base-e digits: the raw SplitMix64 words
+    splitmix64(seed, i*nwords + q), nwords = (n*b + 64) // 64 + 2, for
     d = 2**b (e = 2, m = 64, step k at bit k*b), else the digits j < ndig =
     n + ceil(54 / log2 d) + 1, splitmix64(seed, i*ndig + j) mod d, packed
     with d**m < 2**64 and zero-filled (step k at digit k). The window at
@@ -93,39 +101,55 @@ def _orbit_fractions(d: int, n: int, seed: int, lo: int, hi: int):
     adds w' / e**(2m). Error budget: the digits past the window and the bits
     below the shift lose < 2**s / e**m < 2**-52 (2**-64 with two words), the
     rounded scale 2**-53 (none for d = 2**b), the product and the sum 2**-54
-    each; so |x - exact| < 1.75 eps, 0.5 eps for d = 2**b. Each call
-    overwrites and returns one buffer.
+    each; so |x - exact| < 1.75 eps, 0.5 eps for d = 2**b.
+
+    The words are streamed: W_q is drawn when a window first reaches it,
+    into one of three rows (slot q mod 3), the most a step reads (W_q to
+    W_{q+2} on the two-word path), so memory does not grow with n. Any k
+    may be asked for; steps in increasing order draw each word once. Each
+    call overwrites and returns one buffer.
     """
-    idx = np.arange(lo, hi, dtype=np.uint64)
     e = 2 if d & (d - 1) == 0 else d
     m = max(j for j in range(1, 65) if e**j <= 2**64)
     s = (e**m - 1).bit_length() - 53
     words, s = (1, s) if s >= 0 else (2, 0)
     power = [np.uint64(e**j) for j in range(m)]
+    held = np.empty((3, hi - lo), dtype=np.uint64)
+    tags = [-1] * 3
     if e == 2:
         b = d.bit_length() - 1
-        nwords = (n * b + 64) // 64 + 2
-        pool = np.empty((nwords, hi - lo), dtype=np.uint64)
-        for w in range(nwords):
-            pool[w] = splitmix64(seed, idx * np.uint64(nwords) + np.uint64(w))
+        first = np.arange(lo, hi, dtype=np.uint64) * np.uint64((n * b + 64) // 64 + 2)
+
+        def draw(q, out):
+            out[:] = splitmix64(seed, first + np.uint64(q))
     else:
         b, ndig = 1, n + int(np.ceil(54 / np.log2(d))) + 1
-        pool = np.zeros((-(-ndig // m) + words, hi - lo), dtype=np.uint64)
+        first = np.arange(lo, hi, dtype=np.uint64) * np.uint64(ndig)
         digit = np.empty(hi - lo, dtype=np.uint64)
-        for j in range(ndig):
-            w = splitmix64(seed, idx * np.uint64(ndig) + np.uint64(j))
-            np.multiply(_remainder(w, np.uint64(d), digit), power[m - 1 - j % m], out=digit)
-            np.add(pool[j // m], digit, out=pool[j // m])
+
+        def draw(q, out):
+            out.fill(0)
+            for j in range(q * m, min(q * m + m, ndig)):
+                w = splitmix64(seed, first + np.uint64(j))
+                np.multiply(_remainder(w, np.uint64(d), digit), power[m - 1 - j % m], out=digit)
+                np.add(out, digit, out=out)
+
+    def word(q):
+        if tags[q % 3] != q:
+            draw(q, held[q % 3])
+            tags[q % 3] = q
+        return held[q % 3]
+
     win, tail = np.empty((2, hi - lo), dtype=np.uint64)
     frac, low = np.empty((2, hi - lo))
 
     def window(p):
         q, r = divmod(p, m)
         if r == 0:
-            return pool[q]
-        _remainder(pool[q], power[m - r], win)
+            return word(q)
+        _remainder(word(q), power[m - r], win)
         np.multiply(win, power[r], out=win)
-        np.floor_divide(pool[q + 1], power[m - r], out=tail)
+        np.floor_divide(word(q + 1), power[m - r], out=tail)
         return np.add(win, tail, out=win)
 
     def fraction(k):
@@ -375,15 +399,67 @@ def green_kubo_variance(F: BlaschkeMap, h) -> float:
     h, N > 2K for its bandwidth K; ValueError names a K that needs more
     than 4096 nodes. A finer grid moves the variance by rounding only (2e-15
     from 256 to 2048 nodes, on maps with a zero up to 0.9999), so `pressure`
-    reads it too, whatever its `--modes`. The rank-one deflation removes the
+    reads it too, whatever its `--modes`. L is applied matrix-free
+    (`transfer.nufft_operator`), and the resolvent is solved on two grids
+    (`_two_grid_resolvent`); the N x N matrix is assembled only when no
+    coarse grid certifies the solution. The rank-one deflation removes the
     eigenvalue 1 of the constants, so the solve is regular whenever L has a
-    spectral gap; NonDecaying is raised when it leaves a residual above
-    1e-10 * ||h - mean||.
+    spectral gap; NonDecaying is raised when a solve, on a coarse grid or at
+    N, leaves a residual above 1e-10 times its right-hand side (the identity
+    map fails on the first coarse grid).
     """
     N = max(_GREEN_KUBO_NODES, 1 << (2 * h.bandwidth).bit_length())
     if N > _MAX_MODES:
         raise ValueError(f"observable bandwidth {h.bandwidth} needs more than "
                          f"{2 * h.bandwidth} nodes; the grid stops at {_MAX_MODES}")
     hv = np.asarray(h(circle_grid(N)), dtype=float)
-    L = assemble_operator(F, 1.0, None, N).matrix
-    return green_kubo(L, np.ones(N), np.full(N, 1.0 / N), hv)
+    L = nufft_operator(*_preimage_weights(F, 1.0, None, N))
+    solve = functools.partial(_two_grid_resolvent, F, L)
+    return green_kubo(L, np.ones(N), np.full(N, 1.0 / N), hv, solve)
+
+
+def _coarse_resolvent(L: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(I - L + 1 (x) w)^{-1} r on the n nodes of the dense weightless L,
+    w = 1/n, for r on N nodes: restricted by Fourier truncation, solved by
+    `deflated_resolvent` and interpolated back (`transfer._refine`)."""
+    n = L.shape[0]
+    x = deflated_resolvent(L, 1, np.ones(n), np.full(n, 1.0 / n), _refine(r, n))
+    return _refine(x, len(r))
+
+
+def _two_grid_resolvent(F: BlaschkeMap, L, v: np.ndarray) -> np.ndarray:
+    """x with (I - K) x = v for K = L - 1 (x) w, w = 1/N, where L is the
+    weightless operator of F on N nodes as a `transfer.NufftOperator`.
+
+    Second-kind two-grid solve (Atkinson, The Numerical Solution of Integral
+    Equations of the Second Kind, 1997, ch. 6; Hackbusch, Multi-Grid
+    Methods and Applications, 1985). K smooths, so with x = v + y the
+    equation (I - K) y = K v has a smooth right-hand side, and y is read
+    on a coarse grid of n nodes (`_coarse_resolvent`, B). One residual
+    correction follows, with K applied matrix-free at N:
+    r = v - (I - K) x, x += r + B K r, which leaves the residual
+    (I - (I - K) B) K r. x is accepted on the first n = 32, 64, ... below N
+    and at most `transfer._COARSE_MAX` whose residual at N is at most
+    1e-13 ||v||. Otherwise the N x N system is assembled and solved
+    densely: cos1000 on the zeros {0, 0.9} (N = 2048) is not certified
+    below 2048 nodes, since K v of a high frequency is not smooth where the
+    inverse branches contract by as little as 1/1.05.
+    """
+    N = len(v)
+
+    def apply(x):  # K x
+        return L @ x - np.mean(x)
+
+    def defect(x):  # v - (I - K) x
+        return v - x + apply(x)
+
+    n = _COARSE_MIN
+    while n < N and n <= _COARSE_MAX:
+        Lc = assemble_operator(F, 1.0, None, n).matrix
+        x = v + _coarse_resolvent(Lc, apply(v))
+        r = defect(x)
+        x += r + _coarse_resolvent(Lc, apply(r))
+        if np.linalg.norm(defect(x)) <= 1e-13 * np.linalg.norm(v):
+            return x
+        n *= 2
+    return deflated_resolvent(L.dense(), 1, np.ones(N), np.full(N, 1.0 / N), v)

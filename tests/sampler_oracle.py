@@ -5,8 +5,10 @@ step, and `oracle_birkhoff_values` evaluates h on that angle at every step
 (monomial maps) or runs the allocate-per-step float loop (other maps). For
 d = 2**b the window is cut from the raw words with shifts; for other d it is
 summed from the digits `drawn_digits` returns, in Python integers, and
-converted to a double as `stochastic._orbit_fractions` documents. The fast
-sampler in `innerdyn.stochastic` is checked against these.
+converted to a double as `stochastic._orbit_fractions` documents.
+`eager_orbit_fractions` is that function as it was before its words were
+streamed: it draws every word of every sample up front. The fast sampler in
+`innerdyn.stochastic` is checked against these.
 """
 
 import math
@@ -59,6 +61,43 @@ def _window_fractions(strings: list, d: int, n: int) -> np.ndarray:
             rows.append([float(windows[k]) * scale + float(windows[k + m]) * scale2
                          for k in range(n)])
     return np.array(rows)
+
+
+def eager_orbit_fractions(d: int, n: int, seed: int, lo: int, hi: int):
+    """fraction(k) of `stochastic._orbit_fractions`, from a pool of all the
+    (nwords x samples) uint64 words drawn before the first step; numpy's
+    `%` stands in for `stochastic._remainder`, which equals it."""
+    idx = np.arange(lo, hi, dtype=np.uint64)
+    e = 2 if d & (d - 1) == 0 else d
+    m = max(j for j in range(1, 65) if e**j <= 2**64)
+    s = (e**m - 1).bit_length() - 53
+    words, s = (1, s) if s >= 0 else (2, 0)
+    power = [np.uint64(e**j) for j in range(m)]
+    if e == 2:
+        b = d.bit_length() - 1
+        nwords = (n * b + 64) // 64 + 2
+        pool = np.empty((nwords, hi - lo), dtype=np.uint64)
+        for w in range(nwords):
+            pool[w] = splitmix64(seed, idx * np.uint64(nwords) + np.uint64(w))
+    else:
+        b, ndig = 1, n + int(np.ceil(54 / np.log2(d))) + 1
+        pool = np.zeros((-(-ndig // m) + words, hi - lo), dtype=np.uint64)
+        for j in range(ndig):
+            w = splitmix64(seed, idx * np.uint64(ndig) + np.uint64(j))
+            pool[j // m] += (w % np.uint64(d)) * power[m - 1 - j % m]
+
+    def window(p):
+        q, r = divmod(p, m)
+        if r == 0:
+            return pool[q]
+        return pool[q] % power[m - r] * power[r] + pool[q + 1] // power[m - r]
+
+    def fraction(k):
+        x = (window(k * b) >> np.uint64(s)).view(np.int64) * (2**s / e**m)
+        if words == 2:
+            x = x + window(k * b + m).view(np.int64) * (1 / e ** (2 * m))
+        return x
+    return fraction
 
 
 def exact_monomial_fractions(d: int, n: int, samples: int, seed: int):

@@ -5,7 +5,9 @@ the exact-angle loop, the table exponential at the anchors stays within
 4 eps of a 50-digit `decimal` reference, and the base-d digits equal numpy's
 `%`. The digit window is within 2**-51 of the exact fraction of the drawn
 digits for every d, and for d = 2**b it equals the bit-window oracle byte
-for byte. Other maps: the in-place float loop is byte-identical to the
+for byte. The words drawn as the window reaches them give the bytes of a
+pool drawn up front, and a serial run holds under 180 bytes per sample.
+Other maps: the in-place float loop is byte-identical to the
 allocate-per-step loop. Splitting the samples over two processes changes no
 byte, and a failed worker raises instead of returning zeros.
 """
@@ -16,6 +18,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +30,8 @@ from innerdyn.blaschke import BlaschkeMap
 from innerdyn.errors import InnerdynError
 from innerdyn.observables import COS, SIN, cos_k, get_observable, sin_k
 from innerdyn.stochastic import birkhoff_samples
-from sampler_oracle import drawn_digits, exact_monomial_fractions, oracle_birkhoff_values
+from sampler_oracle import (drawn_digits, eager_orbit_fractions, exact_monomial_fractions,
+                            oracle_birkhoff_values)
 
 EPS = np.finfo(float).eps
 # m = 1 + floor(7 / log2 d): the steps per exact anchor
@@ -152,6 +156,38 @@ def test_power_of_two_windows_equal_the_bit_window_oracle(b):
     fraction = stochastic._orbit_fractions(d, n, 17, 0, samples)
     for k, want in enumerate(exact_monomial_fractions(d, n, samples, 17)):
         assert fraction(k).tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3, 4, 5, 7, 8, 8191]),
+       n=st.integers(1, 200),
+       seed=st.integers(0, 2**31 - 1),
+       lo=st.integers(0, 1000))
+def test_streamed_words_equal_the_eager_pool(d, n, seed, lo):
+    # the words are drawn as the window reaches them, three held at a time;
+    # d = 8191 takes the two-word path, which reads W_q, W_q+1 and W_q+2
+    fraction = stochastic._orbit_fractions(d, n, seed, lo, lo + 5)
+    want = eager_orbit_fractions(d, n, seed, lo, lo + 5)
+    for k in range(n):
+        assert fraction(k).tobytes() == want(k).tobytes()
+    again = stochastic._orbit_fractions(d, n, seed, lo, lo + 5)
+    for k in (n - 1, 0, n // 2):
+        assert again(k).tobytes() == want(k).tobytes()
+
+
+def test_serial_sampler_memory_does_not_grow_with_n(monkeypatch):
+    # z^2 at n = 1024 drew 19 words per sample up front (252 bytes per
+    # sample traced); streamed, three are held, and the rest is the
+    # per-sample buffers of the iterator
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 1)
+    samples = 20000
+    tracemalloc.start()
+    try:
+        birkhoff_samples(Z2, COS, 1024, samples, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / samples < 180
 
 
 @pytest.mark.parametrize("d", [2, 3])

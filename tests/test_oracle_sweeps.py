@@ -6,9 +6,11 @@ that domain, not only at a few pinned inputs, fails the suite.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from innerdyn.blaschke import BlaschkeMap, lyapunov_exponent
+from innerdyn.observables import COS, cos_k
+from innerdyn.stochastic import green_kubo_variance
 
 
 def jensen_lyapunov(F: BlaschkeMap) -> float:
@@ -39,3 +41,32 @@ def test_lyapunov_exponent_is_jensens_formula(zeros, rotation):
     F = BlaschkeMap((0j, *zeros), rotation)
     want = jensen_lyapunov(F)
     assert abs(lyapunov_exponent(F) - want) <= 1e-12 * abs(want)
+
+
+@given(st.floats(-0.9, 0.999))
+@example(-0.9)
+@example(-0.5)
+@example(0.5)
+@example(0.9)
+@example(0.97)
+@example(0.99)
+@example(0.999)
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_green_kubo_is_the_closed_form_of_the_two_zero_map(a):
+    # for F = z (z - a) / (1 - a z) the k-step correlation of cos is
+    # (1/2) F'(0)^k = (1/2) (-a)^k, which sums to (1 - a) / (2 (1 + a)):
+    # 9.5 at a = -0.9, 2.5e-4 at a = 0.999, where the correlations decay
+    # slowest
+    want = (1 - a) / (2 * (1 + a))
+    got = green_kubo_variance(BlaschkeMap((0j, complex(a))), COS)
+    assert abs(got - want) <= 1e-11 * want
+
+
+@given(st.sampled_from([2, 3]), st.integers(1, 2047))
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_green_kubo_of_every_harmonic_under_a_monomial_is_one_half(d, k):
+    # z^d maps cos(k t) to cos(d k t), orthogonal to cos(k t) and to every
+    # later image, so sigma^2 = c_0 = 1/2 for every k the largest grid
+    # resolves; k >= 1024 takes 4096 nodes, and where the two-grid
+    # certificate fails there (the draw z^3, cos2047) the dense solve answers
+    assert abs(green_kubo_variance(BlaschkeMap.monomial(d), cos_k(k)) - 0.5) <= 1e-12

@@ -1,6 +1,7 @@
 """Monte-Carlo CLT diagnostics and the Green-Kubo variance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sampler_oracle import exact_monomial_angles
 
 F2 = BlaschkeMap.monomial(2)
 FH = BlaschkeMap((0j, 0.5 + 0j))
+A09 = BlaschkeMap((0j, 0.9 + 0j))
 GK_FH_COS = 1.0 / 6.0
 
 
@@ -178,6 +180,50 @@ def test_green_kubo_refuses_identity_map():
     # a truncated sum returned a finite number without complaint
     with pytest.raises(NonDecaying):
         green_kubo_variance(BlaschkeMap.monomial(1), COS)
+
+
+def _resolvent_sizes(monkeypatch) -> list:
+    """The node counts of the systems `deflated_resolvent` solves, in order."""
+    sizes = []
+    solve = stochastic.deflated_resolvent
+
+    def spy(mat, *args):
+        sizes.append(mat.shape[0])
+        return solve(mat, *args)
+    monkeypatch.setattr(stochastic, "deflated_resolvent", spy)
+    return sizes
+
+
+def test_green_kubo_solves_fh_on_the_coarsest_grid(monkeypatch):
+    # FH's operator is resolved on 32 nodes, so the coarse solve and the
+    # one correction at N = 512 certify there: two 32-node systems, and the
+    # 512-node matrix is never assembled
+    sizes = _resolvent_sizes(monkeypatch)
+    assert green_kubo_variance(FH, COS) == pytest.approx(GK_FH_COS, abs=1e-12)
+    assert sizes == [32, 32]
+
+
+def test_green_kubo_falls_back_to_one_dense_solve(monkeypatch):
+    # cos1000 needs N = 2048, and L cos1000 is not smooth under the zeros
+    # {0, 0.9}, whose inverse branches contract by as little as 1/1.05: no
+    # coarse grid up to 512 certifies, and one 2048-node system is solved
+    sizes = _resolvent_sizes(monkeypatch)
+    assert green_kubo_variance(A09, cos_k(1000)) == pytest.approx(0.5, abs=1e-10)
+    assert sizes == [32, 32, 64, 64, 128, 128, 256, 256, 512, 512, 2048]
+
+
+def test_green_kubo_never_holds_the_n_node_matrix():
+    # the 512-node matrix alone takes 2 MiB (4.3 MiB traced with the system
+    # of its solve, when it was assembled); the two-grid solve holds the
+    # NUFFT plan and 32-node systems, 1.1 MiB
+    green_kubo_variance(FH, COS)
+    tracemalloc.start()
+    try:
+        green_kubo_variance(FH, COS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_correlations_match_direct_composition_quadrature():
