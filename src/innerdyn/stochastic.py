@@ -7,9 +7,8 @@ Green-Kubo formula (`spectral.green_kubo`), which the shift's variance
 shares; here it is applied, for `clt` and `pressure`, to the weightless
 collocation operator, which fixes Lebesgue measure. That operator is
 applied matrix-free on its N >= 512 nodes, and its resolvent is solved on
-a coarse grid of 32 nodes or more with one residual correction at N,
-certified by the residual; the N x N matrix is assembled only for an
-observable that no coarse grid certifies.
+a 32-node grid with residual corrections at N, certified by the residual;
+the N x N matrix is assembled only when 64 corrections do not certify.
 
 For monomial maps theta -> d*theta the orbit point x = theta / (2*pi) at
 step k is the window from digit k of a random base-d digit string, cut in
@@ -43,11 +42,11 @@ import numpy as np
 
 from .blaschke import BlaschkeMap, circle_grid
 from .circle import TWO_PI
-from .errors import DegenerateVariance, InnerdynError
+from .errors import DegenerateVariance, InnerdynError, NonDecaying
 from .rng import splitmix64, uniform_stream
 from .spectral import deflated_resolvent, green_kubo
-from .transfer import (_COARSE_MAX, _COARSE_MIN, _MAX_MODES, _preimage_weights, _refine,
-                       assemble_operator, nufft_operator)
+from .transfer import (_COARSE_MIN, _MAX_MODES, _preimage_weights, _refine, assemble_operator,
+                       nufft_operator)
 
 
 @dataclass
@@ -66,6 +65,7 @@ class BirkhoffSample:
 # smaller runs stay in one process: a fork costs milliseconds
 _SPLIT_MIN_STEPS = 10**6
 _GREEN_KUBO_NODES = 512   # smallest Green-Kubo grid; a wider observable gets a finer one
+_CORRECTIONS = 64         # two-grid corrections before the dense Green-Kubo solve
 
 
 def _anchor_spacing(d: int) -> int:
@@ -401,13 +401,14 @@ def green_kubo_variance(F: BlaschkeMap, h) -> float:
     from 256 to 2048 nodes, on maps with a zero up to 0.9999), so `pressure`
     reads it too, whatever its `--modes`. L is applied matrix-free
     (`transfer.nufft_operator`), and the resolvent is solved on two grids
-    (`_two_grid_resolvent`); the N x N matrix is assembled only when no
-    coarse grid certifies the solution. The rank-one deflation removes the
-    eigenvalue 1 of the constants, so the solve is regular whenever L has a
-    spectral gap; NonDecaying is raised when a solve, on a coarse grid or at
-    N, leaves a residual above 1e-10 times its right-hand side (the identity
-    map fails on the first coarse grid).
+    (`_two_grid_resolvent`), with the N x N matrix only when its corrections
+    do not certify. The rank-one deflation removes the eigenvalue 1 of the
+    constants, so the solve is regular whenever L has a spectral gap.
+    NonDecaying refuses a rotation, which has none, before any work, and a
+    solve that leaves a residual above 1e-10 times its right-hand side.
     """
+    if F.is_rotation:
+        raise NonDecaying("a rotation has no spectral gap: its correlations do not decay")
     N = max(_GREEN_KUBO_NODES, 1 << (2 * h.bandwidth).bit_length())
     if N > _MAX_MODES:
         raise ValueError(f"observable bandwidth {h.bandwidth} needs more than "
@@ -418,34 +419,29 @@ def green_kubo_variance(F: BlaschkeMap, h) -> float:
     return green_kubo(L, np.ones(N), np.full(N, 1.0 / N), hv, solve)
 
 
-def _coarse_resolvent(L: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """(I - L + 1 (x) w)^{-1} r on the n nodes of the dense weightless L,
-    w = 1/n, for r on N nodes: restricted by Fourier truncation, solved by
-    `deflated_resolvent` and interpolated back (`transfer._refine`)."""
-    n = L.shape[0]
-    x = deflated_resolvent(L, 1, np.ones(n), np.full(n, 1.0 / n), _refine(r, n))
-    return _refine(x, len(r))
-
-
 def _two_grid_resolvent(F: BlaschkeMap, L, v: np.ndarray) -> np.ndarray:
     """x with (I - K) x = v for K = L - 1 (x) w, w = 1/N, where L is the
     weightless operator of F on N nodes as a `transfer.NufftOperator`.
 
-    Second-kind two-grid solve (Atkinson, The Numerical Solution of Integral
-    Equations of the Second Kind, 1997, ch. 6; Hackbusch, Multi-Grid
-    Methods and Applications, 1985). K smooths, so with x = v + y the
-    equation (I - K) y = K v has a smooth right-hand side, and y is read
-    on a coarse grid of n nodes (`_coarse_resolvent`, B). One residual
-    correction follows, with K applied matrix-free at N:
-    r = v - (I - K) x, x += r + B K r, which leaves the residual
-    (I - (I - K) B) K r. x is accepted on the first n = 32, 64, ... below N
-    and at most `transfer._COARSE_MAX` whose residual at N is at most
-    1e-13 ||v||. Otherwise the N x N system is assembled and solved
-    densely: cos1000 on the zeros {0, 0.9} (N = 2048) is not certified
-    below 2048 nodes, since K v of a high frequency is not smooth where the
-    inverse branches contract by as little as 1/1.05.
+    Second-kind two-grid iteration (Atkinson, The Numerical Solution of
+    Integral Equations of the Second Kind, 1997, ch. 6; Hackbusch,
+    Multi-Grid Methods and Applications, 1985). K smooths, so with
+    x = v + y the equation (I - K) y = K v has a smooth right-hand side,
+    and y is read on 32 nodes (B: restricted by Fourier truncation, solved
+    by `deflated_resolvent`, interpolated back by `transfer._refine`).
+    Corrections r = v - (I - K) x, x += r + B K r, with K applied
+    matrix-free at N, run until the residual at N is at most 1e-13 ||v||,
+    or else the N x N system is solved densely after `_CORRECTIONS` of
+    them. Where K v is not smooth they converge slowly (58 for cos1000 on
+    the zeros {0, 0.9}), and not monotonely (z^2, cos1760 holds at ||v||
+    for five, then drops to zero), so only the count stops them.
     """
-    N = len(v)
+    n = _COARSE_MIN
+    Lc = assemble_operator(F, 1.0, None, n).matrix
+
+    def coarse(r):  # B r
+        x = deflated_resolvent(Lc, 1, np.ones(n), np.full(n, 1.0 / n), _refine(r, n))
+        return _refine(x, len(r))
 
     def apply(x):  # K x
         return L @ x - np.mean(x)
@@ -453,13 +449,12 @@ def _two_grid_resolvent(F: BlaschkeMap, L, v: np.ndarray) -> np.ndarray:
     def defect(x):  # v - (I - K) x
         return v - x + apply(x)
 
-    n = _COARSE_MIN
-    while n < N and n <= _COARSE_MAX:
-        Lc = assemble_operator(F, 1.0, None, n).matrix
-        x = v + _coarse_resolvent(Lc, apply(v))
+    x = v + coarse(apply(v))
+    r = defect(x)
+    for _ in range(_CORRECTIONS):
+        x += r + coarse(apply(r))
         r = defect(x)
-        x += r + _coarse_resolvent(Lc, apply(r))
-        if np.linalg.norm(defect(x)) <= 1e-13 * np.linalg.norm(v):
+        if np.linalg.norm(r) <= 1e-13 * np.linalg.norm(v):
             return x
-        n *= 2
+    N = len(v)
     return deflated_resolvent(L.dense(), 1, np.ones(N), np.full(N, 1.0 / N), v)

@@ -16,10 +16,10 @@ the N-mode operator of `spectrum` and `pressure`, keeps the plan, in
 O(N log N + N d q) time and O(N d q) memory for a stencil of q = 32 points,
 where the matrix takes N^2. The LAPACK consumers, the coarse grids of
 `circle_spectrum` and of `stochastic.green_kubo_variance` (and that
-solver's N-node fallback when no coarse grid certifies), take the plan's
-dense matrix (`NufftOperator.dense`, `assemble_operator`), built in row
-blocks straight into one preallocated array, so that the assembly peak is
-the matrix, the plan and one block. `_refine` moves a grid function
+solver's N-node fallback when its corrections do not certify), take the
+plan's dense matrix (`NufftOperator.dense`, `assemble_operator`), built in
+row blocks straight into one preallocated array, so that the assembly peak
+is the matrix, the plan and one block. `_refine` moves a grid function
 between grids both ways: zero-padding up, Fourier truncation down.
 
 The matrix is float64 exactly when s has zero imaginary part and g is real;
@@ -49,14 +49,14 @@ import numpy as np
 
 from .blaschke import BlaschkeMap, boundary_preimages_batch, circle_abs_deriv, circle_grid
 from .circle import TWO_PI
-from .errors import GapLost
+from .errors import GapLost, NoConvergence
 from .spectral import dense_leading, operator_parameter, power_leading
 
 _GAP_CEILING = 0.95
 _MAX_MODES = 4096       # largest collocation grid
 _BLOCK_BYTES = 1 << 18  # bytes of the fine grid of one row block of `NufftOperator.dense`
 _PRESSURE_STEP = 1e-2   # step h of the five-point pressure stencil
-_COARSE_MIN = 32        # smallest coarse grid of `circle_spectrum`
+_COARSE_MIN = 32        # smallest coarse grid of `circle_spectrum`; the Green-Kubo coarse grid
 _COARSE_MAX = 512       # largest coarse grid: a dense eigensolve at 2 x 512 takes 0.5 s
 _TAIL_ROUNDING = 1e-13  # Fourier tail of rho at which a grid resolves the operator
 _OVERSAMPLE = 2         # the NUFFT apply's fine FFT grid has 2 N points
@@ -253,8 +253,11 @@ def circle_spectrum(F: BlaschkeMap, s: complex, g, N: int) -> CircleSpectrum:
     preimages and weights make a `nufft_operator`, and the coarse
     eigenfunction, interpolated to N nodes (`_refine`), starts its Arnoldi
     solve (`spectral.power_leading`), which usually accepts after two
-    matvecs. No dual solve is made: the caller reads lam and the gap.
+    matvecs. No dual solve is made: the caller reads lam and the gap. A
+    rotation has no dominant eigenvalue and is refused with NoConvergence.
     """
+    if F.is_rotation:
+        raise NoConvergence("a rotation has no dominant eigenvalue: its spectrum is on the circle")
     Y, W = _preimage_weights(F, s, g, N)
     top = min(max(_COARSE_MIN, N // 2), _COARSE_MAX)
     n = _COARSE_MIN

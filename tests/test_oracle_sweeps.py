@@ -8,9 +8,11 @@ that domain, not only at a few pinned inputs, fails the suite.
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from innerdyn.blaschke import BlaschkeMap, lyapunov_exponent
+from innerdyn.blaschke import BlaschkeMap, circle_grid, lyapunov_exponent
 from innerdyn.observables import COS, cos_k
+from innerdyn.spectral import deflated_resolvent, green_kubo
 from innerdyn.stochastic import green_kubo_variance
+from innerdyn.transfer import _preimage_weights, nufft_operator
 
 
 def jensen_lyapunov(F: BlaschkeMap) -> float:
@@ -67,6 +69,30 @@ def test_green_kubo_is_the_closed_form_of_the_two_zero_map(a):
 def test_green_kubo_of_every_harmonic_under_a_monomial_is_one_half(d, k):
     # z^d maps cos(k t) to cos(d k t), orthogonal to cos(k t) and to every
     # later image, so sigma^2 = c_0 = 1/2 for every k the largest grid
-    # resolves; k >= 1024 takes 4096 nodes, and where the two-grid
-    # certificate fails there (the draw z^3, cos2047) the dense solve answers
+    # resolves; k >= 1024 takes 4096 nodes, where a few corrections on the
+    # 32-node grid certify every draw
     assert abs(green_kubo_variance(BlaschkeMap.monomial(d), cos_k(k)) - 0.5) <= 1e-12
+
+
+@given(st.lists(st.builds(lambda r, phi: r * np.exp(1j * phi),
+                          st.floats(0.0, 0.99), st.floats(0.0, 2 * np.pi)),
+                min_size=1, max_size=3),
+       st.integers(1, 1000))
+@example([0.95j], 100)
+@example([0.99], 50)
+@example([0.9], 1000)
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_green_kubo_matches_the_dense_resolvent(zeros, k):
+    # the two-grid solve against one dense solve of the N-node system that
+    # it avoids, on the same grid and the same matrix-free operator; without
+    # its corrections, sigma^2 is 7e-5 and 0.46 relative off on the first two
+    # examples, and the third takes 58 of them
+    F = BlaschkeMap((0j, *zeros))
+    N = max(512, 1 << (2 * k).bit_length())
+    L = nufft_operator(*_preimage_weights(F, 1.0, None, N))
+    rho, w = np.ones(N), np.full(N, 1.0 / N)
+    dense = L.dense()
+    want = green_kubo(L, rho, w, np.cos(k * circle_grid(N)),
+                      lambda v: deflated_resolvent(dense, 1, rho, w, v))
+    got = green_kubo_variance(F, cos_k(k))
+    assert abs(got - want) <= 1e-12 * abs(want)

@@ -177,9 +177,12 @@ def test_green_kubo_refuses_a_bandwidth_beyond_the_largest_grid():
 
 def test_green_kubo_refuses_identity_map():
     # every correlation of the identity equals c_0, so the series diverges;
-    # a truncated sum returned a finite number without complaint
-    with pytest.raises(NonDecaying):
-        green_kubo_variance(BlaschkeMap.monomial(1), COS)
+    # a truncated sum returned a finite number without complaint. The
+    # rotation by 0.7 returned 3.3e-16, which `clt` sampled against before
+    # raising DegenerateVariance
+    for F in (BlaschkeMap.monomial(1), BlaschkeMap.monomial(1, 0.7)):
+        with pytest.raises(NonDecaying):
+            green_kubo_variance(F, COS)
 
 
 def _resolvent_sizes(monkeypatch) -> list:
@@ -203,27 +206,44 @@ def test_green_kubo_solves_fh_on_the_coarsest_grid(monkeypatch):
     assert sizes == [32, 32]
 
 
-def test_green_kubo_falls_back_to_one_dense_solve(monkeypatch):
+def test_green_kubo_corrects_cos1000_on_the_coarsest_grid(monkeypatch):
     # cos1000 needs N = 2048, and L cos1000 is not smooth under the zeros
-    # {0, 0.9}, whose inverse branches contract by as little as 1/1.05: no
-    # coarse grid up to 512 certifies, and one 2048-node system is solved
+    # {0, 0.9}, whose inverse branches contract by as little as 1/1.05; the
+    # corrections on 32 nodes still certify it (58 of them), so no finer
+    # system is solved
     sizes = _resolvent_sizes(monkeypatch)
     assert green_kubo_variance(A09, cos_k(1000)) == pytest.approx(0.5, abs=1e-10)
-    assert sizes == [32, 32, 64, 64, 128, 128, 256, 256, 512, 512, 2048]
+    assert set(sizes) == {32}
+    assert len(sizes) <= 1 + stochastic._CORRECTIONS
 
 
-def test_green_kubo_never_holds_the_n_node_matrix():
+def test_green_kubo_falls_back_to_one_dense_solve(monkeypatch):
+    # a zero at 0.999 keeps the corrections of cos300 (N = 1024) above the
+    # certificate: the 32-node grid is solved once and once per correction,
+    # and then the 1024-node system once
+    sizes = _resolvent_sizes(monkeypatch)
+    green_kubo_variance(BlaschkeMap((0j, 0.999 + 0j)), cos_k(300))
+    assert sizes == [32] * (1 + stochastic._CORRECTIONS) + [1024]
+
+
+@pytest.mark.parametrize("F, h, bound", [
     # the 512-node matrix alone takes 2 MiB (4.3 MiB traced with the system
     # of its solve, when it was assembled); the two-grid solve holds the
     # NUFFT plan and 32-node systems, 1.1 MiB
-    green_kubo_variance(FH, COS)
+    (FH, COS, 2 * 2**20),
+    # the 4096-node matrix alone takes 128 MiB; a few corrections on 32
+    # nodes certify cos2047, and the NUFFT plan at N leads the trace, 12 MiB
+    (BlaschkeMap.monomial(3), cos_k(2047), 24 * 2**20),
+], ids=["fh-cos", "z3-cos2047"])
+def test_green_kubo_never_holds_the_n_node_matrix(F, h, bound):
+    green_kubo_variance(F, h)
     tracemalloc.start()
     try:
-        green_kubo_variance(FH, COS)
+        green_kubo_variance(F, h)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert peak < bound
 
 
 def test_correlations_match_direct_composition_quadrature():

@@ -1,6 +1,7 @@
 """Collocation transfer operators: spectra, pressure, equilibrium measures."""
 
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from innerdyn import transfer
 from innerdyn.blaschke import BlaschkeMap, angle_map
 from innerdyn.circle import circle_grid
 from innerdyn.cli import main
+from innerdyn.errors import NoConvergence
 from innerdyn.observables import COS, Observable, constant
 from innerdyn.spectral import deflated_subleading, leading_spectral_data
 from innerdyn.stochastic import green_kubo_variance
@@ -370,6 +372,17 @@ def test_pressure_refuses_an_observable_its_grid_aliases(tmp_path, capsys, monke
     assert main(argv) == 2
     assert "bandwidth 1000" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pressure_refuses_a_rotation_at_once():
+    # a rotation has its whole spectrum on the circle and no gap; the
+    # identity at 1024 modes took about 2 s in the coarse eigensolves and
+    # the Arnoldi solve to reach NoConvergence
+    for F in (BlaschkeMap.monomial(1), BlaschkeMap.monomial(1, 0.7)):
+        start = time.perf_counter()
+        with pytest.raises(NoConvergence):
+            pressure_and_derivs(F, COS, N=1024)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_pressure_constant_observable():
