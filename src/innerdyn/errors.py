@@ -9,10 +9,6 @@ class PoleProximity(InnerdynError):
     """Evaluation point is too close to a pole 1/conj(a) of a Blaschke factor."""
 
 
-class LiftNonMonotone(InnerdynError):
-    """The sampled argument lift decreased; the map data is invalid."""
-
-
 class RootEscape(InnerdynError):
     """A polynomial root left the closed unit disk beyond tolerance."""
 

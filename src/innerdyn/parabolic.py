@@ -279,15 +279,16 @@ def _derivative_zeros(P: ParabolicMap) -> np.ndarray:
     on the line, so its zeros are n conjugate pairs, repeated by
     multiplicity. They are seeded by the companion-matrix roots of Q,
     expanded about the centre of the poles and scaled to unit size, and then
-    polished by Newton steps on F' itself: the expanded coefficients lose
-    the zeros next to a light pole (7e-11 relative at masses of 1e-6), F'
-    does not. Two polished zeros that coincide (closer than 1e-6 of their
-    distance to the poles) are polished again as one zero of F'', which is
-    simple where F' has a double zero (two equal masses t set sqrt(t) apart
-    give one) and which Newton on F' finds only to sqrt(eps); two seeds that
-    fell on one simple zero are moved off it by that polish, fail the
-    residual check and raise NoConvergence. Every returned zero lies in the
-    upper half-plane with |F'(r)| <= 1e-12 * (1 + sum t_i/|r - b_i|^2).
+    polished by Newton steps on F' itself, each as its offset from the
+    nearest pole: the expanded coefficients, and the floats near that pole,
+    lose a zero next to a light pole (7e-11 relative at masses of 1e-6). Two
+    zeros closer than 1e-6 of their distance to the poles are polished
+    again as one zero of F'', which is simple where F' has a double zero
+    (two equal masses t set sqrt(t) apart give one) and which Newton on F'
+    finds only to sqrt(eps); two seeds that fell on one simple zero are moved
+    off it by that polish, fail the residual check and raise NoConvergence.
+    Every zero returned lies in the upper half-plane with |F'(r)| <= 1e-12 *
+    (1 + sum t_i/|r - b_i|^2).
     """
     bs = P.pole_locations
     ts = np.array([t for _, t in P.poles])
@@ -295,12 +296,12 @@ def _derivative_zeros(P: ParabolicMap) -> np.ndarray:
     c = 0.5 * (bs[0] + bs[-1])
     b = bs - c
 
-    def g(z, k):
-        return np.sum(ts / (z[:, None] - b) ** k, axis=1)
+    def g(z, p, k):
+        return np.sum(ts / (z[:, None] + (p[:, None] - bs)) ** k, axis=1)
 
-    def newton(z, step):
+    def newton(z, p, step):
         for _ in range(50):
-            dz = step(z)
+            dz = step(z, p)
             z = z - dz
             if np.all(np.abs(dz) <= 1e-15 * np.abs(z)):
                 break
@@ -311,17 +312,19 @@ def _derivative_zeros(P: ParabolicMap) -> np.ndarray:
     for i in range(n):
         poly = npp.polyadd(poly, ts[i] / s**2 * npp.polyfromroots(np.repeat(np.delete(b, i) / s, 2)))
     seed = npp.polyroots(poly)
-    w = newton(s * seed[np.argsort(seed.imag)[n:]], lambda z: (1.0 + g(z, 2)) / (-2.0 * g(z, 3)))
-    gaps = np.abs(w[:, None] - w[None, :])
+    w = c + s * seed[np.argsort(seed.imag)[n:]]
+    p = bs[np.argmin(np.abs(w[:, None] - bs), axis=1)]
+    z = newton(w - p, p, lambda z, p: (1.0 + g(z, p, 2)) / (-2.0 * g(z, p, 3)))
+    gaps = np.abs(z[:, None] + p[:, None] - (z + p)[None, :])
     np.fill_diagonal(gaps, np.inf)
-    close = np.min(gaps, axis=1) <= 1e-6 * np.min(np.abs(w[:, None] - b), axis=1)
+    close = np.min(gaps, axis=1) <= 1e-6 * np.min(np.abs(z[:, None] + (p[:, None] - bs)), axis=1)
     if np.any(close):
-        w[close] = newton(w[close], lambda z: -g(z, 3) / (3.0 * g(z, 4)))
-    d = w[:, None] - b
+        z[close] = newton(z[close], p[close], lambda z, p: -g(z, p, 3) / (3.0 * g(z, p, 4)))
+    d = z[:, None] + (p[:, None] - bs)
     res = np.abs(1.0 + np.sum(ts / d**2, axis=1))
-    if not np.all((res <= 1e-12 * (1.0 + np.sum(ts / np.abs(d) ** 2, axis=1))) & (w.imag > 0)):
+    if not np.all((res <= 1e-12 * (1.0 + np.sum(ts / np.abs(d) ** 2, axis=1))) & (z.imag > 0)):
         raise NoConvergence(f"zeros of F' unresolved for {P.label()}")
-    return w + c
+    return p + z
 
 
 def lyapunov_integral(P: ParabolicMap) -> float:

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeMap, circle_grid
-from .circle import TWO_PI
+from .blaschke import BlaschkeMap
+from .circle import TWO_PI, circle_grid
 from .errors import DegenerateVariance, InnerdynError, NonDecaying
 from .rng import splitmix64, uniform_stream
 from .spectral import deflated_resolvent, green_kubo

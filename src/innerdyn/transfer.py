@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeMap, boundary_preimages_batch, circle_abs_deriv, circle_grid
-from .circle import TWO_PI
+from .blaschke import BlaschkeMap, boundary_preimages_batch, circle_abs_deriv
+from .circle import TWO_PI, circle_grid
 from .errors import GapLost, NoConvergence
 from .spectral import dense_leading, operator_parameter, power_leading
 
@@ -297,13 +297,17 @@ def pressure_and_derivs(F: BlaschkeMap, g, N: int = 256) -> PressureReport:
     P(t) = log lambda(|F'|^{-1} e^{t g}) is evaluated on the five-point
     stencil {0, +-h, +-2h} with h = 1e-2; fourth-order (Richardson-refined)
     differences give P'(0) and P''(0). Each node is read by `circle_spectrum`,
-    and its resolved gap guards the perturbation smallness (GapLost above
-    0.95); no N x N matrix is assembled. An observable of bandwidth K is
-    refused before any work unless N > 2K resolves it.
+    and its resolved gap, first |F'(0)| = prod_{i>0} |a_i| at s = 1 before
+    any solve, guards the perturbation smallness (GapLost above 0.95); no
+    N x N matrix is assembled. An observable of bandwidth K is refused
+    before any work unless N > 2K resolves it.
     """
     if 2 * g.bandwidth >= N:
         raise ValueError(f"observable bandwidth {g.bandwidth} needs more than "
                          f"{2 * g.bandwidth} modes, got {N}")
+    gap = abs(np.prod(F.zeros[1:]))
+    if not F.is_rotation and gap > _GAP_CEILING:
+        raise GapLost(f"subleading ratio |F'(0)| = {gap:.3f} at s = 1 exceeds {_GAP_CEILING}")
     h = _PRESSURE_STEP
     tvals = (-2 * h, -h, 0.0, h, 2 * h)
     pvals = {}

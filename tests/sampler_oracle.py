@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from innerdyn.blaschke import circle_grid
+from innerdyn.circle import circle_grid
 from innerdyn.circle import TWO_PI
 from innerdyn.rng import splitmix64, uniform_stream
 

@@ -13,7 +13,7 @@ from innerdyn.blaschke import (BlaschkeMap, angle_map,
                                circle_values, clark_measure, disk_preimages,
                                eval_and_deriv, lyapunov_exponent, nevanlinna)
 from innerdyn.circle import TWO_PI, circle_grid
-from innerdyn.errors import BudgetExceeded, LogSingularity
+from innerdyn.errors import LogSingularity
 from periodic_oracle import periodic_points
 
 F2 = BlaschkeMap.monomial(2)
@@ -156,8 +156,8 @@ def test_lyapunov_fh_adaptive_quadrature_oracle():
 
 @pytest.mark.parametrize("a", [0.999, 0.9999, 0.99999])
 def test_lyapunov_sizes_its_rule_for_zeros_near_the_circle(a):
-    # Jensen's formula for z(z-a)/(1-az), as LYAP_FH at a = 1/2; a fixed
-    # 4096-point rule misses it by 8.2e-6, 5.3e-4 and 1.6e-3 here
+    # Jensen's formula for z(z-a)/(1-az), as LYAP_FH at a = 1/2; a
+    # 4096-point trapezoid rule would miss it by 8.2e-6, 5.3e-4 and 1.6e-3
     F = BlaschkeMap((0j, complex(a)))
     assert lyapunov_exponent(F) == pytest.approx(np.log1p(np.sqrt(1 - a * a)), abs=1e-13)
 
@@ -165,21 +165,24 @@ def test_lyapunov_sizes_its_rule_for_zeros_near_the_circle(a):
 def test_lyapunov_exponent_is_computed_once_per_map(monkeypatch):
     # the CLI and counting.enumerate_orbit both ask for it on every request
     calls = []
-    deriv = blaschke.circle_abs_deriv
-    monkeypatch.setattr(blaschke, "circle_abs_deriv",
-                        lambda F, t: calls.append(1) or deriv(F, t))
+    gap = blaschke._gap_and_log
+    monkeypatch.setattr(blaschke, "_gap_and_log", lambda z: calls.append(1) or gap(z))
     F = BlaschkeMap((0j, 0.123 + 0.456j))
+    lyapunov_exponent.cache_clear()
     first = lyapunov_exponent(F)
+    assert calls
     calls.clear()
     assert lyapunov_exponent(BlaschkeMap((0j, 0.123 + 0.456j))) == first
     assert calls == []
 
 
-def test_lyapunov_refuses_a_rule_over_budget_at_once():
-    F = BlaschkeMap((0j, complex(1 - 1e-7)))
+@pytest.mark.parametrize("a", [1 - 1e-7, 1 - 1e-9])
+def test_lyapunov_is_jensens_closed_form_next_to_the_circle(a):
+    # a trapezoid rule would need 2^29 and 2^35 nodes here; 1 - a^2 is
+    # taken as (1 - a)(1 + a), which keeps its digits
+    F = BlaschkeMap((0j, complex(a)))
     t0 = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match="circle nodes"):
-        lyapunov_exponent(F)
+    assert lyapunov_exponent(F) == pytest.approx(np.log1p(np.sqrt((1 - a) * (1 + a))), rel=1e-14)
     assert time.perf_counter() - t0 < 0.1
 
 

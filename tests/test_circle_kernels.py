@@ -1,7 +1,8 @@
 """Circle kernels against their reference implementations.
 
 The Newton preimage solve is checked against 60-step monotone bisection in
-the same lift cells. The collocation matrix, which the package builds from
+the cells of a lift grid built here, apart from the package's table. The
+collocation matrix, which the package builds from
 the one NUFFT plan of the symmetric interpolant, is checked against the
 dense DFT assembly E @ dft of that interpolant and against its cardinal
 function summed in long double. The references are kept here, outside the
@@ -16,11 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from innerdyn import blaschke, counting
-from innerdyn.blaschke import (BlaschkeMap, _lift_grid, boundary_preimages,
-                               boundary_preimages_batch, circle_abs_deriv)
+from innerdyn.blaschke import (BlaschkeMap, boundary_preimages, boundary_preimages_batch,
+                               circle_abs_deriv, lyapunov_exponent)
 from innerdyn.circle import TWO_PI, as_angle, circle_grid, wrap_angle
 from innerdyn.counting import CountingLedger, backward_orbit
-from innerdyn.errors import BudgetExceeded
+from innerdyn.errors import InnerdynError
 from innerdyn.transfer import assemble_operator
 
 FH = BlaschkeMap((0j, 0.5 + 0j))
@@ -45,9 +46,28 @@ def _preimage_bisect(F, tau, tlo, thi, iters=60):
     return 0.5 * (tlo + thi)
 
 
+def oracle_lift_grid(F, n=256):
+    """Nodes on [0, 2*pi] and the lift of arg F unwrapped along them.
+
+    n nodes are uniform in t, and n more for each zero a = r e^{i*phi} != 0
+    are uniform in the argument of its factor, whose inverse is
+    phi + 2 arctan((1-r)/(1+r) tan(u/2)). Between two nodes every factor's
+    argument and every z then rises by at most 2*pi/n, so the lift rises by
+    less than pi for degrees below n/2 and the principal argument unwraps.
+    """
+    nodes = [TWO_PI * np.arange(n + 1) / n]
+    for a in F.zeros:
+        if a:
+            u = TWO_PI * (np.arange(n) + 0.5) / n - np.pi
+            nodes.append(np.mod(np.angle(a) + 2 * np.arctan((1 - abs(a)) / (1 + abs(a))
+                                                          * np.tan(u / 2)), TWO_PI))
+    t = np.unique(np.concatenate(nodes))
+    return t, np.unwrap(np.angle(blaschke.circle_values(F, t)))
+
+
 def bisection_preimages_batch(F, targets):
-    """boundary_preimages_batch with the bisection solve in the same cells."""
-    t, ph = _lift_grid(F)
+    """boundary_preimages_batch by bisection in the cells of `oracle_lift_grid`."""
+    t, ph = oracle_lift_grid(F)
     d = F.degree
     targets = np.asarray(targets, dtype=float)
     k0 = np.ceil((ph[0] - targets) / TWO_PI - 1e-15)
@@ -176,7 +196,7 @@ def test_preimage_sweep_count(F):
     # deterministic cost guard on the map evaluations of the Newton solve:
     # one per root where the Hermite seed and the one-step bound suffice, and
     # at most 8 sweeps anywhere; 60-step bisection would make 60
-    _lift_grid(F)
+    boundary_preimages(F, 0.0)   # builds the lift table outside the count
     sizes = []
     original = blaschke._newton_terms
 
@@ -199,7 +219,9 @@ def test_preimage_sweep_count(F):
 
 @pytest.mark.parametrize("F", [BlaschkeMap((0j, 0.999 + 0j)),
                                BlaschkeMap((0j, 0.99999 + 0j)),
-                               BlaschkeMap((0j, 0.999 * np.exp(2j)), 0.3)])
+                               BlaschkeMap((0j, 0.999 * np.exp(2j)), 0.3),
+                               BlaschkeMap((0j, 1 - 1e-9 + 0j)),
+                               BlaschkeMap((0j, 1 - 1e-9 + 0j, 0.3 + 0j))])
 def test_newton_matches_bisection_near_the_circle(F):
     # |F'| varies fastest next to a zero near the circle, so the Hermite seed
     # is at its worst there and the one-step bound decides most roots
@@ -208,14 +230,16 @@ def test_newton_matches_bisection_near_the_circle(F):
     assert circular_gap(got, bisection_preimages_batch(F, targets)) <= 1e-14
 
 
-@pytest.mark.parametrize("F", [FH, DEG3, A099, Z2, BlaschkeMap.monomial(5, 1.0)])
+@pytest.mark.parametrize("F", [FH, DEG3, A099, Z2, BlaschkeMap.monomial(5, 1.0),
+                               BlaschkeMap((0j, 1 - 1.1e-12 + 0j))])
 def test_lift_cell_lookup_is_searchsorted(F):
-    t, ph = _lift_grid(F)
-    _, tab, _ = blaschke._lift_cells(F)
-    assert len(tab) <= F.degree * (len(t) - 1) + 1
+    # the division lookup against a search of the table's own nodes, at the
+    # nodes, on either side of each, between them and outside the range
+    _, ph, _ = blaschke._lift_table(F)
     rng = np.random.default_rng(3)
     tau = np.concatenate([ph, 0.5 * (ph[1:] + ph[:-1]), np.nextafter(ph, -np.inf),
-                          np.nextafter(ph, np.inf), rng.uniform(ph[0], ph[-1], 5000)])
+                          np.nextafter(ph, np.inf), rng.uniform(ph[0], ph[-1], 5000),
+                          [ph[0] - 1.0, ph[-1] + 1.0]])
     want = np.clip(np.searchsorted(ph, tau), 1, len(ph) - 1)
     assert np.array_equal(blaschke._lift_cell(F, tau), want)
 
@@ -255,19 +279,52 @@ def test_pruned_tree_equals_full_tree(F, T):
     assert not live.all()
 
 
-def test_lift_grid_refused_before_allocation():
-    # max |F'| = 2e7 would need 2^29 lift points (about 8.6 GB)
-    F = BlaschkeMap((0j, 1.0 - 1e-7 + 0j))
+def _traced(call):
+    """(result, seconds, traced peak bytes) of call() on a cold lift table."""
+    blaschke._lift_table.cache_clear()
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
-        with pytest.raises(BudgetExceeded):
-            boundary_preimages(F, 0.3)
+        out = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert time.perf_counter() - t0 < 1.0
-    assert peak < 50e6
+    return out, time.perf_counter() - t0, peak
+
+
+def test_preimages_next_to_the_circle_are_answered_in_a_small_table():
+    # max |F'| = 2e7: a lift grid uniform in t would need 2^29 nodes (about
+    # 8.6 GB); the table is uniform in the lift, whatever the zeros
+    F = BlaschkeMap((0j, 1.0 - 1e-7 + 0j))
+    got, seconds, peak = _traced(lambda: boundary_preimages(F, 0.3))
+    assert seconds < 1.0 and peak < 10 * 2**20
+    assert circular_gap(got[None], bisection_preimages_batch(F, [0.3])) <= 1e-14
+
+
+def test_one_preimage_at_one_minus_1e5_is_cheap():
+    # a 2^22-node grid took 0.87 s and a 352 MiB peak for this one target
+    F = BlaschkeMap((0j, 1.0 - 1e-5 + 0j))
+    _, seconds, peak = _traced(lambda: boundary_preimages(F, 0.3))
+    assert seconds < 0.05 and peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("phi", [0.0, np.pi, 2.0])
+def test_every_accepted_zero_is_answered_or_refused_at_once(phi):
+    # real zeros are solved up to the constructor's margin; on a complex one
+    # the residual arg F(e^{it}) loses digits next to the zero (z = e^{it}
+    # carries 1e-16 of absolute error), and the solve may refuse instead
+    targets = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    for gap in (1e-5, 1e-7, 1e-9, 1e-11, 1.01e-12):
+        F = BlaschkeMap((0j, (1.0 - gap) * np.exp(1j * phi)))
+        t0 = time.perf_counter()
+        try:
+            boundary_preimages_batch(F, targets)
+            answered = True
+        except InnerdynError:
+            answered = False
+        assert lyapunov_exponent(F) > 0.0
+        assert time.perf_counter() - t0 < 1.0
+        assert answered or phi not in (0.0, np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +358,7 @@ def test_assembly_is_the_exact_interpolant(F, s, N):
 
 @pytest.mark.parametrize("F, s", [(A09, 1.5), (DEG3, 1.0 + 0.5j)], ids=["a0.9", "deg3-complex"])
 def test_assembly_peak_is_the_matrix_and_one_row_block(F, s):
-    assemble_operator(F, s, None, 32)   # the lift grid is cached, keep it out of the peak
+    assemble_operator(F, s, None, 32)   # the lift table is cached, keep it out of the peak
     tracemalloc.start()
     try:
         mat = assemble_operator(F, s, None, 1024).matrix

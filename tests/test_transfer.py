@@ -12,8 +12,8 @@ from innerdyn import transfer
 from innerdyn.blaschke import BlaschkeMap, angle_map
 from innerdyn.circle import circle_grid
 from innerdyn.cli import main
-from innerdyn.errors import NoConvergence
-from innerdyn.observables import COS, Observable, constant
+from innerdyn.errors import GapLost, NoConvergence
+from innerdyn.observables import COS, Observable, constant, cos_k
 from innerdyn.spectral import deflated_subleading, leading_spectral_data
 from innerdyn.stochastic import green_kubo_variance
 from innerdyn.transfer import (_refine, assemble_operator, circle_spectrum, nufft_operator,
@@ -383,6 +383,15 @@ def test_pressure_refuses_a_rotation_at_once():
         with pytest.raises(NoConvergence):
             pressure_and_derivs(F, COS, N=1024)
         assert time.perf_counter() - start < 0.1
+
+
+def test_pressure_refuses_a_lost_gap_at_once():
+    # at s = 1 the subleading ratio is |F'(0)| = 0.99, above the 0.95
+    # ceiling; solving the stencil first took 0.36 s to end in NoConvergence
+    start = time.perf_counter()
+    with pytest.raises(GapLost, match="0.990"):
+        pressure_and_derivs(BlaschkeMap((0j, 0.99 + 0j)), cos_k(100), N=256)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_pressure_constant_observable():
