@@ -102,7 +102,7 @@ def eval_and_deriv(F: BlaschkeMap, z: complex) -> tuple[complex, complex]:
     den = np.array([1.0 - np.conj(a) * z for a in F.zeros])
     factors = num / den
     value = rot * np.prod(factors)
-    dfact = np.array([(1.0 - abs(a) ** 2) for a in F.zeros]) / den**2
+    dfact = _zero_gaps(F) / den**2
     if np.min(np.abs(factors)) > 1e-8:
         deriv = value * np.sum(dfact / factors)
     else:
@@ -133,8 +133,8 @@ def circle_abs_deriv(F: BlaschkeMap, theta) -> np.ndarray:
     """|F'(e^{i*theta})| as the sum of Poisson-type terms (exact on the circle)."""
     z = np.exp(1j * np.asarray(theta, dtype=float))
     out = np.zeros(z.shape, dtype=float)
-    for a in F.zeros:
-        out += (1.0 - abs(a) ** 2) / np.abs(z - a) ** 2
+    for a, s in zip(F.zeros, _zero_gaps(F)):
+        out += s / np.abs(z - a) ** 2
     return out
 
 
@@ -189,11 +189,11 @@ def _newton_terms(F: BlaschkeMap, t: np.ndarray, w: np.ndarray) -> tuple[np.ndar
     z = np.exp(1j * t)
     val = w * np.exp(1j * F.rotation)
     slope = np.zeros(t.shape)
-    for a in F.zeros:
+    for a, s in zip(F.zeros, _zero_gaps(F)):
         if a:
             q = z - a
             val *= q / (1.0 - np.conj(a) * z)
-            slope += (1.0 - abs(a) ** 2) / (q.real * q.real + q.imag * q.imag)
+            slope += s / (q.real * q.real + q.imag * q.imag)
         else:
             val *= z
             slope += 1.0
@@ -340,6 +340,16 @@ def _gap_and_log(z) -> tuple[np.ndarray, np.ndarray]:
         gaps.append((n * n - x * x - y * y) / (n * n))
     s = np.array(gaps)
     return s, np.where(s < 0.5, 0.5 * np.log1p(-np.minimum(s, 0.5)), np.log(np.abs(z)))
+
+
+@functools.lru_cache(maxsize=64)
+def _zero_gaps(F: BlaschkeMap) -> np.ndarray:
+    """1 - |a|^2 of each zero a of F by `_gap_and_log`, cached per map: the
+    factor of every Poisson term of |F'|."""
+    with np.errstate(divide="ignore"):     # log|a| of a zero at 0, unused
+        s = _gap_and_log(np.array(F.zeros))[0]
+    s.flags.writeable = False
+    return s
 
 
 @functools.lru_cache(maxsize=64)

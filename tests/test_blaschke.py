@@ -2,6 +2,7 @@
 
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +49,21 @@ def test_fh_boundary_derivative_poisson_oracle():
     v, d = eval_and_deriv(FH, -1.0 + 0j)
     assert v == pytest.approx(1.0)
     assert abs(d) == pytest.approx(1.0 + 0.75 / 2.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [1e-4, 1e-3])
+def test_boundary_derivative_keeps_its_digits_next_to_a_zero(theta):
+    # |F'| = 1 + (1 - a^2)/|e^{i theta} - a|^2 at a = 1 - 1e-9, where
+    # 1.0 - a**2 in double is 5e-10 off and moved |F'| by 1e-12 to 8e-11
+    a = 1 - 1e-9
+    F = BlaschkeMap((0j, complex(a)))
+    with mpmath.workdps(60):
+        am = mpmath.mpf(a)
+        ref = float(1 + (1 - am * am) / abs(mpmath.expj(mpmath.mpf(theta)) - am) ** 2)
+    t = np.array([theta])
+    for got in (circle_abs_deriv(F, t)[0], blaschke._newton_terms(F, t, np.ones(1))[1][0],
+                abs(eval_and_deriv(F, np.exp(1j * theta))[1])):
+        assert got == pytest.approx(ref, rel=1e-13)
 
 
 def test_multiplier_at_zero():

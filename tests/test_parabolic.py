@@ -178,9 +178,10 @@ def test_kac_strata_grow_in_bounded_blocks():
     # one jump of the two-pole table from cap 10^4 to 129,831, as kac_check
     # makes at level 3: streaming each side's new levels through blocks of
     # 2^14 levels, and keeping per level only the stratum integral and
-    # length, holds the peak near 19 MB (about 25 MB when every branch kept
-    # its preimages and re-concatenated its arrays per block, 40 MB when all
-    # new levels were solved at once)
+    # length, holds the peak near 16 MB with six-point strata (18.8 MB with
+    # twelve, about 25 MB when every branch kept its preimages and
+    # re-concatenated its arrays per block, 40 MB when all new levels were
+    # solved at once)
     strata = _KacStrata(TWOPOLE, 3)
     strata.grow(10**4)
     tracemalloc.start()
@@ -189,17 +190,44 @@ def test_kac_strata_grow_in_bounded_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20e6
+    assert peak < 17e6
 
 
 def test_kac_strata_frozen_values():
     # the excursion strata alone, grown in two steps as kac_check grows them
-    # at level 3; frozen bits, held through the blocked rewrite of grow
+    # at level 3; frozen bits of the six-point strata and the centred fit
     strata = _KacStrata(TWOPOLE, 3)
     strata.fixed = 0.0
     _kac_lhs(strata, 10**4)
-    assert _kac_lhs(strata, 129_831) == (4.19834913626773, 0.08447611723307882,
+    assert _kac_lhs(strata, 129_831) == (4.198349136267765, 0.0844761172330708,
                                          5.495934344178275)
+
+
+@pytest.mark.parametrize("P,N", [(TWOPOLE, 3), (BOOLE, 2)], ids=["twopole-3", "boole-2"])
+def test_kac_six_point_strata_match_twelve(monkeypatch, P, N):
+    # at cap 2^15 both tiers run (the q-point rule to level 2^14, the
+    # two-point rule beyond); four points miss by 6e-13 and 4e-12
+    lhs, _tail, _mass = _kac_lhs(_KacStrata(P, N), 1 << 15)
+    monkeypatch.setattr(parabolic, "_KAC_QUAD_POINTS", 12)
+    ref, _tail, _mass = _kac_lhs(_KacStrata(P, N), 1 << 15)
+    assert abs(lhs - ref) <= 1e-13 * abs(ref)
+
+
+def test_kac_tail_fit_is_least_squares():
+    # the centred normal equations against LAPACK's least squares of
+    # c0 + c1 log n over the levels n > cap / 8
+    strata = _KacStrata(TWOPOLE, 3)
+    cap = 129_831
+    _lhs, tail, _mass = _kac_lhs(strata, cap)
+    ns = np.arange(strata.N + 1, cap + 1, dtype=float)
+    sel = ns > cap / 8
+    A = np.vstack([np.ones(int(np.sum(sel))), np.log(ns[sel])]).T
+    ref = 0.0
+    for _side, _chains, branches in strata.sides:
+        for br in branches:
+            coef, *_ = np.linalg.lstsq(A, (br.contrib / br.lengths)[sel], rcond=None)
+            ref += abs(br.last - br.pole_end) * (coef[0] + coef[1] * (math.log(cap) + 2.0))
+    assert abs(tail - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("b,t,tol", [(10.0, 0.1, 1e-4), (100.0, 1e-3, 1e-3)])
@@ -258,7 +286,7 @@ def test_inverse_pole_seed_matches_midpoint_start(poles, branch, targets):
     assert np.all(np.abs(P(x) - y) / P.deriv(x) <= ROOT_TOL * np.maximum(1.0, np.abs(x)))
 
 
-def test_inverse_pole_seed_far_tail():
+def test_inverse_pole_seed_far_tail(monkeypatch):
     # Kac stratum boundaries: preimages of p_n up to n = 2^17 on J_1^+
     P = TWOPOLE
     p = boundary_orbit(P, "-", 1 << 17)
@@ -266,6 +294,12 @@ def test_inverse_pole_seed_far_tail():
     x = _inverse(P, b, q, p[3:])
     ref = midpoint_inverse(P, b, q, p[3:])
     assert np.all(np.abs(x - ref) <= 1e-14 * np.maximum(1.0, np.abs(x)))
+    # the quadratic pole model seeds the far tail within Newton's reach: one
+    # step and its check
+    rounds = []
+    monkeypatch.setattr(parabolic, "_f_df", lambda P, x: rounds.append(x.size) or _f_df(P, x))
+    assert np.array_equal(_inverse(P, b, q, p[1024:]), x[1021:])
+    assert len(rounds) <= 2
 
 
 def test_lebesgue_invariance_pointwise():
