@@ -362,6 +362,7 @@ def lyapunov_integral(P: ParabolicMap) -> float:
 _N_FINE = 1 << 14       # strata of deeper levels get the two-point rule
 _KAC_QUAD_POINTS = 6    # Gauss points q per stratum up to level _N_FINE and per time-1 panel
 _PANEL_TOL = 1e-14      # agreement of an adaptive panel of a time-1 stratum with its halves
+_KAC_MIN_FIT_LEVELS = 8  # fewest levels n > cap/8 that the two-term tail fit may rest on
 
 
 @dataclass
@@ -607,13 +608,19 @@ def kac_check(P: ParabolicMap, N: int, tail_frac: float = 0.01, cap0: int = 10**
     tail_frac of the right-hand side, and the estimate is then added to the
     left-hand side. One `_KacStrata` table serves every cap: a larger cap
     computes only the levels beyond the last one. TailBoundExceeded is
-    raised if no admissible cap exists; a tail_frac that is not positive, or
-    caps outside N < cap0 <= cap_max, raise ValueError before any work.
+    raised if no admissible cap exists; a tail_frac that is not positive,
+    caps outside N < cap0 <= cap_max, or a cap0 that leaves the tail fit
+    fewer than 8 levels above max(N, cap0 / 8) raise ValueError before any
+    work. Every later cap is at least twice the last and fits more levels.
     """
     if not tail_frac > 0:
         raise ValueError(f"tail_frac must be positive, got {tail_frac}")
     if not N < cap0 <= cap_max:
         raise ValueError(f"need level < cap0 <= cap_max, got {N}, {cap0}, {cap_max}")
+    fitted = cap0 - max(N, cap0 // 8)
+    if fitted < _KAC_MIN_FIT_LEVELS:
+        raise ValueError(f"cap0 {cap0} leaves the tail fit {fitted} of the "
+                         f"{_KAC_MIN_FIT_LEVELS} levels above max(level, cap0 / 8) it needs")
     rhs = lyapunov_integral(P)
     strata = _KacStrata(P, N)
     cap = cap0

@@ -524,8 +524,10 @@ def holder_modulus_in_s(S: SymbolicSystem, psi: PotentialSpec, q: float):
     Pairs t = s0 + i * radius * 2^{-j}, j = 1 .. 8, with s0 = 1 and
     radius 0.5; the operator-norm estimate maximizes the Hoelder-norm
     amplification over cylinder indicators and 32 random probe vectors of
-    stream seed 0. Returns (C_fit, eps_fit) from the log-log least squares.
-    A basis over 512 words is refused with BudgetExceeded before any work.
+    stream seed 0, stacked into one n x K block: each level takes one block
+    product (L_t - L_s) @ probes. Returns (C_fit, eps_fit) from the log-log
+    least squares. A basis over 512 words is refused with BudgetExceeded
+    before any work.
     """
     letters = S.cylinder_table(psi.depth).letters
     n = len(letters)
@@ -534,19 +536,20 @@ def holder_modulus_in_s(S: SymbolicSystem, psi: PotentialSpec, q: float):
                              "for the Hoelder modulus")
     base = cylinder_operator(S, psi, _HOLDER_S0, q)
     wmat = _holder_norm_data(letters, psi.alpha)
-    probe_set = list(np.eye(min(n, 64), n))
-    for i in range(_HOLDER_PROBES):
-        probe_set.append(uniform_stream(_HOLDER_SEED, n, offset=i * n) - 0.5)
-    probe_set = [(g, ng) for g in probe_set if (ng := _holder_norm(g, wmat)) >= 1e-300]
+    probes = np.vstack([np.eye(min(n, 64), n)] +
+                       [uniform_stream(_HOLDER_SEED, n, offset=i * n) - 0.5
+                        for i in range(_HOLDER_PROBES)])
+    norms = np.array([_holder_norm(g, wmat) for g in probes])
+    keep = norms >= 1e-300
+    probes, norms = probes[keep].T, norms[keep]
     gaps = []
     deltas = []
     for j in range(1, _HOLDER_LEVELS + 1):
         t = complex(_HOLDER_S0) + 1j * _HOLDER_RADIUS * 2.0 ** (-j)
-        other = cylinder_operator(S, psi, t, q)
-        D = other - base
+        images = ((cylinder_operator(S, psi, t, q) - base) @ probes).T
         best = 0.0
-        for g, ng in probe_set:
-            best = max(best, _holder_norm(D @ g, wmat) / ng)
+        for img, ng in zip(images, norms):
+            best = max(best, _holder_norm(img, wmat) / ng)
         gaps.append(_HOLDER_RADIUS * 2.0 ** (-j))
         deltas.append(max(best, 1e-300))
     logx = np.log(np.array(gaps))

@@ -377,26 +377,56 @@ def _command(argv, **kwargs):
                           **kwargs)
 
 
-def _env_without_blas_timeout() -> dict:
-    """_fresh_env() without the BLAS thread timeout that importing innerdyn in
+def _env_without_blas_threads() -> dict:
+    """_fresh_env() without the BLAS thread count that importing innerdyn in
     this process set."""
     env = _fresh_env()
-    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
-    env.pop("GOTO_THREAD_TIMEOUT", None)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(var, None)
     return env
 
 
 @pytest.mark.parametrize("given, want", [
-    ({}, "18"),
-    ({"OPENBLAS_THREAD_TIMEOUT": "25"}, "25"),
-    ({"GOTO_THREAD_TIMEOUT": "25"}, "None"),
-], ids=["unset", "caller-openblas", "caller-goto"])
-def test_import_sets_the_blas_thread_timeout_unless_the_caller_did(given, want):
-    probe = "import os, innerdyn; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
-    env = {**_env_without_blas_timeout(), **given}
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"OMP_NUM_THREADS": "2"}, "None"),
+    ({"GOTO_NUM_THREADS": "2"}, "None"),
+], ids=["unset", "caller-openblas", "caller-omp", "caller-goto"])
+def test_import_runs_blas_on_one_thread_unless_the_caller_chose(given, want):
+    probe = "import os, innerdyn; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    env = {**_env_without_blas_threads(), **given}
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == want
+
+
+# the thread count OpenBLAS itself reports, read as perfbench/run.py reads it
+_BLAS_THREADS_PROBE = """
+import ctypes
+import innerdyn.cli
+with open("/proc/self/maps") as fh:
+    libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+fns = [getattr(ctypes.CDLL(lib), sym, None) for lib in libs[:1]
+       for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads")]
+fn = next((f for f in fns if f is not None), None)
+if fn is None:
+    print("missing")
+else:
+    fn.argtypes, fn.restype = [], ctypes.c_int
+    print(fn())
+"""
+
+
+def test_cold_cli_process_runs_openblas_on_one_thread():
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find the loaded OpenBLAS")
+    out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE],
+                         env=_env_without_blas_threads(), capture_output=True,
+                         text=True, check=True)
+    if out.stdout.strip() == "missing":
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count symbol")
+    assert out.stdout.strip() == "1"
 
 
 def test_cold_request_spends_no_cpu_in_idle_blas_workers():
@@ -404,7 +434,7 @@ def test_cold_request_spends_no_cpu_in_idle_blas_workers():
     # process, CPU beyond the wall time of a request that runs one thread
     argv = [sys.executable, "-m", "innerdyn.cli", "count", "--map", MONOMIAL,
             "--T", "4", "--out", "-"]
-    env = _env_without_blas_timeout()
+    env = _env_without_blas_threads()
     excess = []
     for _ in range(3):
         start = time.perf_counter()

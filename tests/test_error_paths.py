@@ -52,6 +52,9 @@ REFUSALS = {
     "kac-cap0-below-level": (ValueError, "cap0", lambda: kac_check(BOOLE, 5, cap0=3)),
     "kac-cap0-at-level": (ValueError, "cap0", lambda: kac_check(BOOLE, 5, cap0=5)),
     "kac-cap0-above-max": (ValueError, "cap0", lambda: kac_check(BOOLE, 5, cap0=5000, cap_max=4000)),
+    # one level above cap0 / 8: the tail fit had no slope and the ratio read 0.59
+    "kac-cap0-one-fit-level": (ValueError, "tail fit 1 of the 8", lambda: kac_check(
+        BOOLE, 2, tail_frac=0.5, cap0=3, cap_max=64)),
     "kac-tail-0": (ValueError, "tail_frac", lambda: kac_check(BOOLE, 5, tail_frac=0.0)),
     "kac-tail-negative": (ValueError, "tail_frac", lambda: kac_check(BOOLE, 5, tail_frac=-0.01)),
     "kac-tail-nan": (ValueError, "tail_frac", lambda: kac_check(BOOLE, 5, tail_frac=math.nan)),

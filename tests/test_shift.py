@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from innerdyn import shift
 from innerdyn.errors import BudgetExceeded, NoConvergence, NotPrimitive
+from innerdyn.rng import uniform_stream
 from innerdyn.shift import (PotentialSpec, SymbolicSystem, _holder_norm,
                             _holder_norm_data, calibrate, count_words,
                             cylinder_operator, d_genericity,
@@ -532,11 +533,73 @@ def test_holder_modulus_gauss_like():
 
 def test_holder_modulus_frozen_on_criterion_13_system():
     # D = L_t - L_s is rank one on this system, so every probe's image is
-    # constant; the values are those of the full O(n^2) Hoelder-norm scan
+    # constant; the values are those of one block product D @ probes per
+    # level, which rounds differently from one matrix-vector product per probe
     S, psi = gauss_like()
     psi = calibrate(S, psi)
     assert holder_modulus_in_s(S, psi, 0.0) == \
-        (0.391701126441528, 0.9969180226662055)
+        (0.3917011264415283, 0.9969180226662059)
+
+
+def _holder_modulus_per_probe(S, psi, q):
+    """holder_modulus_in_s with one matrix-vector product D @ g per probe."""
+    letters = S.cylinder_table(psi.depth).letters
+    n = len(letters)
+    base = cylinder_operator(S, psi, shift._HOLDER_S0, q)
+    wmat = _holder_norm_data(letters, psi.alpha)
+    probe_set = list(np.eye(min(n, 64), n))
+    for i in range(shift._HOLDER_PROBES):
+        probe_set.append(uniform_stream(shift._HOLDER_SEED, n, offset=i * n) - 0.5)
+    probe_set = [(g, ng) for g in probe_set if (ng := _holder_norm(g, wmat)) >= 1e-300]
+    gaps, deltas = [], []
+    for j in range(1, shift._HOLDER_LEVELS + 1):
+        gap = shift._HOLDER_RADIUS * 2.0 ** (-j)
+        D = cylinder_operator(S, psi, complex(shift._HOLDER_S0) + 1j * gap, q) - base
+        best = 0.0
+        for g, ng in probe_set:
+            best = max(best, _holder_norm(D @ g, wmat) / ng)
+        gaps.append(gap)
+        deltas.append(max(best, 1e-300))
+    eps_fit, logC = np.polyfit(np.log(gaps), np.log(deltas), 1)
+    return float(np.exp(logC)), float(eps_fit)
+
+
+def _depth2_on_three_letters():
+    # psi(ab) depends on both letters, so D = L_t - L_s has rank above one
+    # and the Hoelder norm of D g runs its pairwise scan
+    words = S3.cylinder_words(2)
+    return PotentialSpec(2, {w: -LOG3 - 0.4 * (w[0] - 2) * (w[1] - 1.5) + 0.1 * w[1]
+                             for w in words})
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_holder_block_product_matches_the_per_probe_loop(q):
+    psi = _depth2_on_three_letters()
+    D = cylinder_operator(S3, psi, 1.0 + 0.25j, q) - cylinder_operator(S3, psi, 1.0, q)
+    assert np.linalg.matrix_rank(D) > 1
+    got, want = holder_modulus_in_s(S3, psi, q), _holder_modulus_per_probe(S3, psi, q)
+    assert np.allclose(got, want, rtol=1e-14, atol=0), (got, want)
+
+
+def test_holder_modulus_takes_one_block_product_per_level(monkeypatch):
+    S, psi = gauss_like()
+    psi = calibrate(S, psi)
+    want = holder_modulus_in_s(S, psi, 0.0)
+    products = []
+
+    class CountedProducts(np.ndarray):
+        """A matrix that counts the products it is the left factor of."""
+
+        def __matmul__(self, other):
+            products.append(np.shape(other))
+            return np.asarray(self) @ other
+
+    operator = shift.cylinder_operator
+    monkeypatch.setattr(shift, "cylinder_operator",
+                        lambda *args: operator(*args).view(CountedProducts))
+    assert holder_modulus_in_s(S, psi, 0.0) == want
+    # one matrix-vector product per probe took 8 x 96 = 768
+    assert 0 < len(products) <= shift._HOLDER_LEVELS, len(products)
 
 
 @st.composite
