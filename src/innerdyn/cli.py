@@ -272,12 +272,10 @@ def _circle_ledger(args, command: str):
     F = build_circle_map(cfg)
     lam = blaschke.lyapunov_exponent(F)
     arcs = _parse_arcs(args.arc)
-    led = counting.enumerate_orbit(F, args.x, args.T)
+    led = counting.enumerate_orbit(F, args.x, args.T, arcs)
     config = {"command": command, "map": cfg, "T": args.T, "x": args.x,
               "arcs": [[a.start, a.end] for a in arcs]}
-    if not arcs:
-        return config, led, 1.0, lam
-    return config, led.restricted(arcs), arcs_measure(arcs), lam
+    return config, led, arcs_measure(arcs) if arcs else 1.0, lam
 
 
 def cmd_count(args):

@@ -4,14 +4,14 @@ The counting function N(T) = #{(n, y): F^n(y) = x, log|(F^n)'(y)| <= T} is
 computed by exact breadth-first enumeration of the preimage tree; pruning at
 T is valid because every edge adds at least log(min |F'|) > 0. One walker,
 `_walk`, enumerates this tree, the word tree of `shift.count_words` and the
-first-return tree of `parabolic.parabolic_count`; it raises BudgetExceeded
-exactly when there are more events than the node budget, checked after
-every expanded chunk, so a refused walk holds memory of the order of the
-budget. Monomial maps z -> e^{i rot} z^d have all level-n events at n log d,
-so their ledgers hold aggregated (value, multiplicity) levels at every T
-and arc restriction uses the exact equispacing count. An event's weight is
-its multiplicity inside the target set; ledgers answer count and Cesaro
-queries by binary search in prefix sums of their weights.
+first-return tree of `parabolic.parabolic_count`. It yields one level at a
+time and holds two, so a circle count, which keeps only the events in its
+arcs, never holds the whole tree; a refused walk holds memory of the order
+of the budget. Monomial maps z -> e^{i rot} z^d have all level-n events at
+n log d, so their ledgers hold aggregated (value, multiplicity) levels at
+every T and arc restriction uses the exact equispacing count. An event's
+weight is its multiplicity inside the target set; ledgers answer count and
+Cesaro queries by binary search in prefix sums of their weights.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import BudgetExceeded
 _NODE_BUDGET = 10**7       # events of one walk, also the parabolic and shift budgets
 _SAFETY = 4.0
 _RATIO_SAMPLES = 512
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 
 
 @dataclass
@@ -74,7 +74,8 @@ class CountingLedger:
     @functools.cached_property
     def _laplace(self):
         """Float prefix sums S_i = sum_{j<i} w_j e^{-v_j}."""
-        return _prefix_sums(self.weights.astype(float) * np.exp(-self.values))
+        x = np.negative(self.values)
+        return _prefix_sums(np.multiply(np.exp(x, out=x), self.weights.astype(float), out=x))
 
     def count(self, T: float, strict: bool = True) -> int:
         """N(T) with the strict '<' convention by default; closed uses '<='."""
@@ -112,9 +113,10 @@ def _prefix_sums(x: np.ndarray) -> np.ndarray:
     out = np.zeros(len(x) + 1, dtype=np.result_type(x, np.int64))
     s = np.cumsum(x, out=out[1:])
     if s.dtype.kind == "f":
-        step = s - out[:-1]
-        err = out[:-1] - (s - step)
-        err += x - step
+        step = np.subtract(s, out[:-1])
+        err = np.subtract(s, step)
+        np.subtract(out[:-1], err, out=err)
+        err += np.subtract(x, step, out=step)
         s += np.cumsum(err, out=err)
     return out
 
@@ -155,79 +157,68 @@ def _restrict_aggregated(L: CountingLedger, arcs) -> CountingLedger:
                           meta={**L.meta, "arcs": arcs})
 
 
-@dataclass
-class LevelTree:
-    """Per level n: the nodes, their accumulated values and the parent links
-    (indices into level n - 1, -1 at the roots)."""
+def _walk(root, children, T: float, node_budget: int, fanout: int):
+    """Yield (nodes, values, parents), level by level from the root, of every
+    node with value <= T of a tree whose values grow along its edges.
 
-    nodes: list
-    values: list
-    parents: list
-
-    def events(self) -> tuple[np.ndarray, np.ndarray]:
-        """All nodes and their values, level after level."""
-        return np.concatenate(self.nodes), np.concatenate(self.values)
-
-
-def _walk(root, children, T: float, node_budget: int, fanout: int) -> LevelTree:
-    """Every node with value <= T of a tree whose values grow along its edges.
-
-    The root has value 0. children(nodes, acc) returns (owner, child_nodes,
-    child_values) for a chunk of one level, owner indexing the chunk. A
-    chunk holds min(node_budget, 2^16) // fanout nodes, fanout being the
-    usual number of children, and BudgetExceeded is raised after the chunk
-    that takes the total past node_budget; the last level is empty. A NaN
-    T, which no value is at most, is refused with ValueError.
+    The root has value 0 and parent -1; parents index the previous level.
+    children(nodes, acc) returns (owner, child_nodes, child_values) for a
+    chunk of one level, owner indexing the chunk. A chunk holds
+    min(node_budget, 2^14) // fanout nodes, fanout being the usual number of
+    children. Only the level being expanded and the one being built are
+    alive; BudgetExceeded is raised after the chunk that takes the total
+    past node_budget, so a refused walk holds memory of the order of the
+    budget. The last level is empty. A NaN T is refused with ValueError.
     """
     if math.isnan(T):
         raise ValueError("T is NaN")
     total = int(T >= 0.0)
-    tree = LevelTree([np.full(total, root)], [np.zeros(total)],
-                     [np.full(total, -1, dtype=np.int64)])
+    nodes, acc, parents = np.full(total, root), np.zeros(total), np.full(total, -1, dtype=np.int64)
     chunk = max(1, min(node_budget, _CHUNK) // fanout)
-    while len(tree.nodes[-1]) and total <= node_budget:
-        nodes, acc = tree.nodes[-1], tree.values[-1]
+    while total <= node_budget:
+        yield nodes, acc, parents
+        if not len(nodes):
+            return
         level = []
         for lo in range(0, len(nodes), chunk):
-            if total > node_budget:
-                break
             owner, kid, val = children(nodes[lo:lo + chunk], acc[lo:lo + chunk])
             keep = val <= T
             total += int(np.count_nonzero(keep))
+            if total > node_budget:
+                break
             level.append((kid[keep], val[keep], owner[keep] + lo))
-        kids, vals, parents = (np.concatenate(c) for c in zip(*level))
-        tree.nodes.append(kids)
-        tree.values.append(vals)
-        tree.parents.append(parents)
-    if total > node_budget:
-        raise BudgetExceeded(f"enumeration exceeded the node budget of {node_budget} events")
-    return tree
+        else:
+            nodes, acc, parents = (np.concatenate(c) for c in zip(*level))
+    raise BudgetExceeded(f"enumeration exceeded the node budget of {node_budget} events")
 
 
-def _prefix_member(tree: LevelTree, letter, pad, cylinders) -> np.ndarray:
-    """Whether each event's word starts with one of the cylinders.
+def _prefix_member(levels, letter, pad, cylinders):
+    """Yield (nodes, values, member) per level of a walk: whether each
+    event's word starts with one of the cylinders.
 
     The word of a level-n event is the letters of its n nodes up the parent
     links, itself first, then the pad word, then zeros; letter(nodes) gives
-    one letter per node. cylinders None admits every event.
+    one letter per node. The heads of level n come from those of level
+    n - 1. cylinders None admits every event.
     """
-    if cylinders is None:
-        return np.ones(sum(map(len, tree.nodes)), dtype=bool)
-    width = max(map(len, cylinders), default=0)
+    width = max(map(len, cylinders or ()), default=0)
     pad = np.array((tuple(pad) + (0,) * width)[:width], dtype=np.int64)
-    heads = [np.tile(pad, (len(tree.nodes[0]), 1))]
-    for nodes, parents in zip(tree.nodes[1:], tree.parents[1:]):
-        heads.append(np.column_stack([letter(nodes), heads[-1][parents, :-1]])[:, :width])
-    head = np.concatenate(heads)
-    member = np.zeros(len(head), dtype=bool)
-    for t in cylinders:
-        member |= np.all(head[:, :len(t)] == np.array(t, dtype=np.int64), axis=1)
-    return member
+    head = None
+    for nodes, values, parents in levels:
+        if cylinders is None:
+            yield nodes, values, np.ones(len(nodes), dtype=bool)
+            continue
+        head = (np.tile(pad, (len(nodes), 1)) if head is None else
+                np.column_stack([letter(nodes), head[parents, :-1]])[:, :width])
+        member = np.zeros(len(nodes), dtype=bool)
+        for t in cylinders:
+            member |= np.all(head[:, :len(t)] == np.array(t, dtype=np.int64), axis=1)
+        yield nodes, values, member
 
 
-def backward_orbit(F: BlaschkeMap, x, T: float,
-                   node_budget: int = _NODE_BUDGET) -> LevelTree:
-    """All preimage-tree nodes (angles) with accumulated log-derivative <= T.
+def backward_orbit(F: BlaschkeMap, x, T: float, node_budget: int = _NODE_BUDGET):
+    """The levels (angles, accumulated log-derivatives, parent links) of the
+    preimage tree up to log-derivative T, as `_walk` yields them.
 
     Every edge adds log|F'| >= log m, m = `F.min_boundary_deriv()`, so a
     node whose value exceeds T - log m has no child <= T; such nodes are not
@@ -254,14 +245,15 @@ def refuse_oversize(T: float, measure: float, lyapunov: float, node_budget: int)
                              "a truncated count would bias the limit, so refuse")
 
 
-def enumerate_orbit(F: BlaschkeMap, x, T: float) -> CountingLedger:
-    """Exact ledger of all backward-orbit events up to log-derivative T.
+def enumerate_orbit(F: BlaschkeMap, x, T: float, arcs=()) -> CountingLedger:
+    """Exact ledger of the backward-orbit events up to log-derivative T in
+    the arc union (every event when arcs is empty).
 
     Monomial maps get the aggregated per-level ledger at every T (lattice
     structure, exact multiplicity d^n at value n log d), refused with
     BudgetExceeded when its total count does not fit the double that the
-    growth ratio and the Cesaro average convert it to. Enumeration is
-    refused, never truncated, for other maps over budget.
+    growth ratio and the Cesaro average convert it to. Other maps keep the
+    events in the arcs level by level, refused, never truncated, over budget.
     """
     if F.is_rotation:
         raise ValueError("rotations have no expanding counting theory")
@@ -273,13 +265,18 @@ def enumerate_orbit(F: BlaschkeMap, x, T: float) -> CountingLedger:
         weights = [d**n for n in range(n_max + 1)]
         if sum(weights) > float(np.finfo(float).max):
             raise BudgetExceeded(f"z^{d} has more events up to T = {T} than a double holds")
-        return CountingLedger(values=np.arange(n_max + 1) * np.log(d),
-                              weights=np.array(weights, dtype=object),
-                              locations=None,
-                              meta={"seed_angle": x, "degree": d, "rotation": F.rotation})
+        led = CountingLedger(values=np.arange(n_max + 1) * np.log(d),
+                             weights=np.array(weights, dtype=object),
+                             locations=None,
+                             meta={"seed_angle": x, "degree": d, "rotation": F.rotation})
+        return _restrict_aggregated(led, arcs) if arcs else led
     refuse_oversize(T, 1.0, lyapunov_exponent(F), _NODE_BUDGET)
-    locs, vals = backward_orbit(F, x, T).events()
-    return CountingLedger.from_events(vals, locations=locs)
+    locs, vals = [], []
+    for nodes, values, _ in backward_orbit(F, x, T):
+        keep = arcs_contain(arcs, nodes) if arcs else slice(None)
+        locs.append(nodes[keep])
+        vals.append(values[keep])
+    return CountingLedger.from_events(np.concatenate(vals), locations=np.concatenate(locs))
 
 
 def coded_count(partition, x, T: float, cylinders) -> CountingLedger:
@@ -291,14 +288,13 @@ def coded_count(partition, x, T: float, cylinders) -> CountingLedger:
     letters match, which reproduces the symbolic count of the pulled-back
     potential bit for bit. An empty list of cylinders admits every event.
     """
-    F = partition.map
-    tree = backward_orbit(F, x, T)
     cylinders = [tuple(t) for t in cylinders]
     width = max(map(len, cylinders), default=0)
     pad = encode(partition, x, width) if width else ()
-    member = _prefix_member(tree, partition.letter, pad, cylinders or None)
-    locs, vals = tree.events()
-    return CountingLedger.from_events(vals, locations=locs, member_mask=member)
+    locs, vals, member = zip(*_prefix_member(backward_orbit(partition.map, x, T),
+                                             partition.letter, pad, cylinders or None))
+    return CountingLedger.from_events(np.concatenate(vals), locations=np.concatenate(locs),
+                                      member_mask=np.concatenate(member))
 
 
 def cesaro_average(L: CountingLedger, T: float) -> float:

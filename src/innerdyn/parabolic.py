@@ -765,8 +765,8 @@ def parabolic_count(P: ParabolicMap, x: float, T: float, B,
                 i, w, base, descent = i[go], W[-1, go], base[go], L[-1, go]
         return np.concatenate(owners), np.concatenate(zs), np.concatenate(vs)
 
-    locations, values = _walk(float(x), children, T, _NODE_BUDGET,
-                              len(branches) + 2).events()
+    locations, values, _ = zip(*_walk(float(x), children, T, _NODE_BUDGET, len(branches) + 2))
+    locations, values = np.concatenate(locations), np.concatenate(values)
     member = np.full(len(values), not B)
     for lo, hi in B:
         member |= (locations >= lo) & (locations < hi)

@@ -406,10 +406,10 @@ def count_words(S: SymbolicSystem, psi: PotentialSpec, xi: Word, T: float,
         child = tab.cols[edge]
         return owner, child, acc[owner] + inc[child]
 
-    tree = _walk(tab.index[xi[:k]], children, T, node_budget, int(deg.max()))
+    levels = _walk(tab.index[xi[:k]], children, T, node_budget, int(deg.max()))
     cylinders = [tuple(t) for t in B] if B else None
-    member = _prefix_member(tree, lambda win: tab.letters[win, 0], xi, cylinders)
-    return CountingLedger.from_events(np.concatenate(tree.values), member_mask=member)
+    _, values, member = zip(*_prefix_member(levels, lambda w: tab.letters[w, 0], xi, cylinders))
+    return CountingLedger.from_events(np.concatenate(values), member_mask=np.concatenate(member))
 
 
 # ---------------------------------------------------------------------------

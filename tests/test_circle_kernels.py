@@ -153,16 +153,21 @@ def test_newton_matches_bisection_monomial_grid_targets(d, N):
     assert circular_gap(got, bisection_preimages_batch(F, grid)) <= 1e-14
 
 
+def _tree(levels):
+    """The nodes, values and parent links of a walk, each a list of levels."""
+    return dict(zip(("nodes", "values", "parents"), map(list, zip(*levels))))
+
+
 def _assert_same_tree(F, T):
-    new = backward_orbit(F, 1.0, T)
+    new = _tree(backward_orbit(F, 1.0, T))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("innerdyn.counting.boundary_preimages_batch",
                    bisection_preimages_batch)
-        ref = backward_orbit(F, 1.0, T)
-    assert [len(v) for v in new.values] == [len(v) for v in ref.values]
-    for n in range(1, len(new.values)):
-        assert np.max(np.abs(new.values[n] - ref.values[n]), initial=0.0) <= 1e-13
-        assert np.array_equal(new.parents[n], ref.parents[n])
+        ref = _tree(backward_orbit(F, 1.0, T))
+    assert [len(v) for v in new["values"]] == [len(v) for v in ref["values"]]
+    for n in range(1, len(new["values"])):
+        assert np.max(np.abs(new["values"][n] - ref["values"][n]), initial=0.0) <= 1e-13
+        assert np.array_equal(new["parents"][n], ref["parents"][n])
     return new
 
 
@@ -170,7 +175,7 @@ def _assert_same_tree(F, T):
 def test_backward_orbit_ledger_matches_oracle(F, T):
     orbit = _assert_same_tree(F, T)
     if F is FH:
-        assert sum(len(v) for v in orbit.values) == 12965
+        assert sum(len(v) for v in orbit["values"]) == 12965
 
 
 @pytest.mark.parametrize("F", [FH, Z2])
@@ -178,8 +183,9 @@ def test_ledger_counts_identical_on_T_grid(F):
     # located ledgers from the walker: enumerate_orbit aggregates z^2 without
     # solving any preimage, so it would not exercise the Newton solve
     def located():
-        locs, vals = backward_orbit(F, 0.3, T).events()
-        return CountingLedger.from_events(vals, locations=locs)
+        tree = _tree(backward_orbit(F, 0.3, T))
+        return CountingLedger.from_events(np.concatenate(tree["values"]),
+                                          locations=np.concatenate(tree["nodes"]))
 
     T = 9.0
     new = located()
@@ -253,7 +259,7 @@ def _full_tree(F, x, T):
         vals = acc[:, None] + np.log(circle_abs_deriv(F, Y))
         return np.repeat(np.arange(len(angles)), d), Y.ravel(), vals.ravel()
 
-    return counting._walk(as_angle(x), children, T, counting._NODE_BUDGET, d)
+    return _tree(counting._walk(as_angle(x), children, T, counting._NODE_BUDGET, d))
 
 
 @pytest.mark.parametrize("F,T", [(FH, 9.0), (DEG3, 8.0), (Z2, 10.0), (A099, 8.0)])
@@ -267,13 +273,13 @@ def test_pruned_tree_equals_full_tree(F, T):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "boundary_preimages_batch", recorded)
-        tree = backward_orbit(F, 0.3, T)
+        tree = _tree(backward_orbit(F, 0.3, T))
     for field in ("nodes", "values", "parents"):
-        got, want = getattr(tree, field), getattr(ref, field)
+        got, want = tree[field], ref[field]
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     # exactly the nodes at most T - log m are solved
-    nodes, values = ref.events()
+    nodes, values = np.concatenate(ref["nodes"]), np.concatenate(ref["values"])
     live = values <= T - np.log(F.min_boundary_deriv()) + 1e-12
     assert np.array_equal(np.sort(np.concatenate(solved)), np.sort(nodes[live]))
     assert not live.all()

@@ -1,16 +1,19 @@
 """Backward-orbit counting: exactness, lattice ledgers, coded equivalence."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from innerdyn.blaschke import BlaschkeMap
+from innerdyn.blaschke import BlaschkeMap, boundary_preimages
 from innerdyn.circle import Arc, FULL_CIRCLE, arcs_intersection
 from innerdyn.coding import build_partition
+from innerdyn.cli import main
 from innerdyn.counting import (CountingLedger, _monomial_level_count_in_arc,
-                               backward_orbit, coded_count, enumerate_orbit,
+                               _prefix_sums, backward_orbit, coded_count, enumerate_orbit,
                                ratio_amplitude)
 from innerdyn.errors import BudgetExceeded
 from innerdyn.parabolic import build_parabolic, parabolic_count
@@ -19,6 +22,8 @@ from cylinder_oracle import cylinder_arc
 
 F2 = BlaschkeMap.monomial(2)
 FH = BlaschkeMap((0j, 0.5 + 0j))
+DEG3 = BlaschkeMap((0j, 0.4 + 0.3j, -0.3 - 0.5j), 0.7)
+FH_JSON = '{"kind":"blaschke","zeros":[[0,0],[0.5,0]],"rotation":0}'
 LOG2 = np.log(2)
 LYAP_FH = np.log((2 + np.sqrt(3)) / 2)
 
@@ -26,8 +31,8 @@ LYAP_FH = np.log((2 + np.sqrt(3)) / 2)
 def _located(F, x, T):
     """The enumerated ledger of every event, for comparison with the
     aggregated ledger that enumerate_orbit builds for a monomial."""
-    locs, vals = backward_orbit(F, x, T).events()
-    return CountingLedger.from_events(vals, locations=locs)
+    locs, vals, _ = zip(*backward_orbit(F, x, T))
+    return CountingLedger.from_events(np.concatenate(vals), locations=np.concatenate(locs))
 
 
 def test_binary_count_exact():
@@ -44,7 +49,7 @@ def test_nan_horizon_is_refused_by_every_walk():
     S = SymbolicSystem.full_shift(2)
     psi = PotentialSpec.constant(S, -LOG2)
     walks = [lambda T: enumerate_orbit(FH, 0.0, T),
-             lambda T: backward_orbit(F2, 0.3, T),
+             lambda T: list(backward_orbit(F2, 0.3, T)),
              lambda T: count_words(S, psi, (1, 1), T),
              lambda T: parabolic_count(build_parabolic([(0.0, 1.0)]), 0.5, T, [(-1.0, 1.0)])]
     for walk in walks:
@@ -336,11 +341,27 @@ def test_table_shift_count_matches_circle_for_binary():
 def test_backward_orbit_budget_is_the_event_count(zeros, rotation, x, T):
     # the walk refuses exactly when there are more events than it allows
     F = BlaschkeMap((0j,) + tuple(zeros), rotation)
-    n = sum(map(len, backward_orbit(F, x, T).values))
-    assert sum(map(len, backward_orbit(F, x, T, node_budget=n).values)) == n
+    n = sum(len(v) for _, v, _ in backward_orbit(F, x, T))
+    assert sum(len(v) for _, v, _ in backward_orbit(F, x, T, node_budget=n)) == n
     if n:
         with pytest.raises(BudgetExceeded):
-            backward_orbit(F, x, T, node_budget=n - 1)
+            list(backward_orbit(F, x, T, node_budget=n - 1))
+
+
+def test_refused_circle_walk_stays_within_the_budget():
+    # FH at T = 30 has about 4e12 events; the walk stops after the chunk
+    # that passes the budget and never holds a level much larger than it
+    budget = 500
+    list(backward_orbit(FH, 0.3, 1.0))           # the lift table, outside the peak
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            for _ in backward_orbit(FH, 0.3, 30.0, node_budget=budget):
+                pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * budget
 
 
 def _step_integral(values, weights, T):
@@ -367,3 +388,72 @@ def test_prefix_queries_match_direct_sums(seed, n, float_weights, masked):
     for t in np.arange(0, 50) / 8.0 + 1 / 16:
         want = _step_integral(values, w, t) / t
         assert led.cesaro_average(t) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _five_temporary_prefix_sums(x):
+    """The TwoSum-corrected float prefix sums, written with a temporary per
+    operation: the reference for the in-place arithmetic of _prefix_sums."""
+    out = np.zeros(len(x) + 1)
+    s = np.cumsum(x, out=out[1:])
+    step = s - out[:-1]
+    err = out[:-1] - (s - step)
+    err += x - step
+    s += np.cumsum(err, out=err)
+    return out
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 300))
+@settings(max_examples=40, deadline=None)
+def test_float_prefix_sums_keep_their_bits(seed, n):
+    rng = np.random.default_rng(seed)
+    x = np.exp(-rng.uniform(0.0, 40.0, n)) * (rng.random(n) < 0.7)
+    assert _prefix_sums(x).tobytes() == _five_temporary_prefix_sums(x).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# arc restriction while the walk streams
+# ---------------------------------------------------------------------------
+
+_TWO_ARCS = [Arc(0.5, 1.0), Arc(3.0, 2.0)]
+
+
+@pytest.mark.parametrize("F,T,arcs", [
+    (FH, 10.0, [Arc(0.0, np.pi)]), (FH, 10.0, _TWO_ARCS),
+    (DEG3, 9.0, [Arc(0.0, np.pi)]), (DEG3, 9.0, _TWO_ARCS),
+    (FH, 10.0, [Arc(1.0, 1e-12)]),                 # holds no event
+    (F2, 30.0, _TWO_ARCS),                         # the aggregated ledger
+], ids=["fh-half", "fh-two", "deg3-half", "deg3-two", "fh-empty", "z2-two"])
+def test_streamed_restriction_answers_as_the_restricted_ledger(F, T, arcs):
+    # events outside the arcs weigh 0 in the restricted ledger: they add 0
+    # to the counts and +0.0 to every Laplace sum and its rounding error
+    got = enumerate_orbit(F, 0.3, T, arcs)
+    want = enumerate_orbit(F, 0.3, T).restricted(arcs)
+    v = want.values
+    grid = np.concatenate([v, 0.5 * (v[1:] + v[:-1]), [T + 1.0]])
+    assert all(got.count(t) == want.count(t) for t in grid)
+    assert all(got.count(t, strict=False) == want.count(t, strict=False) for t in grid)
+    assert all(got.cesaro_average(t) == want.cesaro_average(t) for t in grid[grid > 0])
+    if F is not F2:
+        assert got.total == len(got.values) < len(want.values)
+
+
+def test_count_csv_bytes_are_pinned(tmp_path):
+    out = tmp_path / "count.csv"
+    assert main(["count", "--map", FH_JSON, "--T", "10", "--x", "0.3",
+                 "--arc", "0,3.141592653589793", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "ccb7eb9d5a8270f58038921d2564418802c919e9acc052fe870b28bd8673a488"
+
+
+def test_count_with_an_arc_never_holds_the_whole_tree(tmp_path):
+    # 261,170 events; the tree, the event list and both ledgers held at once
+    # peaked at 16.3 MiB
+    boundary_preimages(FH, 0.3)                  # the lift table, outside the peak
+    tracemalloc.start()
+    try:
+        assert main(["count", "--map", FH_JSON, "--T", "12", "--x", "0.3",
+                     "--arc", "0,3.141592653589793", "--out", str(tmp_path / "c.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
