@@ -10,9 +10,9 @@ by one rule, relative to |lambda|, at one tolerance, _LEADING_TOL, so a
 lambda far below 1 (a large s) keeps as many digits as one near 1. The
 resolvent is one linear solve. The deflated projection realizes the
 spectral projection of a simple isolated eigenvalue, so no contour
-integrals are needed. The Green-Kubo variance of an observable is read off
-the same resolvent (`green_kubo`), for the circle and the shift alike; the
-caller hands it the solve, dense on the shift, on two grids on the circle.
+integrals are needed. The shift's Green-Kubo variance is read off the same
+resolvent (`green_kubo`); the circle's has a closed form
+(`stochastic.green_kubo_variance`).
 
 The spectral gap has one route, `transfer.circle_spectrum`: the resolved
 |lambda_2 / lambda_1| of the dense LAPACK spectrum (`dense_leading`) on
@@ -369,9 +369,8 @@ def green_kubo(op, rho: np.ndarray, weights: np.ndarray, g: np.ndarray, solve) -
     and mu = rho * weights is the invariant measure; phi = g - <mu, g> is
     centered. Since <weights, rho phi> = 0, the sum over k >= 0 of
     op^k (rho phi) is the deflated resolvent x, the solution of
-    (I - op + rho (x) weights) x = rho phi, which solve(v) returns: a dense
-    `deflated_resolvent` for the shift, a two-grid solve for the circle
-    (`stochastic.green_kubo_variance`). The variance is
+    (I - op + rho (x) weights) x = rho phi, which solve(v) returns (a dense
+    `deflated_resolvent` on the shift). The variance is
     <mu, phi^2> + 2 <weights, phi * op x>. The pairings are pairwise sums,
     so with uniform weights 1/N they are numpy means to the bit.
     NonDecaying comes from the solve.

@@ -2,13 +2,8 @@
 
 Orbit statistics of Birkhoff sums S_n h / sqrt(n) over Lebesgue-random seeds,
 a Kolmogorov-Smirnov comparison with the Gaussian, and the asymptotic
-variance from the resolvent of the transfer operator. `spectral` owns the
-Green-Kubo formula (`spectral.green_kubo`), which the shift's variance
-shares; here it is applied, for `clt` and `pressure`, to the weightless
-collocation operator, which fixes Lebesgue measure. That operator is
-applied matrix-free on its N >= 512 nodes, and its resolvent is solved on
-a 32-node grid with residual corrections at N, certified by the residual;
-the N x N matrix is assembled only when 64 corrections do not certify.
+variance in closed form from the composition operator f -> f o F
+(`green_kubo_variance`).
 
 For monomial maps theta -> d*theta the orbit point x = theta / (2*pi) at
 step k is the window from digit k of a random base-d digit string, cut in
@@ -40,13 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeMap
+from .blaschke import BlaschkeMap, _gap_and_log
 from .circle import TWO_PI, circle_grid
 from .errors import DegenerateVariance, InnerdynError, NonDecaying
 from .rng import splitmix64, uniform_stream
-from .spectral import deflated_resolvent, green_kubo
-from .transfer import (_COARSE_MIN, _MAX_MODES, _preimage_weights, _refine, assemble_operator,
-                       nufft_operator)
+from .transfer import _MAX_MODES
 
 
 @dataclass
@@ -64,8 +57,6 @@ class BirkhoffSample:
 
 # smaller runs stay in one process: a fork costs milliseconds
 _SPLIT_MIN_STEPS = 10**6
-_GREEN_KUBO_NODES = 512   # smallest Green-Kubo grid; a wider observable gets a finer one
-_CORRECTIONS = 64         # two-grid corrections before the dense Green-Kubo solve
 
 
 def _anchor_spacing(d: int) -> int:
@@ -391,70 +382,40 @@ def clt_diagnostics(sample: BirkhoffSample, sigma2: float) -> tuple[float, float
 
 
 def green_kubo_variance(F: BlaschkeMap, h) -> float:
-    """Asymptotic variance c_0 + 2 sum_{k>=1} c_k by one resolvent solve.
+    """Asymptotic variance c_0 + 2 sum_{n>=1} c_n of a one-harmonic h, in
+    closed form.
 
-    `spectral.green_kubo` on the weightless collocation operator L on N
-    nodes, whose leading data are known exactly: rho = 1 and the Lebesgue
-    weights 1/N. N is the smallest power of two from 512 up that resolves
-    h, N > 2K for its bandwidth K; ValueError names a K that needs more
-    than 4096 nodes. A finer grid moves the variance by rounding only (2e-15
-    from 256 to 2048 nodes, on maps with a zero up to 0.9999), so `pressure`
-    reads it too, whatever its `--modes`. L is applied matrix-free
-    (`transfer.nufft_operator`), and the resolvent is solved on two grids
-    (`_two_grid_resolvent`), with the N x N matrix only when its corrections
-    do not certify. The rank-one deflation removes the eigenvalue 1 of the
-    constants, so the solve is regular whenever L has a spectral gap.
-    NonDecaying refuses a rotation, which has none, before any work, and a
-    solve that leaves a residual above 1e-10 times its right-hand side.
+    With F(0) = 0, f -> f o F is lower triangular on the monomials z^k with
+    diagonal lambda^k, lambda = F'(0) (Koenigs; Cowen and MacCluer,
+    Composition Operators on Spaces of Analytic Functions, 1995), and the
+    cross terms vanish because F^n(0) = 0. So for h = m + c z^k + conj(c z^k)
+    the n-step correlation is 2|c|^2 Re(q^n) with q = lambda^k, and
+    sigma^2 = 2|c|^2 (1 - |q|^2) / |1 - q|^2. The denominator is taken as
+    (1 - r)^2 + 4r sin^2(phase / 2), r = |q|, with log r from
+    `blaschke._gap_and_log`, so the digits hold as |q| -> 1. c and k are
+    read from h on 2K + 2 nodes, K its bandwidth; ValueError refuses a K
+    whose grid would pass 4096 nodes and an h with a second harmonic above
+    1e-9 |c|. A constant has variance 0. NonDecaying refuses a rotation,
+    which has no spectral gap, before any work.
     """
     if F.is_rotation:
         raise NonDecaying("a rotation has no spectral gap: its correlations do not decay")
-    N = max(_GREEN_KUBO_NODES, 1 << (2 * h.bandwidth).bit_length())
-    if N > _MAX_MODES:
-        raise ValueError(f"observable bandwidth {h.bandwidth} needs more than "
-                         f"{2 * h.bandwidth} nodes; the grid stops at {_MAX_MODES}")
-    hv = np.asarray(h(circle_grid(N)), dtype=float)
-    L = nufft_operator(*_preimage_weights(F, 1.0, None, N))
-    solve = functools.partial(_two_grid_resolvent, F, L)
-    return green_kubo(L, np.ones(N), np.full(N, 1.0 / N), hv, solve)
-
-
-def _two_grid_resolvent(F: BlaschkeMap, L, v: np.ndarray) -> np.ndarray:
-    """x with (I - K) x = v for K = L - 1 (x) w, w = 1/N, where L is the
-    weightless operator of F on N nodes as a `transfer.NufftOperator`.
-
-    Second-kind two-grid iteration (Atkinson, The Numerical Solution of
-    Integral Equations of the Second Kind, 1997, ch. 6; Hackbusch,
-    Multi-Grid Methods and Applications, 1985). K smooths, so with
-    x = v + y the equation (I - K) y = K v has a smooth right-hand side,
-    and y is read on 32 nodes (B: restricted by Fourier truncation, solved
-    by `deflated_resolvent`, interpolated back by `transfer._refine`).
-    Corrections r = v - (I - K) x, x += r + B K r, with K applied
-    matrix-free at N, run until the residual at N is at most 1e-13 ||v||,
-    or else the N x N system is solved densely after `_CORRECTIONS` of
-    them. Where K v is not smooth they converge slowly (58 for cos1000 on
-    the zeros {0, 0.9}), and not monotonely (z^2, cos1760 holds at ||v||
-    for five, then drops to zero), so only the count stops them.
-    """
-    n = _COARSE_MIN
-    Lc = assemble_operator(F, 1.0, None, n).matrix
-
-    def coarse(r):  # B r
-        x = deflated_resolvent(Lc, 1, np.ones(n), np.full(n, 1.0 / n), _refine(r, n))
-        return _refine(x, len(r))
-
-    def apply(x):  # K x
-        return L @ x - np.mean(x)
-
-    def defect(x):  # v - (I - K) x
-        return v - x + apply(x)
-
-    x = v + coarse(apply(v))
-    r = defect(x)
-    for _ in range(_CORRECTIONS):
-        x += r + coarse(apply(r))
-        r = defect(x)
-        if np.linalg.norm(r) <= 1e-13 * np.linalg.norm(v):
-            return x
-    N = len(v)
-    return deflated_resolvent(L.dense(), 1, np.ones(N), np.full(N, 1.0 / N), v)
+    K = h.bandwidth
+    if 2 * K >= _MAX_MODES:
+        raise ValueError(f"observable bandwidth {K} needs more than "
+                         f"{2 * K} nodes; the grid stops at {_MAX_MODES}")
+    c = np.abs(np.fft.rfft(h(circle_grid(2 * K + 2)))) / (2 * K + 2)
+    c[0] = 0.0   # the mean does not enter the variance
+    k = int(np.argmax(c))
+    if c[k] == 0:
+        return 0.0
+    if np.count_nonzero(c > 1e-9 * c[k]) > 1:
+        raise ValueError(f"observable {h.name} holds more than one harmonic")
+    amp = 2.0 * float(c[k]) ** 2
+    a = np.array(F.zeros[1:])
+    if np.any(a == 0):   # lambda = 0: only c_0 is left
+        return amp
+    log_r = k * float(np.sum(_gap_and_log(a)[1]))
+    phase = k * (F.rotation + float(np.sum(np.angle(-a))))
+    return amp * -math.expm1(2 * log_r) / (
+        math.expm1(log_r) ** 2 + 4 * math.exp(log_r) * math.sin(phase / 2) ** 2)

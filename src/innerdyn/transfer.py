@@ -14,13 +14,12 @@ one way, by a type-2 non-uniform FFT with Gaussian gridding
 preimage, a preimage on a node included. An operator that is only applied,
 the N-mode operator of `spectrum` and `pressure`, keeps the plan, in
 O(N log N + N d q) time and O(N d q) memory for a stencil of q = 32 points,
-where the matrix takes N^2. The LAPACK consumers, the coarse grids of
-`circle_spectrum` and of `stochastic.green_kubo_variance` (and that
-solver's N-node fallback when its corrections do not certify), take the
-plan's dense matrix (`NufftOperator.dense`, `assemble_operator`), built in
-row blocks straight into one preallocated array, so that the assembly peak
-is the matrix, the plan and one block. `_refine` moves a grid function
-between grids both ways: zero-padding up, Fourier truncation down.
+where the matrix takes N^2. The LAPACK consumer, the coarse grids of
+`circle_spectrum`, takes the plan's dense matrix (`NufftOperator.dense`,
+`assemble_operator`), built in row blocks straight into one preallocated
+array, so that the assembly peak is the matrix, the plan and one block.
+`_refine` moves a grid function between grids both ways: zero-padding
+up, Fourier truncation down.
 
 The matrix is float64 exactly when s has zero imaginary part and g is real;
 then every solve in `spectral` runs in real arithmetic. Complex s keeps
@@ -56,7 +55,7 @@ _GAP_CEILING = 0.95
 _MAX_MODES = 4096       # largest collocation grid
 _BLOCK_BYTES = 1 << 18  # bytes of the fine grid of one row block of `NufftOperator.dense`
 _PRESSURE_STEP = 1e-2   # step h of the five-point pressure stencil
-_COARSE_MIN = 32        # smallest coarse grid of `circle_spectrum`; the Green-Kubo coarse grid
+_COARSE_MIN = 32        # smallest coarse grid of `circle_spectrum`
 _COARSE_MAX = 512       # largest coarse grid: a dense eigensolve at 2 x 512 takes 0.5 s
 _TAIL_ROUNDING = 1e-13  # Fourier tail of rho at which a grid resolves the operator
 _OVERSAMPLE = 2         # the NUFFT apply's fine FFT grid has 2 N points

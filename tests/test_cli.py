@@ -328,6 +328,19 @@ def test_library_errors_exit_3(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 3
 
 
+@pytest.mark.parametrize("a", [1 - 1e-6, -(1 - 1e-6)], ids=["a+", "a-"])
+def test_clt_next_to_the_circle_exits_0(tmp_path, a):
+    # the correlations (1/2) (-a)^n decay, slowly: sigma^2 is 2.5e-7 and
+    # 1.0e6. The resolvent solve that once gave it exited 3 on both with
+    # NonDecaying
+    cfg = json.dumps({"kind": "blaschke", "zeros": [[0, 0], [a, 0]], "rotation": 0})
+    code, payload = run(tmp_path, "clt.json", ["clt", "--map", cfg, "--obs", "cos", "--n", "256",
+                                               "--samples", "1000", "--seed", "1"])
+    assert code == 0
+    assert json.loads(payload)["data"]["sigma2_gk"] == pytest.approx((1 - a) / (2 * (1 + a)),
+                                                                     rel=1e-9)
+
+
 @pytest.mark.parametrize("command", ["count", "cesaro"])
 @pytest.mark.parametrize("d, T", [(2, "720"), (2, "709.5"), (3, "720")])
 def test_monomial_count_past_the_double_range_exits_3(tmp_path, capsys, command, d, T):

@@ -2,7 +2,8 @@
 
 A function-local import hides a dependency from the module header and is
 the usual patch for an import cycle; the modules are layered so that none
-is needed (`spectral` below `transfer` below `stochastic`).
+is needed (`spectral` below `transfer` and `shift`, `blaschke` and
+`transfer` below `stochastic`).
 """
 
 import ast

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from innerdyn.blaschke import BlaschkeMap, circle_abs_deriv, lyapunov_exponent
 from innerdyn.circle import circle_grid
-from innerdyn.observables import COS, cos_k
+from innerdyn.observables import COS, cos_k, sin_k
 from innerdyn.spectral import deflated_resolvent, green_kubo
 from innerdyn.stochastic import green_kubo_variance
 from innerdyn.transfer import _preimage_weights, nufft_operator
@@ -106,8 +106,7 @@ def test_green_kubo_is_the_closed_form_of_the_two_zero_map(a):
 def test_green_kubo_of_every_harmonic_under_a_monomial_is_one_half(d, k):
     # z^d maps cos(k t) to cos(d k t), orthogonal to cos(k t) and to every
     # later image, so sigma^2 = c_0 = 1/2 for every k the largest grid
-    # resolves; k >= 1024 takes 4096 nodes, where a few corrections on the
-    # 32-node grid certify every draw
+    # resolves
     assert abs(green_kubo_variance(BlaschkeMap.monomial(d), cos_k(k)) - 0.5) <= 1e-12
 
 
@@ -120,10 +119,9 @@ def test_green_kubo_of_every_harmonic_under_a_monomial_is_one_half(d, k):
 @example([0.9], 1000)
 @settings(max_examples=8, deadline=None, derandomize=True)
 def test_green_kubo_matches_the_dense_resolvent(zeros, k):
-    # the two-grid solve against one dense solve of the N-node system that
-    # it avoids, on the same grid and the same matrix-free operator; without
-    # its corrections, sigma^2 is 7e-5 and 0.46 relative off on the first two
-    # examples, and the third takes 58 of them
+    # the closed form against one dense solve of the deflated resolvent of
+    # the N-node collocation operator, built here from the matrix-free one;
+    # up to |a| = 0.99 the grid's discretization error was at most 2.2e-14
     F = BlaschkeMap((0j, *zeros))
     N = max(512, 1 << (2 * k).bit_length())
     L = nufft_operator(*_preimage_weights(F, 1.0, None, N))
@@ -133,3 +131,41 @@ def test_green_kubo_matches_the_dense_resolvent(zeros, k):
                       lambda v: deflated_resolvent(dense, 1, rho, w, v))
     got = green_kubo_variance(F, cos_k(k))
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def mpmath_green_kubo(F: BlaschkeMap, k: int):
+    """(sigma^2, |q|, |1 - q|) of a unit harmonic of frequency k, in 50-digit
+    arithmetic from the same float zeros and rotation: q = F'(0)^k with
+    F'(0) = e^{i rot} prod(-a) over the zeros after zeros[0], and
+    sigma^2 = (1 - |q|^2) / (2 |1 - q|^2)."""
+    with mpmath.workdps(50):
+        lam = mpmath.expj(mpmath.mpf(F.rotation))
+        for a in F.zeros[1:]:
+            lam *= -mpmath.mpc(a.real, a.imag)
+        q = lam**k
+        sigma2 = (1 - abs(q) ** 2) / (2 * abs(1 - q) ** 2)
+        return float(sigma2), float(abs(q)), float(abs(1 - q))
+
+
+# 1 - |a| = 10^-x from 1 (a zero at 0) down to 1e-9, on the real line or off it
+gap_zero = st.one_of(
+    st.builds(lambda x, sign: complex(sign * (1 - 10 ** -x)),
+              st.floats(0.0, 9.0), st.sampled_from([1, -1])),
+    st.builds(lambda x, phi: complex((1 - 10 ** -x) * np.exp(1j * phi)),
+              st.floats(0.0, 9.0), st.floats(0.0, 2 * np.pi)))
+
+
+@given(st.integers(1, 2), st.lists(gap_zero, min_size=1, max_size=3),
+       st.floats(0.0, 2 * np.pi), st.sampled_from([cos_k, sin_k]), st.integers(1, 2047))
+@example(1, [1 - 1e-9], 0.0, cos_k, 1)
+@example(1, [-(1 - 1e-6)], 0.0, cos_k, 1)
+@example(1, [1 - 1e-9], 0.0, sin_k, 2047)
+@example(2, [0.5], 1.0, cos_k, 3)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_green_kubo_is_the_composition_operator_closed_form(at_zero, zeros, rotation, harmonic, k):
+    # the gate is the formula's condition number in the phase of q, plus
+    # the k eps with which cos(k t) itself is read on the grid
+    F = BlaschkeMap((0j,) * at_zero + tuple(zeros), rotation)
+    want, r, gap = mpmath_green_kubo(F, k)
+    got = green_kubo_variance(F, harmonic(k))
+    assert abs(got - want) <= (1e-14 * (1 + k * r / gap) + k * 2.0**-52) * want

@@ -17,15 +17,13 @@ from innerdyn.blaschke import BlaschkeMap
 from innerdyn.errors import NoConvergence, NonDecaying
 from innerdyn.shift import (PotentialSpec, SymbolicSystem, cylinder_operator,
                             pressure_derivs_shift, spectral_data)
-from innerdyn import spectral, stochastic, transfer
+from innerdyn import spectral, transfer
 from innerdyn.spectral import (_KRYLOV_DIM, deflated_resolvent, deflated_subleading,
                                dense_leading, leading_spectral_data, power_leading)
-from innerdyn.observables import COS
-from innerdyn.transfer import OperatorMatrix, assemble_operator
+from innerdyn.transfer import assemble_operator
 
 DEG3 = BlaschkeMap((0j, 0.4 + 0.3j, -0.3 - 0.5j), 0.7)
 A09 = BlaschkeMap((0j, 0.9 + 0j))
-FH = BlaschkeMap((0j, 0.5 + 0j))
 
 
 class RealOperandsOnly:
@@ -43,13 +41,6 @@ class RealOperandsOnly:
     def __matmul__(self, u):
         assert u.dtype == np.float64, f"operand of dtype {u.dtype}"
         return self.a @ u
-
-    # `0 - wrapper` defers to __rsub__: the dense resolvent matrix
-    # I - mat + rho (x) w is built from the entries, not applied to an operand
-    __array_ufunc__ = None
-
-    def __rsub__(self, other):
-        return other - self.a
 
 
 def _neumann_sum(mat, lam, rho, weights, v, terms):
@@ -170,7 +161,7 @@ def test_gap_at_s1_is_the_derivative_at_the_fixed_point(a):
                - a) <= 1e-8
 
 
-def test_real_operator_sees_only_real_operands(monkeypatch):
+def test_real_operator_sees_only_real_operands():
     # deg3 at s = 1: the subleading eigenvalues are a complex-conjugate
     # pair, so the deflated solve accepts a complex Ritz vector, applied to
     # its real and imaginary parts separately
@@ -182,11 +173,6 @@ def test_real_operator_sees_only_real_operands(monkeypatch):
     assert abs(ev[1].imag) > 0.1
     assert abs(data.lam - 1.0) <= 1e-12
     assert abs(sub / abs(data.lam) - abs(ev[1]) / abs(ev[0])) <= 1e-8
-    want = stochastic.green_kubo_variance(FH, COS)
-    assemble = stochastic.assemble_operator
-    monkeypatch.setattr(stochastic, "assemble_operator", lambda *a: OperatorMatrix(
-        RealOperandsOnly(assemble(*a).matrix), None, None))
-    assert stochastic.green_kubo_variance(FH, COS) == want
 
 
 def test_power_leading_restarts_from_the_ritz_vector():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from innerdyn import stochastic
 from innerdyn.blaschke import BlaschkeMap, angle_map
 from innerdyn.circle import circle_grid
 from innerdyn.errors import DegenerateVariance, NonDecaying
@@ -20,15 +19,14 @@ from sampler_oracle import exact_monomial_angles
 
 F2 = BlaschkeMap.monomial(2)
 FH = BlaschkeMap((0j, 0.5 + 0j))
-A09 = BlaschkeMap((0j, 0.9 + 0j))
 GK_FH_COS = 1.0 / 6.0
 
 
 def correlation_sequence(F, h, k_last):
     """c_k = int h (h o F^k) dm for k = 0..k_last, h mean-adjusted.
 
-    The terms of the series that `green_kubo_variance` sums by one resolvent
-    solve, computed one power at a time through the adjoint identity
+    The terms of the series that `green_kubo_variance` sums in closed form,
+    computed one power at a time through the adjoint identity
     c_k = int (L^k h) h dm with the weightless collocation operator; L
     smooths, so no frequency blow-up occurs. Checked against closed forms
     and against direct composition on a fine grid.
@@ -150,29 +148,29 @@ def test_green_kubo_slow_decay_closed_form(a):
 @pytest.mark.parametrize("k", [512, 513, 1000])
 def test_green_kubo_resolves_the_observable(k):
     # on 512 nodes cos(512 t) is 1 at every node and cos(513 t) reads as
-    # cos t, so the variance read 0.0, 0.026 and 0.587 here; the grid now
-    # grows to 2048 > 2k, where sigma^2 is 1/2 to 1.7e-14 (against 4096)
+    # cos t, so the variance once read 0.0, 0.026 and 0.587 here; h is now
+    # read on 2k + 2 nodes, and q = (-0.9)^k leaves sigma^2 = 1/2
     F = BlaschkeMap((0j, 0.9 + 0j))
     assert green_kubo_variance(F, cos_k(k)) == pytest.approx(0.5, abs=1e-10)
-
-
-@pytest.mark.parametrize("zeros", [(0.999, 0.5), (0.99j, -0.9), (0.9999, 0.3)],
-                         ids=["0.999", "0.99i", "0.9999"])
-@pytest.mark.parametrize("k", [1, 5])
-def test_green_kubo_grid_does_not_move_the_variance(monkeypatch, zeros, k):
-    # pressure reads sigma^2 on this grid whatever its --modes, which rests
-    # on the weightless variance being the same on a finer grid: here zeros
-    # near the circle make the slowest correlation decay; measured <= 7e-16
-    F = BlaschkeMap((0j, *map(complex, zeros)))
-    coarse = green_kubo_variance(F, cos_k(k))
-    monkeypatch.setattr(stochastic, "_GREEN_KUBO_NODES", 1024)
-    assert abs(green_kubo_variance(F, cos_k(k)) - coarse) <= 1e-13
 
 
 def test_green_kubo_refuses_a_bandwidth_beyond_the_largest_grid():
     # cos(2048 t) needs more than 4096 nodes, the largest collocation grid
     with pytest.raises(ValueError, match="bandwidth 2048"):
         green_kubo_variance(FH, cos_k(2048))
+
+
+def test_green_kubo_reads_the_amplitude_of_the_harmonic():
+    # sigma^2 is quadratic in h: 0.1 cos has 0.01 of the variance of cos
+    tenth = Observable("0.1cos", lambda t: 0.1 * np.cos(np.asarray(t)), 1)
+    assert green_kubo_variance(FH, tenth) == pytest.approx(0.01 * GK_FH_COS, rel=1e-14)
+
+
+def test_green_kubo_refuses_two_harmonics():
+    # cos(2t) - cos(t) has cross correlations the one-harmonic form leaves out
+    cob = Observable("cob", lambda t: np.cos(2 * np.asarray(t)) - np.cos(np.asarray(t)), 2)
+    with pytest.raises(ValueError, match="more than one harmonic"):
+        green_kubo_variance(F2, cob)
 
 
 def test_green_kubo_refuses_identity_map():
@@ -185,55 +183,13 @@ def test_green_kubo_refuses_identity_map():
             green_kubo_variance(F, COS)
 
 
-def _resolvent_sizes(monkeypatch) -> list:
-    """The node counts of the systems `deflated_resolvent` solves, in order."""
-    sizes = []
-    solve = stochastic.deflated_resolvent
-
-    def spy(mat, *args):
-        sizes.append(mat.shape[0])
-        return solve(mat, *args)
-    monkeypatch.setattr(stochastic, "deflated_resolvent", spy)
-    return sizes
-
-
-def test_green_kubo_solves_fh_on_the_coarsest_grid(monkeypatch):
-    # FH's operator is resolved on 32 nodes, so the coarse solve and the
-    # one correction at N = 512 certify there: two 32-node systems, and the
-    # 512-node matrix is never assembled
-    sizes = _resolvent_sizes(monkeypatch)
-    assert green_kubo_variance(FH, COS) == pytest.approx(GK_FH_COS, abs=1e-12)
-    assert sizes == [32, 32]
-
-
-def test_green_kubo_corrects_cos1000_on_the_coarsest_grid(monkeypatch):
-    # cos1000 needs N = 2048, and L cos1000 is not smooth under the zeros
-    # {0, 0.9}, whose inverse branches contract by as little as 1/1.05; the
-    # corrections on 32 nodes still certify it (58 of them), so no finer
-    # system is solved
-    sizes = _resolvent_sizes(monkeypatch)
-    assert green_kubo_variance(A09, cos_k(1000)) == pytest.approx(0.5, abs=1e-10)
-    assert set(sizes) == {32}
-    assert len(sizes) <= 1 + stochastic._CORRECTIONS
-
-
-def test_green_kubo_falls_back_to_one_dense_solve(monkeypatch):
-    # a zero at 0.999 keeps the corrections of cos300 (N = 1024) above the
-    # certificate: the 32-node grid is solved once and once per correction,
-    # and then the 1024-node system once
-    sizes = _resolvent_sizes(monkeypatch)
-    green_kubo_variance(BlaschkeMap((0j, 0.999 + 0j)), cos_k(300))
-    assert sizes == [32] * (1 + stochastic._CORRECTIONS) + [1024]
-
-
 @pytest.mark.parametrize("F, h, bound", [
-    # the 512-node matrix alone takes 2 MiB (4.3 MiB traced with the system
-    # of its solve, when it was assembled); the two-grid solve holds the
-    # NUFFT plan and 32-node systems, 1.1 MiB
-    (FH, COS, 2 * 2**20),
-    # the 4096-node matrix alone takes 128 MiB; a few corrections on 32
-    # nodes certify cos2047, and the NUFFT plan at N leads the trace, 12 MiB
-    (BlaschkeMap.monomial(3), cos_k(2047), 24 * 2**20),
+    # the 512-node matrix alone takes 2 MiB; the closed form reads h on
+    # 4 nodes, 2 KB traced
+    (FH, COS, 2**20),
+    # the 4096-node matrix alone takes 128 MiB; the closed form reads h on
+    # 4096 nodes, 99 KB traced (12 MiB when a NUFFT plan at N was solved)
+    (BlaschkeMap.monomial(3), cos_k(2047), 2**20),
 ], ids=["fh-cos", "z3-cos2047"])
 def test_green_kubo_never_holds_the_n_node_matrix(F, h, bound):
     green_kubo_variance(F, h)
