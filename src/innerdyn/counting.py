@@ -9,22 +9,23 @@ time and holds two, so a circle count, which keeps only the events in its
 arcs, never holds the whole tree; a refused walk holds memory of the order
 of the budget. Monomial maps z -> e^{i rot} z^d have all level-n events at
 n log d, so their ledgers hold aggregated (value, multiplicity) levels at
-every T and arc restriction uses the exact equispacing count. An event's
-weight is its multiplicity inside the target set; ledgers answer count and
-Cesaro queries by binary search in prefix sums of their weights.
+every T, counted in the target arcs by the exact equispacing count when
+they are built. An event's weight is its multiplicity inside the target
+set; ledgers answer count and Cesaro queries by binary search in prefix
+sums of their weights.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blaschke import (BlaschkeMap, boundary_preimages_batch, circle_abs_deriv,
                        lyapunov_exponent)
-from .circle import TWO_PI, Arc, arcs_contain, arcs_intersection, as_angle
+from .circle import TWO_PI, Arc, arcs_contain, as_angle
 from .coding import encode
 from .errors import BudgetExceeded
 
@@ -39,20 +40,18 @@ class CountingLedger:
     """Sorted event stream (value, weight, location) with count queries.
 
     values are the log-derivatives of the events; weights are their
-    multiplicities inside the target set, so restriction re-weights: bool
-    for enumerated events (False outside the target), and for aggregated
-    monomial ledgers the level sizes in the target as exact Python ints in
-    an object array, since d^n outgrows every integer dtype. locations are
-    circle angles or real positions, or None for aggregated ledgers. meta
-    holds, for an aggregated ledger only, the seed angle, degree and
-    rotation that arc restriction needs, and after a restriction its arcs.
-    Counts are exact; only the Cesaro average converts weights to float.
+    multiplicities inside the target set: bool for enumerated events (False
+    outside the target), and for aggregated monomial ledgers the level
+    sizes in the target as exact Python ints in an object array, since d^n
+    outgrows every integer dtype. locations are circle angles or real
+    positions, or None for aggregated and shift ledgers, which are built
+    for their target. Counts are exact; only the Cesaro average converts
+    weights to float.
     """
 
     values: np.ndarray
     weights: np.ndarray
     locations: np.ndarray | None
-    meta: dict = field(default_factory=dict)
 
     @staticmethod
     def from_events(values, locations=None, member_mask=None):
@@ -89,10 +88,8 @@ class CountingLedger:
     def restricted(self, arcs) -> "CountingLedger":
         """Ledger re-weighted to the events whose location lies in the arc union."""
         if self.locations is None:
-            if "seed_angle" not in self.meta:
-                raise ValueError("a shift ledger has no locations; it is restricted by "
-                                 "cylinders, through count_words(..., B=...)")
-            return _restrict_aggregated(self, arcs)
+            raise ValueError("a ledger without locations is restricted when it is built, "
+                             "through enumerate_orbit(..., arcs) or count_words(..., B=...)")
         return CountingLedger(values=self.values, locations=self.locations,
                               weights=self.weights * arcs_contain(arcs, self.locations))
 
@@ -139,22 +136,6 @@ def _monomial_level_count_in_arc(x: float, d: int, rotation: float, n: int,
     lo = float(np.mod(arc.start - phi, TWO_PI))
     return (int(np.ceil((lo + arc.length) / delta - 1e-15))
             - int(np.ceil(lo / delta - 1e-15)))
-
-
-def _restrict_aggregated(L: CountingLedger, arcs) -> CountingLedger:
-    """Exact per-level counts in the arcs, intersected with the arcs of an
-    earlier restriction, which the result keeps in its meta."""
-    arcs = tuple(arcs)
-    if "arcs" in L.meta:
-        arcs = tuple(arcs_intersection(L.meta["arcs"], arcs))
-    x = L.meta["seed_angle"]
-    d = L.meta["degree"]
-    rot = L.meta["rotation"]
-    # entry n of an aggregated ledger is level n
-    new_w = np.array([sum(_monomial_level_count_in_arc(x, d, rot, n, a) for a in arcs)
-                      for n in range(len(L.values))], dtype=object)
-    return CountingLedger(values=L.values, weights=new_w, locations=None,
-                          meta={**L.meta, "arcs": arcs})
 
 
 def _walk(root, children, T: float, node_budget: int, fanout: int):
@@ -250,10 +231,11 @@ def enumerate_orbit(F: BlaschkeMap, x, T: float, arcs=()) -> CountingLedger:
     the arc union (every event when arcs is empty).
 
     Monomial maps get the aggregated per-level ledger at every T (lattice
-    structure, exact multiplicity d^n at value n log d), refused with
-    BudgetExceeded when its total count does not fit the double that the
-    growth ratio and the Cesaro average convert it to. Other maps keep the
-    events in the arcs level by level, refused, never truncated, over budget.
+    structure, exact multiplicity d^n at value n log d, or its exact count
+    in the arcs), refused with BudgetExceeded when its unrestricted total
+    does not fit the double that the growth ratio and the Cesaro average
+    convert it to. Other maps keep the events in the arcs level by level,
+    refused, never truncated, over budget.
     """
     if F.is_rotation:
         raise ValueError("rotations have no expanding counting theory")
@@ -265,11 +247,11 @@ def enumerate_orbit(F: BlaschkeMap, x, T: float, arcs=()) -> CountingLedger:
         weights = [d**n for n in range(n_max + 1)]
         if sum(weights) > float(np.finfo(float).max):
             raise BudgetExceeded(f"z^{d} has more events up to T = {T} than a double holds")
-        led = CountingLedger(values=np.arange(n_max + 1) * np.log(d),
-                             weights=np.array(weights, dtype=object),
-                             locations=None,
-                             meta={"seed_angle": x, "degree": d, "rotation": F.rotation})
-        return _restrict_aggregated(led, arcs) if arcs else led
+        if arcs:
+            weights = [sum(_monomial_level_count_in_arc(x, d, F.rotation, n, a) for a in arcs)
+                       for n in range(n_max + 1)]
+        return CountingLedger(values=np.arange(n_max + 1) * np.log(d),
+                              weights=np.array(weights, dtype=object), locations=None)
     refuse_oversize(T, 1.0, lyapunov_exponent(F), _NODE_BUDGET)
     locs, vals = [], []
     for nodes, values, _ in backward_orbit(F, x, T):

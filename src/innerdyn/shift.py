@@ -285,8 +285,7 @@ def pressure_derivs_shift(S: SymbolicSystem, psi: PotentialSpec) -> ShiftPressur
     vals = psi.vector(basis)
     mean_integral = float(np.dot(mu, vals))
     M = cylinder_operator(S, psi, 1.0, 0.0) / data.lam
-    var_gk = green_kubo(M, data.rho, data.weights, vals,
-                        functools.partial(deflated_resolvent, M, 1, data.rho, data.weights))
+    var_gk = green_kubo(M, data.rho, data.weights, vals)
     return ShiftPressureReport(dp=dp, ddp=ddp, mean_integral=mean_integral,
                                variance_gk=var_gk)
 

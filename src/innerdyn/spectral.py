@@ -361,22 +361,21 @@ def deflated_resolvent(mat: np.ndarray, lam: complex, rho: np.ndarray,
     return x
 
 
-def green_kubo(op, rho: np.ndarray, weights: np.ndarray, g: np.ndarray, solve) -> float:
-    """Asymptotic variance <mu, phi^2> + 2 sum_{k>=1} <weights, phi op^k (rho phi)>.
+def green_kubo(mat: np.ndarray, rho: np.ndarray, weights: np.ndarray, g: np.ndarray) -> float:
+    """Asymptotic variance <mu, phi^2> + 2 sum_{k>=1} <weights, phi mat^k (rho phi)>.
 
-    op (a matrix, or any operator with `@` on vectors) has leading
-    eigenvalue 1 with eigenfunction rho and dual weights, weights . rho = 1,
-    and mu = rho * weights is the invariant measure; phi = g - <mu, g> is
-    centered. Since <weights, rho phi> = 0, the sum over k >= 0 of
-    op^k (rho phi) is the deflated resolvent x, the solution of
-    (I - op + rho (x) weights) x = rho phi, which solve(v) returns (a dense
-    `deflated_resolvent` on the shift). The variance is
-    <mu, phi^2> + 2 <weights, phi * op x>. The pairings are pairwise sums,
+    mat has leading eigenvalue 1 with eigenfunction rho and dual weights,
+    weights . rho = 1, and mu = rho * weights is the invariant measure;
+    phi = g - <mu, g> is centered. Since <weights, rho phi> = 0, the sum
+    over k >= 0 of mat^k (rho phi) is the deflated resolvent x, the
+    solution of (I - mat + rho (x) weights) x = rho phi, one dense
+    `deflated_resolvent` solve. The variance is
+    <mu, phi^2> + 2 <weights, phi * mat x>. The pairings are pairwise sums,
     so with uniform weights 1/N they are numpy means to the bit.
     NonDecaying comes from the solve.
     """
     mu = rho * weights
     mu = mu / np.sum(mu)
     phi = g - float(np.sum(mu * g))
-    x = solve(rho * phi)
-    return float(np.sum(mu * (phi * phi))) + 2.0 * float(np.sum(weights * (phi * (op @ x))))
+    x = deflated_resolvent(mat, 1, rho, weights, rho * phi)
+    return float(np.sum(mu * (phi * phi))) + 2.0 * float(np.sum(weights * (phi * (mat @ x))))

@@ -6,8 +6,9 @@ variance in closed form from the composition operator f -> f o F
 (`green_kubo_variance`).
 
 For monomial maps theta -> d*theta the orbit point x = theta / (2*pi) at
-step k is the window from digit k of a random base-d digit string, cut in
-exact uint64 arithmetic; its double is within 1.75 eps of the exact x (the
+step k is the window from digit k of a random base-d digit string, cut
+into one uint64 word in exact arithmetic; for every degree `BlaschkeMap`
+accepts (d < 2048) its double is within 1.75 eps of the exact x (the
 digits past the window, the bits below a 53-bit shift, a rounded scale and
 a product; see `_orbit_fractions`). The point is read only every
 m = 1 + floor(7 / log2 d) steps (an anchor; m = 1 for d = 1 and d >= 129):
@@ -15,7 +16,7 @@ there z = exp(2*pi*i*x) comes from two 4096-entry tables within a few eps,
 and in between z <- z**d is taken by multiplication, which leaves an error
 of at most about d**(m-1) * eps <= 128 * eps before the next anchor. No
 floating-point shadowing caveat applies. The digit string is drawn as the
-window reaches it, a few uint64 words per sample at a time, so the
+window reaches it, two uint64 words per sample held at a time, so the
 sampler's memory does not grow with n. Sample i reads only stream
 position i, so large runs are split over two processes with a result that
 is byte-identical to the serial one.
@@ -87,26 +88,26 @@ def _orbit_fractions(d: int, n: int, seed: int, lo: int, hi: int):
     n + ceil(54 / log2 d) + 1, splitmix64(seed, i*ndig + j) mod d, packed
     with d**m < 2**64 and zero-filled (step k at digit k). The window at
     q*m + r is w = W_q or (W_q mod e**(m-r)) * e**r + W_{q+1} // e**(m-r),
-    and x = (w >> s) * (2**s / e**m), s = bitlen(e**m - 1) - 53. If
-    e**m <= 2**52 (d = 7133..8192, 65537, ...), s = 0 and the next window
-    adds w' / e**(2m). Error budget: the digits past the window and the bits
-    below the shift lose < 2**s / e**m < 2**-52 (2**-64 with two words), the
-    rounded scale 2**-53 (none for d = 2**b), the product and the sum 2**-54
-    each; so |x - exact| < 1.75 eps, 0.5 eps for d = 2**b.
+    and x = (w >> s) * (2**s / e**m), s = bitlen(e**m - 1) - 53. This needs
+    d < 2048, which `BlaschkeMap` enforces (fewer zeros than half its 4096
+    lift cells): then e**m > 2**53 and s >= 1 (s = 1 at d = 1626). Error
+    budget: the digits past the window and the bits below the shift lose
+    < 2**s / e**m < 2**-52, the rounded scale 2**-53 and the product 2**-54
+    (neither for d = 2**b, where w >> s has 53 bits and the scale is a power
+    of two); so |x - exact| < 1.75 eps, 0.5 eps for d = 2**b.
 
     The words are streamed: W_q is drawn when a window first reaches it,
-    into one of three rows (slot q mod 3), the most a step reads (W_q to
-    W_{q+2} on the two-word path), so memory does not grow with n. Any k
-    may be asked for; steps in increasing order draw each word once. Each
-    call overwrites and returns one buffer.
+    into one of two rows (slot q mod 2), since a step reads W_q and
+    W_{q+1}, so memory does not grow with n. Any k may be asked for; steps
+    in increasing order draw each word once. Each call overwrites and
+    returns one buffer.
     """
     e = 2 if d & (d - 1) == 0 else d
     m = max(j for j in range(1, 65) if e**j <= 2**64)
     s = (e**m - 1).bit_length() - 53
-    words, s = (1, s) if s >= 0 else (2, 0)
     power = [np.uint64(e**j) for j in range(m)]
-    held = np.empty((3, hi - lo), dtype=np.uint64)
-    tags = [-1] * 3
+    held = np.empty((2, hi - lo), dtype=np.uint64)
+    tags = [-1] * 2
     if e == 2:
         b = d.bit_length() - 1
         first = np.arange(lo, hi, dtype=np.uint64) * np.uint64((n * b + 64) // 64 + 2)
@@ -126,13 +127,13 @@ def _orbit_fractions(d: int, n: int, seed: int, lo: int, hi: int):
                 np.add(out, digit, out=out)
 
     def word(q):
-        if tags[q % 3] != q:
-            draw(q, held[q % 3])
-            tags[q % 3] = q
-        return held[q % 3]
+        if tags[q % 2] != q:
+            draw(q, held[q % 2])
+            tags[q % 2] = q
+        return held[q % 2]
 
     win, tail = np.empty((2, hi - lo), dtype=np.uint64)
-    frac, low = np.empty((2, hi - lo))
+    frac = np.empty(hi - lo)
 
     def window(p):
         q, r = divmod(p, m)
@@ -145,11 +146,7 @@ def _orbit_fractions(d: int, n: int, seed: int, lo: int, hi: int):
 
     def fraction(k):
         np.right_shift(window(k * b), s, out=win)
-        np.multiply(win.view(np.int64), 2**s / e**m, out=frac)
-        if words == 2:
-            np.multiply(window(k * b + m).view(np.int64), 1 / e ** (2 * m), out=low)
-            np.add(frac, low, out=frac)
-        return frac
+        return np.multiply(win.view(np.int64), 2**s / e**m, out=frac)
     return fraction
 
 

@@ -18,8 +18,8 @@ where the matrix takes N^2. The LAPACK consumer, the coarse grids of
 `circle_spectrum`, takes the plan's dense matrix (`NufftOperator.dense`,
 `assemble_operator`), built in row blocks straight into one preallocated
 array, so that the assembly peak is the matrix, the plan and one block.
-`_refine` moves a grid function between grids both ways: zero-padding
-up, Fourier truncation down.
+`_refine` interpolates a grid function up to a finer grid by zero-padding
+its spectrum.
 
 The matrix is float64 exactly when s has zero imaginary part and g is real;
 then every solve in `spectral` runs in real arithmetic. Complex s keeps
@@ -217,24 +217,18 @@ def _fourier_tail(rho: np.ndarray) -> float:
 
 
 def _refine(v: np.ndarray, n: int) -> np.ndarray:
-    """The symmetric trigonometric interpolant of v at n equispaced nodes.
-
-    For n >= m, v's spectrum zero-padded to n, its Nyquist mode split
-    between +-m/2 (which are one mode again when n == m). For n < m, the
-    restriction by Fourier truncation: the modes |k| <= n/2 of v, the two
-    modes +-n/2 folded into the one Nyquist mode of n nodes.
+    """The symmetric trigonometric interpolant of v, m values, at n >= m
+    equispaced nodes: v's spectrum zero-padded to n, its Nyquist mode split
+    between +-m/2 (which are one mode again when n == m).
     """
     m = len(v)
     c = np.fft.fft(v) * (n / m)
-    k = min(m, n) // 2
+    k = m // 2
     pad = np.zeros(n, dtype=c.dtype)
     pad[:k] = c[:k]
     pad[n - k + 1:] = c[m - k + 1:]
-    if n < m:
-        pad[k] = c[k] + c[m - k]
-    else:
-        pad[k] += 0.5 * c[k]
-        pad[n - k] += 0.5 * c[k]
+    pad[k] += 0.5 * c[k]
+    pad[n - k] += 0.5 * c[k]
     u = np.fft.ifft(pad)
     return u if np.iscomplexobj(v) else u.real
 

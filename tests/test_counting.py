@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from innerdyn.blaschke import BlaschkeMap, boundary_preimages
-from innerdyn.circle import Arc, FULL_CIRCLE, arcs_intersection
+from innerdyn.circle import Arc, FULL_CIRCLE, arcs_contain
 from innerdyn.coding import build_partition
 from innerdyn.cli import main
 from innerdyn.counting import (CountingLedger, _monomial_level_count_in_arc,
@@ -67,14 +67,16 @@ def test_strict_vs_closed_at_lattice_points():
 
 
 def test_restrict_equispaced_levels():
-    led = enumerate_orbit(F2, 0.3, 5.0)
     B = [Arc.from_endpoints(0.0, np.pi)]
     # z^2 level-n preimages are equispaced: exactly 2^{n-1} in any half circle
     want = 1 + sum(2 ** (n - 1) for n in range(1, 8))   # trivial event at 0.3
-    assert led.restricted(B).count(5.0, strict=False) == want
-    assert led.restricted([FULL_CIRCLE]).count(5.0, strict=False) == 255
-    empty = led.restricted([Arc(0.0, 1e-9)])
+    assert enumerate_orbit(F2, 0.3, 5.0, B).count(5.0, strict=False) == want
+    assert enumerate_orbit(F2, 0.3, 5.0, [FULL_CIRCLE]).count(5.0, strict=False) == 255
+    empty = enumerate_orbit(F2, 0.3, 5.0, [Arc(0.0, 1e-9)])
     assert empty.count(5.0, strict=False) == 0
+    # the aggregated ledger has no locations: it is restricted when built
+    with pytest.raises(ValueError, match=r"enumerate_orbit\(\.\.\., arcs\)"):
+        enumerate_orbit(F2, 0.3, 5.0).restricted(B)
 
 
 def test_restrict_additivity():
@@ -112,9 +114,9 @@ def test_aggregated_ledger_matches_exact():
     for t in np.linspace(0.5, 10.0, 13):
         assert agg.count(t, strict=False) == exact.count(t, strict=False)
     B = [Arc.from_endpoints(0.0, np.pi)]
+    agg = enumerate_orbit(F2, 0.3, 40.0, B)
     for t in np.linspace(0.5, 10.0, 7):
-        assert agg.restricted(B).count(t, strict=False) == \
-            exact.restricted(B).count(t, strict=False)
+        assert agg.count(t, strict=False) == exact.restricted(B).count(t, strict=False)
 
 
 def test_aggregated_ledger_rotated_monomial():
@@ -122,12 +124,11 @@ def test_aggregated_ledger_rotated_monomial():
     # level-n preimages shift by rot (d^n - 1)/(d - 1)
     F = BlaschkeMap.monomial(2, rotation=0.7)
     exact = _located(F, 0.3, 10.0)
-    agg = enumerate_orbit(F, 0.3, 40.0)
-    assert agg.locations is None
     B = [Arc.from_endpoints(1.0, 4.0)]
+    agg = enumerate_orbit(F, 0.3, 40.0, B)
+    assert agg.locations is None
     for t in np.linspace(0.5, 10.0, 7):
-        assert agg.restricted(B).count(t, strict=False) == \
-            exact.restricted(B).count(t, strict=False)
+        assert agg.count(t, strict=False) == exact.restricted(B).count(t, strict=False)
 
 
 def _exact_level_counts(x, d, T, arcs):
@@ -148,28 +149,19 @@ def test_aggregated_counts_are_exact_integers(d, T, arc):
     want = _exact_level_counts(0.3, d, T, None)
     assert led.count(T) == sum(want)
     assert led.total == sum(want)                 # no level sits at T itself
-    sub = led.restricted([arc])
+    sub = enumerate_orbit(BlaschkeMap.monomial(d), 0.3, T, [arc])
     want_arc = _exact_level_counts(0.3, d, T, [arc])
     assert sub.count(T) == sum(want_arc)
     assert sub.count(T / 2) == sum(want_arc[:math.ceil(T / 2 / math.log(d))])
 
 
 def test_second_restriction_intersects_on_aggregated_ledgers():
-    agg = enumerate_orbit(F2, 0.3, 30.0)
+    # the z^2 events as a located ledger; the aggregated one is restricted
+    # only when it is built
     located = _located(F2, 0.3, 12.0)
-    assert agg.locations is None and located.locations is not None
+    assert located.locations is not None
     A, B = Arc(0.0, 1.0), Arc(3.0, 1.0)
-    assert agg.restricted([A]).restricted([B]).total == 0
     assert located.restricted([A]).restricted([B]).total == 0
-    # overlapping, nested and wrapping pairs agree with the located ledger
-    pairs = [([Arc(0.5, 2.0)], [Arc(1.0, 3.0)]),
-             ([Arc(1.0, 4.0)], [Arc(2.0, 0.5)]),
-             ([Arc(5.5, 2.0)], [Arc(6.0, 1.5), Arc(2.0, 1.0)]),
-             ([Arc(0.2, 6.0)], [Arc(6.0, 0.9)])]
-    for first, second in pairs:
-        twice = agg.restricted(first).restricted(second)
-        assert twice.count(12.0) == located.restricted(first).restricted(second).count(12.0)
-        assert twice.count(30.0) == twice.restricted([FULL_CIRCLE]).count(30.0)
 
 
 @st.composite
@@ -185,24 +177,21 @@ def _arc_union(draw):
 
 
 _LOCATED_FH = enumerate_orbit(FH, 0.3, 8.0)
-_AGGREGATED_Z2 = enumerate_orbit(F2, 0.3, 30.0)
 _LOCATED_Z2 = _located(F2, 0.3, 12.0)
 
 
 @given(_arc_union(), _arc_union())
 @settings(max_examples=60, deadline=None)
 def test_restriction_composes_on_circle_ledgers(A, B):
-    # restricting to A and then to B is restricting to A & B, on the
-    # located ledger and on the aggregated monomial ledger, and the
-    # aggregated counts are those of the located ledger below T = 12
-    both = arcs_intersection(A, B)
-    twice, once = _LOCATED_FH.restricted(A).restricted(B), _LOCATED_FH.restricted(both)
-    assert twice.total == once.total
-    assert all(twice.count(t) == once.count(t) for t in (2.0, 5.0, 8.0))
-    twice, once = _AGGREGATED_Z2.restricted(A).restricted(B), _AGGREGATED_Z2.restricted(both)
-    assert twice.total == once.total
-    located = _LOCATED_Z2.restricted(A).restricted(B)
-    assert all(twice.count(t) == once.count(t) == located.count(t) for t in (3.0, 7.5, 12.0))
+    # restricting a located ledger to A and then to B keeps the events in
+    # both, and the aggregated z^2 ledger built for A counts as the located
+    # ledger restricted to A below T = 12
+    locs = _LOCATED_FH.locations
+    twice = _LOCATED_FH.restricted(A).restricted(B)
+    assert np.array_equal(twice.weights, arcs_contain(A, locs) & arcs_contain(B, locs))
+    agg = enumerate_orbit(F2, 0.3, 30.0, A)
+    located = _LOCATED_Z2.restricted(A)
+    assert all(agg.count(t) == located.count(t) for t in (3.0, 7.5, 12.0))
 
 
 def _cylinder_meet(A, B):
@@ -421,8 +410,7 @@ _TWO_ARCS = [Arc(0.5, 1.0), Arc(3.0, 2.0)]
     (FH, 10.0, [Arc(0.0, np.pi)]), (FH, 10.0, _TWO_ARCS),
     (DEG3, 9.0, [Arc(0.0, np.pi)]), (DEG3, 9.0, _TWO_ARCS),
     (FH, 10.0, [Arc(1.0, 1e-12)]),                 # holds no event
-    (F2, 30.0, _TWO_ARCS),                         # the aggregated ledger
-], ids=["fh-half", "fh-two", "deg3-half", "deg3-two", "fh-empty", "z2-two"])
+], ids=["fh-half", "fh-two", "deg3-half", "deg3-two", "fh-empty"])
 def test_streamed_restriction_answers_as_the_restricted_ledger(F, T, arcs):
     # events outside the arcs weigh 0 in the restricted ledger: they add 0
     # to the counts and +0.0 to every Laplace sum and its rounding error
@@ -433,8 +421,7 @@ def test_streamed_restriction_answers_as_the_restricted_ledger(F, T, arcs):
     assert all(got.count(t) == want.count(t) for t in grid)
     assert all(got.count(t, strict=False) == want.count(t, strict=False) for t in grid)
     assert all(got.cesaro_average(t) == want.cesaro_average(t) for t in grid[grid > 0])
-    if F is not F2:
-        assert got.total == len(got.values) < len(want.values)
+    assert got.total == len(got.values) < len(want.values)
 
 
 def test_count_csv_bytes_are_pinned(tmp_path):

@@ -209,24 +209,6 @@ def test_refine_is_the_symmetric_interpolant(kind):
     assert np.max(np.abs(_refine(f(coarse), 32) - f(coarse))) <= 1e-14
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_refine_restricts_by_fourier_truncation(kind):
-    # down from 128 nodes to 32: the modes |k| < 16 are kept, the modes
-    # +-16 fold into the one Nyquist mode of 32 nodes, the rest are dropped
-    rng = np.random.default_rng(5)
-    c = rng.normal(size=64) + (1j * rng.normal(size=64) if kind == "complex" else 0)
-
-    def f(x, top):
-        u = sum(c[k] * np.cos(k * x + k) for k in range(top))
-        return u if kind == "complex" else u.real
-
-    coarse, fine = circle_grid(32), circle_grid(128)
-    got = _refine(f(fine, 64), 32)
-    assert np.iscomplexobj(got) == (kind == "complex")
-    assert np.max(np.abs(got - f(coarse, 17))) <= 1e-12
-    assert np.max(np.abs(_refine(_refine(f(fine, 16), 32), 128) - f(fine, 16))) <= 1e-12
-
-
 @given(st.lists(st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2 * np.pi)),
                 min_size=1, max_size=2),
        st.floats(0.0, 2 * np.pi), st.sampled_from([32, 64, 256, 1024]),
