@@ -11,15 +11,21 @@ Everything here reduces to the monotone equation F(x) = y on one branch, and
 two routines are the only root-finders: `_inverse` solves it on any bracket
 for any array of targets, and `_ladder` solves a whole backward orbit on an
 outer branch (boundary orbits, excursion descents) as one bidiagonal system.
-Both take F and F' from one pass over the poles (`_f_df`).
+Both take F and F' from one pass over the poles (`_f_df`), and `_stream`
+is the one loop that grows a backward orbit by `_ladder` blocks of fixed
+size.
 
 The Kac check builds its table of return-time strata once (`_KacStrata`) and
 grows it in place as the cap grows: a larger cap costs only its new levels,
-streamed through in blocks of fixed size.
+whose boundary-orbit points and descent chains are streamed through in
+steps. Per level the table keeps only the stratum weights the tail fit
+reads; the stratum integrals and lengths go into sums over fixed blocks of
+levels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,6 +121,20 @@ def _f_df(P: ParabolicMap, x: np.ndarray):
     return f, df
 
 
+@functools.lru_cache(maxsize=64)
+def _pole_terms(P: ParabolicMap):
+    """(a, b_i, t_i, R_b, c_b) of `_inverse`'s pole model, cached per map."""
+    bs = P.pole_locations
+    ts = np.array([t for _, t in P.poles])
+    gaps = bs[:, None] - bs[None, :]
+    np.fill_diagonal(gaps, np.inf)
+    R = bs - np.sum(ts / gaps, axis=1)
+    C = 1.0 + np.sum(ts / gaps**2, axis=1)
+    for v in (bs, ts, R, C):
+        v.flags.writeable = False
+    return P.mass, bs, ts, R, C
+
+
 def _inverse(P: ParabolicMap, lo, hi, y):
     """Solve F(x) = y on the branch (lo, hi) where F increases onto its image.
 
@@ -141,16 +161,10 @@ def _inverse(P: ParabolicMap, lo, hi, y):
     shape = np.broadcast_shapes(lo.shape, hi.shape, y.shape)
     lo, hi = (v if v.ndim == 0 else np.broadcast_to(v, shape).ravel() for v in (lo, hi))
     y = np.broadcast_to(y, shape).ravel()
-    a = P.mass
-    bs = P.pole_locations
-    ts = np.array([t for _, t in P.poles])
+    a, bs, ts, R, C = _pole_terms(P)
     xa = np.where(np.isfinite(lo), lo, np.minimum(y, bs[0]) - a - 1.0)
     xb = np.where(np.isfinite(hi), hi, np.maximum(y, bs[-1]) + a + 1.0)
     x = 0.5 * (xa + xb)
-    gaps = bs[:, None] - bs[None, :]
-    np.fill_diagonal(gaps, np.inf)
-    R = bs - np.sum(ts / gaps, axis=1)
-    C = 1.0 + np.sum(ts / gaps**2, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         for end, sign in ((lo, -1.0), (hi, 1.0)):
             i = np.minimum(np.searchsorted(bs, end), len(bs) - 1)
@@ -222,12 +236,43 @@ _ORBITS: dict = {}
 _ORBIT_BLOCK = 1 << 12
 
 
+def _stream(P: ParabolicMap, side: str, chain: list, count: int):
+    """The next `count` levels of a backward orbit on an outer branch, grown in place.
+
+    chain is [x, s, used]: x holds the orbit's last `_ladder` block, levels on
+    axis 0 and one column per start point (or none), s None or the running
+    sums of log F' along the orbit, and the first `used` levels of x have
+    been returned. Returns (points, sums) of the next levels, sums None when
+    s is: the rest of the block, then blocks of _ORBIT_BLOCK levels, each
+    solved from the last level of the one before. Blocks so end at fixed
+    levels, and every point and sum is the same whatever sequence of counts
+    grew the chain. This is the one block loop of the module: it grows
+    `boundary_orbit`'s cache, the Kac table's boundary orbits and its
+    descent chains.
+    """
+    x, s, used = chain
+    xs, ss = [x[:0]], [None if s is None else s[:0]]
+    while count:
+        if used == len(x):
+            x, used = _ladder(P, side, x[-1], _ORBIT_BLOCK), 0
+            if s is not None:
+                s = np.cumsum(np.vstack([s[-1:], np.log(P.deriv(x))]), axis=0)[1:]
+        take = min(count, len(x) - used)
+        xs.append(x[used: used + take])
+        if s is not None:
+            ss.append(s[used: used + take])
+        used += take
+        count -= take
+    chain[:] = x, s, used
+    return np.concatenate(xs), None if s is None else np.concatenate(ss)
+
+
 def boundary_orbit(P: ParabolicMap, side: str, count: int) -> np.ndarray:
     """p_0 .. p_{count-1} on the given side ('+' grows to +inf, '-' to -inf).
 
-    p_0 is the extreme pole and F(p_n) = p_{n-1}. The cached orbit grows in
-    fixed blocks, one ladder solve from the last point each, so every point
-    is the same whatever sequence of requests built the cache.
+    p_0 is the extreme pole and F(p_n) = p_{n-1}. The cached orbit grows by
+    whole `_stream` blocks, so every point is the same whatever sequence of
+    requests built the cache.
     """
     if count > 2 * 10**6:
         raise BudgetExceeded("boundary orbit request too long")
@@ -236,10 +281,8 @@ def boundary_orbit(P: ParabolicMap, side: str, count: int) -> np.ndarray:
     if orbit is None:
         orbit = P.pole_locations[-1:] if side == "+" else P.pole_locations[:1]
     if len(orbit) < count:
-        blocks = [orbit]
-        for _ in range(-(-(count - len(orbit)) // _ORBIT_BLOCK)):
-            blocks.append(_ladder(P, side, blocks[-1][-1], _ORBIT_BLOCK))
-        orbit = np.concatenate(blocks)
+        more = -(-(count - len(orbit)) // _ORBIT_BLOCK) * _ORBIT_BLOCK
+        orbit = _stream(P, side, [orbit, None, 0], len(orbit) + more)[0]
     _ORBITS[key] = orbit
     return orbit[:count]
 
@@ -363,6 +406,7 @@ _N_FINE = 1 << 14       # strata of deeper levels get the two-point rule
 _KAC_QUAD_POINTS = 6    # Gauss points q per stratum up to level _N_FINE and per time-1 panel
 _PANEL_TOL = 1e-14      # agreement of an adaptive panel of a time-1 stratum with its halves
 _KAC_MIN_FIT_LEVELS = 8  # fewest levels n > cap/8 that the two-term tail fit may rest on
+_SUM_BLOCK = 1 << 12    # levels per block of a branch's stratum sums
 
 
 @dataclass
@@ -393,41 +437,23 @@ def _full_branches(P: ParabolicMap, part: RealPartition):
 
 
 def _excursion_chain(P: ParabolicMap, side: str, chain: list, count: int):
-    """The next `count` levels of a descent chain, grown in place.
+    """The next `count` levels of a descent chain, grown in place by `_stream`.
 
-    chain is [x, s, used]: x holds the last `_ladder` block of the chain,
-    c points on each of its levels, pullbacks of fixed points of J_N under
-    the descent diffeomorphism J_n -> J_N, s the accumulated log F' of the
-    descent from them into X, and the first `used` levels of the block have
-    been returned. The chain starts as one level, J_N itself, with s = 0.
-    Returns (nodes, sums, barycentric weights), each (c, count), of the next
-    levels: the rest of the block, then whole blocks of _ORBIT_BLOCK levels,
-    each solved from the last level of the one before. Blocks so end at
-    fixed levels N + k _ORBIT_BLOCK, as in `boundary_orbit`, and every node
-    and sum is the same whatever sequence of counts grew the chain. The
-    excursion weight S varies across J_n by sum_m var(log F' | J_m) = O(1/n),
-    so it is interpolated on each level from these few nodes.
+    chain is a `_stream` chain whose columns are c points on each level,
+    pullbacks of fixed points of J_N under the descent diffeomorphism
+    J_n -> J_N, with s the accumulated log F' of the descent from them into
+    X. The chain starts as one level, J_N itself, with s = 0. Returns
+    (nodes, sums, barycentric weights), each (c, count), of the next levels.
+    The excursion weight S varies across J_n by sum_m var(log F' | J_m) =
+    O(1/n), so it is interpolated on each level from these few nodes.
     """
-    x, s, used = chain
-    take = min(count, len(x) - used)
-    nodes, sums = [x[used: used + take]], [s[used: used + take]]
-    used += take
-    got = take
-    while got < count:
-        x = _ladder(P, side, x[-1], _ORBIT_BLOCK)
-        s = np.cumsum(np.vstack([s[-1:], np.log(P.deriv(x))]), axis=0)[1:]
-        used = min(_ORBIT_BLOCK, count - got)
-        nodes.append(x[:used])
-        sums.append(s[:used])
-        got += used
-    chain[:] = x, s, used
-    xs = np.concatenate(nodes).T.copy()
+    xs, sums = (v.T.copy() for v in _stream(P, side, chain, count))
     w, d = np.empty_like(xs), np.empty_like(xs)
     for j in range(len(xs)):            # w_j = 1 / prod_{i != j} (x_j - x_i)
         np.subtract(xs[j], xs, out=d)
         d[j] = 1.0                      # the factor i = j, which drops out exactly
         np.divide(1.0, np.prod(d, axis=0), out=w[j])
-    return xs, np.concatenate(sums).T.copy(), w
+    return xs, sums, w
 
 
 def _interp_barycentric(chain_part, x: np.ndarray) -> np.ndarray:
@@ -494,18 +520,44 @@ def _log_deriv_integrals(P: ParabolicMap, lo, hi, rule) -> np.ndarray:
 class _BranchStrata:
     """Strata of one full branch exiting through one tail, levels N+1 .. cap.
 
-    last is the preimage on the branch of p_cap, the outer end of the last
-    stratum; stratum k lies between the preimages of p_{N+k} and p_{N+k+1},
-    and F maps it onto J_{N+k+1}; contrib[k] is the integral of log Fhat'
-    over it and lengths[k] its length.
+    Stratum n lies between the preimages on the branch of p_{n-1} and p_n,
+    and F maps it onto J_n; last is the preimage of p_cap, the outer end of
+    the last stratum. `add` sums the stratum integrals of log Fhat' and the
+    lengths over blocks of _SUM_BLOCK levels that end at fixed levels
+    N + k _SUM_BLOCK: sums holds the two totals of the closed blocks, and
+    block the integrals and lengths of the open block's first `filled`
+    levels, so the totals have the same bits whatever sequence of caps grew
+    the table. w holds integral / length of each level of the table's fit
+    window, `first` .. cap.
     """
 
     lo: float
     hi: float
     pole_end: float
     last: float
-    contrib: np.ndarray
-    lengths: np.ndarray
+    sums: np.ndarray
+    block: np.ndarray
+    filled: int
+    w: np.ndarray
+
+    def add(self, integrals: np.ndarray, lengths: np.ndarray) -> None:
+        """Fold the next levels' stratum integrals and lengths into the sums."""
+        done = 0
+        while done < len(integrals):
+            take = min(_SUM_BLOCK - self.filled, len(integrals) - done)
+            cut = slice(self.filled, self.filled + take)
+            self.block[0, cut] = integrals[done: done + take]
+            self.block[1, cut] = lengths[done: done + take]
+            self.filled += take
+            done += take
+            if self.filled == _SUM_BLOCK:
+                self.sums += np.sum(self.block, axis=1)
+                self.filled = 0
+
+    def totals(self) -> tuple[float, float]:
+        """(integral, length) over the levels N+1 .. cap."""
+        integral, length = self.sums + np.sum(self.block[:, :self.filled], axis=1)
+        return float(integral), float(length)
 
 
 class _KacStrata:
@@ -514,9 +566,11 @@ class _KacStrata:
     The strata that return after at most N steps are integrated at
     construction. Those exiting through a tail form one `_BranchStrata` per
     covering branch and side; `grow` adds only the levels in (old cap, new
-    cap], continuing the descent chains from their last level. Levels up to
-    _N_FINE get the q-point Gauss rule and a q-column chain, q =
-    _KAC_QUAD_POINTS = 6, which keeps the lhs within 7e-15 relative of
+    cap], continuing each side's boundary orbit and descent chains from
+    their last level. Per level the table keeps only w, and only on the
+    tail fit's window, the levels `first` = max(N + 1, cap // 8 + 1) .. cap.
+    Levels up to _N_FINE get the q-point Gauss rule and a q-column chain,
+    q = _KAC_QUAD_POINTS = 6, which keeps the lhs within 7e-15 relative of
     q = 12 at levels 2 and 4 on nine maps of one to three poles (6e-12 at
     level 1; q = 4 misses by up to 3e-11 at level 2); deeper levels, where
     a stratum's weight varies by O(1/n), get the two-point rule and a
@@ -525,7 +579,7 @@ class _KacStrata:
 
     def __init__(self, P: ParabolicMap, N: int):
         part = real_markov_partition(P, N)
-        self.P, self.N, self.cap = P, N, N
+        self.P, self.N, self.cap, self.first = P, N, N, N + 1
         self.fine_rule = np.polynomial.legendre.leggauss(_KAC_QUAD_POINTS)
         self.tail_rule = np.polynomial.legendre.leggauss(2)
         core_lo, core_hi = part.core
@@ -544,55 +598,63 @@ class _KacStrata:
         self.sides = []
         for side in ("-", "+"):
             p = part.p_minus if side == "-" else part.p_plus
+            # the boundary orbit from the pole, streamed to p_N
+            orbit = [p[:1], None, 1]
+            _stream(P, side, orbit, N)
             mid, half = 0.5 * (p[N - 1] + p[N]), 0.5 * abs(p[N] - p[N - 1])
             chains = [[(mid + half * x)[None, :], np.zeros((1, len(x))), 1]
                       for x, _w in (self.fine_rule, self.tail_rule)]
             branches = [_BranchStrata(blo, bhi, blo if side == "-" else bhi,
-                                      _inverse(P, blo, bhi, p[N]), np.empty(0), np.empty(0))
+                                      _inverse(P, blo, bhi, p[N]), np.zeros(2),
+                                      np.empty((2, _SUM_BLOCK)), 0, np.empty(0))
                         for blo, bhi, cl, cr in _full_branches(P, part)
                         if (cl if side == "-" else cr)]
-            self.sides.append((side, chains, branches))
+            self.sides.append((side, [orbit, *chains], branches))
 
     def grow(self, cap: int) -> None:
         """Extend every branch's strata to the levels N+1 .. cap.
 
-        Each side's new levels go through once, in blocks of _N_FINE levels:
-        a block takes its nodes from the descent chains and their
-        interpolation weights once for all the side's branches, and keeps of
-        each branch only its last preimage and the stratum integrals and
-        lengths, written into arrays allocated once per call.
+        Each side's new levels go through once, in steps that end at
+        multiples of _N_FINE, so that one rule serves each step: a step
+        streams its boundary-orbit points and chain nodes, takes the nodes'
+        interpolation weights once for all the side's branches, and folds
+        each branch's stratum integrals and lengths into its sums and their
+        ratios w, from level `first` on, into its fit window.
         """
         P, N, old = self.P, self.N, self.cap
         if cap <= old:
             return
-        nf = max(0, min(cap, _N_FINE) - old)     # new levels under the q-point rule
-        for side, (fine, tail), branches in self.sides:
-            p = boundary_orbit(P, side, cap + 1)
+        first = max(N + 1, cap // 8 + 1)        # the first level n > cap / 8
+        for side, (orbit, fine, tail), branches in self.sides:
             for br in branches:
-                br.contrib, br.lengths = (np.concatenate([v, np.empty(cap - old)])
-                                          for v in (br.contrib, br.lengths))
-            for a in range(0, cap - old, _N_FINE):
-                b = min(cap - old, a + _N_FINE)
-                f = max(0, min(nf, b) - a)          # levels under the q-point rule
-                # the two-column chain keeps pace with the cap; only its levels
-                # above _N_FINE are read
-                parts = [(0, f, _excursion_chain(P, side, fine, f), self.fine_rule),
-                         (f, b - a, [v[:, f:] for v in _excursion_chain(P, side, tail, b - a)],
-                          self.tail_rule)]
+                w = np.empty(cap + 1 - first)
+                kept = br.w[max(0, first - self.first):]
+                w[:len(kept)] = kept
+                br.w = w
+            n = old                             # the last level done
+            while n < cap:
+                m = min(cap, (n // _N_FINE + 1) * _N_FINE) - n
+                p = _stream(P, side, orbit, m)[0]       # p_{n+1} .. p_{n+m}
+                if n < _N_FINE:
+                    # the two-column chain keeps pace: its sums are read beyond _N_FINE
+                    _stream(P, side, tail, m)
+                    chain_part, rule = _excursion_chain(P, side, fine, m), self.fine_rule
+                else:
+                    chain_part, rule = _excursion_chain(P, side, tail, m), self.tail_rule
+                at = max(first, n + 1) - n - 1          # the step's first level in the window
                 for br in branches:
-                    # preimages of p_{old+1+a} .. p_{old+b} cut the block's strata
-                    xb = _inverse(P, br.lo, br.hi, p[old + 1 + a: old + 1 + b])
-                    ends = np.concatenate([[br.last], xb])
+                    ends = np.concatenate([[br.last], _inverse(P, br.lo, br.hi, p)])
                     lo = np.minimum(ends[1:], ends[:-1])
                     hi = np.maximum(ends[1:], ends[:-1])
-                    br.last = xb[-1]
-                    at = old - N + a
-                    np.subtract(hi, lo, out=br.lengths[at: at + b - a])
-                    for i, j, chain_part, rule in parts:
-                        if j > i:
-                            br.contrib[at + i: at + j] = _stratum_integrals(
-                                P, lo[i:j], hi[i:j], chain_part, rule)
-        self.cap = cap
+                    br.last = ends[-1]
+                    integrals = _stratum_integrals(P, lo, hi, chain_part, rule)
+                    lengths = np.subtract(hi, lo, out=hi)
+                    br.add(integrals, lengths)
+                    if at < m:
+                        np.divide(integrals[at:], lengths[at:],
+                                  out=br.w[n + 1 + at - first: n + m + 1 - first])
+                n += m
+        self.cap, self.first = cap, first
 
 
 def kac_check(P: ParabolicMap, N: int, tail_frac: float = 0.01, cap0: int = 10**4,
@@ -607,7 +669,8 @@ def kac_check(P: ParabolicMap, N: int, tail_frac: float = 0.01, cap0: int = 10**
     adaptive cap, grown until the extrapolated tail contribution drops below
     tail_frac of the right-hand side, and the estimate is then added to the
     left-hand side. One `_KacStrata` table serves every cap: a larger cap
-    computes only the levels beyond the last one. TailBoundExceeded is
+    computes only the levels beyond the last one, and the lhs has the same
+    bits as from a table built at that cap alone. TailBoundExceeded is
     raised if no admissible cap exists; a tail_frac that is not positive,
     caps outside N < cap0 <= cap_max, or a cap0 that leaves the tail fit
     fewer than 8 levels above max(N, cap0 / 8) raise ValueError before any
@@ -643,18 +706,18 @@ def kac_check(P: ParabolicMap, N: int, tail_frac: float = 0.01, cap0: int = 10**
 def _kac_lhs(strata: _KacStrata, cap: int):
     """(lhs, tail estimate, integrated mass) with the strata grown to cap.
 
-    Beyond the cap each branch keeps the exact remaining mass, between its
-    last stratum boundary and the pole, times a weight fitted as
-    c0 + c1 log n to the strata of levels above cap / 8, a suffix of the
-    table, by least squares. In log n centred on its mean over those levels
-    the normal equations are diagonal, so the fit is two dot products per
-    branch; a further column would make them a small k x k solve.
+    The integrated part is the table's block sums. Beyond the cap each
+    branch keeps the exact remaining mass, between its last stratum boundary
+    and the pole, times a weight fitted as c0 + c1 log n by least squares to
+    the window w of the strata of levels above cap / 8. In log n centred on
+    its mean over those levels the normal equations are diagonal, so the fit
+    is two dot products per branch; a further column would make them a small
+    k x k solve. cap must be at least the table's own: the table keeps only
+    the fit window of the largest cap it has grown to.
     """
     strata.grow(cap)
     total, mass_total, tail_total = strata.fixed, strata.fixed_mass, 0.0
-    first = max(strata.N + 1, cap // 8 + 1)     # the first level n > cap / 8
-    fit = slice(first - strata.N - 1, None)
-    ln = np.log(np.arange(first, cap + 1, dtype=float))
+    ln = np.log(np.arange(strata.first, cap + 1, dtype=float))
     ln_mean = float(np.mean(ln))
     ln -= ln_mean
     ln_norm = float(ln @ ln)
@@ -664,12 +727,12 @@ def _kac_lhs(strata: _KacStrata, cap: int):
     lever = (mean_ln - ln_mean) / ln_norm if ln_norm else 0.0
     for _side, _chains, branches in strata.sides:
         for br in branches:
-            total += float(np.sum(br.contrib))
-            mass_total += float(np.sum(br.lengths))
+            integral, length = br.totals()
+            total += integral
+            mass_total += length
             rem = abs(br.last - br.pole_end)
             mass_total += rem
-            w = br.contrib[fit] / br.lengths[fit]
-            tail_total += rem * (float(np.mean(w)) + lever * float(ln @ w))
+            tail_total += rem * (float(np.mean(br.w)) + lever * float(ln @ br.w))
     return total + tail_total, tail_total, mass_total
 
 

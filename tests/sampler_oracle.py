@@ -39,27 +39,24 @@ def _window_fractions(strings: list, d: int, n: int) -> np.ndarray:
     w_k is the integer of the m digits from k (zeros past the string), with
     m the largest count such that d**m < 2**64, slid along the string in
     Python integers; x = (w_k >> s) * (2**s / d**m) with
-    s = bitlen(d**m - 1) - 53. When s < 0 the next m digits are added:
-    x = w_k * (1 / d**m) + w_{k+m} * (1 / d**(2m)). One row per string.
+    s = bitlen(d**m - 1) - 53, which is at least 0 for every d < 2048, the
+    degrees `BlaschkeMap` accepts. One row per string.
     """
     m = max(j for j in range(1, 64) if d**j < 2**64)
     s = (d**m - 1).bit_length() - 53
-    top, scale, scale2 = d ** (m - 1), 2 ** max(s, 0) / d**m, 1 / d ** (2 * m)
+    assert s >= 0, f"degree {d} needs a second window word"
+    top, scale = d ** (m - 1), 2**s / d**m
     rows = []
     for digits in strings:
-        padded = digits + [0] * (2 * m)
+        padded = digits + [0] * m
         w = 0
         for g in padded[:m]:
             w = w * d + g
         windows = [w]
-        for k in range(1, n + (m if s < 0 else 0)):
+        for k in range(1, n):
             w = w % top * d + padded[k + m - 1]
             windows.append(w)
-        if s >= 0:
-            rows.append([float(w >> s) * scale for w in windows])
-        else:
-            rows.append([float(windows[k]) * scale + float(windows[k + m]) * scale2
-                         for k in range(n)])
+        rows.append([float(w >> s) * scale for w in windows])
     return np.array(rows)
 
 
@@ -71,7 +68,7 @@ def eager_orbit_fractions(d: int, n: int, seed: int, lo: int, hi: int):
     e = 2 if d & (d - 1) == 0 else d
     m = max(j for j in range(1, 65) if e**j <= 2**64)
     s = (e**m - 1).bit_length() - 53
-    words, s = (1, s) if s >= 0 else (2, 0)
+    assert s >= 0, f"degree {d} needs a second window word"
     power = [np.uint64(e**j) for j in range(m)]
     if e == 2:
         b = d.bit_length() - 1
@@ -81,7 +78,7 @@ def eager_orbit_fractions(d: int, n: int, seed: int, lo: int, hi: int):
             pool[w] = splitmix64(seed, idx * np.uint64(nwords) + np.uint64(w))
     else:
         b, ndig = 1, n + int(np.ceil(54 / np.log2(d))) + 1
-        pool = np.zeros((-(-ndig // m) + words, hi - lo), dtype=np.uint64)
+        pool = np.zeros((-(-ndig // m) + 1, hi - lo), dtype=np.uint64)
         for j in range(ndig):
             w = splitmix64(seed, idx * np.uint64(ndig) + np.uint64(j))
             pool[j // m] += (w % np.uint64(d)) * power[m - 1 - j % m]
@@ -93,10 +90,7 @@ def eager_orbit_fractions(d: int, n: int, seed: int, lo: int, hi: int):
         return pool[q] % power[m - r] * power[r] + pool[q + 1] // power[m - r]
 
     def fraction(k):
-        x = (window(k * b) >> np.uint64(s)).view(np.int64) * (2**s / e**m)
-        if words == 2:
-            x = x + window(k * b + m).view(np.int64) * (1 / e ** (2 * m))
-        return x
+        return (window(k * b) >> np.uint64(s)).view(np.int64) * (2**s / e**m)
     return fraction
 
 

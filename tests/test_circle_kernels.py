@@ -250,6 +250,27 @@ def test_lift_cell_lookup_is_searchsorted(F):
     assert np.array_equal(blaschke._lift_cell(F, tau), want)
 
 
+@pytest.mark.parametrize("zeros,lifts", [(11, 3), (5, 2)])
+def test_lift_table_halves_wide_seed_cells(monkeypatch, zeros, lifts):
+    # equal zeros at 0.99 crowd the lift into the seed cells around them:
+    # with 11 some cell gains more than 1 radian and the halving loop of
+    # `_lift_table` runs (three `_lift` calls, one per test of the loop and
+    # one for the nodes), with 5 it does not (two); either way the
+    # preimages land on their targets
+    F = BlaschkeMap((0j,) + (0.99 + 0j,) * zeros)
+    calls = []
+    lift = blaschke._lift
+    monkeypatch.setattr(blaschke, "_lift", lambda F, t: calls.append(len(t)) or lift(F, t))
+    blaschke._lift_table.cache_clear()
+    blaschke._lift_table(F)
+    assert len(calls) == lifts
+    targets = np.random.default_rng(11).uniform(0.0, TWO_PI, 50)
+    got = boundary_preimages_batch(F, targets)
+    assert circular_gap(got, bisection_preimages_batch(F, targets)) <= 1e-14
+    resid = np.angle(blaschke.circle_values(F, got) * np.exp(-1j * targets[:, None]))
+    assert np.all(np.abs(resid) <= 1e-14 * circle_abs_deriv(F, got))
+
+
 def _full_tree(F, x, T):
     """The backward tree with every node solved, through the same walker."""
     d = F.degree

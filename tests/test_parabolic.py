@@ -175,32 +175,61 @@ def test_kac_two_point_tail_matches_full_rule(monkeypatch):
 
 
 def test_kac_strata_grow_in_bounded_blocks():
-    # one jump of the two-pole table from cap 10^4 to 129,831, as kac_check
-    # makes at level 3: streaming each side's new levels through blocks of
-    # 2^14 levels, and keeping per level only the stratum integral and
-    # length, holds the peak near 16 MB with six-point strata (18.8 MB with
-    # twelve, about 25 MB when every branch kept its preimages and
-    # re-concatenated its arrays per block, 40 MB when all new levels were
-    # solved at once)
-    strata = _KacStrata(TWOPOLE, 3)
-    strata.grow(10**4)
-    tracemalloc.start()
-    try:
-        strata.grow(129_831)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 17e6
+    # the last jump of each table as kac_check makes it: two-pole level 3
+    # from cap 10^4 to 129,831, Boole level 2 from 229,342 to 458,684. Each
+    # side's boundary orbit and new levels stream through steps that end at
+    # multiples of 2^14 levels, and per level the table keeps only w of the
+    # fit window above cap / 8, which holds the peaks near
+    # 8.5 and 10.2 MB (16.0 and 26.4 MB when every branch kept its stratum
+    # integrals and lengths and the orbit grew `boundary_orbit`'s cache;
+    # 40 MB for the two-pole table when all new levels were solved at once)
+    for P, N, caps, bound in ((TWOPOLE, 3, [10**4, 129_831], 10e6),
+                              (BOOLE, 2, [10**4, 229_342, 458_684], 14e6)):
+        strata = _KacStrata(P, N)
+        for cap in caps[:-1]:
+            strata.grow(cap)
+        tracemalloc.start()
+        try:
+            strata.grow(caps[-1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def test_kac_strata_frozen_values():
     # the excursion strata alone, grown in two steps as kac_check grows them
-    # at level 3; frozen bits of the six-point strata and the centred fit
+    # at level 3; frozen bits of the six-point strata, their block sums and
+    # the centred fit
     strata = _KacStrata(TWOPOLE, 3)
     strata.fixed = 0.0
     _kac_lhs(strata, 10**4)
-    assert _kac_lhs(strata, 129_831) == (4.198349136267765, 0.0844761172330708,
+    assert _kac_lhs(strata, 129_831) == (4.198349136267763, 0.0844761172330708,
                                          5.495934344178275)
+
+
+@pytest.mark.parametrize("P", [BOOLE, TWOPOLE], ids=ParabolicMap.label)
+def test_kac_orbit_stream_has_boundary_orbit_bits(monkeypatch, P):
+    # the table descends each side's boundary orbit itself, block by block
+    # from the pole; grown through two caps past three block ends, every
+    # point it streams equals the cached orbit's
+    cap = 3 * parabolic._ORBIT_BLOCK + 100
+    ref = {side: boundary_orbit(P, side, cap + 1) for side in "+-"}
+    streamed = {"+": [], "-": []}
+    stream = parabolic._stream
+
+    def recorded(P, side, chain, count):
+        out = stream(P, side, chain, count)
+        if out[1] is None:
+            streamed[side].append(out[0])
+        return out
+
+    monkeypatch.setattr(parabolic, "_stream", recorded)
+    strata = _KacStrata(P, 3)
+    strata.grow(5000)
+    strata.grow(cap)
+    for side in "+-":
+        assert np.concatenate(streamed[side]).tobytes() == ref[side][1:].tobytes()
 
 
 @pytest.mark.parametrize("P,N", [(TWOPOLE, 3), (BOOLE, 2)], ids=["twopole-3", "boole-2"])
@@ -215,17 +244,18 @@ def test_kac_six_point_strata_match_twelve(monkeypatch, P, N):
 
 def test_kac_tail_fit_is_least_squares():
     # the centred normal equations against LAPACK's least squares of
-    # c0 + c1 log n over the levels n > cap / 8
+    # c0 + c1 log n over the levels n > cap / 8, read from the stored window
     strata = _KacStrata(TWOPOLE, 3)
     cap = 129_831
     _lhs, tail, _mass = _kac_lhs(strata, cap)
-    ns = np.arange(strata.N + 1, cap + 1, dtype=float)
-    sel = ns > cap / 8
-    A = np.vstack([np.ones(int(np.sum(sel))), np.log(ns[sel])]).T
+    ns = np.arange(strata.first, cap + 1, dtype=float)
+    assert ns[0] > cap / 8 >= ns[0] - 1
+    A = np.vstack([np.ones(len(ns)), np.log(ns)]).T
     ref = 0.0
     for _side, _chains, branches in strata.sides:
         for br in branches:
-            coef, *_ = np.linalg.lstsq(A, (br.contrib / br.lengths)[sel], rcond=None)
+            assert len(br.w) == len(ns)
+            coef, *_ = np.linalg.lstsq(A, br.w, rcond=None)
             ref += abs(br.last - br.pole_end) * (coef[0] + coef[1] * (math.log(cap) + 2.0))
     assert abs(tail - ref) <= 1e-12 * abs(ref)
 
